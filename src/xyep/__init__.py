@@ -6,7 +6,6 @@ from .chain import (
     ChainSpec,
     ModeVector,
     SpectralPoint,
-    boundary_polynomial,
     build_quasi_hamiltonian,
     eps_of_x,
     gamma_to_lambda,
@@ -45,15 +44,6 @@ from .oracle import (
     l4_closed_form,
     match_spectra,
     realize_operator,
-)
-from .polyalg import (
-    DensePoly,
-    IntBivarPoly,
-    chebyshev_u_poly,
-    poly_derivative,
-    poly_eval,
-    poly_roots,
-    resultant_eliminate_x,
 )
 from .topology import (
     LoopResult,

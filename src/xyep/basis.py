@@ -75,8 +75,7 @@ def assemble_basis(spec: ChainSpec, tol: float = 1e-6) -> BiorthogonalBasis:
     """
     L = spec.L
     plus_points = quasi_energies(spec)
-    qh = build_quasi_hamiltonian(spec)
-    cols, points, lams = [], [], []
+    points, lams = [], []
     phis = np.zeros((L, 2 * L), dtype=complex)
     psis = np.zeros((L, 2 * L), dtype=complex)
     for pt in plus_points:
@@ -93,13 +92,12 @@ def assemble_basis(spec: ChainSpec, tol: float = 1e-6) -> BiorthogonalBasis:
                              (pt.negated(),
                               ModeVector(mv.mode, -1, -mv.epsilon, -mv.phi,
                                          mv.psi, mv.scale, mv.boundary_residual))):
-            idx = len(cols)
+            idx = len(points)
             phis[:, idx] = mvec.phi
             psis[:, idx] = mvec.psi
-            cols.append(_column_from_halves(mvec.phi, mvec.psi))
             points.append(signed)
             lams.append(signed.epsilon)
-    V = np.column_stack(cols)
+    V = _column_from_halves(phis, psis)
     V_inv = V.T
     Lambda = np.asarray(lams, dtype=complex)
     orth = float(np.max(np.abs(V @ V_inv - np.eye(2 * L))))
@@ -107,7 +105,8 @@ def assemble_basis(spec: ChainSpec, tol: float = 1e-6) -> BiorthogonalBasis:
         raise DefectiveBasis(
             f"bilinear orthogonality residual {orth:.3e} > {tol:g}; "
             "the spectrum is (numerically) defective here")
-    diag = float(np.max(np.abs(qh.M @ V - V * Lambda[None, :])))
+    M = build_quasi_hamiltonian(spec).M
+    diag = float(np.max(np.abs(M @ V - V * Lambda[None, :])))
     return BiorthogonalBasis(spec=spec, points=points, V=V, V_inv=V_inv,
                              Lambda=Lambda, phis=phis, psis=psis,
                              orth_residual=orth, diag_residual=diag)

@@ -3,9 +3,11 @@
 The quadratic form behind the spin Hamiltonian is encoded in a 2L x 2L
 complex symmetric block matrix M = [[A, B], [-B, -A]] built from the
 nearest-neighbour couplings.  Its spectrum comes in two families
-("modes"), each governed by a boundary polynomial in the Chebyshev
-variable x; every root x yields a quasi-energy pair +-eps and an
-explicitly known eigenvector with checkerboard support.
+("modes"), each governed by the boundary polynomial
+U_n(x) - lam U_{n-1}(x) in the Chebyshev variable x, with lam for mode I
+and 1/lam for mode II; every root x (found by
+:func:`xyep.polyalg.boundary_roots`) yields a quasi-energy pair +-eps and
+an explicitly known eigenvector with checkerboard support.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     TrigSingular,
 )
 from .errors import ModeCoincidenceWarning, NearEPWarning
-from .polyalg import DensePoly, poly_roots
+from .polyalg import boundary_roots, chebyshev_u
 
 __all__ = [
     "ChainSpec",
@@ -36,7 +38,6 @@ __all__ = [
     "x_of_eps",
     "eps_of_x",
     "build_quasi_hamiltonian",
-    "boundary_polynomial",
     "quasi_energies",
     "mode_vector_poly",
     "mode_vector_trig",
@@ -78,6 +79,18 @@ class ChainSpec:
     @property
     def lam(self) -> complex:
         return gamma_to_lambda(self.gamma)
+
+    def mode_lambda(self, mode: str) -> complex:
+        """Boundary parameter of one mode: lambda for mode I, 1/lambda for mode II.
+
+        Raises :class:`LambdaSingular` at gamma = 1, where lambda = 0
+        and the two boundary polynomials degenerate.
+        """
+        if mode not in MODES:
+            raise DegenerateInput(f"mode must be one of {MODES}, got {mode!r}")
+        if self.gamma == 1:
+            raise LambdaSingular("boundary polynomial undefined at gamma = +-1")
+        return self.lam if mode == "I" else 1 / self.lam
 
 
 def gamma_to_lambda(gamma: complex) -> complex:
@@ -138,32 +151,6 @@ def build_quasi_hamiltonian(spec: ChainSpec) -> QuasiHamiltonian:
     return QuasiHamiltonian(spec=spec, A=A, B=B, M=M, S=S)
 
 
-def boundary_polynomial(spec: ChainSpec, mode: str) -> DensePoly:
-    """Quantization polynomial in x for one mode.
-
-    Mode I imposes U_n(x) - lambda U_{n-1}(x) = 0 with n = L/2; mode II
-    uses 1/lambda instead.  Degree is exactly n.  Raises
-    :class:`LambdaSingular` at gamma = +-1 where lambda degenerates to
-    0 or infinity.
-    """
-    if mode not in MODES:
-        raise DegenerateInput(f"mode must be one of {MODES}, got {mode!r}")
-    g = spec.gamma
-    if g == 1 or g == -1:
-        raise LambdaSingular("boundary polynomial undefined at gamma = +-1")
-    lam = spec.lam
-    factor = lam if mode == "I" else 1 / lam
-    from .polyalg import chebyshev_u_poly
-
-    n = spec.n_pairs
-    un = chebyshev_u_poly(n).coeffs
-    un1 = chebyshev_u_poly(n - 1).coeffs
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[: un.size] = un
-    coeffs[: un1.size] -= factor * un1
-    return DensePoly(coeffs)
-
-
 @dataclass(frozen=True)
 class SpectralPoint:
     """One labelled quasi-energy: mode, branch index within the mode, and sign."""
@@ -193,9 +180,7 @@ def quasi_energies(spec: ChainSpec, warn: bool = True) -> list[SpectralPoint]:
                       ModeCoincidenceWarning, stacklevel=2)
     points = []
     for mode in MODES:
-        roots = poly_roots(boundary_polynomial(spec, mode))
-        xs = roots.expanded()
-        xs = np.array([_polish_boundary_root(spec, mode, x) for x in xs])
+        xs = boundary_roots(spec.n_pairs, spec.mode_lambda(mode))
         if warn:
             for i in range(xs.size):
                 for j in range(i + 1, xs.size):
@@ -233,43 +218,6 @@ class ModeVector:
     boundary_residual: float
 
 
-def _polish_boundary_root(spec: ChainSpec, mode: str, x: complex) -> complex:
-    """Newton-polish a boundary root with stable recurrence evaluation.
-
-    Monomial-basis root finding leaves a few-1e-12 of forward error at
-    the larger sizes; two Newton steps on the recurrence-evaluated
-    polynomial push that to machine precision.  Steps larger than 1e-6
-    indicate a near-double root where polishing cannot help and are
-    skipped.
-    """
-    n = spec.L // 2
-    lam_pow = spec.lam if mode == "I" else 1 / spec.lam
-    z = complex(x)
-    for _ in range(2):
-        u, du = _chebyshev_values(z, n)
-        f = u[n + 1] - lam_pow * u[n]
-        df = du[n + 1] - lam_pow * du[n]
-        if df == 0:
-            break
-        step = f / df
-        if abs(step) > 1e-6:
-            break
-        z -= step
-    return z
-
-
-def _chebyshev_values(x: complex, n: int):
-    """U_{-1}..U_n and their derivatives at x, by the three-term recurrence."""
-    u = np.zeros(n + 2, dtype=complex)
-    du = np.zeros(n + 2, dtype=complex)
-    u[0], u[1] = 0.0, 1.0          # U_{-1}, U_0
-    du[0], du[1] = 0.0, 0.0
-    for m in range(1, n + 1):
-        u[m + 1] = 2 * x * u[m] - u[m - 1]
-        du[m + 1] = 2 * u[m] + 2 * x * du[m] - du[m - 1]
-    return u, du
-
-
 def _raw_mode_arrays(spec: ChainSpec, mode: str, eps: complex, x: complex):
     """Unnormalized (phi, psi) for the +eps branch, plus the boundary value.
 
@@ -282,7 +230,7 @@ def _raw_mode_arrays(spec: ChainSpec, mode: str, eps: complex, x: complex):
     n = spec.n_pairs
     if eps == 0:
         raise EpsilonZero("mode construction divides by the quasi-energy")
-    u, _ = _chebyshev_values(x, n)
+    u = chebyshev_u(x, n)[0]
     phi = np.zeros(L, dtype=complex)
     psi = np.zeros(L, dtype=complex)
     even = u[1: n + 1]                       # U_0 .. U_{n-1} on sites 2,4,..,L
@@ -383,14 +331,12 @@ def momentum_residual(spec: ChainSpec, k: complex, mode: str) -> complex:
     Zero exactly when sin((L+2)k)/sin(Lk) equals lambda (mode I) or
     1/lambda (mode II).  Guards against vanishing denominators.
     """
-    if mode not in MODES:
-        raise DegenerateInput(f"mode must be one of {MODES}, got {mode!r}")
+    target = spec.mode_lambda(mode)
     L = spec.L
     sl = cmath.sin(L * k)
     if abs(sl) < _TRIG_GUARD or abs(cmath.cos(k)) < _TRIG_GUARD \
             or abs(cmath.cos((L + 1) * k)) < _TRIG_GUARD:
         raise TrigSingular("momentum condition evaluated at a trigonometric zero")
-    target = spec.lam if mode == "I" else 1 / spec.lam
     return cmath.sin((L + 2) * k) / sl - target
 
 

@@ -21,7 +21,7 @@ from . import __version__
 from ._fmt import csv_text, fmt_real, json_text, parse_complex
 from .basis import many_body_energies
 from .chain import ChainSpec, quasi_energies
-from .ep import locate_eps, reference_ep_gammas
+from .ep import ep_table_rows, locate_eps, reference_ep_gammas
 from .errors import AmbiguousContinuation, LambdaSingular, XYEPError
 from .oracle import build_spin_hamiltonian, ed_eigen, match_spectra
 from .topology import overlap_grid, resolve_threads, track_loop
@@ -90,10 +90,7 @@ def cmd_ep_table(args) -> int:
     }
     rows = []
     for L in range(args.L_min, args.L_max + 1, 2):
-        for r in locate_eps(L, "both"):
-            rows.append([r.L, r.mode, r.gamma.real, r.gamma.imag,
-                         r.epsilon.real, r.epsilon.imag,
-                         r.boundary_residual])
+        rows += ep_table_rows(locate_eps(L, "both"))
     cols = ["L", "mode", "re_gamma", "im_gamma",
             "re_epsilon", "im_epsilon", "boundary_residual"]
     _emit(csv_text(config, cols, rows), args.out)
@@ -140,6 +137,14 @@ def cmd_loop(args) -> int:
     return 0
 
 
+def _oracle_deviation(L: int, g: complex) -> float:
+    """Analytic many-body spectrum against dense ED, relative to the ED scale."""
+    analytic = many_body_energies(ChainSpec(L, g)).energies
+    ed = ed_eigen(build_spin_hamiltonian(L, g), want_vectors=False).values
+    scale = float(np.max(np.abs(ed)))
+    return match_spectra(analytic, ed).max_abs_diff / scale
+
+
 def cmd_oracle_compare(args) -> int:
     rng = np.random.default_rng(args.seed)
     lines = []
@@ -149,12 +154,7 @@ def cmd_oracle_compare(args) -> int:
         g = complex(*(rng.uniform(-1.5, 1.5, size=2)))
         if min(abs(g - 1), abs(g + 1)) < 5e-2:
             continue
-        spec = ChainSpec(args.L, g)
-        analytic = many_body_energies(spec).energies
-        ed = ed_eigen(build_spin_hamiltonian(args.L, g),
-                      want_vectors=False).values
-        scale = float(np.max(np.abs(ed)))
-        dev = match_spectra(analytic, ed).max_abs_diff / scale
+        dev = _oracle_deviation(args.L, g)
         worst = max(worst, dev)
         status = "PASS" if dev <= 1e-8 else "FAIL"
         ok = ok and dev <= 1e-8
@@ -197,12 +197,7 @@ def _verify_oracle(lines: list[str]) -> bool:
             g = complex(*(rng.uniform(-1.2, 1.2, size=2)))
             if min(abs(g - 1), abs(g + 1)) < 5e-2:
                 continue
-            spec = ChainSpec(L, g)
-            analytic = many_body_energies(spec).energies
-            ed = ed_eigen(build_spin_hamiltonian(L, g),
-                          want_vectors=False).values
-            scale = float(np.max(np.abs(ed)))
-            worst = max(worst, match_spectra(analytic, ed).max_abs_diff / scale)
+            worst = max(worst, _oracle_deviation(L, g))
         passed = worst <= 1e-8
         ok = ok and passed
         lines.append(f"{'PASS' if passed else 'FAIL'} oracle L={L} "

@@ -1,11 +1,11 @@
 """Exceptional points: location, Jordan structure, and state counting.
 
-A degeneracy of one mode requires its boundary polynomial to have a
-double root in x, so the exceptional parameters are the roots of the
-resultant of the polynomial and its x-derivative.  That resultant is
-computed exactly over the integers in the boundary parameter, which
-keeps the search free of the root-clustering noise that plagues a
-purely floating-point approach.
+A degeneracy of one mode requires its boundary polynomial
+U_n(x) - lam U_{n-1}(x) to have a double root in x.  Eliminating lam
+from the polynomial and its x-derivative leaves the Wronskian
+U_n' U_{n-1} - U_n U_{n-1}', a polynomial in x alone whose roots are the
+double roots themselves (:func:`xyep.polyalg.double_roots`); lam is then
+U_n / U_{n-1} at each of them.
 """
 
 from __future__ import annotations
@@ -19,29 +19,19 @@ from .chain import (
     ChainSpec,
     MODES,
     SpectralPoint,
-    boundary_polynomial,
     build_quasi_hamiltonian,
     eps_of_x,
-    gamma_to_lambda,
     lambda_to_gamma,
     mode_vector_poly,
-    _chebyshev_values,
     _raw_mode_arrays,
 )
 from .basis import _column_from_halves
 from .errors import (
     ChainResidualTooLarge,
     DegenerateInput,
-    MapSingular,
     SingularVEP,
 )
-from .polyalg import (
-    DensePoly,
-    IntBivarPoly,
-    chebyshev_u_int_coeffs,
-    poly_roots,
-    resultant_eliminate_x,
-)
+from .polyalg import boundary_roots, chebyshev_u, double_roots
 
 __all__ = [
     "EPRecord",
@@ -50,8 +40,6 @@ __all__ = [
     "JordanDecomposition",
     "EPStateEntry",
     "EPStateCatalog",
-    "gamma_of_lambda",
-    "lambda_of_gamma",
     "locate_eps",
     "reference_ep_gammas",
     "generalized_eigenvector",
@@ -60,22 +48,6 @@ __all__ = [
     "ep_ground_energy",
     "ep_table_rows",
 ]
-
-
-def lambda_of_gamma(gamma: complex) -> complex:
-    """Moebius map gamma -> lambda; raises :class:`MapSingular` at the pole."""
-    try:
-        return gamma_to_lambda(gamma)
-    except Exception as exc:
-        raise MapSingular(str(exc)) from exc
-
-
-def gamma_of_lambda(lam: complex) -> complex:
-    """Inverse Moebius map; raises :class:`MapSingular` at lambda = 1."""
-    try:
-        return lambda_to_gamma(lam)
-    except Exception as exc:
-        raise MapSingular(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -90,67 +62,6 @@ class EPRecord:
     epsilon: complex
     boundary_residual: float
     momentum_residual: float
-
-
-def _boundary_bivar(L: int) -> IntBivarPoly:
-    """U_n(x) - w U_{n-1}(x) over Z[x, w], with w standing for lambda."""
-    n = L // 2
-    un = chebyshev_u_int_coeffs(n)
-    un1 = chebyshev_u_int_coeffs(n - 1)
-    rows = []
-    for i in range(n + 1):
-        c0 = un[i] if i < len(un) else 0
-        c1 = -un1[i] if i < len(un1) else 0
-        rows.append((c0, c1))
-    return IntBivarPoly(tuple(rows))
-
-
-def _newton_polish_int(poly: list[int], z: complex, steps: int = 4) -> complex:
-    dpoly = [i * c for i, c in enumerate(poly)][1:]
-    for _ in range(steps):
-        pv = 0j
-        for c in poly[::-1]:
-            pv = pv * z + c
-        dv = 0j
-        for c in dpoly[::-1]:
-            dv = dv * z + c
-        if dv == 0:
-            break
-        z = z - pv / dv
-    return z
-
-
-def _double_root_x(L: int, lam1: complex) -> complex:
-    """The coalescing x-root of U_n - lam1 U_{n-1} at an exceptional lam1."""
-    n = L // 2
-    un = chebyshev_u_int_coeffs(n)
-    un1 = chebyshev_u_int_coeffs(n - 1)
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[: len(un)] += un
-    coeffs[: len(un1)] -= lam1 * np.array(un1)
-    roots = poly_roots(DensePoly(coeffs))
-    mults = roots.multiplicities
-    if (mults >= 2).any():
-        x = complex(roots.values[int(np.argmax(mults))])
-    else:
-        xs = roots.expanded()
-        best = None
-        for i in range(xs.size):
-            for j in range(i + 1, xs.size):
-                d = abs(xs[i] - xs[j])
-                if best is None or d < best[0]:
-                    best = (d, (xs[i] + xs[j]) / 2)
-        x = complex(best[1])
-    # polish on the derivative: the double root is a simple root of P'
-    dcoeffs = coeffs[1:] * np.arange(1, n + 1)
-    ddcoeffs = dcoeffs[1:] * np.arange(1, n)
-    for _ in range(6):
-        dv = complex(np.polyval(dcoeffs[::-1], x))
-        ddv = complex(np.polyval(ddcoeffs[::-1], x)) if ddcoeffs.size else 0j
-        if ddv == 0:
-            break
-        x = x - dv / ddv
-    return x
 
 
 def _momentum_ep_residual(L: int, x: complex) -> float:
@@ -181,34 +92,20 @@ def locate_eps(L: int, mode: str = "both") -> list[EPRecord]:
     if L == 2:
         return []
 
-    P = _boundary_bivar(L)
-    res = resultant_eliminate_x(P, P.partial_x())
-    rs = poly_roots(DensePoly(np.array(res, dtype=complex)))
-    lams = [_newton_polish_int(res, z) for z in rs.expanded()]
-
+    xs, lams, b_res = double_roots(L // 2)
     records = []
-    n = L // 2
-    un = chebyshev_u_int_coeffs(n)
-    un1 = chebyshev_u_int_coeffs(n - 1)
-    for lam1 in lams:
-        x = _double_root_x(L, lam1)
-        coeffs = np.zeros(n + 1, dtype=complex)
-        coeffs[: len(un)] += un
-        coeffs[: len(un1)] -= lam1 * np.array(un1)
-        scale = float(np.max(np.abs(coeffs)))
-        pv = abs(complex(np.polyval(coeffs[::-1], x)))
-        dv = abs(complex(np.polyval((coeffs[1:] * np.arange(1, n + 1))[::-1], x)))
-        b_res = max(pv, dv) / scale
+    for x, lam1, res in zip(xs, lams, b_res):
+        x = complex(x)
         m_res = _momentum_ep_residual(L, x)
         for mlabel in MODES:
             if mode not in (mlabel, "both"):
                 continue
-            lam_mode = lam1 if mlabel == "I" else 1 / lam1
-            g = gamma_of_lambda(lam_mode)
+            lam_mode = complex(lam1 if mlabel == "I" else 1 / lam1)
+            g = lambda_to_gamma(lam_mode)
             records.append(EPRecord(
                 L=L, mode=mlabel, lam=lam_mode, gamma=g, x=x,
                 epsilon=eps_of_x(g, x),
-                boundary_residual=b_res, momentum_residual=m_res))
+                boundary_residual=float(res), momentum_residual=m_res))
     records.sort(key=lambda r: (r.mode, -round(abs(r.gamma), 10),
                                 -r.gamma.imag))
     return records
@@ -216,7 +113,7 @@ def locate_eps(L: int, mode: str = "both") -> list[EPRecord]:
 
 # Frozen reference values (four decimals; mode II, upper half plane).
 # Mode I values are the negatives and complex conjugates complete each
-# quadruple.  Kept as a regression anchor for the exact search above.
+# quadruple.  Kept as a regression anchor for the search above.
 _REFERENCE_EP_MODE_II = {
     4: [0.6000 + 0.8000j],
     6: [0.8030 + 1.3107j, 0.3399 + 0.5547j],
@@ -273,7 +170,7 @@ def _raw_mode_derivative(spec: ChainSpec, mode: str, eps: complex, x: complex):
     """d(phi, psi)/d(eps) of the raw mode arrays along the dispersion."""
     L, g = spec.L, spec.gamma
     n = spec.n_pairs
-    u, du = _chebyshev_values(x, n)
+    u, du = chebyshev_u(x, n, 1)
     xp = 4 * eps / (1 - g * g)
     dphi = np.zeros(L, dtype=complex)
     dpsi = np.zeros(L, dtype=complex)
@@ -401,8 +298,7 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
         lam_diag.append(-eps)
 
     for mode in MODES:
-        roots = poly_roots(boundary_polynomial(spec, mode))
-        xs = list(roots.expanded())
+        xs = list(boundary_roots(spec.n_pairs, spec.mode_lambda(mode)))
         if mode == ep.mode:
             xs.sort(key=lambda x: abs(x - ep.x))
             dropped = xs[:2]

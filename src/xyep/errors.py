@@ -33,10 +33,6 @@ class ChainResidualTooLarge(XYEPError):
     """A Jordan-chain identity residual exceeded its acceptance threshold."""
 
 
-class MapSingular(XYEPError):
-    """The Moebius parameter map was evaluated at its pole."""
-
-
 class SizeLimit(XYEPError):
     """Requested system size exceeds what the dense construction supports."""
 

@@ -1,421 +1,145 @@
-"""Polynomial utilities.
+"""The boundary polynomial of the open chain and its roots.
 
-Dense univariate polynomials over the complex numbers (ascending
-coefficient order), Chebyshev polynomials of the second kind, a
-simultaneous-iteration root finder, and exact integer bivariate
-polynomials with a fraction-free resultant for eliminating one
-variable.
+Every quasi-energy of one mode is a root x of
+
+    P(x, lam) = U_n(x) - lam * U_{n-1}(x),    n = L / 2,
+
+with U_k the Chebyshev polynomials of the second kind, and an
+exceptional point is a double root of P.  This module holds the three
+things that work on P:
+
+* :func:`chebyshev_u`, the three-term recurrence for U_k and its
+  derivatives (the only evaluator of P and its derivatives);
+* :func:`boundary_roots`, the n roots of P as eigenvalues of a
+  tridiagonal comrade matrix (Good, "The colleague matrix", 1961),
+  Newton-polished on the recurrence and certified by a backward error;
+* :func:`double_roots`, the exceptional points: the roots of the
+  Wronskian W = U_n' U_{n-1} - U_n U_{n-1}', which eliminates lam by
+  hand, with lam read off as U_n / U_{n-1}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from numpy.polynomial import chebyshev as C
 
 from .errors import DegenerateInput, NonConvergence
 
-__all__ = [
-    "DensePoly",
-    "RootSet",
-    "IntBivarPoly",
-    "chebyshev_u_poly",
-    "chebyshev_u_int_coeffs",
-    "poly_eval",
-    "poly_derivative",
-    "poly_roots",
-    "resultant_eliminate_x",
-]
+__all__ = ["chebyshev_u", "boundary_roots", "double_roots"]
+
+_NEWTON_STEPS = 2
 
 
-# ---------------------------------------------------------------------------
-# dense complex polynomials
-# ---------------------------------------------------------------------------
+def chebyshev_u(x, n: int, order: int = 0) -> np.ndarray:
+    """U_{-1}, U_0, ..., U_n at x, with their first ``order`` derivatives.
 
-@dataclass(frozen=True)
-class DensePoly:
-    """Polynomial sum_k coeffs[k] * z**k with complex coefficients.
-
-    Trailing (highest-order) zero coefficients are stripped on
-    construction; the zero polynomial is stored as the single
-    coefficient ``[0]``.
+    Entry ``[d, k + 1]`` of the result is the d-th derivative of U_k at
+    x, so the shape is ``(order + 1, n + 2) + shape(x)``.  Each
+    derivative follows from differentiating U_{k+1} = 2x U_k - U_{k-1}.
     """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        if c.ndim != 1 or c.size == 0:
-            raise DegenerateInput("coefficient array must be a nonempty 1-d sequence")
-        nz = np.nonzero(c)[0]
-        c = c[: nz[-1] + 1] if nz.size else c[:1]
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        """Degree; the zero polynomial reports -1."""
-        if self.coeffs.size == 1 and self.coeffs[0] == 0:
-            return -1
-        return self.coeffs.size - 1
-
-    def __call__(self, z):
-        return poly_eval(self, z)
+    x = np.asarray(x, dtype=complex)
+    u = np.zeros((order + 1, n + 2) + x.shape, dtype=complex)
+    u[0, 1] = 1.0
+    two_d = 2.0 * np.arange(1, order + 1).reshape((order,) + (1,) * x.ndim)
+    for k in range(1, n + 1):
+        u[:, k + 1] = 2 * x * u[:, k] - u[:, k - 1]
+        u[1:, k + 1] += two_d * u[:-1, k]
+    return u
 
 
-def poly_eval(p: DensePoly, z):
-    """Evaluate ``p`` at scalar or array argument via Horner's scheme."""
-    z = np.asarray(z, dtype=complex)
-    acc = np.zeros_like(z)
-    for c in p.coeffs[::-1]:
-        acc = acc * z + c
-    return acc[()] if acc.ndim == 0 else acc
+def _backward_error(ud: np.ndarray, lam: complex, x: np.ndarray) -> np.ndarray:
+    """|U_n - lam U_{n-1}| relative to the size of the terms that make it.
 
-
-def poly_derivative(p: DensePoly) -> DensePoly:
-    """Formal derivative."""
-    c = p.coeffs
-    if c.size == 1:
-        return DensePoly(np.zeros(1, dtype=complex))
-    k = np.arange(1, c.size)
-    return DensePoly(c[1:] * k)
-
-
-def chebyshev_u_int_coeffs(m: int) -> list[int]:
-    """Integer coefficients (ascending) of the Chebyshev polynomial U_m.
-
-    ``m = -1`` gives the zero polynomial, which the three-term
-    recurrence needs as a seed.
+    ``ud`` is one derivative order of :func:`chebyshev_u`, so the same
+    measure certifies P (order 0) and P' (order 1).
     """
-    if m < -1:
-        raise DegenerateInput(f"order must be >= -1, got {m}")
-    if m == -1:
-        return [0]
-    prev, cur = [0], [1]
-    for _ in range(m):
-        nxt = [0] + [2 * c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        while len(nxt) > 1 and nxt[-1] == 0:
-            nxt.pop()
-        prev, cur = cur, nxt
-    return cur
+    n = ud.shape[0] - 2
+    scale = (1 + abs(lam)) * np.abs(ud[1:]).max(axis=0) * (1 + np.abs(x))
+    return np.abs(ud[n + 1] - lam * ud[n]) / scale
 
 
-def chebyshev_u_poly(m: int) -> DensePoly:
-    """Chebyshev polynomial of the second kind as a :class:`DensePoly`."""
-    return DensePoly(np.array(chebyshev_u_int_coeffs(m), dtype=complex))
+def _newton(f, x: np.ndarray, steps: int) -> np.ndarray:
+    """Newton steps on f(x) -> (value, derivative); a step is kept only where it lowers |f|."""
+    val, der = f(x)
+    for _ in range(steps):
+        with np.errstate(all="ignore"):
+            x_new = x - val / der
+            val_new, der_new = f(x_new)
+            better = np.abs(val_new) < np.abs(val)
+        x = np.where(better, x_new, x)
+        val = np.where(better, val_new, val)
+        der = np.where(better, der_new, der)
+    return x
 
 
-# ---------------------------------------------------------------------------
-# root finding
-# ---------------------------------------------------------------------------
+def _certify(err: np.ndarray, n: int, what: str):
+    tol = 16 * n * np.finfo(float).eps
+    worst = float(np.max(err, initial=0.0))
+    if not worst <= tol:
+        raise NonConvergence(
+            f"{what}: backward error {worst:.3e} exceeds {tol:.3e} (n = {n})")
 
-@dataclass(frozen=True)
-class RootSet:
-    """Roots of a polynomial, merged into clusters with multiplicities.
 
-    ``sum(multiplicities) == degree`` always holds.  ``residuals`` are
-    backward errors |p(r)| / (max|c| * max(1,|r|)^deg), one per stored
-    root.
+def boundary_roots(n: int, lam: complex) -> np.ndarray:
+    """The n roots x of U_n(x) - lam U_{n-1}(x), with multiplicity.
+
+    det(2x - T) is the boundary polynomial for the n x n tridiagonal
+    T = tridiag(1, 0, 1) with T[n-1, n-1] = lam, so the roots start as
+    eigvals(T) / 2.  Each then takes two Newton steps on the recurrence
+    and must meet the backward-error bound 16 n eps, else
+    :class:`NonConvergence` is raised.  The bound holds at a double
+    root as well, where the coalescing pair stays split by about
+    sqrt(eps).
     """
+    if n < 1:
+        raise DegenerateInput(f"boundary polynomial needs degree >= 1, got {n}")
+    lam = complex(lam)
+    if not np.isfinite(lam):
+        raise DegenerateInput(f"boundary parameter must be finite, got {lam}")
+    T = np.zeros((n, n), dtype=complex)
+    idx = np.arange(n - 1)
+    T[idx, idx + 1] = T[idx + 1, idx] = 1.0
+    T[n - 1, n - 1] = lam
+    x = np.linalg.eigvals(T) / 2
 
-    values: np.ndarray
-    multiplicities: np.ndarray
-    residuals: np.ndarray
-    iterations: int = 0
+    def f(z):
+        u = chebyshev_u(z, n, 1)
+        return u[:, n + 1] - lam * u[:, n]
 
-    def expanded(self) -> np.ndarray:
-        """All roots with multiplicity, as a flat array."""
-        return np.repeat(self.values, self.multiplicities)
-
-
-_MERGE_TOL = 1e-8
+    x = _newton(f, x, _NEWTON_STEPS)
+    with np.errstate(all="ignore"):
+        _certify(_backward_error(chebyshev_u(x, n)[0], lam, x), n,
+                 "boundary roots")
+    return x
 
 
-def _backward_errors(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    scale = np.max(np.abs(coeffs))
-    deg = coeffs.size - 1
-    vals = np.zeros_like(roots)
-    for c in coeffs[::-1]:
-        vals = vals * roots + c
-    return np.abs(vals) / (scale * np.maximum(1.0, np.abs(roots)) ** deg)
+def double_roots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (x, lam) at which U_n - lam U_{n-1} has a double root in x.
 
-
-def _aberth(coeffs: np.ndarray, tol: float, max_iter: int):
-    """Simultaneous Newton-type iteration for all roots of a polynomial.
-
-    ``coeffs`` ascending, leading and constant coefficients nonzero.
-    Starts from a circle at the Cauchy bound with a fixed angular
-    offset so no starting point is a root of a symmetric polynomial.
+    The double roots are the 2n - 2 roots of the Wronskian, a polynomial
+    of exact degree 2n - 2 (leading coefficient 2^(2n-1)).  It is sampled
+    at 2n - 1 Chebyshev points, rooted in the Chebyshev basis
+    (``chebroots``), and each root is Newton-polished on the recurrence
+    with W' = U_n'' U_{n-1} - U_n U_{n-1}''.  Returns x, lam = U_n /
+    U_{n-1} and the larger of the backward errors of P and P' at (x,
+    lam); both must meet 16 n eps, else :class:`NonConvergence` is
+    raised.
     """
-    deg = coeffs.size - 1
-    dcoeffs = coeffs[1:] * np.arange(1, coeffs.size)
-    radius = 1.0 + np.max(np.abs(coeffs[:-1] / coeffs[-1]))
-    angles = 2.0 * np.pi * (np.arange(deg) + 0.25) / deg + 0.43
-    z = radius * np.exp(1j * angles)
+    if n < 2:
+        raise DegenerateInput(f"a double root needs degree >= 2, got {n}")
 
-    for it in range(max_iter):
-        err = _backward_errors(coeffs, z)
-        done = err <= tol
-        if done.all():
-            return z, it
-        pv = np.zeros_like(z)
-        for c in coeffs[::-1]:
-            pv = pv * z + c
-        dv = np.zeros_like(z)
-        for c in dcoeffs[::-1]:
-            dv = dv * z + c
-        bad = dv == 0
-        if bad.any():
-            z = np.where(bad, z * (1 + 1e-8) + 1e-8j, z)
-            continue
-        w = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        corr = w / (1.0 - w * s)
-        z = np.where(done, z, z - corr)
-    raise NonConvergence(
-        f"root iteration did not reach tol={tol:g} in {max_iter} steps "
-        f"(worst backward error {np.max(_backward_errors(coeffs, z)):.3e})"
-    )
+    def f(z):
+        u = chebyshev_u(z, n, 2)
+        w = u[1, n + 1] * u[0, n] - u[0, n + 1] * u[1, n]
+        dw = u[2, n + 1] * u[0, n] - u[0, n + 1] * u[2, n]
+        return w, dw
 
-
-def _merge_roots(roots: np.ndarray, coeffs: np.ndarray, iterations: int) -> RootSet:
-    order = np.lexsort((roots.imag, roots.real))
-    roots = roots[order]
-    n = roots.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= _MERGE_TOL * (1.0 + abs(roots[i])):
-                parent[find(j)] = find(i)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    reps, mults = [], []
-    for members in groups.values():
-        reps.append(np.mean(roots[members]))
-        mults.append(len(members))
-    reps = np.asarray(reps, dtype=complex)
-    mults = np.asarray(mults, dtype=int)
-    order = np.lexsort((reps.imag, reps.real))
-    reps, mults = reps[order], mults[order]
-    res = _backward_errors(coeffs, reps) if reps.size else np.zeros(0)
-    return RootSet(values=reps, multiplicities=mults, residuals=res, iterations=iterations)
-
-
-def poly_roots(p: DensePoly, tol: float = 1e-12, max_iter: int = 200) -> RootSet:
-    """All complex roots of ``p``, clustered into a :class:`RootSet`.
-
-    Degrees one and two use closed forms; higher degrees use the
-    simultaneous iteration.  Raises :class:`DegenerateInput` for the
-    zero polynomial and :class:`NonConvergence` if the iteration
-    stalls.
-    """
-    if p.degree < 0:
-        raise DegenerateInput("zero polynomial has no well-defined root set")
-    coeffs = p.coeffs.copy()
-    full = coeffs
-
-    # exact roots at the origin
-    zero_mult = 0
-    while coeffs.size > 1 and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-        zero_mult += 1
-
-    deg = coeffs.size - 1
-    if deg == 0:
-        roots = np.zeros(0, dtype=complex)
-        iters = 0
-    elif deg == 1:
-        roots = np.array([-coeffs[0] / coeffs[1]])
-        iters = 0
-    elif deg == 2:
-        c, b, a = coeffs
-        s = np.sqrt(b * b - 4 * a * c + 0j)
-        if (np.conj(b) * s).real < 0:
-            s = -s
-        q = -(b + s) / 2
-        if q == 0:
-            roots = np.zeros(2, dtype=complex)
-        else:
-            roots = np.array([q / a, c / q])
-        iters = 0
-    else:
-        roots, iters = _aberth(coeffs, tol, max_iter)
-
-    if zero_mult:
-        roots = np.concatenate([roots, np.zeros(zero_mult, dtype=complex)])
-    return _merge_roots(roots, full, iters)
-
-
-# ---------------------------------------------------------------------------
-# exact integer polynomials in two variables
-# ---------------------------------------------------------------------------
-
-# A univariate integer polynomial is a plain list of Python ints,
-# ascending, with no trailing zeros except the canonical zero [0].
-
-def _ip_trim(a: list[int]) -> list[int]:
-    n = len(a)
-    while n > 1 and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
-
-
-def _ip_is_zero(a: list[int]) -> bool:
-    return len(a) == 1 and a[0] == 0
-
-
-def _ip_add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, c in enumerate(b):
-        out[i] += c
-    return _ip_trim(out)
-
-
-def _ip_neg(a: list[int]) -> list[int]:
-    return [-c for c in a]
-
-
-def _ip_sub(a: list[int], b: list[int]) -> list[int]:
-    return _ip_add(a, _ip_neg(b))
-
-
-def _ip_mul(a: list[int], b: list[int]) -> list[int]:
-    if _ip_is_zero(a) or _ip_is_zero(b):
-        return [0]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _ip_trim(out)
-
-
-def _ip_div_exact(a: list[int], b: list[int]) -> list[int]:
-    """Exact division in Z[w]; raises if the division leaves a remainder."""
-    if _ip_is_zero(b):
-        raise ZeroDivisionError("division by the zero polynomial")
-    if _ip_is_zero(a):
-        return [0]
-    rem = a[:]
-    db, lb = len(b) - 1, b[-1]
-    out = [0] * (len(a) - len(b) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        lead = rem[db + k]
-        if lead % lb != 0:
-            raise ArithmeticError("inexact polynomial division")
-        q = lead // lb
-        out[k] = q
-        if q:
-            for i, c in enumerate(b):
-                rem[i + k] -= q * c
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return _ip_trim(out)
-
-
-@dataclass(frozen=True)
-class IntBivarPoly:
-    """Polynomial in (x, w) with exact integer coefficients.
-
-    ``coeffs[i][j]`` multiplies x**i * w**j.  Rows beyond the true
-    x-degree are trimmed on construction.
-    """
-
-    coeffs: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        rows = [tuple(int(c) for c in row) for row in self.coeffs]
-        if not rows or not all(rows):
-            raise DegenerateInput("coefficient grid must be nonempty")
-        while len(rows) > 1 and not any(rows[-1]):
-            rows.pop()
-        object.__setattr__(self, "coeffs", tuple(rows))
-
-    @property
-    def deg_x(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def deg_w(self) -> int:
-        return max(len(_ip_trim(list(row))) - 1 for row in self.coeffs)
-
-    def partial_x(self) -> "IntBivarPoly":
-        if self.deg_x == 0:
-            return IntBivarPoly(((0,),))
-        rows = [tuple(i * c for c in row) for i, row in enumerate(self.coeffs) if i >= 1]
-        return IntBivarPoly(tuple(rows))
-
-    def x_coeff_polys(self) -> list[list[int]]:
-        """Coefficient of each power of x, as integer polynomials in w."""
-        return [_ip_trim(list(row)) for row in self.coeffs]
-
-    def eval(self, x: complex, w: complex) -> complex:
-        acc = 0j
-        for row in self.coeffs[::-1]:
-            rv = 0j
-            for c in row[::-1]:
-                rv = rv * w + c
-            acc = acc * x + rv
-        return acc
-
-
-def _bareiss_det(mat: list[list[list[int]]]) -> list[int]:
-    """Determinant of a matrix over Z[w] by fraction-free elimination."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if _ip_is_zero(m[k][k]):
-            for i in range(k + 1, n):
-                if not _ip_is_zero(m[i][k]):
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return [0]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _ip_sub(_ip_mul(m[k][k], m[i][j]), _ip_mul(m[i][k], m[k][j]))
-                m[i][j] = _ip_div_exact(num, prev)
-            m[i][k] = [0]
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return _ip_neg(det) if sign < 0 else det
-
-
-def resultant_eliminate_x(p: IntBivarPoly, q: IntBivarPoly) -> list[int]:
-    """Resultant of ``p`` and ``q`` with respect to x.
-
-    Returns the exact integer-coefficient polynomial in the remaining
-    variable whose roots are the parameter values at which ``p`` and
-    ``q`` share an x-root.  Both inputs must have positive x-degree.
-    """
-    dp, dq = p.deg_x, q.deg_x
-    if dp < 1 or dq < 1:
-        raise DegenerateInput("resultant requires positive x-degree in both inputs")
-    pc = p.x_coeff_polys()[::-1]  # descending in x
-    qc = q.x_coeff_polys()[::-1]
-    size = dp + dq
-    syl: list[list[list[int]]] = []
-    for shift in range(dq):
-        row = [[0]] * shift + [c[:] for c in pc] + [[0]] * (size - dp - 1 - shift)
-        syl.append(row)
-    for shift in range(dp):
-        row = [[0]] * shift + [c[:] for c in qc] + [[0]] * (size - dq - 1 - shift)
-        syl.append(row)
-    return _bareiss_det(syl)
+    coeffs = C.chebinterpolate(lambda z: f(z)[0].real, 2 * n - 2)
+    x = _newton(f, C.chebroots(coeffs).astype(complex), _NEWTON_STEPS)
+    u = chebyshev_u(x, n, 1)
+    lam = u[0, n + 1] / u[0, n]
+    with np.errstate(all="ignore"):
+        err = np.maximum(_backward_error(u[0], lam, x),
+                         _backward_error(u[1], lam, x))
+    _certify(err, n, "double roots")
+    return x, lam, err

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .chain import ChainSpec, boundary_polynomial, eps_of_x, quasi_energies
+from .chain import ChainSpec, eps_of_x, quasi_energies
 from .ep import EPRecord, locate_eps
 from .errors import (
     AmbiguousContinuation,
@@ -25,7 +25,7 @@ from .errors import (
     ZeroVector,
 )
 from .oracle import build_spin_hamiltonian, ed_eigen
-from .polyalg import poly_roots
+from .polyalg import boundary_roots
 
 __all__ = [
     "OverlapGrid",
@@ -383,8 +383,7 @@ def _branch_values(L: int, g: complex) -> np.ndarray:
     spec = ChainSpec(L, g)
     vals = []
     for mode in ("I", "II"):
-        roots = poly_roots(boundary_polynomial(spec, mode))
-        for x in roots.expanded():
+        for x in boundary_roots(spec.n_pairs, spec.mode_lambda(mode)):
             e = eps_of_x(g, x)
             vals.extend([e, -e])
     return np.array(vals)
@@ -499,8 +498,7 @@ def branch_scaling_probe(ep: EPRecord, radii: np.ndarray | None = None,
     for r in radii:
         g = ep.gamma + r * direction
         spec = ChainSpec(ep.L, g)
-        roots = poly_roots(boundary_polynomial(spec, ep.mode))
-        xs = roots.expanded()
+        xs = boundary_roots(spec.n_pairs, spec.mode_lambda(ep.mode))
         order = np.argsort(np.abs(xs - ep.x))
         e1 = eps_of_x(g, complex(xs[order[0]]))
         e2 = eps_of_x(g, complex(xs[order[1]]))

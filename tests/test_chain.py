@@ -5,7 +5,6 @@ import pytest
 
 from xyep.chain import (
     ChainSpec,
-    boundary_polynomial,
     build_quasi_hamiltonian,
     eps_of_x,
     gamma_to_lambda,
@@ -23,7 +22,7 @@ from xyep.errors import (
     ModeCoincidenceWarning,
     NearEPWarning,
 )
-from xyep.polyalg import poly_eval
+from xyep.polyalg import chebyshev_u
 
 RNG = np.random.default_rng(20240816)
 
@@ -44,11 +43,15 @@ def test_spec_validation():
 
 
 def test_lambda_gamma_roundtrip():
-    for g in random_gammas(10):
+    for g in random_gammas(10) + [0.3 + 0.4j, -1.2, 2.0 - 0.7j]:
         lam = gamma_to_lambda(g)
         assert lambda_to_gamma(lam) == pytest.approx(g, abs=1e-13)
         # swapping the mode role inverts lambda and negates gamma
         assert gamma_to_lambda(-g) == pytest.approx(1 / lam, abs=1e-13)
+    with pytest.raises(LambdaSingular):
+        gamma_to_lambda(-1.0)
+    with pytest.raises(LambdaSingular):
+        lambda_to_gamma(1.0)
 
 
 def test_x_eps_maps_inverse():
@@ -107,16 +110,22 @@ def test_gamma_zero_energies_are_cosines():
 
 def test_boundary_polynomial_roots_are_quasi_energy_xs():
     spec = ChainSpec(8, 0.7 - 0.2j)
+    n = spec.n_pairs
     for mode in ("I", "II"):
-        poly = boundary_polynomial(spec, mode)
-        pts = [p for p in quasi_energies(spec) if p.mode == mode]
-        vals = poly_eval(poly, np.array([p.x for p in pts]))
+        xs = np.array([p.x for p in quasi_energies(spec) if p.mode == mode])
+        u = chebyshev_u(xs, n)[0]
+        vals = u[n + 1] - spec.mode_lambda(mode) * u[n]
         assert np.max(np.abs(vals)) < 1e-10
 
 
 def test_boundary_polynomial_pole():
+    for mode in ("I", "II"):
+        with pytest.raises(LambdaSingular):
+            ChainSpec(4, 1.0).mode_lambda(mode)
     with pytest.raises(LambdaSingular):
-        boundary_polynomial(ChainSpec(4, 1.0), "II")
+        quasi_energies(ChainSpec(4, 1.0))
+    with pytest.raises(DegenerateInput):
+        ChainSpec(4, 0.5).mode_lambda("III")
 
 
 def test_mode_vectors_parity_support_exact():

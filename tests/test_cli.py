@@ -78,6 +78,15 @@ def test_ep_table_contains_l4_values(capsys):
     assert header in out.splitlines()
 
 
+def test_ep_table_l60_to_file(tmp_path, capsys):
+    path = tmp_path / "ep60.csv"
+    code, _, err = run_cli(["ep-table", "--L-min", "60", "--L-max", "60",
+                            "--out", str(path)], capsys)
+    assert code == 0 and err == ""
+    rows = [r for r in path.read_text().splitlines() if r.startswith("60,")]
+    assert len(rows) == 2 * (60 - 2)
+
+
 def test_ep_table_range_validation(capsys):
     code, _, err = run_cli(["ep-table", "--L-max", "3"], capsys)
     assert code == 2 and "error:" in err

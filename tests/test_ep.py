@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from xyep.chain import ChainSpec
+from xyep.chain import ChainSpec, gamma_to_lambda, lambda_to_gamma
 from xyep.ep import (ep_ground_energy, ep_state_catalog, ep_table_rows,
-                     gamma_of_lambda, generalized_eigenvector,
-                     jordan_decomposition, lambda_of_gamma, locate_eps,
-                     reference_ep_gammas)
+                     generalized_eigenvector, jordan_decomposition,
+                     locate_eps, reference_ep_gammas)
 from xyep.errors import DegenerateInput, XYEPWarning
 from xyep.oracle import build_spin_hamiltonian
 
@@ -28,9 +27,10 @@ def quiet_spec(L, gamma):
 
 
 def test_lambda_gamma_maps_are_inverse():
+    # the map that turns a double root's lambda into the EP's gamma
     for g in (0.3 + 0.4j, -1.2, 2.0 - 0.7j):
-        lam = lambda_of_gamma(g)
-        assert gamma_of_lambda(lam) == pytest.approx(g, abs=1e-14)
+        lam = gamma_to_lambda(g)
+        assert lambda_to_gamma(lam) == pytest.approx(g, abs=1e-14)
 
 
 def test_locate_eps_l4_exact_values():
@@ -53,6 +53,31 @@ def test_locate_eps_l4_exact_values():
 
 def test_locate_eps_smallest_chain_has_none():
     assert locate_eps(2) == []
+
+
+def test_locate_eps_count_through_l100():
+    for L in range(4, 102, 2):
+        assert len(locate_eps(L, "both")) == 2 * (L - 2)
+
+
+def test_locate_eps_l60_residuals():
+    records = locate_eps(60, "both")
+    assert len(records) == 116
+    for r in records:
+        assert r.momentum_residual <= 1e-8
+        assert r.boundary_residual <= 1e-10
+
+
+# mpmath reference (34 digits, Newton in t on the stationarity condition
+# of sin((n+1)t) / sin(nt)): the mode II EP of largest |gamma| at L = 100
+L100_EP_GAMMA = 10.987702222206883 + 21.54496936243968j
+L100_EP_X = 0.997619817451315 - 0.002033021833535923j
+
+
+def test_locate_eps_l100_matches_frozen_reference():
+    ep = closest_record(locate_eps(100, "II"), L100_EP_GAMMA)
+    assert abs(ep.gamma - L100_EP_GAMMA) <= 1e-10 * abs(L100_EP_GAMMA)
+    assert abs(ep.x - L100_EP_X) <= 1e-10
 
 
 def test_locate_eps_input_validation():

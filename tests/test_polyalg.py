@@ -1,171 +1,241 @@
+"""The boundary-polynomial kernel: recurrence, roots and double roots."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import Chebyshev
 
+from xyep.chain import gamma_to_lambda
 from xyep.errors import DegenerateInput, NonConvergence
-from xyep.polyalg import (
-    DensePoly,
-    IntBivarPoly,
-    _bareiss_det,
-    chebyshev_u_int_coeffs,
-    chebyshev_u_poly,
-    poly_derivative,
-    poly_eval,
-    poly_roots,
-    resultant_eliminate_x,
-)
+from xyep.polyalg import boundary_roots, chebyshev_u, double_roots
+
+EPS = np.finfo(float).eps
 
 
-def test_dense_poly_trims_and_degree():
-    p = DensePoly((1.0, 2.0, 0.0, 0.0))
-    assert p.degree == 1
-    assert DensePoly((0.0, 0.0)).degree == -1
-    with pytest.raises(DegenerateInput):
-        DensePoly(())
-
-
-def test_poly_eval_horner_matches_reference():
-    p = DensePoly((2.0, -1.0, 0.0, 3.0))  # 2 - x + 3x^3
-    zs = np.array([0.0, 1.0, 1j, -2.0 + 0.5j])
-    expect = 2 - zs + 3 * zs ** 3
-    np.testing.assert_allclose(poly_eval(p, zs), expect, atol=1e-14)
-    assert p(1.5) == pytest.approx(2 - 1.5 + 3 * 1.5 ** 3)
-
-
-def test_poly_derivative():
-    p = DensePoly((5.0, 0.0, -4.0, 1.0))
-    dp = poly_derivative(p)
-    np.testing.assert_allclose(dp.coeffs, [0.0, -8.0, 3.0])
-    assert poly_derivative(DensePoly((7.0,))).degree == -1
+def boundary_cheb(n, lam):
+    """U_n - lam U_{n-1} in the Chebyshev basis, built from U_k = T_{k+1}' / (k+1)."""
+    u_n = Chebyshev.basis(n + 1).deriv() / (n + 1)
+    u_m = Chebyshev.basis(n).deriv() / n
+    return u_n - lam * u_m
 
 
 def test_chebyshev_integer_coefficients_frozen():
     # U_5(x) = 32x^5 - 32x^3 + 6x, U'_5(x) = 160x^4 - 96x^2 + 6
-    assert chebyshev_u_int_coeffs(5) == [0, 6, 0, -32, 0, 32]
-    assert chebyshev_u_int_coeffs(0) == [1]
-    assert chebyshev_u_int_coeffs(-1) == [0]
-    assert chebyshev_u_int_coeffs(1) == [0, 2]
-    d5 = poly_derivative(chebyshev_u_poly(5))
-    np.testing.assert_allclose(d5.coeffs, [6, 0, -96, 0, 160])
+    x = np.array([0.0, 0.3, -1.1, 0.4 - 0.7j])
+    u = chebyshev_u(x, 5, 2)
+    assert u.shape == (3, 7, 4)
+    np.testing.assert_array_equal(u[0, 0], 0)          # U_{-1}
+    np.testing.assert_array_equal(u[0, 1], 1)          # U_0
+    np.testing.assert_array_equal(u[0, 2], 2 * x)      # U_1
+    np.testing.assert_allclose(u[0, 6], 32 * x**5 - 32 * x**3 + 6 * x,
+                               rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(u[1, 6], 160 * x**4 - 96 * x**2 + 6,
+                               rtol=1e-14, atol=1e-13)
+    np.testing.assert_allclose(u[2, 6], 640 * x**3 - 192 * x,
+                               rtol=1e-14, atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=16),
+@given(st.integers(min_value=0, max_value=200),
        st.floats(min_value=0.05, max_value=3.09))
 def test_chebyshev_sine_identity(m, theta):
-    # U_m(cos t) = sin((m+1)t) / sin t; monomial-basis evaluation loses
-    # roughly a digit per few degrees, hence the cap on m
-    val = poly_eval(chebyshev_u_poly(m), np.cos(theta))
+    # U_m(cos t) = sin((m+1)t) / sin t; the recurrence loses at most a few
+    # ulps per step, so large orders stay accurate
+    val = chebyshev_u(np.cos(theta), m)[0, m + 1]
     expect = np.sin((m + 1) * theta) / np.sin(theta)
-    assert abs(val - expect) < 1e-8 * (1 + abs(expect))
+    assert abs(val - expect) < 1e-12 * (1 + abs(expect))
 
 
-def test_roots_quadratic_closed_form():
-    # (x - 2)(x + 3i) = x^2 + (3i - 2)x - 6i
-    rs = poly_roots(DensePoly((-6j, 3j - 2, 1.0)))
-    got = sorted(rs.expanded(), key=lambda z: (z.real, z.imag))
-    np.testing.assert_allclose(got, [-3j, 2.0], atol=1e-12)
+def test_poly_derivative():
+    # first and second derivatives against numpy's Chebyshev-series algebra
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.2, 1.2, 6) + 1j * rng.uniform(-0.5, 0.5, 6)
+    n = 9
+    u = chebyshev_u(x, n, 2)
+    for k in range(n + 1):
+        uk = Chebyshev.basis(k + 1).deriv() / (k + 1)
+        for d in range(3):
+            want = uk.deriv(d)(x) if d else uk(x)
+            np.testing.assert_allclose(u[d, k + 1], want, rtol=1e-12, atol=1e-12)
+
+
+def test_kernel_rejects_degenerate_input():
+    with pytest.raises(DegenerateInput):
+        boundary_roots(3, complex(np.nan, 0.0))
 
 
 def test_roots_of_zero_poly_rejected():
+    # n = 0: the boundary polynomial is a constant and has no roots
     with pytest.raises(DegenerateInput):
-        poly_roots(DensePoly((0.0,)))
+        boundary_roots(0, 0.5)
 
 
-def test_roots_at_origin_stripped_exactly():
-    # x^2 (x - 1): the double root at 0 must be exact, not iterated
-    rs = poly_roots(DensePoly((0.0, 0.0, -1.0, 1.0)))
-    vals = dict(zip(rs.values, rs.multiplicities))
-    assert vals[0j] == 2
-    assert any(abs(v - 1) < 1e-12 for v in rs.values)
+def test_resultant_requires_x_dependence():
+    # a linear boundary polynomial has no double root
+    with pytest.raises(DegenerateInput):
+        double_roots(1)
 
 
-def test_double_root_splits_within_backward_error():
-    # (x - 1)^2 (x + 2): an analytic double root splits by about
-    # sqrt(backward error), so the finder reports either a merged
-    # multiplicity-2 root or two roots straddling 1 within ~1e-5
-    rs = poly_roots(DensePoly((2.0, -3.0, 0.0, 1.0)))
-    assert sum(rs.multiplicities) == 3
-    near_one = [v for v in rs.expanded() if abs(v - 1.0) < 2e-5]
-    assert len(near_one) == 2
-    assert any(abs(v + 2.0) < 1e-10 for v in rs.values)
+def test_roots_quadratic_closed_form():
+    # n = 2: U_2 - lam U_1 = 4x^2 - 2 lam x - 1
+    for lam in (0.3 - 1.1j, 2.5, -0.7j):
+        got = np.sort_complex(boundary_roots(2, lam))
+        s = np.sqrt(lam * lam + 4 + 0j)
+        want = np.sort_complex(np.array([(lam + s) / 4, (lam - s) / 4]))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+def test_kernel_at_gamma_zero_gives_cosines():
+    # lam = -1: sin((n+1)t) + sin(nt) = 0 at t = 2 pi k / (2n + 1)
+    for n in (1, 4, 7, 30):
+        got = np.sort_complex(boundary_roots(n, gamma_to_lambda(0.0)))
+        want = np.sort(np.cos(2 * np.pi * np.arange(1, n + 1) / (2 * n + 1)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_roots_against_numpy_random_polys():
     rng = np.random.default_rng(11)
     for _ in range(8):
-        deg = int(rng.integers(3, 13))
-        c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
-        mine = np.sort_complex(np.array(poly_roots(DensePoly(tuple(c))).expanded()))
-        ref = np.sort_complex(np.roots(c[::-1]))
-        np.testing.assert_allclose(mine, ref, atol=1e-7, rtol=1e-7)
+        n = int(rng.integers(3, 13))
+        lam = complex(rng.standard_normal(), rng.standard_normal())
+        mine = boundary_roots(n, lam)
+        ref = boundary_cheb(n, lam).roots()
+        for z in ref:
+            assert np.min(np.abs(mine - z)) < 1e-9 * max(1.0, abs(z))
 
 
 def test_roots_backward_error_bound():
+    # residual from the sine form U_k(cos t) = sin((k+1)t) / sin t, scaled
+    # as in the certificate; an independent route, so allow a few ulps more
     rng = np.random.default_rng(3)
-    c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    p = DensePoly(tuple(c))
-    rs = poly_roots(p, tol=1e-12)
-    scale = max(abs(x) for x in c)
-    for z in rs.expanded():
-        backward = abs(p(z)) / (scale * max(1.0, abs(z)) ** p.degree)
-        assert backward < 1e-10
+    for n in (3, 8, 17):
+        lam = complex(rng.standard_normal(), rng.standard_normal())
+        for x in boundary_roots(n, lam):
+            t = np.arccos(x)
+            uk = np.sin(np.arange(1, n + 2) * t) / np.sin(t)
+            scale = (1 + abs(lam)) * np.abs(uk).max() * (1 + abs(x))
+            assert abs(uk[n] - lam * uk[n - 1]) / scale < 64 * n * EPS
 
 
-def test_roots_nonconvergence_surfaces():
+def test_roots_nonconvergence_surfaces(monkeypatch):
+    # starts far from every root: two Newton steps cannot meet the
+    # certificate, and the kernel must refuse rather than return them
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda T: np.full(T.shape[0], 40.0 + 0j))
     with pytest.raises(NonConvergence):
-        poly_roots(DensePoly(tuple(np.ones(25))), tol=1e-12, max_iter=1)
+        boundary_roots(6, 0.4 + 0.2j)
 
 
-def test_bareiss_det_frozen_and_singular():
-    assert _bareiss_det([[[2], [3], [1]], [[4], [7], [5]], [[6], [2], [9]]]) == [54]
-    assert _bareiss_det([[[1], [2]], [[2], [4]]]) == [0]
-
-
-def test_bivar_partial_and_eval():
-    # p(x, w) = 4x^2 - 2wx - 1
-    p = IntBivarPoly([[-1], [0, -2], [4]])
-    assert p.deg_x == 2 and p.deg_w == 1
-    dp = p.partial_x()
-    assert [list(row) for row in dp.coeffs] == [[0, -2], [8]]
-    assert p.eval(2.0, 3.0) == pytest.approx(4 * 4 - 2 * 3 * 2 - 1)
+def test_double_root_splits_within_backward_error():
+    # the L = 4 EP gamma = 0.6 + 0.8i puts mode II at lam = -2i, where
+    # 4x^2 - 2 lam x - 1 has the double root x = -i/2; rounding splits it
+    # by about sqrt(eps), and the certificate still accepts both roots
+    lam = 1 / gamma_to_lambda(0.6 + 0.8j)
+    xs = boundary_roots(2, lam)
+    assert xs.size == 2
+    assert np.max(np.abs(xs + 0.5j)) < 1e-7
 
 
 def test_resultant_eliminates_to_known_discriminant():
-    # p = 4x^2 - 2wx - 1 has a double x-root iff w^2 + 4 = 0
-    p = IntBivarPoly([[-1], [0, -2], [4]])
-    res = resultant_eliminate_x(p, p.partial_x())
-    arr = np.array(res, dtype=float)
-    assert arr[1] == 0
-    # proportional to w^2 + 4
-    np.testing.assert_allclose(arr / arr[2], [4.0, 0.0, 1.0])
-    roots = poly_roots(DensePoly(tuple(float(c) for c in res)))
-    got = sorted(roots.expanded(), key=lambda z: z.imag)
-    np.testing.assert_allclose(got, [-2j, 2j], atol=1e-12)
-
-
-def test_resultant_requires_x_dependence():
-    with pytest.raises(DegenerateInput):
-        resultant_eliminate_x(IntBivarPoly([[1, 2]]), IntBivarPoly([[0, 1]]))
+    # 4x^2 - 2 lam x - 1 has a double x-root iff lam^2 + 4 = 0; eliminating
+    # lam through the Wronskian must land on lam = +-2i, x = lam / 4
+    x, lam, err = double_roots(2)
+    order = np.argsort(lam.imag)
+    np.testing.assert_allclose(lam[order], [-2j, 2j], atol=1e-14)
+    np.testing.assert_allclose(x[order], [-0.5j, 0.5j], atol=1e-14)
+    assert np.all(err <= 16 * 2 * EPS)
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.complex_numbers(max_magnitude=3.0, allow_nan=False,
-                                   allow_infinity=False),
-                min_size=2, max_size=6))
-def test_roots_reconstruct_monic_product(roots):
-    # prod (x - r_k) expanded then re-solved recovers the multiset
-    coeffs = np.array([1.0 + 0j])
-    for r in roots:
-        coeffs = np.convolve(coeffs, np.array([-r, 1.0]))
-    found = poly_roots(DensePoly(tuple(coeffs)))
-    got = list(found.expanded())
-    sep = min((abs(a - b) for i, a in enumerate(roots)
-               for b in roots[i + 1:]), default=1.0)
-    tol = 1e-6 if sep > 1e-3 else 1e-2
-    # greedy nearest matching; lexicographic complex sorting is unstable
-    # when tiny numerical real parts flip the order
-    for r in roots:
-        j = min(range(len(got)), key=lambda k: abs(got[k] - r))
-        assert abs(got[j] - r) < tol
-        got.pop(j)
+@given(st.integers(min_value=1, max_value=24),
+       st.complex_numbers(max_magnitude=20.0, allow_nan=False,
+                          allow_infinity=False))
+def test_roots_reconstruct_monic_product(n, lam):
+    # 2^n prod (x - x_k) is the boundary polynomial itself
+    xs = boundary_roots(n, lam)
+    assert xs.size == n
+    product = Chebyshev.fromroots(xs) * 2.0 ** n
+    want = boundary_cheb(n, lam)
+    scale = np.abs(want.coef).max()
+    assert np.abs(product.coef - want.coef).max() < 1e-10 * scale
+
+
+# mpmath references (34 digits, Newton in t on sin((n+1)t) - lam sin(nt)
+# from x = cos t): per chain length, anisotropy and mode, the four roots
+# of largest modulus (ends of the spectrum, and the edge mode of mode II
+# at gamma = 1.3 + 0.1i) and the two of smallest modulus
+FROZEN_ROOTS = {
+    (120, (0.35-0.55j), "I"): [
+        -0.998670717939781-2.824186340458711e-05j,
+        0.9986599364791718-1.2147289619434764e-05j,
+        -0.9946866624756981-0.00011285068270795994j,
+        0.9946433748620951-4.8553622539743674e-05j,
+        0.020133176238648295-0.0082610751252953536j,
+        -0.031267706766966386-0.0085747748841480086j,
+    ],
+    (120, (0.35-0.55j), "II"): [
+        0.9986443397294622+1.2360054334973488e-05j,
+        -0.9986340082074912+2.9421021342650488e-05j,
+        0.994580996857577+4.9405372290081886e-05j,
+        -0.994539491699746+0.00011758842444447344j,
+        0.005796365245591889+0.0085196715955388157j,
+        -0.04666008389607604+0.0088516481803131881j,
+    ],
+    (120, (1.3+0.1j), "I"): [
+        0.9986805839190035+2.1552830523317793e-06j,
+        -0.9986689642911214+1.2855232061302141e-06j,
+        0.9947257685880617+8.5869404069007451e-06j,
+        -0.9946794193861769+5.1326319057856e-06j,
+        -0.023599695324086657+0.00060441563836085156j,
+        0.0279091915817914+0.00061237401754578086j,
+    ],
+    (120, (1.3+0.1j), "II"): [
+        3.5660377358490565-0.98113207547169812j,
+        -0.998634891440471-1.3351932051516443e-06j,
+        0.9986226656298659-2.2986289674368221e-06j,
+        -0.9945432726414417-5.330792587151603e-06j,
+        -0.0021911376478065134-0.00061789524754792935j,
+        0.050136574124556695-0.00062491550221952083j,
+    ],
+    (400, (0.35-0.55j), "I"): [
+        -0.9998777534936475-7.874189721000298e-07j,
+        0.9998774616968377-3.3584700327203132e-07j,
+        -0.9995110445187994-3.1494032936377022e-06j,
+        0.9995098769124253-1.3432997086420693e-06j,
+        0.006105942096070635-0.0025369126394856607j,
+        -0.009515217691710912-0.0025665597973534046j,
+    ],
+    (400, (0.35-0.55j), "II"): [
+        0.9998770331300536+3.3761049437477228e-07j,
+        -0.9998767450724135+7.971831667333932e-07j,
+        0.9995081626679+1.3503541927684927e-06j,
+        -0.999507010005315+3.1884759974648438e-06j,
+        0.0017250594628729443+0.0025607490225840498j,
+        -0.013991419488709049+0.0025909053967993244j,
+    ],
+    (400, (1.3+0.1j), "I"): [
+        0.9998780390481828+6.0625618486878621e-08j,
+        -0.9998777138470367+3.5807257892857102e-08j,
+        0.99951218581474+2.4241303509232062e-07j,
+        -0.9995108853443961+1.4320490517554942e-07j,
+        -0.007161220619826655+0.00018426455341741924j,
+        0.0084696588253243+0.00018501005904015356j,
+    ],
+    (400, (1.3+0.1j), "II"): [
+        3.5660377358490565-0.98113207547169812j,
+        -0.9998767774928451-3.6219307784063972e-08j,
+        0.9998764472599229-6.1816291340331379e-08j,
+        -0.9995071402895623-1.4485271267212278e-07j,
+        -0.0006574434986358724-0.00018547840897576036j,
+        0.015048778548323543-0.00018619912297588413j,
+    ],
+}
+
+
+@pytest.mark.parametrize("L,gamma,mode", list(FROZEN_ROOTS))
+def test_kernel_matches_frozen_high_precision_roots(L, gamma, mode):
+    lam = gamma_to_lambda(gamma)
+    xs = boundary_roots(L // 2, lam if mode == "I" else 1 / lam)
+    assert xs.size == L // 2
+    for want in FROZEN_ROOTS[(L, gamma, mode)]:
+        assert np.min(np.abs(xs - want)) <= 1e-12 * abs(want)
