@@ -21,7 +21,7 @@ from .chain import (
     mode_vector_poly,
     quasi_energies,
 )
-from .errors import DefectiveBasis, DegenerateInput
+from .errors import DefectiveBasis, DegenerateInput, SizeLimit
 
 __all__ = [
     "BiorthogonalBasis",
@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 FAMILIES = ("R", "Rstar", "Lstar", "L")
+
+# many_body_energies holds an 8 L 2^L-byte occupation-bit table
+# (168 MB at L = 20) besides the 2^L energies
+MANY_BODY_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -192,7 +196,13 @@ class ManyBodySpectrum:
 
 
 def many_body_energies(spec: ChainSpec) -> ManyBodySpectrum:
-    """Enumerate E(alpha) = (1/2) sum_k s_k eps_k over all sign patterns."""
+    """Enumerate E(alpha) = (1/2) sum_k s_k eps_k over all sign patterns.
+
+    All 2^L patterns are held in memory, so chains longer than
+    ``MANY_BODY_LIMIT`` raise :class:`SizeLimit` before any work is done.
+    """
+    if spec.L > MANY_BODY_LIMIT:
+        raise SizeLimit(f"many-body enumeration capped at L = {MANY_BODY_LIMIT}")
     pts = quasi_energies(spec)
     eps_I = np.array([p.epsilon for p in pts if p.mode == "I"])
     eps_II = np.array([p.epsilon for p in pts if p.mode == "II"])

@@ -56,24 +56,23 @@ def cmd_spectrum(args) -> int:
         "L": args.L,
         "gamma": f"{fmt_real(args.gamma.real)}+{fmt_real(args.gamma.imag)}i",
     }
-    rows = []
-    for p in pts:
-        rows.append(["quasi", f"{p.mode}:{p.branch}",
-                     p.epsilon.real, p.epsilon.imag])
-    for occ, e in zip(mb.occupations, mb.energies):
-        label = "".join(str(int(b)) for b in occ)
-        rows.append(["many", label, e.real, e.imag])
+    # one "0"/"1" string per state, read straight off the occupation bytes
+    labels = (mb.occupations + ord("0")).astype(np.uint8).view(
+        f"S{args.L}").ravel().astype(str).tolist()
     if args.format == "json":
         payload = {
             "quasi": [{"mode": p.mode, "branch": p.branch,
                        "epsilon": [p.epsilon.real, p.epsilon.imag]}
                       for p in pts],
-            "many_body": [{"occupation": "".join(str(int(b)) for b in occ),
-                           "energy": [e.real, e.imag]}
-                          for occ, e in zip(mb.occupations, mb.energies)],
+            "many_body": [{"occupation": label, "energy": [e.real, e.imag]}
+                          for label, e in zip(labels, mb.energies)],
         }
         _emit(json_text(config, payload), args.out)
     else:
+        rows = [["quasi", f"{p.mode}:{p.branch}", p.epsilon.real, p.epsilon.imag]
+                for p in pts]
+        rows += [["many", label, e.real, e.imag]
+                 for label, e in zip(labels, mb.energies)]
         _emit(csv_text(config, ["kind", "label", "re", "im"], rows), args.out)
     return 0
 

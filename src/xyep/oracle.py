@@ -1,9 +1,12 @@
 """Independent many-body checks by dense exact diagonalization.
 
-Everything here is built straight from Pauli matrices and fermion
-strings, with no input from the closed-form spectral data, so it can
-arbitrate the analytic route.  Dense matrices cap the reachable sizes;
-the limits are enforced explicitly.
+Everything here is built straight from spin flips and fermion strings,
+with no input from the closed-form spectral data, so it can arbitrate
+the analytic route.  The spin Hamiltonian is filled bond by bond with
+bit operations in O(L 2^L); every bond flips two spins, so it conserves
+the parity of the number of down spins, and dense eigensolves run on the
+even and odd sectors separately (two 2^(L-1) blocks).  Dense matrices
+cap the reachable sizes; the limits are enforced explicitly.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "EPStates",
     "build_spin_hamiltonian",
     "jordan_wigner_modes",
+    "parity_sectors",
     "ed_eigen",
     "l4_closed_form",
     "geometric_multiplicities",
@@ -42,41 +46,38 @@ VECTOR_LIMIT = 10      # full eigenvector computation
 REALIZE_LIMIT = 8      # Jordan-Wigner operator realization
 EP_STATE_LIMIT = 6     # explicit many-body states at an exceptional point
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 _SM = np.array([[0.0, 1.0], [0.0, 0.0]])   # annihilates the down state
 _ID = np.eye(2)
-
-# Site 1 is the first Kronecker factor (most significant bit of the
-# basis index); spin up encodes bit 0.
-_XX4 = np.kron(_SX, _SX)
-_YY4 = np.kron(_SY, _SY).real
-
-
-def _bond_term(L: int, j: int, bond4: np.ndarray) -> np.ndarray:
-    """bond4 acting on sites (j, j+1), 1-based, padded with identities."""
-    left = 2 ** (j - 1)
-    right = 2 ** (L - j - 1)
-    out = np.kron(np.eye(left), np.kron(bond4, np.eye(right)))
-    return out
 
 
 def build_spin_hamiltonian(L: int, gamma: complex) -> np.ndarray:
     """Dense open-chain Hamiltonian with complex anisotropy.
 
     H = -(1/2) sum_j [ (1+gamma)/2 sx.sx + (1-gamma)/2 sy.sy ].
-    Complex symmetric by construction (H == H.T exactly).
+    Site 1 is the most significant bit of the basis index and spin up
+    encodes bit 0.  Bond j flips bits j and j+1; its sx.sx element is 1
+    and its sy.sy element is -(1-2b_j)(1-2b_{j+1}).  Complex symmetric
+    by construction (H == H.T exactly).
     """
     if L < 2:
         raise SizeLimit(f"need at least two sites, got {L}")
     if L > SPIN_LIMIT:
         raise SizeLimit(f"dense spin Hamiltonian capped at L = {SPIN_LIMIT}")
     gamma = complex(gamma)
+    cxx = 0.25 * (1 + gamma)
+    cyy = 0.25 * (1 - gamma)
+    states = np.arange(2 ** L)
     H = np.zeros((2 ** L, 2 ** L), dtype=complex)
     for j in range(1, L):
-        H -= 0.25 * (1 + gamma) * _bond_term(L, j, _XX4)
-        H -= 0.25 * (1 - gamma) * _bond_term(L, j, _YY4)
+        low = L - j - 1                    # bit of site j + 1
+        spins = 1 - 2 * ((states >> low) & 1)
+        yy = -spins * (1 - 2 * ((states >> (low + 1)) & 1))
+        flipped = states ^ (3 << low)
+        # the two terms in the order of the operator sum, so every entry
+        # is rounded exactly as the Kronecker-product assembly rounds it
+        H[flipped, states] -= cxx
+        H[flipped, states] -= cyy * yy
     return H
 
 
@@ -110,10 +111,40 @@ class EDResult:
     h_norm: float
 
 
+def parity_sectors(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices of even and of odd popcount, each in increasing order.
+
+    Every bond of the spin Hamiltonian flips two spins, so it couples no
+    index of one sector to an index of the other.
+    """
+    states = np.arange(2 ** L)
+    odd = np.zeros_like(states)
+    for bit in range(L):
+        odd ^= (states >> bit) & 1
+    return states[odd == 0], states[odd == 1]
+
+
+def _blocks(H: np.ndarray) -> list[np.ndarray | None]:
+    """Index sets to solve separately: the two parity sectors when no entry
+    couples them, else the whole matrix (``None``)."""
+    N = H.shape[0]
+    if N < 2 or N & (N - 1):
+        return [None]
+    even, odd = parity_sectors(N.bit_length() - 1)
+    if np.any(H[np.ix_(even, odd)]) or np.any(H[np.ix_(odd, even)]):
+        return [None]
+    return [even, odd]
+
+
 def ed_eigen(H: np.ndarray, want_vectors: bool = True) -> EDResult:
     """Dense nonsymmetric eigensolve with a backward-error report.
 
-    Vectors are only computed up to 2^10; values alone up to 2^12.
+    A matrix of dimension 2^L whose entries coupling the even and odd
+    parity sectors are all exactly zero (any spin Hamiltonian here) is
+    solved block by block, and each vector is scattered back to full
+    length with exact zeros in the other sector; any other matrix is
+    solved whole.  Vectors are only computed up to 2^10; values alone
+    up to 2^12.
     """
     N = H.shape[0]
     if want_vectors and N > 2 ** VECTOR_LIMIT:
@@ -121,17 +152,27 @@ def ed_eigen(H: np.ndarray, want_vectors: bool = True) -> EDResult:
     if N > 2 ** SPIN_LIMIT:
         raise SizeLimit(f"eigenvalues capped at dimension 2^{SPIN_LIMIT}")
     h_norm = float(np.linalg.norm(H, np.inf))
-    if want_vectors:
-        vals, vecs = np.linalg.eig(H)
-        order = np.lexsort((vals.imag, vals.real))
-        vals, vecs = vals[order], vecs[:, order]
-        resid = float(np.max(np.abs(H @ vecs - vecs * vals[None, :])))
-        return EDResult(values=vals, vectors=vecs,
-                        max_residual=resid, h_norm=h_norm)
-    vals = np.linalg.eigvals(H)
+    parts = []
+    vecs = np.zeros((N, N), dtype=complex) if want_vectors else None
+    resid = 0.0
+    start = 0
+    for idx in _blocks(H):
+        block = H if idx is None else H[np.ix_(idx, idx)]
+        if not want_vectors:
+            parts.append(np.linalg.eigvals(block))
+            continue
+        vals, v = np.linalg.eig(block)
+        resid = max(resid, float(np.max(np.abs(block @ v - v * vals[None, :]))))
+        rows = slice(None) if idx is None else idx
+        vecs[rows, start:start + vals.size] = v
+        start += vals.size
+        parts.append(vals)
+    vals = np.concatenate(parts)
     order = np.lexsort((vals.imag, vals.real))
-    return EDResult(values=vals[order], vectors=None,
-                    max_residual=0.0, h_norm=h_norm)
+    if want_vectors:
+        vecs = vecs[:, order]
+    return EDResult(values=vals[order], vectors=vecs,
+                    max_residual=resid, h_norm=h_norm)
 
 
 @dataclass(frozen=True)

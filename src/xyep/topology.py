@@ -24,7 +24,7 @@ from .errors import (
     SizeLimit,
     ZeroVector,
 )
-from .oracle import build_spin_hamiltonian, ed_eigen
+from .oracle import build_spin_hamiltonian, ed_eigen, parity_sectors
 from .polyalg import boundary_roots
 
 __all__ = [
@@ -144,6 +144,15 @@ def _pair_energies_at(spec: ChainSpec, ep: EPRecord,
     return energy(pattern_a), energy(pattern_b)
 
 
+def _shared_sector(L: int, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """The parity sector holding the support of both state vectors."""
+    even, odd = parity_sectors(L)
+    for sector, other in ((even, odd), (odd, even)):
+        if not np.any(va[other]) and not np.any(vb[other]):
+            return sector
+    raise DegenerateInput("the tracked pair does not lie in one parity sector")
+
+
 def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
                  im_max: float, n_re: int, n_im: int,
                  selector=None, threads: int | None = None) -> OverlapGrid:
@@ -159,6 +168,11 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     are phase-aligned along each path so the complex overlap varies
     continuously away from the seam.  Cells within 1e-2 of
     gamma = +-1 are masked as poles.
+
+    The Hamiltonian conserves the parity of the number of down spins,
+    so the anchor pair's support fixes one 2^(L-1) parity sector and
+    every other cell is diagonalized in that sector alone; a pair whose
+    two states lie in different sectors raises :class:`DegenerateInput`.
     """
     if L > _GRID_SIZE_LIMIT:
         raise SizeLimit(f"overlap grids are capped at L = {_GRID_SIZE_LIMIT}")
@@ -183,14 +197,16 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     def is_pole(g: complex) -> bool:
         return abs(g - 1) < POLE_RADIUS or abs(g + 1) < POLE_RADIUS
 
-    def eig_cell(g: complex):
+    def eig_cell(g: complex, sector: np.ndarray | None):
         H = build_spin_hamiltonian(L, g)
+        if sector is not None:
+            H = H[np.ix_(sector, sector)]
         return ed_eigen(H, want_vectors=True)
 
-    def seed_pair(g: complex):
+    def seed_pair(g: complex, sector: np.ndarray | None):
         spec = ChainSpec(L, g)
         ea, eb = _pair_energies_at(spec, ep, pat_a, pat_b)
-        res = eig_cell(g)
+        res = eig_cell(g, sector)
         cost = np.abs(np.array([[ea], [eb]]) - res.values[None, :])
         rows, cols = linear_sum_assignment(cost)
         pick = dict(zip(rows, cols))
@@ -229,18 +245,23 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     offset = [c for c in candidates if ep_dist(c) >= half_diag]
     anchor_i, anchor_j = min(offset or candidates, key=ep_dist)
 
-    # anchor row: seed at the anchor, continuity-track left and right
+    # anchor: seed over the full space, read off the pair's sector and
+    # keep only that sector's components
+    (ea0, va0), (eb0, vb0) = seed_pair(
+        complex(re_vals[anchor_i], im_vals[anchor_j]), None)
+    sector = _shared_sector(L, va0, vb0)
+
+    # anchor row: continuity-track left and right of the anchor
     n_threads = resolve_threads(threads)
     row_pairs: list = [None] * n_re
-    row_pairs[anchor_i] = seed_pair(complex(re_vals[anchor_i],
-                                            im_vals[anchor_j]))
+    row_pairs[anchor_i] = ((ea0, va0[sector]), (eb0, vb0[sector]))
     for step in (1, -1):
         prev = row_pairs[anchor_i]
         i = anchor_i + step
         while 0 <= i < n_re:
             g = complex(re_vals[i], im_vals[anchor_j])
             if not is_pole(g):
-                prev = advance(prev, eig_cell(g))
+                prev = advance(prev, eig_cell(g, sector))
                 row_pairs[i] = prev
             i += step
 
@@ -272,7 +293,7 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
                 return (col_overlap_a, col_overlap_b, col_ea, col_eb,
                         col_parity, col_pole)
             j0 = min(usable, key=lambda j: abs(j - anchor_j))
-            start = seed_pair(complex(re_vals[i], im_vals[j0]))
+            start = seed_pair(complex(re_vals[i], im_vals[j0]), sector)
         else:
             j0 = anchor_j
         record(j0, start)
@@ -284,7 +305,7 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
                 if is_pole(g):
                     col_pole[j] = True
                 else:
-                    prev = advance(prev, eig_cell(g))
+                    prev = advance(prev, eig_cell(g, sector))
                     record(j, prev)
                 j += step
         return (col_overlap_a, col_overlap_b, col_ea, col_eb,

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import xyep.basis as basis_module
 from xyep.basis import (
     FAMILIES,
+    MANY_BODY_LIMIT,
     anticommutator,
     assemble_basis,
     many_body_energies,
@@ -11,7 +13,7 @@ from xyep.basis import (
     vacuum_energy,
 )
 from xyep.chain import ChainSpec, build_quasi_hamiltonian
-from xyep.errors import DefectiveBasis, DegenerateInput
+from xyep.errors import DefectiveBasis, DegenerateInput, SizeLimit
 
 RNG = np.random.default_rng(77)
 
@@ -112,6 +114,20 @@ def test_many_body_spectrum_shape_and_ground():
     flipped = np.sort_complex(-mb.energies)
     np.testing.assert_allclose(np.sort_complex(mb.energies), flipped,
                                atol=1e-10)
+
+
+def test_many_body_size_guard_refuses_before_any_work(monkeypatch):
+    # the guard must fire before the quasi-energies, let alone the 2^40
+    # occupation table, are computed
+    def fail(*args, **kwargs):
+        raise AssertionError("many_body_energies did work past its size guard")
+
+    monkeypatch.setattr(basis_module, "quasi_energies", fail)
+    with pytest.raises(SizeLimit):
+        many_body_energies(ChainSpec(40, 0.3 + 0.2j))
+    assert MANY_BODY_LIMIT == 20
+    with pytest.raises(SizeLimit):
+        many_body_energies(ChainSpec(MANY_BODY_LIMIT + 2, 0.3 + 0.2j))
 
 
 def test_occupation_energy_consistency():

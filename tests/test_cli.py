@@ -44,6 +44,29 @@ def test_spectrum_json_to_file(tmp_path, capsys):
     assert len(occupations) == 16
 
 
+def test_spectrum_labels_are_the_occupation_bits(tmp_path, capsys):
+    from xyep.basis import many_body_energies
+    from xyep.chain import ChainSpec
+
+    occ = many_body_energies(ChainSpec(6, 0.3 - 0.7j)).occupations
+    want = ["".join(str(int(b)) for b in row) for row in occ]
+    path = tmp_path / "spec.json"
+    run_cli(["spectrum", "--L", "6", "--gamma", "0.3-0.7i", "--format", "json",
+             "--out", str(path)], capsys)
+    doc = json.loads(path.read_text())
+    assert [e["occupation"] for e in doc["many_body"]] == want
+    _, out, _ = run_cli(["spectrum", "--L", "6", "--gamma", "0.3-0.7i"], capsys)
+    rows = [r.split(",") for r in out.splitlines() if r.startswith("many,")]
+    assert [r[1] for r in rows] == want
+
+
+def test_spectrum_beyond_many_body_limit_exit_code_2(capsys):
+    code, out, err = run_cli(["spectrum", "--L", "40", "--gamma", "0.3+0.2i"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "capped at L = 20" in err
+
+
 def test_bad_gamma_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--L", "4", "--gamma", "0.60.8i"])

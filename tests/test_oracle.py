@@ -13,14 +13,88 @@ from xyep.errors import (CardinalityMismatch, ClusterAmbiguity, LimitRequired,
                          SizeLimit, XYEPWarning)
 from xyep.oracle import (EP_STATE_LIMIT, build_ep_states, build_spin_hamiltonian,
                          ed_eigen, geometric_multiplicities, jordan_wigner_modes,
-                         l4_closed_form, match_spectra, realize_operator,
-                         realize_quadratic_form)
+                         l4_closed_form, match_spectra, parity_sectors,
+                         realize_operator, realize_quadratic_form)
 
 RNG = np.random.default_rng(20240817)
 
 
 def random_gamma():
     return complex(RNG.uniform(-1.5, 1.5), RNG.uniform(-1.5, 1.5))
+
+
+def kron_spin_hamiltonian(L, gamma):
+    """Reference assembly: each bond term as a Kronecker product padded with
+    identities (site 1 is the first factor), subtracted sx.sx then sy.sy."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    xx, yy = np.kron(sx, sx), np.kron(sy, sy).real
+    gamma = complex(gamma)
+    H = np.zeros((2 ** L, 2 ** L), dtype=complex)
+    for j in range(1, L):
+        def pad(bond):
+            return np.kron(np.eye(2 ** (j - 1)),
+                           np.kron(bond, np.eye(2 ** (L - j - 1))))
+        H -= 0.25 * (1 + gamma) * pad(xx)
+        H -= 0.25 * (1 - gamma) * pad(yy)
+    return H
+
+
+@pytest.mark.parametrize("gamma", [0, 0.7, 0.3 + 0.5j, -1.2 + 0.1j])
+def test_spin_hamiltonian_equals_kron_assembly_bit_for_bit(gamma):
+    for L in range(2, 9):
+        assert np.array_equal(build_spin_hamiltonian(L, gamma),
+                              kron_spin_hamiltonian(L, gamma))
+
+
+def test_parity_sectors():
+    even, odd = parity_sectors(3)
+    assert even.tolist() == [0, 3, 5, 6]
+    assert odd.tolist() == [1, 2, 4, 7]
+    for L in (1, 4, 7):
+        even, odd = parity_sectors(L)
+        assert even.size == odd.size == 2 ** (L - 1)
+        assert np.array_equal(np.sort(np.concatenate([even, odd])),
+                              np.arange(2 ** L))
+
+
+def test_blocked_ed_eigen_matches_the_full_solve():
+    for L in range(2, 9):
+        H = build_spin_hamiltonian(L, random_gamma())
+        full = np.linalg.eigvals(H)
+        scale = float(np.max(np.abs(full)))
+        vals = ed_eigen(H, want_vectors=False).values
+        assert match_spectra(vals, full).max_abs_diff <= 1e-12 * scale
+        res = ed_eigen(H)
+        assert match_spectra(res.values, full).max_abs_diff <= 1e-12 * scale
+        assert res.max_residual < 1e-12 * scale
+        assert np.max(np.abs(H @ res.vectors - res.vectors * res.values)) \
+            < 1e-12 * scale
+        # every vector lives in one parity sector, exactly
+        even, odd = parity_sectors(L)
+        in_even = ~np.any(res.vectors[odd], axis=0)
+        in_odd = ~np.any(res.vectors[even], axis=0)
+        assert np.all(in_even ^ in_odd)
+        assert in_even.sum() == in_odd.sum() == 2 ** (L - 1)
+
+
+def test_ed_eigen_solves_other_matrices_whole():
+    # a dense matrix couples the parity sectors and a 3 x 3 one has none,
+    # so both must give exactly the whole-matrix solve
+    rng = np.random.default_rng(11)
+    for n in (16, 3):
+        H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        vals, vecs = np.linalg.eig(H)
+        order = np.lexsort((vals.imag, vals.real))
+        vals, vecs = vals[order], vecs[:, order]
+        res = ed_eigen(H)
+        assert np.array_equal(res.values, vals)
+        assert np.array_equal(res.vectors, vecs)
+        assert res.max_residual == float(
+            np.max(np.abs(H @ vecs - vecs * vals[None, :])))
+        only = np.linalg.eigvals(H)
+        only = only[np.lexsort((only.imag, only.real))]
+        assert np.array_equal(ed_eigen(H, want_vectors=False).values, only)
 
 
 def test_spin_hamiltonian_structure():

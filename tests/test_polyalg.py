@@ -40,9 +40,14 @@ def test_chebyshev_integer_coefficients_frozen():
        st.floats(min_value=0.05, max_value=3.09))
 def test_chebyshev_sine_identity(m, theta):
     # U_m(cos t) = sin((m+1)t) / sin t; the recurrence loses at most a few
-    # ulps per step, so large orders stay accurate
-    val = chebyshev_u(np.cos(theta), m)[0, m + 1]
-    expect = np.sin((m + 1) * theta) / np.sin(theta)
+    # ulps per step, so large orders stay accurate.  The identity is taken
+    # at the angle of the rounded x (rounding cos(theta) alone moves U_m by
+    # ~1e-11 near theta = 0.05), through U_m(-x) = (-1)^m U_m(x) so that
+    # the angle is small and arccos stays accurate near x = -1
+    x = np.cos(theta)
+    t = np.arccos(abs(x))
+    val = chebyshev_u(x, m)[0, m + 1]
+    expect = np.sign(x) ** m * np.sin((m + 1) * t) / np.sin(t)
     assert abs(val - expect) < 1e-12 * (1 + abs(expect))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from xyep.ep import locate_eps
+from xyep.oracle import build_spin_hamiltonian, parity_sectors
 from xyep.errors import (AmbiguousContinuation, DegenerateInput, SizeLimit,
                          ZeroVector)
 from xyep.topology import (branch_scaling_probe, overlap_grid, phase_rigidity,
@@ -91,6 +92,52 @@ def test_overlap_grid_selector_override():
     assert grid.ep_gamma == pytest.approx(ep.gamma, abs=1e-12)
     assert grid.occupation_a == pat_a
     assert np.min(np.abs(grid.overlap_a)) < 1e-3
+
+
+def test_overlap_grid_matches_full_space_reference():
+    # each cell's tracked states against the eigenvectors of a full 2^L
+    # solve at the same energies; |overlap| is gauge independent, so it
+    # must survive dropping the other parity sector unchanged
+    grid = overlap_grid(4, 0.55, 0.65, 0.75, 0.85, 5, 5)
+    for i, re in enumerate(grid.re_vals):
+        for j, im in enumerate(grid.im_vals):
+            g = complex(re, im)
+            if abs(g - grid.ep_gamma) < 1e-9:
+                continue
+            vals, vecs = np.linalg.eig(build_spin_hamiltonian(4, g))
+            for energy, overlap in ((grid.energy_a[i, j], grid.overlap_a[i, j]),
+                                    (grid.energy_b[i, j], grid.overlap_b[i, j])):
+                dist = np.abs(vals - energy)
+                k = int(np.argmin(dist))
+                assert dist[k] < 1e-10 and np.sort(dist)[1] > 1e-3
+                ref = abs(phase_rigidity(vecs[:, k]))
+                assert abs(abs(overlap) - ref) < 1e-8
+
+
+def test_overlap_grid_tracks_within_one_parity_sector():
+    # near gamma = 1 levels of the two sectors nearly coincide; the tracked
+    # pair must still stay in the anchor's sector in every cell
+    grid = overlap_grid(4, 0.95, 1.05, -0.05, 0.05, 5, 5)
+    even, odd = parity_sectors(4)
+    held = set()
+    for i, re in enumerate(grid.re_vals):
+        for j, im in enumerate(grid.im_vals):
+            if grid.pole_mask[i, j]:
+                continue
+            H = build_spin_hamiltonian(4, complex(re, im))
+            for energy in (grid.energy_a[i, j], grid.energy_b[i, j]):
+                for name, sector in (("even", even), ("odd", odd)):
+                    block = H[np.ix_(sector, sector)]
+                    if np.min(np.abs(np.linalg.eigvals(block) - energy)) < 1e-10:
+                        held.add(name)
+    assert len(held) == 1
+
+
+def test_overlap_grid_refuses_a_pair_across_parity_sectors():
+    ep = min(locate_eps(4, "II"), key=lambda r: abs(r.gamma - L4_EP))
+    with pytest.raises(DegenerateInput):
+        overlap_grid(4, 0.55, 0.65, 0.75, 0.85, 5, 5,
+                     selector=(ep, (0, 0, 1, 0), (0, 0, 1, 1)))
 
 
 def test_overlap_grid_limits_and_validation():
