@@ -28,6 +28,8 @@ __all__ = [
     "OperatorCoefficients",
     "ManyBodySpectrum",
     "VacuumEnergy",
+    "column_from_halves",
+    "mode_pair",
     "assemble_basis",
     "operator_coefficients",
     "anticommutator",
@@ -64,11 +66,27 @@ class BiorthogonalBasis:
     diag_residual: float
 
 
-def _column_from_halves(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    # left-multiplication by S = (1/sqrt2)[[I, I], [I, -I]]
+def column_from_halves(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Column(s) of V from checkerboard halves: left-multiplication by S.
+
+    S = (1/sqrt2)[[I, I], [I, -I]]; ``phi`` and ``psi`` are one column
+    each or L x k blocks of columns.
+    """
     top = (phi + psi) / np.sqrt(2.0)
     bot = (phi - psi) / np.sqrt(2.0)
     return np.concatenate([top, bot])
+
+
+def mode_pair(spec: ChainSpec,
+              point: SpectralPoint) -> tuple[ModeVector, ModeVector]:
+    """Mode vectors of a positive-branch point and of its -eps partner.
+
+    The partner flips phi and keeps psi, so the pair relation holds
+    exactly.
+    """
+    mv = mode_vector_poly(spec, point)
+    return mv, ModeVector(mv.mode, -1, -mv.epsilon, -mv.phi, mv.psi,
+                          mv.scale, mv.boundary_residual)
 
 
 def assemble_basis(spec: ChainSpec, tol: float = 1e-6) -> BiorthogonalBasis:
@@ -84,7 +102,7 @@ def assemble_basis(spec: ChainSpec, tol: float = 1e-6) -> BiorthogonalBasis:
     psis = np.zeros((L, 2 * L), dtype=complex)
     for pt in plus_points:
         try:
-            mv = mode_vector_poly(spec, pt)
+            pair = mode_pair(spec, pt)
         except DegenerateInput as exc:
             # at an exact EP the mode vector is bilinearly null and cannot
             # be normalized; report that as a defective basis, which is the
@@ -92,16 +110,13 @@ def assemble_basis(spec: ChainSpec, tol: float = 1e-6) -> BiorthogonalBasis:
             raise DefectiveBasis(
                 f"mode (mode={pt.mode}, branch={pt.branch}) is bilinearly "
                 "null; the spectrum is defective here") from exc
-        for signed, mvec in ((pt, mv),
-                             (pt.negated(),
-                              ModeVector(mv.mode, -1, -mv.epsilon, -mv.phi,
-                                         mv.psi, mv.scale, mv.boundary_residual))):
+        for signed, mvec in zip((pt, pt.negated()), pair):
             idx = len(points)
             phis[:, idx] = mvec.phi
             psis[:, idx] = mvec.psi
             points.append(signed)
             lams.append(signed.epsilon)
-    V = _column_from_halves(phis, psis)
+    V = column_from_halves(phis, psis)
     V_inv = V.T
     Lambda = np.asarray(lams, dtype=complex)
     orth = float(np.max(np.abs(V @ V_inv - np.eye(2 * L))))

@@ -5,9 +5,13 @@ complex symmetric block matrix M = [[A, B], [-B, -A]] built from the
 nearest-neighbour couplings.  Its spectrum comes in two families
 ("modes"), each governed by the boundary polynomial
 U_n(x) - lam U_{n-1}(x) in the Chebyshev variable x, with lam for mode I
-and 1/lam for mode II; every root x (found by
-:func:`xyep.polyalg.boundary_roots`) yields a quasi-energy pair +-eps and
+and 1/lam for mode II; every root x yields a quasi-energy pair +-eps and
 an explicitly known eigenvector with checkerboard support.
+
+:func:`mode_points` is the one place where roots (from
+:func:`xyep.polyalg.boundary_roots`) become labelled quasi-energies, and
+:func:`mode_arrays` is the only forward-recurrence evaluator of mode
+data: eigenvector halves and, at order 1, their eps-derivative.
 """
 
 from __future__ import annotations
@@ -38,7 +42,9 @@ __all__ = [
     "x_of_eps",
     "eps_of_x",
     "build_quasi_hamiltonian",
+    "mode_points",
     "quasi_energies",
+    "mode_arrays",
     "mode_vector_poly",
     "mode_vector_trig",
     "momentum_residual",
@@ -166,35 +172,42 @@ class SpectralPoint:
                              -self.epsilon, self.x)
 
 
-def quasi_energies(spec: ChainSpec, warn: bool = True) -> list[SpectralPoint]:
-    """The L positive-branch quasi-energies, labelled by mode and branch.
+def mode_points(spec: ChainSpec, mode: str) -> list[SpectralPoint]:
+    """The L/2 positive-branch quasi-energies of one mode, in branch order.
 
-    Within each mode, branches are numbered 1..L/2 in order of
-    decreasing (Re eps, Im eps).  Emits :class:`NearEPWarning` when two
-    roots of one boundary polynomial nearly coincide (see NEAR_EP_TOL)
-    and :class:`ModeCoincidenceWarning` at gamma = 0 where the two
-    modes have identical spectra.
+    Branches are numbered 1..L/2 in order of decreasing (Re eps, Im eps).
+    """
+    xs = boundary_roots(spec.n_pairs, spec.mode_lambda(mode))
+    eps = np.array([eps_of_x(spec.gamma, x) for x in xs])
+    order = np.lexsort((-eps.imag, -eps.real))
+    return [SpectralPoint(mode=mode, branch=rank + 1, sign=+1,
+                          epsilon=complex(eps[idx]), x=complex(xs[idx]))
+            for rank, idx in enumerate(order)]
+
+
+def quasi_energies(spec: ChainSpec, warn: bool = True) -> list[SpectralPoint]:
+    """The L positive-branch quasi-energies: :func:`mode_points` of both modes.
+
+    Emits :class:`NearEPWarning` when two roots of one boundary
+    polynomial nearly coincide (see NEAR_EP_TOL) and
+    :class:`ModeCoincidenceWarning` at gamma = 0 where the two modes
+    have identical spectra.
     """
     if warn and abs(spec.lam + 1) < 1e-14:
         warnings.warn("gamma = 0: both modes share one boundary condition",
                       ModeCoincidenceWarning, stacklevel=2)
     points = []
     for mode in MODES:
-        xs = boundary_roots(spec.n_pairs, spec.mode_lambda(mode))
+        pts = mode_points(spec, mode)
         if warn:
-            for i in range(xs.size):
-                for j in range(i + 1, xs.size):
-                    if abs(xs[i] - xs[j]) <= NEAR_EP_TOL * (1 + abs(xs[i])):
+            for i, p in enumerate(pts):
+                for q in pts[i + 1:]:
+                    if abs(p.x - q.x) <= NEAR_EP_TOL * (1 + abs(p.x)):
                         warnings.warn(
-                            f"mode {mode}: boundary roots {xs[i]:.6g} and "
-                            f"{xs[j]:.6g} nearly coincide; an exceptional "
+                            f"mode {mode}: boundary roots {p.x:.6g} and "
+                            f"{q.x:.6g} nearly coincide; an exceptional "
                             "point may be close", NearEPWarning, stacklevel=2)
-        eps = np.array([eps_of_x(spec.gamma, x) for x in xs])
-        order = np.lexsort((-eps.imag, -eps.real))
-        for rank, idx in enumerate(order):
-            points.append(SpectralPoint(mode=mode, branch=rank + 1, sign=+1,
-                                        epsilon=complex(eps[idx]),
-                                        x=complex(xs[idx])))
+        points.extend(pts)
     return points
 
 
@@ -218,35 +231,40 @@ class ModeVector:
     boundary_residual: float
 
 
-def _raw_mode_arrays(spec: ChainSpec, mode: str, eps: complex, x: complex):
+def mode_arrays(spec: ChainSpec, mode: str, eps: complex, x: complex,
+                order: int = 0):
     """Unnormalized (phi, psi) for the +eps branch, plus the boundary value.
 
-    Even sites carry plain Chebyshev values; odd sites carry the
-    eps-dependent combination.  Division by eps is what makes eps = 0
-    unusable here, but det(A +- B) is a nonzero constant for
-    gamma != +-1 so that case never arises from a boundary root.
+    As in :func:`xyep.polyalg.chebyshev_u`, row d of ``phi`` and ``psi``
+    is the d-th derivative: ``order = 1`` adds d(phi, psi)/d(eps) along
+    the dispersion x(eps).  Even sites carry plain Chebyshev values; odd
+    sites carry the eps-dependent combination.  Division by eps is what
+    makes eps = 0 unusable here, but det(A +- B) is a nonzero constant
+    for gamma != +-1 so that case never arises from a boundary root.
     """
     L, g = spec.L, spec.gamma
     n = spec.n_pairs
     if eps == 0:
         raise EpsilonZero("mode construction divides by the quasi-energy")
-    u = chebyshev_u(x, n)[0]
-    phi = np.zeros(L, dtype=complex)
-    psi = np.zeros(L, dtype=complex)
-    even = u[1: n + 1]                       # U_0 .. U_{n-1} on sites 2,4,..,L
-    if mode == "I":
-        ca, cb = 1 + g, 1 - g
-    else:
-        ca, cb = 1 - g, 1 + g
-    odd = (ca * u[1: n + 1] + cb * u[0: n]) / (2 * eps)  # sites 1,3,..,L-1
+    if order not in (0, 1):
+        raise DegenerateInput(f"order must be 0 or 1, got {order}")
+    u = chebyshev_u(x, n, order)
+    ca, cb = (1 + g, 1 - g) if mode == "I" else (1 - g, 1 + g)
+    # U_0 .. U_{n-1} on sites 2,4,..,L; the eps-dependent mix on 1,3,..,L-1
+    even = [u[0, 1: n + 1]]
+    odd = [(ca * u[0, 1: n + 1] + cb * u[0, 0: n]) / (2 * eps)]
+    if order:
+        du = u[1]
+        even.append(du[1: n + 1] * (4 * eps / (1 - g * g)))
+        odd.append(-odd[0] / eps
+                   + (ca * du[1: n + 1] + cb * du[0: n]) * (2 / (1 - g * g)))
+    phi = np.zeros((order + 1, L), dtype=complex)
+    psi = np.zeros((order + 1, L), dtype=complex)
     # site s (1-based) lives at array index s-1
-    if mode == "I":
-        phi[1::2] = even
-        psi[0::2] = odd[: n]
-    else:
-        psi[1::2] = even
-        phi[0::2] = odd[: n]
-    boundary = (ca * u[n + 1] + cb * u[n]) / (2 * eps)
+    even_half, odd_half = (phi, psi) if mode == "I" else (psi, phi)
+    even_half[:, 1::2] = even
+    odd_half[:, 0::2] = odd
+    boundary = (ca * u[0, n + 1] + cb * u[0, n]) / (2 * eps)
     return phi, psi, boundary
 
 
@@ -271,8 +289,8 @@ def mode_vector_poly(spec: ChainSpec, point: SpectralPoint) -> ModeVector:
     the pair relation (phi, psi) -> (-phi, psi) holds exactly.
     """
     eps_plus = point.epsilon if point.sign > 0 else -point.epsilon
-    phi, psi, boundary = _raw_mode_arrays(spec, point.mode, eps_plus, point.x)
-    phi, psi, s = _bilinear_normalize(phi, psi)
+    phi, psi, boundary = mode_arrays(spec, point.mode, eps_plus, point.x)
+    phi, psi, s = _bilinear_normalize(phi[0], psi[0])
     if point.sign < 0:
         phi = -phi
     return ModeVector(mode=point.mode, sign=point.sign, epsilon=point.epsilon,

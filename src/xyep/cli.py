@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from ._fmt import csv_text, fmt_real, json_text, parse_complex
 from .basis import many_body_energies
-from .chain import ChainSpec, quasi_energies
+from .chain import ChainSpec
 from .ep import ep_table_rows, locate_eps, reference_ep_gammas
 from .errors import AmbiguousContinuation, LambdaSingular, XYEPError
 from .oracle import build_spin_hamiltonian, ed_eigen, match_spectra
@@ -47,9 +47,11 @@ def _emit(text: str, out: str | None):
 
 
 def cmd_spectrum(args) -> int:
-    spec = ChainSpec(args.L, args.gamma)
-    pts = quasi_energies(spec)
-    mb = many_body_energies(spec)
+    mb = many_body_energies(ChainSpec(args.L, args.gamma))
+    # epsilons_I/II are in branch order, so the labels follow quasi_energies
+    quasi = [(mode, branch, eps)
+             for mode, eps_m in (("I", mb.epsilons_I), ("II", mb.epsilons_II))
+             for branch, eps in enumerate(eps_m, start=1)]
     config = {
         "command": "spectrum",
         "version": __version__,
@@ -61,16 +63,16 @@ def cmd_spectrum(args) -> int:
         f"S{args.L}").ravel().astype(str).tolist()
     if args.format == "json":
         payload = {
-            "quasi": [{"mode": p.mode, "branch": p.branch,
-                       "epsilon": [p.epsilon.real, p.epsilon.imag]}
-                      for p in pts],
+            "quasi": [{"mode": mode, "branch": branch,
+                       "epsilon": [eps.real, eps.imag]}
+                      for mode, branch, eps in quasi],
             "many_body": [{"occupation": label, "energy": [e.real, e.imag]}
                           for label, e in zip(labels, mb.energies)],
         }
         _emit(json_text(config, payload), args.out)
     else:
-        rows = [["quasi", f"{p.mode}:{p.branch}", p.epsilon.real, p.epsilon.imag]
-                for p in pts]
+        rows = [["quasi", f"{mode}:{branch}", eps.real, eps.imag]
+                for mode, branch, eps in quasi]
         rows += [["many", label, e.real, e.imag]
                  for label, e in zip(labels, mb.energies)]
         _emit(csv_text(config, ["kind", "label", "re", "im"], rows), args.out)

@@ -22,16 +22,16 @@ from .chain import (
     build_quasi_hamiltonian,
     eps_of_x,
     lambda_to_gamma,
-    mode_vector_poly,
-    _raw_mode_arrays,
+    mode_arrays,
+    mode_points,
 )
-from .basis import _column_from_halves
+from .basis import column_from_halves, mode_pair
 from .errors import (
     ChainResidualTooLarge,
     DegenerateInput,
     SingularVEP,
 )
-from .polyalg import boundary_roots, chebyshev_u, double_roots
+from .polyalg import double_roots
 
 __all__ = [
     "EPRecord",
@@ -42,6 +42,7 @@ __all__ = [
     "EPStateCatalog",
     "locate_eps",
     "reference_ep_gammas",
+    "coalescing_pair",
     "generalized_eigenvector",
     "jordan_decomposition",
     "ep_state_catalog",
@@ -140,6 +141,19 @@ def reference_ep_gammas(L: int, mode: str) -> list[complex]:
     return out
 
 
+def coalescing_pair(points: list[SpectralPoint], ep: EPRecord
+                    ) -> tuple[list[SpectralPoint], list[SpectralPoint]]:
+    """Split the EP mode's points into the coalescing pair and the rest.
+
+    The pair is the two points whose roots lie nearest ``ep.x``, nearest
+    first; the rest keep the order of ``points`` (branch order when they
+    come from :func:`xyep.chain.mode_points`).
+    """
+    order = np.argsort([abs(p.x - ep.x) for p in points])
+    return ([points[i] for i in order[:2]],
+            [points[i] for i in sorted(order[2:])])
+
+
 @dataclass(frozen=True)
 class JordanChain:
     """Eigenvector w and generalized partner u of one defective block.
@@ -166,30 +180,6 @@ class JordanChain:
     cross: complex
 
 
-def _raw_mode_derivative(spec: ChainSpec, mode: str, eps: complex, x: complex):
-    """d(phi, psi)/d(eps) of the raw mode arrays along the dispersion."""
-    L, g = spec.L, spec.gamma
-    n = spec.n_pairs
-    u, du = chebyshev_u(x, n, 1)
-    xp = 4 * eps / (1 - g * g)
-    dphi = np.zeros(L, dtype=complex)
-    dpsi = np.zeros(L, dtype=complex)
-    if mode == "I":
-        ca, cb = 1 + g, 1 - g
-    else:
-        ca, cb = 1 - g, 1 + g
-    even = du[1: n + 1] * xp
-    odd_val = (ca * u[1: n + 1] + cb * u[0: n]) / (2 * eps)
-    odd = -odd_val / eps + (ca * du[1: n + 1] + cb * du[0: n]) * (2 / (1 - g * g))
-    if mode == "I":
-        dphi[1::2] = even
-        dpsi[0::2] = odd
-    else:
-        dpsi[1::2] = even
-        dphi[0::2] = odd
-    return dphi, dpsi
-
-
 def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
                             sign: int = +1) -> JordanChain:
     """Jordan chain of the +-eps block at an exceptional point.
@@ -204,8 +194,8 @@ def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
     if sign not in (+1, -1):
         raise DegenerateInput("sign must be +1 or -1")
     eps = sign * ep.epsilon
-    phi_w, psi_w, _ = _raw_mode_arrays(spec, ep.mode, eps, ep.x)
-    phi_u, psi_u = _raw_mode_derivative(spec, ep.mode, eps, ep.x)
+    (phi_w, phi_u), (psi_w, psi_u), _ = mode_arrays(spec, ep.mode, eps, ep.x,
+                                                     order=1)
 
     cross = phi_u @ phi_w + psi_u @ psi_w
     if abs(cross) < 1e-14:
@@ -220,8 +210,8 @@ def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
 
     qh = build_quasi_hamiltonian(spec)
     m_norm = float(np.linalg.norm(qh.M))
-    sw = _column_from_halves(phi_w, psi_w)
-    su = _column_from_halves(phi_u, psi_u)
+    sw = column_from_halves(phi_w, psi_w)
+    su = column_from_halves(phi_u, psi_u)
     eye = np.eye(2 * spec.L)
     chain_res = float(np.linalg.norm((qh.M - eps * eye) @ su - sw)) / m_norm
     eigen_res = float(np.linalg.norm((qh.M - eps * eye) @ sw)) / m_norm
@@ -279,37 +269,18 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
     qh = build_quasi_hamiltonian(spec)
 
     columns: list[EPColumn] = []
-    col_vectors: list[np.ndarray] = []
-    lam_diag: list[complex] = []
-
-    def add_pair(mode: str, x: complex, branch: int):
-        eps = eps_of_x(spec.gamma, x)
-        pt = SpectralPoint(mode=mode, branch=branch, sign=+1,
-                           epsilon=eps, x=complex(x))
-        mv = mode_vector_poly(spec, pt)
-        idx = len(columns)
-        columns.append(EPColumn(mode=mode, kind="pair_plus", epsilon=eps,
-                                phi=mv.phi, psi=mv.psi, partner=idx))
-        col_vectors.append(_column_from_halves(mv.phi, mv.psi))
-        lam_diag.append(eps)
-        columns.append(EPColumn(mode=mode, kind="pair_minus", epsilon=-eps,
-                                phi=-mv.phi, psi=mv.psi, partner=idx + 1))
-        col_vectors.append(_column_from_halves(-mv.phi, mv.psi))
-        lam_diag.append(-eps)
-
     for mode in MODES:
-        xs = list(boundary_roots(spec.n_pairs, spec.mode_lambda(mode)))
+        points = mode_points(spec, mode)
         if mode == ep.mode:
-            xs.sort(key=lambda x: abs(x - ep.x))
-            dropped = xs[:2]
-            if max(abs(x - ep.x) for x in dropped) > 1e-4 * (1 + abs(ep.x)):
+            pair, points = coalescing_pair(points, ep)
+            if max(abs(p.x - ep.x) for p in pair) > 1e-4 * (1 + abs(ep.x)):
                 raise DegenerateInput(
                     "could not identify the coalescing boundary roots")
-            xs = xs[2:]
-        xs.sort(key=lambda x: (-eps_of_x(spec.gamma, x).real,
-                               -eps_of_x(spec.gamma, x).imag))
-        for branch, x in enumerate(xs, start=1):
-            add_pair(mode, x, branch)
+        for pt in points:
+            for kind, mv in zip(("pair_plus", "pair_minus"), mode_pair(spec, pt)):
+                columns.append(EPColumn(mode=mode, kind=kind, epsilon=mv.epsilon,
+                                        phi=mv.phi, psi=mv.psi,
+                                        partner=len(columns)))
 
     chain_start = len(columns)
     for sign in (+1, -1):
@@ -317,15 +288,11 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
         base = len(columns)
         columns.append(EPColumn(mode=ep.mode, kind="chain_w", epsilon=ch.epsilon,
                                 phi=ch.phi_w, psi=ch.psi_w, partner=base + 1))
-        col_vectors.append(_column_from_halves(ch.phi_w, ch.psi_w))
-        lam_diag.append(ch.epsilon)
         columns.append(EPColumn(mode=ep.mode, kind="chain_u", epsilon=ch.epsilon,
                                 phi=ch.phi_u, psi=ch.psi_u, partner=base))
-        col_vectors.append(_column_from_halves(ch.phi_u, ch.psi_u))
-        lam_diag.append(ch.epsilon)
 
-    V = np.column_stack(col_vectors)
-    J = np.diag(np.array(lam_diag, dtype=complex))
+    V = np.column_stack([column_from_halves(c.phi, c.psi) for c in columns])
+    J = np.diag(np.array([c.epsilon for c in columns], dtype=complex))
     J[chain_start, chain_start + 1] = 1.0
     J[chain_start + 2, chain_start + 3] = 1.0
 

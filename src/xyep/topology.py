@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .chain import ChainSpec, eps_of_x, quasi_energies
-from .ep import EPRecord, locate_eps
+from .chain import MODES, ChainSpec, mode_points
+from .ep import EPRecord, coalescing_pair, locate_eps
 from .errors import (
     AmbiguousContinuation,
     DegenerateInput,
@@ -25,7 +25,6 @@ from .errors import (
     ZeroVector,
 )
 from .oracle import build_spin_hamiltonian, ed_eigen, parity_sectors
-from .polyalg import boundary_roots
 
 __all__ = [
     "OverlapGrid",
@@ -121,20 +120,18 @@ def _pair_energies_at(spec: ChainSpec, ep: EPRecord,
                       pattern_a, pattern_b) -> tuple[complex, complex]:
     """Analytic energies of the two tracked patterns at one anisotropy.
 
-    Slots of the degenerate mode are ordered so that the two branches
-    closest to coalescing come first; remaining slots keep the usual
-    quasi-energy order.  This pins the tracked pair near the EP without
-    reference to any previous cell.
+    Slots of the degenerate mode start with the two branches closest to
+    coalescing (:func:`xyep.ep.coalescing_pair`); the remaining slots
+    of both modes keep branch order.  This pins the tracked pair near
+    the EP without reference to any previous cell.
     """
-    pts = quasi_energies(spec, warn=False)
     out = []
-    for mode in ("I", "II"):
-        eps_m = [p.epsilon for p in pts if p.mode == mode]
-        xs_m = [p.x for p in pts if p.mode == mode]
+    for mode in MODES:
+        points = mode_points(spec, mode)
         if mode == ep.mode:
-            order = np.argsort([abs(x - ep.x) for x in xs_m])
-            eps_m = [eps_m[i] for i in order]
-        out.extend(eps_m)
+            pair, rest = coalescing_pair(points, ep)
+            points = pair + rest
+        out.extend(p.epsilon for p in points)
     eps_arr = np.array(out)
 
     def energy(pattern):
@@ -399,15 +396,11 @@ class LoopResult:
         }
 
 
-def _branch_values(L: int, g: complex) -> np.ndarray:
-    """All 2L signed quasi-energies at one anisotropy, mode-major."""
+def _signed_values(L: int, g: complex) -> np.ndarray:
+    """All 2L signed quasi-energies at one anisotropy, +eps then -eps per label."""
     spec = ChainSpec(L, g)
-    vals = []
-    for mode in ("I", "II"):
-        for x in boundary_roots(spec.n_pairs, spec.mode_lambda(mode)):
-            e = eps_of_x(g, x)
-            vals.extend([e, -e])
-    return np.array(vals)
+    return np.array([e for mode in MODES for p in mode_points(spec, mode)
+                     for e in (p.epsilon, -p.epsilon)])
 
 
 class _RefinementBudget:
@@ -418,7 +411,7 @@ class _RefinementBudget:
 
 def _continue_values(L: int, prev: np.ndarray, g0: complex, g1: complex,
                      depth: int, budget: _RefinementBudget) -> np.ndarray:
-    cand = _branch_values(L, g1)
+    cand = _signed_values(L, g1)
     cost = np.abs(prev[:, None] - cand[None, :])
     rows, cols = linear_sum_assignment(cost)
     new = cand[cols[np.argsort(rows)]]
@@ -445,9 +438,11 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
     whose best and second-best candidate distances differ by less than
     a factor of two is bisected, up to ``max_refinements`` levels,
     after which :class:`AmbiguousContinuation` is raised.  The returned
-    permutation acts on the L positive-branch labels (mode I branches,
-    then mode II); ``sign_flips[k]`` reports a label returning to its
-    partner's negative.  ``orientation`` +1 traverses counterclockwise,
+    permutation acts on the L positive-branch labels as
+    :func:`xyep.chain.quasi_energies` numbers them at the loop's start
+    point (mode I branches 1..L/2 are labels 0..L/2-1, then mode II);
+    ``sign_flips[k]`` reports a label returning to its partner's
+    negative.  ``orientation`` +1 traverses counterclockwise,
     -1 clockwise; reversing it inverts the permutation.
     """
     if steps < 8:
@@ -459,7 +454,7 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
               for t in range(steps)]
     gammas.append(gammas[0])
 
-    start = _branch_values(L, gammas[0])
+    start = _signed_values(L, gammas[0])
     budget = _RefinementBudget(max_refinements)
     vals = start.copy()
     for t in range(steps):
@@ -518,12 +513,9 @@ def branch_scaling_probe(ep: EPRecord, radii: np.ndarray | None = None,
     splittings = []
     for r in radii:
         g = ep.gamma + r * direction
-        spec = ChainSpec(ep.L, g)
-        xs = boundary_roots(spec.n_pairs, spec.mode_lambda(ep.mode))
-        order = np.argsort(np.abs(xs - ep.x))
-        e1 = eps_of_x(g, complex(xs[order[0]]))
-        e2 = eps_of_x(g, complex(xs[order[1]]))
-        splittings.append(abs(e1 - e2))
+        points = mode_points(ChainSpec(ep.L, g), ep.mode)
+        (p1, p2), _ = coalescing_pair(points, ep)
+        splittings.append(abs(p1.epsilon - p2.epsilon))
     splittings = np.array(splittings)
     if np.any(splittings == 0):
         raise DegenerateInput("splitting vanished at a probe radius")

@@ -7,12 +7,14 @@ from xyep.basis import (
     MANY_BODY_LIMIT,
     anticommutator,
     assemble_basis,
+    column_from_halves,
     many_body_energies,
+    mode_pair,
     operator_coefficients,
     pairing_structure,
     vacuum_energy,
 )
-from xyep.chain import ChainSpec, build_quasi_hamiltonian
+from xyep.chain import ChainSpec, build_quasi_hamiltonian, quasi_energies
 from xyep.errors import DefectiveBasis, DegenerateInput, SizeLimit
 
 RNG = np.random.default_rng(77)
@@ -145,3 +147,16 @@ def test_pairing_structure_defects_vanish():
     assert len(records) == 8
     worst = max(max(r["phi_defect"], r["psi_defect"]) for r in records)
     assert worst < 1e-9
+
+
+def test_mode_pair_columns_are_the_basis_columns():
+    spec = ChainSpec(6, 0.4 + 0.3j)
+    basis = assemble_basis(spec)
+    for k, pt in enumerate(quasi_energies(spec)):
+        plus, minus = mode_pair(spec, pt)
+        assert (minus.sign, minus.epsilon) == (-1, -plus.epsilon)
+        assert np.array_equal(minus.phi, -plus.phi)
+        assert np.array_equal(minus.psi, plus.psi)
+        for col, mv in ((2 * k, plus), (2 * k + 1, minus)):
+            assert np.array_equal(basis.V[:, col],
+                                  column_from_halves(mv.phi, mv.psi))

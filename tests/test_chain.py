@@ -9,7 +9,9 @@ from xyep.chain import (
     eps_of_x,
     gamma_to_lambda,
     lambda_to_gamma,
+    mode_arrays,
     mode_equation_residual,
+    mode_points,
     mode_vector_poly,
     mode_vector_trig,
     quasi_energies,
@@ -116,6 +118,41 @@ def test_boundary_polynomial_roots_are_quasi_energy_xs():
         u = chebyshev_u(xs, n)[0]
         vals = u[n + 1] - spec.mode_lambda(mode) * u[n]
         assert np.max(np.abs(vals)) < 1e-10
+
+
+def test_mode_points_label_branches_of_one_mode():
+    spec = ChainSpec(12, -0.45 + 0.75j)
+    per_mode = {mode: mode_points(spec, mode) for mode in ("I", "II")}
+    assert quasi_energies(spec) == per_mode["I"] + per_mode["II"]
+    for mode, pts in per_mode.items():
+        assert [p.branch for p in pts] == list(range(1, 7))
+        assert all(p.mode == mode and p.sign == 1 for p in pts)
+        keys = [(p.epsilon.real, p.epsilon.imag) for p in pts]
+        assert keys == sorted(keys, reverse=True)
+        assert all(p.epsilon == eps_of_x(spec.gamma, p.x) for p in pts)
+
+
+def values_along_dispersion(spec, mode, eps):
+    phi, psi, _ = mode_arrays(spec, mode, eps, x_of_eps(spec.gamma, eps))
+    return np.concatenate([phi[0], psi[0]])
+
+
+def test_mode_arrays_derivative_follows_the_dispersion():
+    spec = ChainSpec(10, 0.35 - 0.6j)
+    h = 1e-5
+    for p in quasi_energies(spec)[::3]:
+        phi, psi, boundary = mode_arrays(spec, p.mode, p.epsilon, p.x, order=1)
+        phi0, psi0, boundary0 = mode_arrays(spec, p.mode, p.epsilon, p.x)
+        # the values row is the order-0 evaluation itself
+        assert np.array_equal(phi[0], phi0[0]) and np.array_equal(psi[0], psi0[0])
+        assert boundary == boundary0
+        # central difference along the dispersion x(eps)
+        fd = (values_along_dispersion(spec, p.mode, p.epsilon + h)
+              - values_along_dispersion(spec, p.mode, p.epsilon - h)) / (2 * h)
+        exact = np.concatenate([phi[1], psi[1]])
+        assert np.max(np.abs(exact - fd)) < 1e-7 * np.max(np.abs(exact))
+    with pytest.raises(DegenerateInput):
+        mode_arrays(spec, p.mode, p.epsilon, p.x, order=2)
 
 
 def test_boundary_polynomial_pole():

@@ -67,6 +67,38 @@ def test_spectrum_beyond_many_body_limit_exit_code_2(capsys):
     assert "capped at L = 20" in err
 
 
+def test_spectrum_quasi_rows_follow_quasi_energies(capsys):
+    from xyep._fmt import fmt_real
+    from xyep.chain import ChainSpec, quasi_energies
+
+    pts = quasi_energies(ChainSpec(8, 0.3 - 0.55j))
+    _, out, _ = run_cli(["spectrum", "--L", "8", "--gamma", "0.3-0.55i"], capsys)
+    rows = [r.split(",")[1:] for r in out.splitlines() if r.startswith("quasi,")]
+    assert rows == [[f"{p.mode}:{p.branch}", fmt_real(p.epsilon.real),
+                     fmt_real(p.epsilon.imag)] for p in pts]
+
+
+def test_spectrum_solves_each_mode_once(monkeypatch, capsys):
+    import xyep.chain as chain_module
+
+    calls = []
+    real = chain_module.boundary_roots
+
+    def counting(n, lam):
+        calls.append(lam)
+        return real(n, lam)
+
+    monkeypatch.setattr(chain_module, "boundary_roots", counting)
+    code, _, _ = run_cli(["spectrum", "--L", "14", "--gamma", "0.3-0.55i",
+                          "--format", "json"], capsys)
+    assert code == 0 and len(calls) == 2
+    calls.clear()
+    # the many-body size guard fires before any root solve
+    code, _, _ = run_cli(["spectrum", "--L", "40", "--gamma", "0.3-0.55i"],
+                         capsys)
+    assert code == 2 and calls == []
+
+
 def test_bad_gamma_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--L", "4", "--gamma", "0.60.8i"])

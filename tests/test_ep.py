@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from xyep.chain import ChainSpec, gamma_to_lambda, lambda_to_gamma
-from xyep.ep import (ep_ground_energy, ep_state_catalog, ep_table_rows,
+from xyep.chain import ChainSpec, gamma_to_lambda, lambda_to_gamma, mode_points
+from xyep.ep import (coalescing_pair, ep_ground_energy, ep_state_catalog,
+                     ep_table_rows,
                      generalized_eigenvector, jordan_decomposition,
                      locate_eps, reference_ep_gammas)
 from xyep.errors import DegenerateInput, XYEPWarning
@@ -121,6 +122,16 @@ def test_reference_gammas_bounds_and_symmetry():
     refs_I = reference_ep_gammas(6, "I")
     assert sorted((-g for g in refs_II), key=lambda z: (z.real, z.imag)) == \
         sorted(refs_I, key=lambda z: (z.real, z.imag))
+
+
+def test_coalescing_pair_nearest_first_rest_in_branch_order():
+    for ep in locate_eps(10):
+        points = mode_points(quiet_spec(10, ep.gamma + 1e-3), ep.mode)
+        pair, rest = coalescing_pair(points, ep)
+        dist = [abs(p.x - ep.x) for p in pair]
+        assert dist[0] <= dist[1] <= min(abs(p.x - ep.x) for p in rest)
+        assert [p.branch for p in rest] == sorted(p.branch for p in rest)
+        assert sorted(p.branch for p in pair + rest) == list(range(1, 6))
 
 
 def test_generalized_eigenvector_gauge_and_support():

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+import xyep.chain as chain_module
+from xyep.chain import ChainSpec, quasi_energies
 from xyep.ep import locate_eps
 from xyep.oracle import build_spin_hamiltonian, parity_sectors
 from xyep.errors import (AmbiguousContinuation, DegenerateInput, SizeLimit,
@@ -184,6 +186,20 @@ def test_track_loop_without_ep_is_identity():
     assert r.closed and r.closure_defect < 1e-10
 
 
+def test_track_loop_labels_are_quasi_energy_branches():
+    # labels are numbered as quasi_energies numbers them at the loop's
+    # start point, so around an EP the two moved labels are the branches
+    # whose roots sit nearest the EP root there
+    radius = 0.01
+    for ep in [r for r in locate_eps(14, "I") if r.gamma.imag > 0]:
+        r = track_loop(14, ep.gamma, radius, steps=256)
+        moved = [k for k, q in enumerate(r.permutation) if q != k]
+        pts = quasi_energies(ChainSpec(14, ep.gamma + radius), warn=False)
+        nearest = sorted((abs(p.x - ep.x), k) for k, p in enumerate(pts)
+                         if p.mode == ep.mode)[:2]
+        assert r.closed and moved == sorted(k for _, k in nearest)
+
+
 def test_track_loop_validation():
     with pytest.raises(DegenerateInput):
         track_loop(4, 0.2, 0.05, steps=4)
@@ -210,3 +226,17 @@ def test_branch_scaling_square_root():
         branch_scaling_probe(ep, direction=1.0).exponent
     with pytest.raises(DegenerateInput):
         branch_scaling_probe(ep, direction=0.0)
+
+
+def test_branch_scaling_probe_solves_only_the_ep_mode(monkeypatch):
+    calls = []
+    real = chain_module.boundary_roots
+
+    def counting(n, lam):
+        calls.append(lam)
+        return real(n, lam)
+
+    monkeypatch.setattr(chain_module, "boundary_roots", counting)
+    ep = locate_eps(8, "II")[0]
+    fit = branch_scaling_probe(ep)
+    assert len(calls) == fit.radii.size
