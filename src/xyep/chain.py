@@ -200,13 +200,14 @@ def quasi_energies(spec: ChainSpec, warn: bool = True) -> list[SpectralPoint]:
     for mode in MODES:
         pts = mode_points(spec, mode)
         if warn:
-            for i, p in enumerate(pts):
-                for q in pts[i + 1:]:
-                    if abs(p.x - q.x) <= NEAR_EP_TOL * (1 + abs(p.x)):
-                        warnings.warn(
-                            f"mode {mode}: boundary roots {p.x:.6g} and "
-                            f"{q.x:.6g} nearly coincide; an exceptional "
-                            "point may be close", NearEPWarning, stacklevel=2)
+            x = np.array([p.x for p in pts])
+            close = np.abs(x[:, None] - x[None, :]) \
+                <= NEAR_EP_TOL * (1 + np.abs(x))[:, None]
+            for i, k in zip(*np.nonzero(np.triu(close, 1))):
+                warnings.warn(
+                    f"mode {mode}: boundary roots {pts[i].x:.6g} and "
+                    f"{pts[k].x:.6g} nearly coincide; an exceptional "
+                    "point may be close", NearEPWarning, stacklevel=2)
         points.extend(pts)
     return points
 

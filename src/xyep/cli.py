@@ -24,7 +24,7 @@ from .chain import ChainSpec
 from .ep import ep_table_rows, locate_eps, reference_ep_gammas
 from .errors import AmbiguousContinuation, LambdaSingular, XYEPError
 from .oracle import build_spin_hamiltonian, ed_eigen, match_spectra
-from .topology import overlap_grid, resolve_threads, track_loop
+from .topology import overlap_grid, track_loop
 
 
 class VerificationFailed(Exception):
@@ -99,9 +99,8 @@ def cmd_ep_table(args) -> int:
 
 
 def cmd_overlap_map(args) -> int:
-    threads = resolve_threads(args.threads)
     grid = overlap_grid(args.L, args.re_min, args.re_max, args.im_min,
-                        args.im_max, args.n_re, args.n_im, threads=threads)
+                        args.im_max, args.n_re, args.n_im, threads=args.threads)
     config = {
         "command": "overlap-map",
         "version": __version__,
@@ -109,7 +108,7 @@ def cmd_overlap_map(args) -> int:
         "re_min": fmt_real(args.re_min), "re_max": fmt_real(args.re_max),
         "im_min": fmt_real(args.im_min), "im_max": fmt_real(args.im_max),
         "n_re": args.n_re, "n_im": args.n_im,
-        "threads": threads,
+        "threads": args.threads,
         "tracked_a": "".join(map(str, grid.occupation_a)),
         "tracked_b": "".join(map(str, grid.occupation_b)),
     }
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--im-max", type=float, required=True)
     p.add_argument("--n-re", type=int, default=21)
     p.add_argument("--n-im", type=int, default=21)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_overlap_map)
 

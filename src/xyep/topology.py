@@ -9,12 +9,10 @@ square-root scaling of the level splitting near a defective parameter.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .chain import MODES, ChainSpec, mode_points
 from .ep import EPRecord, coalescing_pair, locate_eps
@@ -56,17 +54,13 @@ def phase_rigidity(v: np.ndarray) -> complex:
     return complex((v @ v) / d)
 
 
-def resolve_threads(requested: int | None) -> int:
-    """Thread count: explicit argument, else XYEP_THREADS, else one."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("XYEP_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _nearest_pair(values: np.ndarray, ea: complex,
+                  eb: complex) -> tuple[int, int]:
+    """Distinct indices (i, j) minimizing |values[i] - ea| + |values[j] - eb|."""
+    cost = np.abs(values - ea)[:, None] + np.abs(values - eb)[None, :]
+    np.fill_diagonal(cost, np.inf)
+    i, j = np.unravel_index(np.argmin(cost), cost.shape)
+    return int(i), int(j)
 
 
 @dataclass(frozen=True)
@@ -152,7 +146,7 @@ def _shared_sector(L: int, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
 
 def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
                  im_max: float, n_re: int, n_im: int,
-                 selector=None, threads: int | None = None) -> OverlapGrid:
+                 selector=None, threads: int = 1) -> OverlapGrid:
     """Track a merging pair of eigenstates over a rectangle of gamma.
 
     The pair is anchored analytically at the grid cell nearest the
@@ -170,11 +164,15 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     so the anchor pair's support fixes one 2^(L-1) parity sector and
     every other cell is diagonalized in that sector alone; a pair whose
     two states lie in different sectors raises :class:`DegenerateInput`.
+    Columns run on ``threads`` worker threads; the count never changes
+    the values.
     """
     if L > _GRID_SIZE_LIMIT:
         raise SizeLimit(f"overlap grids are capped at L = {_GRID_SIZE_LIMIT}")
     if n_re < 2 or n_im < 2:
         raise DegenerateInput("grid needs at least 2 points per axis")
+    if threads < 1:
+        raise DegenerateInput(f"threads must be at least 1, got {threads}")
     re_vals = np.linspace(re_min, re_max, n_re)
     im_vals = np.linspace(im_min, im_max, n_im)
     center = complex((re_min + re_max) / 2, (im_min + im_max) / 2)
@@ -204,21 +202,16 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
         spec = ChainSpec(L, g)
         ea, eb = _pair_energies_at(spec, ep, pat_a, pat_b)
         res = eig_cell(g, sector)
-        cost = np.abs(np.array([[ea], [eb]]) - res.values[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        pick = dict(zip(rows, cols))
-        va = res.vectors[:, pick[0]].copy()
-        vb = res.vectors[:, pick[1]].copy()
-        return (res.values[pick[0]], va), (res.values[pick[1]], vb)
+        ia, ib = _nearest_pair(res.values, ea, eb)
+        return ((res.values[ia], res.vectors[:, ia].copy()),
+                (res.values[ib], res.vectors[:, ib].copy()))
 
     def advance(prev, res):
         """Match the tracked pair into the next cell's eigensystem."""
         (ea, va), (eb, vb) = prev
-        cost = np.abs(np.array([ea, eb])[:, None] - res.values[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        pick = dict(zip(rows, cols))
         out = []
-        for tracked_vec, col in ((va, pick[0]), (vb, pick[1])):
+        cols = _nearest_pair(res.values, ea, eb)
+        for tracked_vec, col in zip((va, vb), cols):
             v = res.vectors[:, col].copy()
             ip = np.vdot(tracked_vec, v)
             if abs(ip) > 0:
@@ -249,7 +242,6 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     sector = _shared_sector(L, va0, vb0)
 
     # anchor row: continuity-track left and right of the anchor
-    n_threads = resolve_threads(threads)
     row_pairs: list = [None] * n_re
     row_pairs[anchor_i] = ((ea0, va0[sector]), (eb0, vb0[sector]))
     for step in (1, -1):
@@ -263,20 +255,15 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
             i += step
 
     def run_column(i: int):
-        col_overlap_a = np.full(n_im, np.nan, dtype=complex)
-        col_overlap_b = np.full(n_im, np.nan, dtype=complex)
-        col_ea = np.full(n_im, np.nan, dtype=complex)
-        col_eb = np.full(n_im, np.nan, dtype=complex)
-        col_parity = np.zeros(n_im, dtype=np.int8)
-        col_pole = np.zeros(n_im, dtype=bool)
+        """Track column i, writing only row i of the result arrays."""
 
         def record(j, cur):
             (ea, va), (eb, vb) = cur
-            col_ea[j], col_eb[j] = ea, eb
-            col_overlap_a[j] = phase_rigidity(va)
-            col_overlap_b[j] = phase_rigidity(vb)
+            energy_a[i, j], energy_b[i, j] = ea, eb
+            overlap_a[i, j] = phase_rigidity(va)
+            overlap_b[i, j] = phase_rigidity(vb)
             key_a, key_b = (ea.real, ea.imag), (eb.real, eb.imag)
-            col_parity[j] = 0 if key_a <= key_b else 1
+            parity[i, j] = 0 if key_a <= key_b else 1
 
         start = row_pairs[i]
         if start is None:
@@ -285,10 +272,9 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
             usable = [j for j in range(n_im)
                       if not is_pole(complex(re_vals[i], im_vals[j]))]
             for j in range(n_im):
-                col_pole[j] = j not in usable
+                pole_mask[i, j] = j not in usable
             if not usable:
-                return (col_overlap_a, col_overlap_b, col_ea, col_eb,
-                        col_parity, col_pole)
+                return
             j0 = min(usable, key=lambda j: abs(j - anchor_j))
             start = seed_pair(complex(re_vals[i], im_vals[j0]), sector)
         else:
@@ -300,20 +286,14 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
             while 0 <= j < n_im:
                 g = complex(re_vals[i], im_vals[j])
                 if is_pole(g):
-                    col_pole[j] = True
+                    pole_mask[i, j] = True
                 else:
                     prev = advance(prev, eig_cell(g, sector))
                     record(j, prev)
                 j += step
-        return (col_overlap_a, col_overlap_b, col_ea, col_eb,
-                col_parity, col_pole)
 
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        col_data = list(pool.map(run_column, range(n_re)))
-    for i, (ca, cb, ce, cf, cp, cm) in enumerate(col_data):
-        overlap_a[i], overlap_b[i] = ca, cb
-        energy_a[i], energy_b[i] = ce, cf
-        parity[i], pole_mask[i] = cp, cm | pole_mask[i]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run_column, range(n_re)))
 
     return OverlapGrid(L=L, re_vals=re_vals, im_vals=im_vals,
                        overlap_a=overlap_a, overlap_b=overlap_b,
@@ -413,13 +393,14 @@ def _continue_values(L: int, prev: np.ndarray, g0: complex, g1: complex,
                      depth: int, budget: _RefinementBudget) -> np.ndarray:
     cand = _signed_values(L, g1)
     cost = np.abs(prev[:, None] - cand[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    new = cand[cols[np.argsort(rows)]]
+    pick = np.argmin(cost, axis=1)
     srt = np.sort(cost, axis=1)
-    ambiguous = bool(np.any((srt[:, 1] == 0) |
-                            (srt[:, 0] > 0.5 * srt[:, 1])))
+    # every label strictly nearest to a distinct candidate: that choice is
+    # the unique optimal assignment, so it is accepted as it stands
+    ambiguous = (np.any((srt[:, 1] == 0) | (srt[:, 0] > 0.5 * srt[:, 1]))
+                 or np.unique(pick).size < pick.size)
     if not ambiguous:
-        return new
+        return cand[pick]
     if depth >= budget.per_step:
         raise AmbiguousContinuation(
             f"branch matching stayed ambiguous after {depth} bisections "
@@ -434,10 +415,11 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
                max_refinements: int = 12, orientation: int = 1) -> LoopResult:
     """Drag all quasi-energy branches around a circle and read the permutation.
 
-    Branches are continued by globally optimal nearest matching; a step
-    whose best and second-best candidate distances differ by less than
-    a factor of two is bisected, up to ``max_refinements`` levels,
-    after which :class:`AmbiguousContinuation` is raised.  The returned
+    Each branch is continued to its nearest candidate value.  A step is
+    bisected when some branch's best and second-best candidate distances
+    differ by less than a factor of two, or when two branches pick the
+    same candidate; after ``max_refinements`` levels of bisection
+    :class:`AmbiguousContinuation` is raised.  The returned
     permutation acts on the L positive-branch labels as
     :func:`xyep.chain.quasi_energies` numbers them at the loop's start
     point (mode I branches 1..L/2 are labels 0..L/2-1, then mode II);
@@ -460,9 +442,9 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
     for t in range(steps):
         vals = _continue_values(L, vals, gammas[t], gammas[t + 1], 0, budget)
 
-    cost = np.abs(vals[:, None] - start[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    perm2 = cols[np.argsort(rows)]
+    # the last step lands on gammas[0] itself, so vals is an exact
+    # reordering of start and each value finds its own copy
+    perm2 = np.argmin(np.abs(vals[:, None] - start[None, :]), axis=1)
     defect = float(np.max(np.abs(vals - start[perm2])))
     closed = defect <= 1e-8 * (1 + float(np.max(np.abs(start))))
 

@@ -1,8 +1,10 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import xyep.chain as chain_module
 from xyep.chain import (
     ChainSpec,
     build_quasi_hamiltonian,
@@ -226,10 +228,38 @@ def test_mode_coincidence_warning_at_gamma_zero():
         quasi_energies(ChainSpec(4, 0.0))
 
 
+def near_ep_messages(spec):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        quasi_energies(spec)
+    return [(w.category, str(w.message)) for w in caught]
+
+
 def test_near_ep_warning():
-    near = 0.6 + 0.8j + 1e-10
-    with pytest.warns(NearEPWarning):
-        quasi_energies(ChainSpec(4, near))
+    # one warning each, 1e-10 from an L = 4 EP and close to an L = 14 one
+    tail = "nearly coincide; an exceptional point may be close"
+    assert near_ep_messages(ChainSpec(4, 0.6 + 0.8j + 1e-10)) == [
+        (NearEPWarning, "mode II: boundary roots -2.49997e-06-0.499993j and "
+                        f"2.50004e-06-0.500008j {tail}")]
+    assert near_ep_messages(ChainSpec(14, -1.65121487112 + 3.11832745295j)) == [
+        (NearEPWarning, "mode I: boundary roots 0.891089+0.0882522j and "
+                        f"0.891089+0.0882525j {tail}")]
+
+
+def test_near_ep_warnings_list_close_pairs_in_row_major_order(monkeypatch):
+    # three mutually close roots and one far away: every close pair is
+    # reported once, first root first, in the order the roots are listed
+    xs = [0.5 + 0j, 0.3 + 0j, 0.5 + 2e-5j, 0.50003 + 0j]
+
+    def fake_points(spec, mode):
+        return [SimpleNamespace(x=x) for x in xs]
+
+    monkeypatch.setattr(chain_module, "mode_points", fake_points)
+    got = [msg for _, msg in near_ep_messages(ChainSpec(4, 0.3 + 0.2j))]
+    pairs = [(0, 2), (0, 3), (2, 3)]
+    assert got == [f"mode {mode}: boundary roots {xs[i]:.6g} and {xs[k]:.6g} "
+                   "nearly coincide; an exceptional point may be close"
+                   for mode in ("I", "II") for i, k in pairs]
 
 
 def test_real_gamma_spectra_real():

@@ -175,6 +175,17 @@ def test_overlap_map_thread_count_invisible_in_data(tmp_path, capsys):
     assert data_lines(p1) == data_lines(p2)
 
 
+def test_overlap_map_threads_default_and_refusal(capsys):
+    base = ["overlap-map", "--L", "4", "--re-min", "0.55", "--re-max", "0.65",
+            "--im-min", "0.75", "--im-max", "0.85", "--n-re", "3",
+            "--n-im", "3"]
+    code, out, _ = run_cli(base, capsys)
+    assert code == 0 and "# threads: 1\n" in out
+    code, out, err = run_cli(base + ["--threads", "0"], capsys)
+    assert code == 2 and out == ""
+    assert "threads must be at least 1" in err
+
+
 def test_oracle_compare_reports_pass(capsys):
     code, out, _ = run_cli(["oracle-compare", "--L", "4", "--samples", "6",
                             "--seed", "3"], capsys)

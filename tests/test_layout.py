@@ -1,6 +1,8 @@
-"""Module layout: no module of the package imports another's private names."""
+"""Module layout: private names stay private, and the runtime needs only numpy."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "xyep"
@@ -27,3 +29,35 @@ def test_no_module_imports_private_helpers():
     assert files
     found = [hit for path in files for hit in private_imports(path)]
     assert found == []
+
+
+def foreign_imports(path: Path) -> list[str]:
+    """Absolute imports of anything but numpy and the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            top = module.split(".")[0]
+            if top != "numpy" and top not in sys.stdlib_module_names:
+                found.append(f"{path.name}:{node.lineno} imports {module}")
+    return found
+
+
+def test_package_imports_only_numpy_and_stdlib():
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in foreign_imports(path)]
+    assert found == []
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, xyep, xyep.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -4,15 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import xyep.chain as chain_module
+import xyep.topology as topology_module
 from xyep.chain import ChainSpec, quasi_energies
 from xyep.ep import locate_eps
 from xyep.oracle import build_spin_hamiltonian, parity_sectors
 from xyep.errors import (AmbiguousContinuation, DegenerateInput, SizeLimit,
                          ZeroVector)
-from xyep.topology import (branch_scaling_probe, overlap_grid, phase_rigidity,
-                           resolve_threads, sheet_stitch, track_loop)
+from xyep.topology import (_nearest_pair, branch_scaling_probe, overlap_grid,
+                           phase_rigidity, sheet_stitch, track_loop)
 
 L4_EP = 0.6 + 0.8j
 RNG = np.random.default_rng(7)
@@ -35,16 +37,20 @@ def test_phase_rigidity_basic_identities():
         phase_rigidity(np.zeros(4))
 
 
-def test_resolve_threads_precedence(monkeypatch):
-    monkeypatch.delenv("XYEP_THREADS", raising=False)
-    assert resolve_threads(None) == 1
-    assert resolve_threads(6) == 6
-    assert resolve_threads(0) == 1
-    monkeypatch.setenv("XYEP_THREADS", "4")
-    assert resolve_threads(None) == 4
-    assert resolve_threads(2) == 2          # explicit argument wins
-    monkeypatch.setenv("XYEP_THREADS", "not-a-number")
-    assert resolve_threads(None) == 1
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=10), min_size=2, max_size=12),
+       st.complex_numbers(max_magnitude=10), st.complex_numbers(max_magnitude=10))
+def test_nearest_pair_is_the_best_distinct_pair(values, ea, eb):
+    values = np.array(values)
+    i, j = _nearest_pair(values, ea, eb)
+    assert i != j
+
+    def cost(a, b):
+        return abs(values[a] - ea) + abs(values[b] - eb)
+
+    best = min(cost(a, b) for a in range(values.size)
+               for b in range(values.size) if a != b)
+    assert cost(i, j) == best
 
 
 def test_overlap_grid_strip_through_ep():
@@ -147,6 +153,9 @@ def test_overlap_grid_limits_and_validation():
         overlap_grid(10, 0, 1, 0, 1, 3, 3)
     with pytest.raises(DegenerateInput):
         overlap_grid(4, 0, 1, 0, 1, 1, 3)
+    for threads in (0, -2):
+        with pytest.raises(DegenerateInput, match="threads"):
+            overlap_grid(4, 0.55, 0.65, 0.75, 0.85, 5, 5, threads=threads)
 
 
 def test_overlap_grid_thread_count_does_not_change_values():
@@ -205,6 +214,47 @@ def test_track_loop_validation():
         track_loop(4, 0.2, 0.05, steps=4)
     with pytest.raises(DegenerateInput):
         track_loop(4, 0.2, 0.05, orientation=0)
+
+
+def gliding_values(a0: complex, b0: complex, sigma: float):
+    """Fake signed values on a loop centred at gamma = 0.
+
+    Up to the angle fraction ``sigma`` the values are 0, 1, 10, 20, ...;
+    past it the first two jump to a0 and b0 and then glide back to 0 and
+    1 by the end of the loop, so the loop closes on the identity.
+    """
+    def values(L, g):
+        vals = np.concatenate([[0, 1], 10.0 * np.arange(1, 2 * L - 1)])
+        vals = vals.astype(complex)
+        s = (np.angle(g) / (2 * np.pi)) % 1.0
+        if s >= sigma:
+            u = (s - sigma) / (1 - sigma)
+            vals[0] = (1 - u) * a0
+            vals[1] = (1 - u) * b0 + u
+        return vals
+
+    return values
+
+
+def test_track_loop_bisects_when_two_labels_share_a_nearest_candidate(
+        monkeypatch):
+    # the jump happens between the first two loop points
+    steps = 64
+    sigma = 0.9 / steps
+    # a jump of the same size in which each label keeps its own nearest
+    # candidate is accepted as it stands
+    monkeypatch.setattr(topology_module, "_signed_values",
+                        gliding_values(0.2, 1.2, sigma))
+    clean = track_loop(4, 0, 0.5, steps=steps)
+    assert clean.permutation == [0, 1, 2, 3] and clean.refinements == 0
+    # 0.45 is the clear nearest candidate of both 0 and 1 (0.5+2i is more
+    # than twice as far from each), so the two labels collide; every
+    # bisection of that step still straddles the jump, so it stays a
+    # collision until the refinement budget runs out
+    monkeypatch.setattr(topology_module, "_signed_values",
+                        gliding_values(0.45, 0.5 + 2j, sigma))
+    with pytest.raises(AmbiguousContinuation):
+        track_loop(4, 0, 0.5, steps=steps)
 
 
 def test_track_loop_through_ep_is_ambiguous():
