@@ -100,7 +100,7 @@ def cmd_ep_table(args) -> int:
 
 def cmd_overlap_map(args) -> int:
     grid = overlap_grid(args.L, args.re_min, args.re_max, args.im_min,
-                        args.im_max, args.n_re, args.n_im, threads=args.threads)
+                        args.im_max, args.n_re, args.n_im)
     config = {
         "command": "overlap-map",
         "version": __version__,
@@ -108,17 +108,13 @@ def cmd_overlap_map(args) -> int:
         "re_min": fmt_real(args.re_min), "re_max": fmt_real(args.re_max),
         "im_min": fmt_real(args.im_min), "im_max": fmt_real(args.im_max),
         "n_re": args.n_re, "n_im": args.n_im,
-        "threads": args.threads,
         "tracked_a": "".join(map(str, grid.occupation_a)),
         "tracked_b": "".join(map(str, grid.occupation_b)),
     }
-    rows = []
-    for i in range(args.n_re):
-        for j in range(args.n_im):
-            ov = grid.overlap_a[i, j]
-            rows.append([float(grid.re_vals[i]), float(grid.im_vals[j]),
-                         float(ov.real), float(ov.imag), float(abs(ov))])
-    cols = ["re_gamma", "im_gamma", "re_overlap", "im_overlap", "abs_overlap"]
+    rows = [[float(re), float(im), float(grid.overlap_a[i, j])]
+            for i, re in enumerate(grid.re_vals)
+            for j, im in enumerate(grid.im_vals)]
+    cols = ["re_gamma", "im_gamma", "abs_overlap"]
     _emit(csv_text(config, cols, rows), args.out)
     return 0
 
@@ -281,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ep_table)
 
     p = sub.add_parser("overlap-map",
-                       help="tracked-pair overlap over a gamma rectangle")
+                       help="pair rigidity |v.v| / (v*.v) over a gamma rectangle")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--re-min", type=float, required=True)
     p.add_argument("--re-max", type=float, required=True)
@@ -289,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--im-max", type=float, required=True)
     p.add_argument("--n-re", type=int, default=21)
     p.add_argument("--n-im", type=int, default=21)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_overlap_map)
 

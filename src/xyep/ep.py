@@ -25,11 +25,12 @@ from .chain import (
     mode_arrays,
     mode_points,
 )
-from .basis import column_from_halves, mode_pair
+from .basis import MANY_BODY_LIMIT, column_from_halves, mode_pair
 from .errors import (
     ChainResidualTooLarge,
     DegenerateInput,
     SingularVEP,
+    SizeLimit,
 )
 from .polyalg import double_roots
 
@@ -359,7 +360,13 @@ class EPStateCatalog:
 
 
 def ep_state_catalog(spec: ChainSpec, ep: EPRecord) -> EPStateCatalog:
-    """Enumerate sectors, occupations, and energies at an exceptional point."""
+    """Enumerate sectors, occupations, and energies at an exceptional point.
+
+    The catalog holds 3 * 2^(L-2) entries, so chains longer than
+    ``basis.MANY_BODY_LIMIT`` raise :class:`SizeLimit` before any work.
+    """
+    if spec.L > MANY_BODY_LIMIT:
+        raise SizeLimit(f"EP state catalog capped at L = {MANY_BODY_LIMIT}")
     jd = jordan_decomposition(spec, ep)
     slots = [(c.mode, c.epsilon)
              for c in jd.columns[: jd.chain_start][0::2]]

@@ -1,20 +1,22 @@
 """Parameter-space topology: rigidity maps, monodromy loops, branch scaling.
 
 The quantities here probe how eigenstates move when the anisotropy is
-varied in the complex plane: the bilinear self-overlap of a tracked
-many-body state (which vanishes at an exceptional point), the
-permutation of quasi-energy labels around closed loops, and the
-square-root scaling of the level splitting near a defective parameter.
+varied in the complex plane: the bilinear self-overlap of a many-body
+state (which vanishes at an exceptional point), the permutation of
+quasi-energy labels around closed loops, and the square-root scaling of
+the level splitting near a defective parameter.  Everything is computed
+from the closed-form mode data; the spin space serves only as an oracle
+in the tests.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MODES, ChainSpec, mode_points
+from .basis import column_from_halves
+from .chain import MODES, ChainSpec, mode_arrays, mode_points
 from .ep import EPRecord, coalescing_pair, locate_eps
 from .errors import (
     AmbiguousContinuation,
@@ -22,7 +24,6 @@ from .errors import (
     SizeLimit,
     ZeroVector,
 )
-from .oracle import build_spin_hamiltonian, ed_eigen, parity_sectors
 
 __all__ = [
     "OverlapGrid",
@@ -54,24 +55,18 @@ def phase_rigidity(v: np.ndarray) -> complex:
     return complex((v @ v) / d)
 
 
-def _nearest_pair(values: np.ndarray, ea: complex,
-                  eb: complex) -> tuple[int, int]:
-    """Distinct indices (i, j) minimizing |values[i] - ea| + |values[j] - eb|."""
-    cost = np.abs(values - ea)[:, None] + np.abs(values - eb)[None, :]
-    np.fill_diagonal(cost, np.inf)
-    i, j = np.unravel_index(np.argmin(cost), cost.shape)
-    return int(i), int(j)
-
-
 @dataclass(frozen=True)
 class OverlapGrid:
-    """Tracked-pair overlap data over a rectangle of anisotropies.
+    """Rigidity and energy of a merging pair over a rectangle of anisotropies.
 
-    ``overlap_a[i, j]`` is the complex self-overlap of the first
-    tracked state at gamma = re_vals[i] + 1j * im_vals[j]; cells inside
-    ``pole_mask`` sit within the excluded discs around gamma = +-1 and
-    hold NaN.  ``parity`` records which tracked state currently sorts
-    first, whose sign changes delineate the branch-cut seam.
+    ``overlap_a[i, j]`` is the self-overlap magnitude |v.v| / (v*.v) of
+    the state of pattern ``occupation_a`` at gamma = re_vals[i] +
+    1j * im_vals[j] (real: the phase of v.v is a gauge choice), and
+    ``energy_a`` its energy; likewise for b.  The labels are read per
+    cell, so ``parity``, which records whether the b energy sorts first,
+    changes sign across the branch-cut seam, one ray ending at the EP.
+    Cells inside ``pole_mask`` sit within the excluded discs around
+    gamma = +-1 and hold NaN.
     """
 
     L: int
@@ -110,62 +105,97 @@ def _default_selector(L: int, center: complex):
     return ep, tuple(a), tuple(b)
 
 
-def _pair_energies_at(spec: ChainSpec, ep: EPRecord,
-                      pattern_a, pattern_b) -> tuple[complex, complex]:
-    """Analytic energies of the two tracked patterns at one anisotropy.
+def _slot_columns(spec: ChainSpec, ep: EPRecord):
+    """Quasi-energies and the +eps / -eps columns of V for all L slots.
 
-    Slots of the degenerate mode start with the two branches closest to
-    coalescing (:func:`xyep.ep.coalescing_pair`); the remaining slots
-    of both modes keep branch order.  This pins the tracked pair near
-    the EP without reference to any previous cell.
+    Slots of the EP's mode start with its coalescing pair
+    (:func:`xyep.ep.coalescing_pair`, nearest first); every other slot
+    keeps branch order, mode I before mode II.  Columns are left
+    unnormalized: only their span is used, so the bilinearly null
+    column at an exact EP needs no special case.
     """
-    out = []
+    eps, phis, psis = [], [], []
     for mode in MODES:
         points = mode_points(spec, mode)
         if mode == ep.mode:
             pair, rest = coalescing_pair(points, ep)
             points = pair + rest
-        out.extend(p.epsilon for p in points)
-    eps_arr = np.array(out)
+        for p in points:
+            phi, psi, _ = mode_arrays(spec, mode, p.epsilon, p.x)
+            eps.append(p.epsilon)
+            phis.append(phi[0])
+            psis.append(psi[0])
+    phis, psis = np.array(phis).T, np.array(psis).T
+    return (np.array(eps), column_from_halves(phis, psis),
+            column_from_halves(-phis, psis))
 
-    def energy(pattern):
-        signs = 2 * np.array(pattern) - 1
-        return complex(0.5 * signs @ eps_arr)
 
-    return energy(pattern_a), energy(pattern_b)
+def _annihilator_span(plus: np.ndarray, minus: np.ndarray,
+                      pattern) -> np.ndarray:
+    """Orthonormal basis of the columns annihilating a pattern's state.
+
+    That is the +eps column of every empty slot and the -eps column of
+    every filled one.
+    """
+    return np.linalg.qr(np.where(np.array(pattern, dtype=bool), minus, plus))[0]
 
 
-def _shared_sector(L: int, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """The parity sector holding the support of both state vectors."""
-    even, odd = parity_sectors(L)
-    for sector, other in ((even, odd), (odd, even)):
-        if not np.any(va[other]) and not np.any(vb[other]):
-            return sector
-    raise DegenerateInput("the tracked pair does not lie in one parity sector")
+def _fermion_parity(q: np.ndarray) -> int:
+    """Fermion parity (+-1) of the state annihilated by the span of q.
+
+    Rows of q are the c_j then c_j^+ coefficients, and the columns
+    anticommute, so with G swapping the two halves [q, G conj(q)] is
+    orthogonal under G; its determinant is +-1, with the sign of the
+    state's parity relative to the vacuum of all c_j.
+    """
+    L = q.shape[1]
+    t = np.hstack([q, np.conj(np.vstack([q[L:], q[:L]]))])
+    return 1 if np.linalg.det(t).real > 0 else -1
+
+
+def _cell(spec: ChainSpec, ep: EPRecord, pat_a, pat_b, sector: int):
+    """Rigidity and energy of both patterns' states at one anisotropy.
+
+    Slot signs follow the principal quasi-energy branch (Re eps >= 0),
+    which flips a slot's sign wherever its Re eps crosses zero and so
+    moves a pattern's state into the other parity sector.  When the
+    states' fermion parity is not ``sector``, the slot nearest that cut
+    (smallest |Re eps|) takes the other sign.  The self-overlap
+    |v.v| / (v*.v) of a state is sqrt|det(Q^T Q)|, Q an orthonormal
+    basis of its annihilators.
+    """
+    eps, plus, minus = _slot_columns(spec, ep)
+    q_a = _annihilator_span(plus, minus, pat_a)
+    if _fermion_parity(q_a) != sector:
+        k = int(np.argmin(np.abs(eps.real)))
+        eps[k] = -eps[k]
+        plus[:, k], minus[:, k] = minus[:, k], plus[:, k].copy()
+        q_a = _annihilator_span(plus, minus, pat_a)
+    out = []
+    for pattern, q in ((pat_a, q_a),
+                       (pat_b, _annihilator_span(plus, minus, pat_b))):
+        signs = np.where(np.array(pattern, dtype=bool), 0.5, -0.5)
+        out.append((float(np.sqrt(abs(np.linalg.det(q.T @ q)))),
+                    complex(signs @ eps)))
+    return out
 
 
 def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
                  im_max: float, n_re: int, n_im: int,
                  selector=None, threads: int = 1) -> OverlapGrid:
-    """Track a merging pair of eigenstates over a rectangle of gamma.
+    """Rigidity and energy of a merging pair of eigenstates over a rectangle.
 
-    The pair is anchored analytically at the grid cell nearest the
-    selected EP, where the occupation patterns identify it without
-    ambiguity, and continued outward by continuity: along the anchor
-    row across columns, then column by column away from the anchor
-    row.  (Seeding at a far corner instead can latch onto branches
-    that never merge, because the pattern labels rely on orderings
-    that are only locally stable around the EP.)  The tracked vectors
-    are phase-aligned along each path so the complex overlap varies
-    continuously away from the seam.  Cells within 1e-2 of
-    gamma = +-1 are masked as poles.
-
-    The Hamiltonian conserves the parity of the number of down spins,
-    so the anchor pair's support fixes one 2^(L-1) parity sector and
-    every other cell is diagonalized in that sector alone; a pair whose
-    two states lie in different sectors raises :class:`DegenerateInput`.
-    Columns run on ``threads`` worker threads; the count never changes
-    the values.
+    Every cell is evaluated on its own from the closed-form mode data
+    (:func:`_cell`); nothing is continued from one cell to the next.
+    The a and b labels are the two occupation patterns over slots that
+    start with the EP mode's coalescing pair, nearest the EP root
+    first, so the pair's energies exchange across a seam that is one
+    ray ending at the EP.  Both patterns must have the same popcount
+    parity, i.e. lie in one parity sector of the spin space, else
+    :class:`DegenerateInput` is raised; the sector is read once, at the
+    usable cell nearest the EP, and kept in every cell.  Cells within
+    1e-2 of gamma = +-1 are masked as poles.  ``threads`` must be at
+    least 1 and has no other effect.
     """
     if L > _GRID_SIZE_LIMIT:
         raise SizeLimit(f"overlap grids are capped at L = {_GRID_SIZE_LIMIT}")
@@ -180,120 +210,33 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
         ep, pat_a, pat_b = _default_selector(L, center)
     else:
         ep, pat_a, pat_b = selector
+    if len(pat_a) != L or len(pat_b) != L:
+        raise DegenerateInput(f"occupation patterns need {L} slots")
+    if sum(pat_a) % 2 != sum(pat_b) % 2:
+        raise DegenerateInput("the pair does not lie in one parity sector")
+
+    gammas = re_vals[:, None] + 1j * im_vals[None, :]
+    pole_mask = ((np.abs(gammas - 1) < POLE_RADIUS)
+                 | (np.abs(gammas + 1) < POLE_RADIUS))
+    cells = list(zip(*np.nonzero(~pole_mask)))
+    if not cells:
+        raise DegenerateInput("every grid cell sits inside a pole disc")
+    nearest = min(cells, key=lambda c: abs(gammas[c] - ep.gamma))
+    _, plus, minus = _slot_columns(ChainSpec(L, complex(gammas[nearest])), ep)
+    sector = _fermion_parity(_annihilator_span(plus, minus, pat_a))
 
     shape = (n_re, n_im)
-    overlap_a = np.full(shape, np.nan, dtype=complex)
-    overlap_b = np.full(shape, np.nan, dtype=complex)
+    overlap_a = np.full(shape, np.nan)
+    overlap_b = np.full(shape, np.nan)
     energy_a = np.full(shape, np.nan, dtype=complex)
     energy_b = np.full(shape, np.nan, dtype=complex)
     parity = np.zeros(shape, dtype=np.int8)
-    pole_mask = np.zeros(shape, dtype=bool)
-
-    def is_pole(g: complex) -> bool:
-        return abs(g - 1) < POLE_RADIUS or abs(g + 1) < POLE_RADIUS
-
-    def eig_cell(g: complex, sector: np.ndarray | None):
-        H = build_spin_hamiltonian(L, g)
-        if sector is not None:
-            H = H[np.ix_(sector, sector)]
-        return ed_eigen(H, want_vectors=True)
-
-    def seed_pair(g: complex, sector: np.ndarray | None):
-        spec = ChainSpec(L, g)
-        ea, eb = _pair_energies_at(spec, ep, pat_a, pat_b)
-        res = eig_cell(g, sector)
-        ia, ib = _nearest_pair(res.values, ea, eb)
-        return ((res.values[ia], res.vectors[:, ia].copy()),
-                (res.values[ib], res.vectors[:, ib].copy()))
-
-    def advance(prev, res):
-        """Match the tracked pair into the next cell's eigensystem."""
-        (ea, va), (eb, vb) = prev
-        out = []
-        cols = _nearest_pair(res.values, ea, eb)
-        for tracked_vec, col in zip((va, vb), cols):
-            v = res.vectors[:, col].copy()
-            ip = np.vdot(tracked_vec, v)
-            if abs(ip) > 0:
-                v *= np.conj(ip) / abs(ip)
-            out.append((res.values[col], v))
-        return tuple(out)
-
-    # anchor cell: non-pole cell nearest the EP, preferring one at least
-    # half a cell diagonal away so its eigenvectors are not defective
-    dre = re_vals[1] - re_vals[0] if n_re > 1 else 0.0
-    dim = im_vals[1] - im_vals[0] if n_im > 1 else 0.0
-    half_diag = 0.5 * float(np.hypot(dre, dim))
-    candidates = [(i, j) for i in range(n_re) for j in range(n_im)
-                  if not is_pole(complex(re_vals[i], im_vals[j]))]
-    if not candidates:
-        raise DegenerateInput("every grid cell sits inside a pole disc")
-
-    def ep_dist(cell):
-        return abs(complex(re_vals[cell[0]], im_vals[cell[1]]) - ep.gamma)
-
-    offset = [c for c in candidates if ep_dist(c) >= half_diag]
-    anchor_i, anchor_j = min(offset or candidates, key=ep_dist)
-
-    # anchor: seed over the full space, read off the pair's sector and
-    # keep only that sector's components
-    (ea0, va0), (eb0, vb0) = seed_pair(
-        complex(re_vals[anchor_i], im_vals[anchor_j]), None)
-    sector = _shared_sector(L, va0, vb0)
-
-    # anchor row: continuity-track left and right of the anchor
-    row_pairs: list = [None] * n_re
-    row_pairs[anchor_i] = ((ea0, va0[sector]), (eb0, vb0[sector]))
-    for step in (1, -1):
-        prev = row_pairs[anchor_i]
-        i = anchor_i + step
-        while 0 <= i < n_re:
-            g = complex(re_vals[i], im_vals[anchor_j])
-            if not is_pole(g):
-                prev = advance(prev, eig_cell(g, sector))
-                row_pairs[i] = prev
-            i += step
-
-    def run_column(i: int):
-        """Track column i, writing only row i of the result arrays."""
-
-        def record(j, cur):
-            (ea, va), (eb, vb) = cur
-            energy_a[i, j], energy_b[i, j] = ea, eb
-            overlap_a[i, j] = phase_rigidity(va)
-            overlap_b[i, j] = phase_rigidity(vb)
-            key_a, key_b = (ea.real, ea.imag), (eb.real, eb.imag)
-            parity[i, j] = 0 if key_a <= key_b else 1
-
-        start = row_pairs[i]
-        if start is None:
-            # anchor row blocked by a pole disc; seed at the nearest
-            # usable cell of this column instead
-            usable = [j for j in range(n_im)
-                      if not is_pole(complex(re_vals[i], im_vals[j]))]
-            for j in range(n_im):
-                pole_mask[i, j] = j not in usable
-            if not usable:
-                return
-            j0 = min(usable, key=lambda j: abs(j - anchor_j))
-            start = seed_pair(complex(re_vals[i], im_vals[j0]), sector)
-        else:
-            j0 = anchor_j
-        record(j0, start)
-        for step in (1, -1):
-            prev = start
-            j = j0 + step
-            while 0 <= j < n_im:
-                g = complex(re_vals[i], im_vals[j])
-                if is_pole(g):
-                    pole_mask[i, j] = True
-                else:
-                    prev = advance(prev, eig_cell(g, sector))
-                    record(j, prev)
-                j += step
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run_column, range(n_re)))
+    for c in cells:
+        (ra, ea), (rb, eb) = _cell(ChainSpec(L, complex(gammas[c])), ep,
+                                   pat_a, pat_b, sector)
+        overlap_a[c], overlap_b[c] = ra, rb
+        energy_a[c], energy_b[c] = ea, eb
+        parity[c] = 0 if (ea.real, ea.imag) <= (eb.real, eb.imag) else 1
 
     return OverlapGrid(L=L, re_vals=re_vals, im_vals=im_vals,
                        overlap_a=overlap_a, overlap_b=overlap_b,

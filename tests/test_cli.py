@@ -160,30 +160,26 @@ def test_loop_json_fields(tmp_path, capsys):
     assert doc["sign_flips"] == [False] * 4
 
 
-def test_overlap_map_thread_count_invisible_in_data(tmp_path, capsys):
-    base = ["overlap-map", "--L", "4", "--re-min", "0.55", "--re-max", "0.65",
-            "--im-min", "0.75", "--im-max", "0.85", "--n-re", "5",
-            "--n-im", "5"]
-    p1, p2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-    assert run_cli(base + ["--threads", "1", "--out", str(p1)], capsys)[0] == 0
-    assert run_cli(base + ["--threads", "2", "--out", str(p2)], capsys)[0] == 0
-
-    def data_lines(p):
-        return [l for l in p.read_text().splitlines()
-                if not l.startswith("# threads:")]
-
-    assert data_lines(p1) == data_lines(p2)
-
-
-def test_overlap_map_threads_default_and_refusal(capsys):
+def test_overlap_map_writes_the_rigidity_magnitude(capsys):
+    from xyep.topology import overlap_grid
     base = ["overlap-map", "--L", "4", "--re-min", "0.55", "--re-max", "0.65",
             "--im-min", "0.75", "--im-max", "0.85", "--n-re", "3",
             "--n-im", "3"]
-    code, out, _ = run_cli(base, capsys)
-    assert code == 0 and "# threads: 1\n" in out
-    code, out, err = run_cli(base + ["--threads", "0"], capsys)
-    assert code == 2 and out == ""
-    assert "threads must be at least 1" in err
+    code, out, err = run_cli(base, capsys)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert not any(l.startswith("# threads") for l in lines)
+    header = lines.index("re_gamma,im_gamma,abs_overlap")
+    rows = [[float(c) for c in l.split(",")] for l in lines[header + 1:]]
+    grid = overlap_grid(4, 0.55, 0.65, 0.75, 0.85, 3, 3)
+    assert [r[2] for r in rows] == pytest.approx(grid.overlap_a.ravel().tolist(),
+                                                 rel=1e-9, abs=1e-15)
+    assert [(r[0], r[1]) for r in rows] == [
+        (pytest.approx(re), pytest.approx(im))
+        for re in grid.re_vals for im in grid.im_vals]
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_oracle_compare_reports_pass(capsys):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import xyep.ep as ep_module
 from xyep.chain import ChainSpec, gamma_to_lambda, lambda_to_gamma, mode_points
 from xyep.ep import (coalescing_pair, ep_ground_energy, ep_state_catalog,
                      ep_table_rows,
                      generalized_eigenvector, jordan_decomposition,
                      locate_eps, reference_ep_gammas)
-from xyep.errors import DegenerateInput, XYEPWarning
+from xyep.basis import MANY_BODY_LIMIT
+from xyep.errors import DegenerateInput, SizeLimit, XYEPWarning
 from xyep.oracle import build_spin_hamiltonian
 
 L4_EP_GAMMA = 0.6 + 0.8j
@@ -236,6 +238,18 @@ def test_ep_ground_energy_matches_ed():
         pytest.approx(ground.real, abs=1e-12)
     ed_vals = np.linalg.eigvals(build_spin_hamiltonian(4, ep.gamma))
     assert min(abs(v - ground) for v in ed_vals) < 1e-10
+
+
+def test_ep_state_catalog_size_guard_refuses_before_any_work(monkeypatch):
+    L = MANY_BODY_LIMIT + 2
+    ep = locate_eps(L, "II")[0]
+
+    def refuse(*args):
+        raise AssertionError("jordan_decomposition ran past the size guard")
+
+    monkeypatch.setattr(ep_module, "jordan_decomposition", refuse)
+    with pytest.raises(SizeLimit):
+        ep_state_catalog(quiet_spec(L, ep.gamma), ep)
 
 
 def test_ep_table_rows_flatten():

@@ -61,3 +61,26 @@ def test_import_loads_no_scipy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def oracle_importers() -> list[str]:
+    """Modules of the package that import the dense spin-space oracle."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                # a relative import inside the package is one level deep
+                module = ".".join(filter(None, ["xyep" if node.level else "",
+                                                node.module]))
+                names = [module] + [f"{module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "xyep.oracle" in names:
+                found.add(path.name)
+    return sorted(found)
+
+
+def test_spin_space_oracle_is_imported_only_by_cli_and_package():
+    assert set(oracle_importers()) <= {"cli.py", "__init__.py"}

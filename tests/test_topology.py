@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import xyep.chain as chain_module
 import xyep.topology as topology_module
@@ -13,8 +12,8 @@ from xyep.ep import locate_eps
 from xyep.oracle import build_spin_hamiltonian, parity_sectors
 from xyep.errors import (AmbiguousContinuation, DegenerateInput, SizeLimit,
                          ZeroVector)
-from xyep.topology import (_nearest_pair, branch_scaling_probe, overlap_grid,
-                           phase_rigidity, sheet_stitch, track_loop)
+from xyep.topology import (branch_scaling_probe, overlap_grid, phase_rigidity,
+                           sheet_stitch, track_loop)
 
 L4_EP = 0.6 + 0.8j
 RNG = np.random.default_rng(7)
@@ -35,22 +34,6 @@ def test_phase_rigidity_basic_identities():
     assert abs(phase_rigidity(np.array([1.0, 1j]))) < 1e-15
     with pytest.raises(ZeroVector):
         phase_rigidity(np.zeros(4))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.complex_numbers(max_magnitude=10), min_size=2, max_size=12),
-       st.complex_numbers(max_magnitude=10), st.complex_numbers(max_magnitude=10))
-def test_nearest_pair_is_the_best_distinct_pair(values, ea, eb):
-    values = np.array(values)
-    i, j = _nearest_pair(values, ea, eb)
-    assert i != j
-
-    def cost(a, b):
-        return abs(values[a] - ea) + abs(values[b] - eb)
-
-    best = min(cost(a, b) for a in range(values.size)
-               for b in range(values.size) if a != b)
-    assert cost(i, j) == best
 
 
 def test_overlap_grid_strip_through_ep():
@@ -165,6 +148,119 @@ def test_overlap_grid_thread_count_does_not_change_values():
     assert np.array_equal(g1.overlap_a, g2.overlap_a, equal_nan=True)
     assert np.array_equal(g1.overlap_b, g2.overlap_b, equal_nan=True)
     assert np.array_equal(g1.parity, g2.parity)
+
+
+def test_overlap_grid_energies_are_the_pattern_energies():
+    # each cell's energies are the two occupation patterns' energies, the
+    # EP mode's slots starting at the two branches nearest the EP root;
+    # where a principal-branch sign would put the pair into the other
+    # parity sector, the slot nearest its cut (smallest |Re eps|) is
+    # negated instead, which happens on this grid at four corner cells
+    grid = overlap_grid(4, 0.3, 0.9, 0.5, 1.1, 7, 7)
+    ep = min(locate_eps(4, "both"), key=lambda r: abs(r.gamma - grid.ep_gamma))
+    # the sector, read one cell from the EP, where levels are simple
+    i0 = int(np.argmin(np.abs(grid.re_vals - ep.gamma.real))) + 1
+    j0 = int(np.argmin(np.abs(grid.im_vals - ep.gamma.imag)))
+    blocks = [np.ix_(s, s) for s in parity_sectors(4)]
+
+    def sector_values(g):
+        H = build_spin_hamiltonian(4, g)
+        return [np.linalg.eigvals(H[b]) for b in blocks]
+
+    def holds(values, energy, tol=1e-10):
+        return np.min(np.abs(values - energy)) < tol
+
+    at_ep = sector_values(complex(grid.re_vals[i0], grid.im_vals[j0]))
+    sector = [k for k in (0, 1) if holds(at_ep[k], grid.energy_a[i0, j0])]
+    assert len(sector) == 1
+    negated = set()
+    for i, re in enumerate(grid.re_vals):
+        for j, im in enumerate(grid.im_vals):
+            g = complex(re, im)
+            pts = quasi_energies(ChainSpec(4, g), warn=False)
+            eps = []
+            for mode in ("I", "II"):
+                mine = [p for p in pts if p.mode == mode]
+                if mode == ep.mode:
+                    mine.sort(key=lambda p: abs(p.x - ep.x))
+                eps.extend(p.epsilon for p in mine)
+            eps = np.array(eps)
+
+            def energy(pattern):
+                return 0.5 * np.where(np.array(pattern) == 1, 1, -1) @ eps
+
+            # dense levels of the defective EP cell carry half the digits
+            tol = 1e-6 if abs(g - ep.gamma) < 1e-9 else 1e-10
+            values = sector_values(g)[sector[0]]
+            if not holds(values, energy(grid.occupation_a), tol):
+                k = int(np.argmin(np.abs(eps.real)))
+                eps[k] = -eps[k]
+                negated.add(g)
+            for pattern, got in ((grid.occupation_a, grid.energy_a[i, j]),
+                                 (grid.occupation_b, grid.energy_b[i, j])):
+                assert abs(got - energy(pattern)) < 1e-12
+                assert holds(values, got, tol)
+    assert negated == {complex(grid.re_vals[i], grid.im_vals[j])
+                       for i, j in ((0, 0), (0, 1), (0, 2), (1, 0))}
+
+
+def test_overlap_grid_is_symmetric_under_conjugate_gamma():
+    # H(conj gamma) = conj H(gamma): on a window symmetric about the real
+    # axis the pair's energies are conjugate and its rigidities equal
+    grid = overlap_grid(4, 0.95, 1.05, -0.05, 0.05, 5, 5)
+    n = grid.im_vals.size
+    for i in range(grid.re_vals.size):
+        for j in range(n):
+            if grid.pole_mask[i, j]:
+                continue
+            here = sorted(zip((grid.energy_a[i, j], grid.energy_b[i, j]),
+                              (grid.overlap_a[i, j], grid.overlap_b[i, j])),
+                          key=lambda t: (t[0].real, t[0].imag))
+            there = sorted(zip((grid.energy_a[i, n - 1 - j].conjugate(),
+                                grid.energy_b[i, n - 1 - j].conjugate()),
+                               (grid.overlap_a[i, n - 1 - j],
+                                grid.overlap_b[i, n - 1 - j])),
+                           key=lambda t: (t[0].real, t[0].imag))
+            for (e1, r1), (e2, r2) in zip(here, there):
+                assert abs(e1 - e2) < 1e-10 and abs(r1 - r2) < 1e-10
+
+
+def test_rigidity_matches_full_space_ed_vectors():
+    # random occupation pairs in both parity sectors at random anisotropies;
+    # each state is found in a full 2^L dense solve by its energy, and
+    # levels without a clear gap are skipped
+    rng = np.random.default_rng(11)
+    checked, parities = 0, set()
+    for L in (4, 6, 8):
+        records = locate_eps(L, "both")
+        for _ in range(4):
+            g = complex(*rng.uniform(-3, 3, 2))
+            if min(abs(g - 1), abs(g + 1)) < 0.05:
+                continue
+            ep = min(records, key=lambda r: abs(r.gamma - g))
+            pat_a = tuple(int(b) for b in rng.integers(0, 2, L))
+            pat_b = list(rng.integers(0, 2, L))
+            if sum(pat_b) % 2 != sum(pat_a) % 2:
+                pat_b[0] ^= 1
+            pat_b = tuple(int(b) for b in pat_b)
+            parities.add(sum(pat_a) % 2)
+            grid = overlap_grid(L, g.real, g.real + 0.01, g.imag, g.imag + 0.01,
+                                2, 2, selector=(ep, pat_a, pat_b))
+            for i, re in enumerate(grid.re_vals):
+                for j, im in enumerate(grid.im_vals):
+                    vals, vecs = np.linalg.eig(
+                        build_spin_hamiltonian(L, complex(re, im)))
+                    for energy, rig in ((grid.energy_a[i, j], grid.overlap_a[i, j]),
+                                        (grid.energy_b[i, j], grid.overlap_b[i, j])):
+                        dist = np.abs(vals - energy)
+                        k = int(np.argmin(dist))
+                        assert dist[k] < 1e-9 * (1 + abs(energy))
+                        if np.sort(dist)[1] < 1e-2:
+                            continue
+                        ref = abs(phase_rigidity(vecs[:, k]))
+                        assert abs(rig - ref) < 1e-8
+                        checked += 1
+    assert parities == {0, 1} and checked >= 60
 
 
 def test_track_loop_around_ep_swaps_the_pair():
