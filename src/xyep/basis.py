@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (
+    MODES,
     ChainSpec,
-    ModeVector,
     SpectralPoint,
     build_quasi_hamiltonian,
-    mode_vector_poly,
+    mode_vectors,
     quasi_energies,
 )
 from .errors import DefectiveBasis, DegenerateInput, SizeLimit
@@ -29,7 +29,6 @@ __all__ = [
     "ManyBodySpectrum",
     "VacuumEnergy",
     "column_from_halves",
-    "mode_pair",
     "assemble_basis",
     "operator_coefficients",
     "anticommutator",
@@ -77,48 +76,32 @@ def column_from_halves(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.concatenate([top, bot])
 
 
-def mode_pair(spec: ChainSpec,
-              point: SpectralPoint) -> tuple[ModeVector, ModeVector]:
-    """Mode vectors of a positive-branch point and of its -eps partner.
-
-    The partner flips phi and keeps psi, so the pair relation holds
-    exactly.
-    """
-    mv = mode_vector_poly(spec, point)
-    return mv, ModeVector(mv.mode, -1, -mv.epsilon, -mv.phi, mv.psi,
-                          mv.scale, mv.boundary_residual)
-
-
 def assemble_basis(spec: ChainSpec, tol: float = 1e-6) -> BiorthogonalBasis:
     """Diagonalize M from the closed-form mode vectors.
 
-    Raises :class:`DefectiveBasis` when ||V V^T - I|| exceeds ``tol``,
-    which is the numerical signature of an exceptional point.
+    One :func:`xyep.chain.mode_vectors` call per mode gives the +eps
+    columns; each -eps partner is (-phi, psi), exactly.  Raises
+    :class:`DefectiveBasis` when ||V V^T - I|| exceeds ``tol``, which is
+    the numerical signature of an exceptional point.
     """
     L = spec.L
     plus_points = quasi_energies(spec)
-    points, lams = [], []
-    phis = np.zeros((L, 2 * L), dtype=complex)
-    psis = np.zeros((L, 2 * L), dtype=complex)
-    for pt in plus_points:
-        try:
-            pair = mode_pair(spec, pt)
-        except DegenerateInput as exc:
-            # at an exact EP the mode vector is bilinearly null and cannot
-            # be normalized; report that as a defective basis, which is the
-            # signal callers are told to expect near exceptional couplings
-            raise DefectiveBasis(
-                f"mode (mode={pt.mode}, branch={pt.branch}) is bilinearly "
-                "null; the spectrum is defective here") from exc
-        for signed, mvec in zip((pt, pt.negated()), pair):
-            idx = len(points)
-            phis[:, idx] = mvec.phi
-            psis[:, idx] = mvec.psi
-            points.append(signed)
-            lams.append(signed.epsilon)
+    try:
+        # each mode's +eps halves, every column doubled for its -eps partner
+        phis, psis = (np.repeat(np.hstack(h), 2, axis=1) for h in zip(*[
+            mode_vectors(spec, m, [p for p in plus_points if p.mode == m])[:2]
+            for m in MODES]))
+    except DegenerateInput as exc:
+        # at an exact EP a mode vector is bilinearly null and cannot be
+        # normalized; report that as a defective basis, which is the
+        # signal callers are told to expect near exceptional couplings
+        raise DefectiveBasis("a mode vector is bilinearly null; the "
+                             "spectrum is defective here") from exc
+    np.negative(phis[:, 1::2], out=phis[:, 1::2])    # partner: (-phi, psi)
+    points = [q for p in plus_points for q in (p, p.negated())]
+    Lambda = np.array([p.epsilon for p in points], dtype=complex)
     V = column_from_halves(phis, psis)
     V_inv = V.T
-    Lambda = np.asarray(lams, dtype=complex)
     orth = float(np.max(np.abs(V @ V_inv - np.eye(2 * L))))
     if orth > tol:
         raise DefectiveBasis(

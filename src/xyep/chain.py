@@ -11,7 +11,9 @@ an explicitly known eigenvector with checkerboard support.
 :func:`mode_points` is the one place where roots (from
 :func:`xyep.polyalg.boundary_roots`) become labelled quasi-energies, and
 :func:`mode_arrays` is the only forward-recurrence evaluator of mode
-data: eigenvector halves and, at order 1, their eps-derivative.
+data: eigenvector halves and, at order 1, their eps-derivative, at all
+roots of one mode in one call, so consumers make one call per mode;
+:func:`mode_vectors` normalizes such a block column by column.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "mode_points",
     "quasi_energies",
     "mode_arrays",
+    "mode_vectors",
     "mode_vector_poly",
     "mode_vector_trig",
     "momentum_residual",
@@ -232,24 +235,27 @@ class ModeVector:
     boundary_residual: float
 
 
-def mode_arrays(spec: ChainSpec, mode: str, eps: complex, x: complex,
-                order: int = 0):
-    """Unnormalized (phi, psi) for the +eps branch, plus the boundary value.
+def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0):
+    """Unnormalized (phi, psi) for the +eps branch at k roots of one mode.
 
-    As in :func:`xyep.polyalg.chebyshev_u`, row d of ``phi`` and ``psi``
-    is the d-th derivative: ``order = 1`` adds d(phi, psi)/d(eps) along
-    the dispersion x(eps).  Even sites carry plain Chebyshev values; odd
-    sites carry the eps-dependent combination.  Division by eps is what
-    makes eps = 0 unusable here, but det(A +- B) is a nonzero constant
-    for gamma != +-1 so that case never arises from a boundary root.
+    ``eps`` and ``x`` are length-k arrays (a scalar counts as k = 1),
+    evaluated in one recurrence; ``phi`` and ``psi`` have shape
+    ``(order + 1, L, k)`` and the boundary values shape ``(k,)``.  As in
+    :func:`xyep.polyalg.chebyshev_u`, row d is the d-th derivative:
+    ``order = 1`` adds d(phi, psi)/d(eps) along the dispersion x(eps).
+    Even sites carry plain Chebyshev values; odd sites carry the
+    eps-dependent combination.  Division by eps makes eps = 0 unusable
+    here, but det(A +- B) is a nonzero constant for gamma != +-1, so
+    that case never arises from a boundary root.
     """
     L, g = spec.L, spec.gamma
     n = spec.n_pairs
-    if eps == 0:
+    eps = np.atleast_1d(np.asarray(eps, dtype=complex))
+    if np.any(eps == 0):
         raise EpsilonZero("mode construction divides by the quasi-energy")
     if order not in (0, 1):
         raise DegenerateInput(f"order must be 0 or 1, got {order}")
-    u = chebyshev_u(x, n, order)
+    u = chebyshev_u(np.atleast_1d(x), n, order)
     ca, cb = (1 + g, 1 - g) if mode == "I" else (1 - g, 1 + g)
     # U_0 .. U_{n-1} on sites 2,4,..,L; the eps-dependent mix on 1,3,..,L-1
     even = [u[0, 1: n + 1]]
@@ -259,8 +265,8 @@ def mode_arrays(spec: ChainSpec, mode: str, eps: complex, x: complex,
         even.append(du[1: n + 1] * (4 * eps / (1 - g * g)))
         odd.append(-odd[0] / eps
                    + (ca * du[1: n + 1] + cb * du[0: n]) * (2 / (1 - g * g)))
-    phi = np.zeros((order + 1, L), dtype=complex)
-    psi = np.zeros((order + 1, L), dtype=complex)
+    phi = np.zeros((order + 1, L, eps.size), dtype=complex)
+    psi = np.zeros_like(phi)
     # site s (1-based) lives at array index s-1
     even_half, odd_half = (phi, psi) if mode == "I" else (psi, phi)
     even_half[:, 1::2] = even
@@ -270,33 +276,42 @@ def mode_arrays(spec: ChainSpec, mode: str, eps: complex, x: complex,
 
 
 def _bilinear_normalize(phi: np.ndarray, psi: np.ndarray):
-    """Scale so phi.phi + psi.psi = 1 and fix the sign deterministically."""
-    n2 = phi @ phi + psi @ psi
-    if abs(n2) < 1e-300:
+    """Scale each column to phi.phi + psi.psi = 1 with a deterministic sign."""
+    n2 = np.sum(phi * phi + psi * psi, axis=0)
+    if np.any(np.abs(n2) < 1e-300):
         raise DegenerateInput("mode vector is bilinearly null; cannot normalize")
-    s = 1.0 / np.sqrt(complex(n2))
-    phi, psi = phi * s, psi * s
-    stacked = np.concatenate([phi, psi])
-    lead = stacked[int(np.argmax(np.abs(stacked)))]
-    if lead.real < 0 or (lead.real == 0 and lead.imag < 0):
-        phi, psi, s = -phi, -psi, -s
-    return phi, psi, s
+    s = 1.0 / np.sqrt(n2)
+    stacked = np.concatenate([phi, psi]) * s
+    top = np.argmax(np.abs(stacked), axis=0)
+    lead = stacked[top, np.arange(top.size)]
+    s = np.where((lead.real < 0) | ((lead.real == 0) & (lead.imag < 0)), -s, s)
+    return phi * s, psi * s, s
+
+
+def mode_vectors(spec: ChainSpec, mode: str, points: list[SpectralPoint]):
+    """Normalized +eps halves (L x k) of k points of one mode, in one call.
+
+    Returns ``(phi, psi, scale, boundary_residual)``: the halves, the k
+    scales applied to the :func:`mode_arrays` values, and |scale *
+    boundary|, which vanishes on a quantized root.  The -eps partner of
+    a column is (-phi, psi), exactly.
+    """
+    eps = [p.epsilon if p.sign > 0 else -p.epsilon for p in points]
+    phi, psi, boundary = mode_arrays(spec, mode, eps, [p.x for p in points])
+    phi, psi, s = _bilinear_normalize(phi[0], psi[0])
+    return phi, psi, s, np.abs(s * boundary)
 
 
 def mode_vector_poly(spec: ChainSpec, point: SpectralPoint) -> ModeVector:
-    """Eigenvector of M at a spectral point, from Chebyshev values.
+    """Eigenvector of M at a spectral point: :func:`mode_vectors` with k = 1.
 
     The -eps partner is produced from the +eps one by flipping phi, so
     the pair relation (phi, psi) -> (-phi, psi) holds exactly.
     """
-    eps_plus = point.epsilon if point.sign > 0 else -point.epsilon
-    phi, psi, boundary = mode_arrays(spec, point.mode, eps_plus, point.x)
-    phi, psi, s = _bilinear_normalize(phi[0], psi[0])
-    if point.sign < 0:
-        phi = -phi
+    phi, psi, s, residual = mode_vectors(spec, point.mode, [point])
     return ModeVector(mode=point.mode, sign=point.sign, epsilon=point.epsilon,
-                      phi=phi, psi=psi, scale=s,
-                      boundary_residual=abs(s * boundary))
+                      phi=phi[:, 0] if point.sign > 0 else -phi[:, 0],
+                      psi=psi[:, 0], scale=s[0], boundary_residual=residual[0])
 
 
 def mode_vector_trig(spec: ChainSpec, point: SpectralPoint) -> ModeVector:
@@ -337,11 +352,10 @@ def mode_vector_trig(spec: ChainSpec, point: SpectralPoint) -> ModeVector:
         if best is None or resid < best[0]:
             best = (resid, phi, psi)
     _, phi, psi = best
-    phi, psi, s = _bilinear_normalize(phi, psi)
-    if point.sign < 0:
-        phi = -phi
+    phi, psi, s = _bilinear_normalize(phi[:, None], psi[:, None])
     return ModeVector(mode=point.mode, sign=point.sign, epsilon=point.epsilon,
-                      phi=phi, psi=psi, scale=s, boundary_residual=0.0)
+                      phi=phi[:, 0] if point.sign > 0 else -phi[:, 0],
+                      psi=psi[:, 0], scale=s[0], boundary_residual=0.0)
 
 
 def momentum_residual(spec: ChainSpec, k: complex, mode: str) -> complex:

@@ -24,14 +24,10 @@ from .chain import (
     lambda_to_gamma,
     mode_arrays,
     mode_points,
+    mode_vectors,
 )
-from .basis import MANY_BODY_LIMIT, column_from_halves, mode_pair
-from .errors import (
-    ChainResidualTooLarge,
-    DegenerateInput,
-    SingularVEP,
-    SizeLimit,
-)
+from .basis import MANY_BODY_LIMIT, column_from_halves
+from .errors import DefectiveBasis, DegenerateInput, SizeLimit
 from .polyalg import double_roots
 
 __all__ = [
@@ -188,15 +184,15 @@ def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
     w is the (defective) eigenvector and u solves (M - eps) S u = S w
     in checkerboard coordinates; u is the parameter derivative of the
     eps-branch eigenvector, projected to the stated gauge.  Raises
-    :class:`ChainResidualTooLarge` above 1e-7 relative residual.
+    :class:`DefectiveBasis` above 1e-7 relative chain residual.
     """
     if abs(spec.gamma - ep.gamma) > 1e-10 * (1 + abs(ep.gamma)):
         raise DegenerateInput("spec anisotropy does not match the EP record")
     if sign not in (+1, -1):
         raise DegenerateInput("sign must be +1 or -1")
     eps = sign * ep.epsilon
-    (phi_w, phi_u), (psi_w, psi_u), _ = mode_arrays(spec, ep.mode, eps, ep.x,
-                                                     order=1)
+    phi, psi, _ = mode_arrays(spec, ep.mode, eps, ep.x, order=1)
+    (phi_w, phi_u), (psi_w, psi_u) = phi[..., 0], psi[..., 0]
 
     cross = phi_u @ phi_w + psi_u @ psi_w
     if abs(cross) < 1e-14:
@@ -217,7 +213,7 @@ def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
     chain_res = float(np.linalg.norm((qh.M - eps * eye) @ su - sw)) / m_norm
     eigen_res = float(np.linalg.norm((qh.M - eps * eye) @ sw)) / m_norm
     if chain_res > 1e-7:
-        raise ChainResidualTooLarge(
+        raise DefectiveBasis(
             f"chain identity residual {chain_res:.3e} exceeds 1e-7")
     return JordanChain(
         mode=ep.mode, sign=sign, epsilon=eps, x=ep.x,
@@ -262,14 +258,11 @@ class JordanDecomposition:
     rank_deficiency_minus: int
 
 
-def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
-    """Assemble the full 2L x 2L Jordan basis at an exceptional point."""
+def _simple_points(spec: ChainSpec, ep: EPRecord) -> dict:
+    """Mode points of each mode without the EP's coalescing pair, by mode."""
     if abs(spec.gamma - ep.gamma) > 1e-10 * (1 + abs(ep.gamma)):
         raise DegenerateInput("spec anisotropy does not match the EP record")
-    L = spec.L
-    qh = build_quasi_hamiltonian(spec)
-
-    columns: list[EPColumn] = []
+    simple = {}
     for mode in MODES:
         points = mode_points(spec, mode)
         if mode == ep.mode:
@@ -277,11 +270,23 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
             if max(abs(p.x - ep.x) for p in pair) > 1e-4 * (1 + abs(ep.x)):
                 raise DegenerateInput(
                     "could not identify the coalescing boundary roots")
-        for pt in points:
-            for kind, mv in zip(("pair_plus", "pair_minus"), mode_pair(spec, pt)):
-                columns.append(EPColumn(mode=mode, kind=kind, epsilon=mv.epsilon,
-                                        phi=mv.phi, psi=mv.psi,
-                                        partner=len(columns)))
+        simple[mode] = points
+    return simple
+
+
+def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
+    """Assemble the full 2L x 2L Jordan basis at an exceptional point."""
+    L = spec.L
+    qh = build_quasi_hamiltonian(spec)
+
+    columns: list[EPColumn] = []
+    for mode, points in _simple_points(spec, ep).items():
+        phi, psi, _, _ = mode_vectors(spec, mode, points)
+        for pt, phi_j, psi_j in zip(points, phi.T, psi.T):
+            for kind, eps, half in (("pair_plus", pt.epsilon, phi_j),
+                                    ("pair_minus", -pt.epsilon, -phi_j)):
+                columns.append(EPColumn(mode=mode, kind=kind, epsilon=eps,
+                                        phi=half, psi=psi_j, partner=len(columns)))
 
     chain_start = len(columns)
     for sign in (+1, -1):
@@ -297,14 +302,12 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
     J[chain_start, chain_start + 1] = 1.0
     J[chain_start + 2, chain_start + 3] = 1.0
 
-    V_inv = V.T.copy()
-    for p in (chain_start, chain_start + 2):
-        V_inv[[p, p + 1]] = V_inv[[p + 1, p]]
+    V_inv = V[:, [c.partner for c in columns]].T
 
     eye = np.eye(2 * L)
     inv_res = float(np.max(np.abs(V @ V_inv - eye)))
     if inv_res > 1e-6:
-        raise SingularVEP(
+        raise DefectiveBasis(
             f"structured inverse residual {inv_res:.3e} exceeds 1e-6")
     m_norm = float(np.linalg.norm(qh.M))
     jordan_res = float(np.linalg.norm(qh.M @ V - V @ J)) / m_norm
@@ -397,10 +400,10 @@ def ep_ground_energy(spec: ChainSpec, ep: EPRecord) -> complex:
     """Vacuum energy -E0/2 at the exceptional point.
 
     E0 sums every positive-branch quasi-energy, counting the defective
-    one twice.
+    one twice; it is read off the mode points, without a Jordan basis.
     """
-    jd = jordan_decomposition(spec, ep)
-    simple = sum(c.epsilon for c in jd.columns[: jd.chain_start][0::2])
+    simple = sum(p.epsilon for points in _simple_points(spec, ep).values()
+                 for p in points)
     return complex(-0.5 * (simple + 2 * ep.epsilon))
 
 

@@ -26,11 +26,7 @@ class DegenerateInput(XYEPError):
 
 
 class DefectiveBasis(XYEPError):
-    """The assembled eigenbasis failed its biorthogonality residual check."""
-
-
-class ChainResidualTooLarge(XYEPError):
-    """A Jordan-chain identity residual exceeded its acceptance threshold."""
+    """An assembled eigenbasis, Jordan chain or Jordan basis failed its residual check."""
 
 
 class SizeLimit(XYEPError):
@@ -59,10 +55,6 @@ class ZeroVector(XYEPError):
 
 class LimitRequired(XYEPError):
     """A closed-form expression degenerates at this parameter; take the limit instead."""
-
-
-class SingularVEP(XYEPError):
-    """The Jordan basis at an exceptional point failed its inverse residual check."""
 
 
 class XYEPWarning(UserWarning):

@@ -36,14 +36,17 @@ def chebyshev_u(x, n: int, order: int = 0) -> np.ndarray:
     Entry ``[d, k + 1]`` of the result is the d-th derivative of U_k at
     x, so the shape is ``(order + 1, n + 2) + shape(x)``.  Each
     derivative follows from differentiating U_{k+1} = 2x U_k - U_{k-1}.
+    The value row is computed on its own, so it is the same for every
+    ``order``.
     """
     x = np.asarray(x, dtype=complex)
     u = np.zeros((order + 1, n + 2) + x.shape, dtype=complex)
     u[0, 1] = 1.0
     two_d = 2.0 * np.arange(1, order + 1).reshape((order,) + (1,) * x.ndim)
     for k in range(1, n + 1):
-        u[:, k + 1] = 2 * x * u[:, k] - u[:, k - 1]
-        u[1:, k + 1] += two_d * u[:-1, k]
+        u[0, k + 1] = 2 * x * u[0, k] - u[0, k - 1]
+        if order:
+            u[1:, k + 1] = 2 * x * u[1:, k] - u[1:, k - 1] + two_d * u[:-1, k]
     return u
 
 

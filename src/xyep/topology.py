@@ -120,12 +120,12 @@ def _slot_columns(spec: ChainSpec, ep: EPRecord):
         if mode == ep.mode:
             pair, rest = coalescing_pair(points, ep)
             points = pair + rest
-        for p in points:
-            phi, psi, _ = mode_arrays(spec, mode, p.epsilon, p.x)
-            eps.append(p.epsilon)
-            phis.append(phi[0])
-            psis.append(psi[0])
-    phis, psis = np.array(phis).T, np.array(psis).T
+        mode_eps = [p.epsilon for p in points]
+        phi, psi, _ = mode_arrays(spec, mode, mode_eps, [p.x for p in points])
+        eps.extend(mode_eps)
+        phis.append(phi[0])
+        psis.append(psi[0])
+    phis, psis = np.hstack(phis), np.hstack(psis)
     return (np.array(eps), column_from_halves(phis, psis),
             column_from_halves(-phis, psis))
 
@@ -427,10 +427,14 @@ def branch_scaling_probe(ep: EPRecord, radii: np.ndarray | None = None,
     Evaluates the two nearest boundary roots at gamma = gamma_EP +
     r * direction for a decade ladder of radii and fits
     log|eps1 - eps2| = alpha log r + const; alpha -> 1/2 at a plain
-    square-root branch point.
+    square-root branch point.  ``radii`` must hold at least two distinct,
+    finite, positive values, else :class:`DegenerateInput` is raised.
     """
-    if radii is None:
-        radii = np.geomspace(1e-4, 1e-7, 8)
+    radii = np.asarray(np.geomspace(1e-4, 1e-7, 8) if radii is None else radii,
+                       dtype=float)
+    if (radii.ndim != 1 or radii.size < 2 or radii.min() == radii.max()
+            or not np.all(np.isfinite(radii) & (radii > 0))):
+        raise DegenerateInput("radii need two distinct finite positive values")
     direction = complex(direction)
     if direction == 0:
         raise DegenerateInput("direction must be nonzero")
@@ -444,7 +448,7 @@ def branch_scaling_probe(ep: EPRecord, radii: np.ndarray | None = None,
     splittings = np.array(splittings)
     if np.any(splittings == 0):
         raise DegenerateInput("splitting vanished at a probe radius")
-    lx, ly = np.log(np.asarray(radii, dtype=float)), np.log(splittings)
+    lx, ly = np.log(radii), np.log(splittings)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = float(np.max(np.abs(ly - (slope * lx + intercept))))
     return ScalingFit(ep_gamma=ep.gamma, exponent=float(slope),

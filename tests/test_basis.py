@@ -9,12 +9,12 @@ from xyep.basis import (
     assemble_basis,
     column_from_halves,
     many_body_energies,
-    mode_pair,
     operator_coefficients,
     pairing_structure,
     vacuum_energy,
 )
-from xyep.chain import ChainSpec, build_quasi_hamiltonian, quasi_energies
+from xyep.chain import (ChainSpec, build_quasi_hamiltonian, mode_points,
+                        mode_vectors, quasi_energies)
 from xyep.errors import DefectiveBasis, DegenerateInput, SizeLimit
 
 RNG = np.random.default_rng(77)
@@ -149,14 +149,26 @@ def test_pairing_structure_defects_vanish():
     assert worst < 1e-9
 
 
-def test_mode_pair_columns_are_the_basis_columns():
+def test_mode_vectors_columns_are_the_basis_columns():
     spec = ChainSpec(6, 0.4 + 0.3j)
     basis = assemble_basis(spec)
-    for k, pt in enumerate(quasi_energies(spec)):
-        plus, minus = mode_pair(spec, pt)
-        assert (minus.sign, minus.epsilon) == (-1, -plus.epsilon)
-        assert np.array_equal(minus.phi, -plus.phi)
-        assert np.array_equal(minus.psi, plus.psi)
-        for col, mv in ((2 * k, plus), (2 * k + 1, minus)):
-            assert np.array_equal(basis.V[:, col],
-                                  column_from_halves(mv.phi, mv.psi))
+    k = 0
+    for mode in ("I", "II"):
+        points = mode_points(spec, mode)
+        phi, psi, scale, residual = mode_vectors(spec, mode, points)
+        assert phi.shape == psi.shape == (6, 3)
+        assert scale.shape == residual.shape == (3,)
+        for j, pt in enumerate(points):
+            # +eps column, then its -eps partner (-phi, psi), exactly
+            assert basis.points[2 * k] == pt
+            assert basis.points[2 * k + 1] == pt.negated()
+            assert (basis.Lambda[2 * k], basis.Lambda[2 * k + 1]) == \
+                (pt.epsilon, -pt.epsilon)
+            for col, (phi_c, psi_c) in ((2 * k, (phi[:, j], psi[:, j])),
+                                        (2 * k + 1, (-phi[:, j], psi[:, j]))):
+                assert np.array_equal(basis.phis[:, col], phi_c)
+                assert np.array_equal(basis.psis[:, col], psi_c)
+                assert np.array_equal(basis.V[:, col],
+                                      column_from_halves(phi_c, psi_c))
+            k += 1
+    assert k == 6

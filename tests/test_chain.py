@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import xyep.chain as chain_module
+from xyep.basis import assemble_basis
 from xyep.chain import (
     ChainSpec,
     build_quasi_hamiltonian,
@@ -16,9 +17,11 @@ from xyep.chain import (
     mode_points,
     mode_vector_poly,
     mode_vector_trig,
+    mode_vectors,
     quasi_energies,
     x_of_eps,
 )
+from xyep.ep import jordan_decomposition, locate_eps
 from xyep.errors import (
     DegenerateInput,
     EpsilonZero,
@@ -27,6 +30,7 @@ from xyep.errors import (
     NearEPWarning,
 )
 from xyep.polyalg import chebyshev_u
+from xyep.topology import overlap_grid
 
 RNG = np.random.default_rng(20240816)
 
@@ -142,19 +146,59 @@ def values_along_dispersion(spec, mode, eps):
 def test_mode_arrays_derivative_follows_the_dispersion():
     spec = ChainSpec(10, 0.35 - 0.6j)
     h = 1e-5
-    for p in quasi_energies(spec)[::3]:
-        phi, psi, boundary = mode_arrays(spec, p.mode, p.epsilon, p.x, order=1)
-        phi0, psi0, boundary0 = mode_arrays(spec, p.mode, p.epsilon, p.x)
-        # the values row is the order-0 evaluation itself
-        assert np.array_equal(phi[0], phi0[0]) and np.array_equal(psi[0], psi0[0])
-        assert boundary == boundary0
-        # central difference along the dispersion x(eps)
-        fd = (values_along_dispersion(spec, p.mode, p.epsilon + h)
-              - values_along_dispersion(spec, p.mode, p.epsilon - h)) / (2 * h)
-        exact = np.concatenate([phi[1], psi[1]])
-        assert np.max(np.abs(exact - fd)) < 1e-7 * np.max(np.abs(exact))
+    for mode in ("I", "II"):
+        pts = mode_points(spec, mode)
+        eps = np.array([p.epsilon for p in pts])
+        x = np.array([p.x for p in pts])
+        block = mode_arrays(spec, mode, eps, x, order=1)
+        # all roots of the mode in one call, then each root as a scalar (k = 1)
+        for j, (e, xx) in enumerate([(eps, x)] + list(zip(eps, x))):
+            k = np.size(e)
+            phi, psi, boundary = mode_arrays(spec, mode, e, xx, order=1)
+            phi0, psi0, boundary0 = mode_arrays(spec, mode, e, xx)
+            assert phi.shape == psi.shape == (2, 10, k)
+            assert phi0.shape == psi0.shape == (1, 10, k)
+            assert boundary.shape == boundary0.shape == (k,)
+            # the values row is the order-0 evaluation itself
+            assert np.array_equal(phi[0], phi0[0]) and np.array_equal(psi[0], psi0[0])
+            assert np.array_equal(boundary, boundary0)
+            if j:
+                # one root on its own is that root's column of the block,
+                # up to rounding (numpy's loops may round by batch size)
+                for one, many in zip((phi, psi, boundary), block):
+                    col = many[..., j - 1:j]
+                    assert np.max(np.abs(one - col)) <= 1e-14 * np.max(np.abs(col))
+            # central difference along the dispersion x(eps), column by column
+            fd = (values_along_dispersion(spec, mode, e + h)
+                  - values_along_dispersion(spec, mode, e - h)) / (2 * h)
+            exact = np.concatenate([phi[1], psi[1]])
+            assert np.all(np.max(np.abs(exact - fd), axis=0)
+                          < 1e-7 * np.max(np.abs(exact), axis=0))
     with pytest.raises(DegenerateInput):
-        mode_arrays(spec, p.mode, p.epsilon, p.x, order=2)
+        mode_arrays(spec, mode, eps, x, order=2)
+
+
+def test_every_consumer_makes_one_mode_arrays_call_per_mode(monkeypatch):
+    # chain.chebyshev_u is called once per mode_arrays call and nowhere else
+    shapes = []
+    real = chain_module.chebyshev_u
+
+    def counting(x, n, order=0):
+        shapes.append(np.shape(x))
+        return real(x, n, order)
+
+    monkeypatch.setattr(chain_module, "chebyshev_u", counting)
+    assemble_basis(ChainSpec(40, 0.3 + 0.4j))
+    assert shapes == [(20,), (20,)]
+    shapes.clear()
+    ep = next(r for r in locate_eps(20) if r.mode == "II")
+    jordan_decomposition(ChainSpec(20, ep.gamma), ep)
+    # mode I whole, mode II without the coalescing pair, then the two chains
+    assert shapes == [(10,), (8,), (1,), (1,)]
+    shapes.clear()
+    # 2 x 2 cells plus the cell nearest the EP, read once for the sector
+    overlap_grid(6, 0.0, 0.7, 0.2, 0.9, 2, 2)
+    assert shapes == [(3,), (3,)] * 5
 
 
 def test_boundary_polynomial_pole():
@@ -201,6 +245,32 @@ def test_minus_branch_is_sign_partner():
         mv_minus = mode_vector_poly(spec, p.negated())
         np.testing.assert_allclose(mv_minus.phi, -mv_plus.phi, atol=1e-12)
         np.testing.assert_allclose(mv_minus.psi, mv_plus.psi, atol=1e-12)
+
+
+def test_mode_vectors_normalize_each_column_of_one_mode():
+    spec = ChainSpec(12, -0.3 + 0.7j)
+    for mode in ("I", "II"):
+        pts = mode_points(spec, mode)
+        phi, psi, scale, residual = mode_vectors(spec, mode, pts)
+        raw_phi, raw_psi, _ = mode_arrays(spec, mode, [p.epsilon for p in pts],
+                                          [p.x for p in pts])
+        assert np.array_equal(phi, raw_phi[0] * scale)
+        assert np.array_equal(psi, raw_psi[0] * scale)
+        assert np.max(np.abs(np.sum(phi * phi + psi * psi, axis=0) - 1)) < 1e-12
+        assert np.all(residual < 1e-8)
+        for j, p in enumerate(pts):
+            # the k = 1 case is mode_vector_poly, the same column to rounding;
+            # the largest entries of a column tie (the chain is reflection
+            # symmetric), so rounding may pick the other overall sign
+            mv = mode_vector_poly(spec, p)
+            col = np.concatenate([phi[:, j], psi[:, j]])
+            one = np.concatenate([mv.phi, mv.psi])
+            assert min(np.max(np.abs(one - col)), np.max(np.abs(one + col))) < 1e-14
+            assert mv.boundary_residual < 1e-8
+            # a -eps point yields the same +eps halves
+            plus, _, _, _ = mode_vectors(spec, mode, [p])
+            minus, _, _, _ = mode_vectors(spec, mode, [p.negated()])
+            assert np.array_equal(minus, plus)
 
 
 def test_trig_route_agrees_with_poly_route():

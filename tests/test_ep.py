@@ -1,5 +1,6 @@
 """Exceptional-point search, Jordan chains, and the many-body census."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from xyep.ep import (coalescing_pair, ep_ground_energy, ep_state_catalog,
                      generalized_eigenvector, jordan_decomposition,
                      locate_eps, reference_ep_gammas)
 from xyep.basis import MANY_BODY_LIMIT
-from xyep.errors import DegenerateInput, SizeLimit, XYEPWarning
+from xyep.errors import DefectiveBasis, DegenerateInput, SizeLimit, XYEPWarning
 from xyep.oracle import build_spin_hamiltonian
 
 L4_EP_GAMMA = 0.6 + 0.8j
@@ -238,6 +239,49 @@ def test_ep_ground_energy_matches_ed():
         pytest.approx(ground.real, abs=1e-12)
     ed_vals = np.linalg.eigvals(build_spin_hamiltonian(4, ep.gamma))
     assert min(abs(v - ground) for v in ed_vals) < 1e-10
+
+
+def test_ep_ground_energy_needs_no_jordan_basis(monkeypatch):
+    # the sum of the simple Jordan columns' epsilons, as it was taken
+    # from a whole decomposition, is matched exactly from the mode points
+    expected = {}
+    for L in (4, 6, 8, 10):
+        for ep in locate_eps(L):
+            jd = jordan_decomposition(quiet_spec(L, ep.gamma), ep)
+            simple = sum(c.epsilon for c in jd.columns[: jd.chain_start][0::2])
+            expected[L, ep.mode, ep.gamma] = complex(-0.5 * (simple + 2 * ep.epsilon))
+
+    def refuse(*args):
+        raise AssertionError("ep_ground_energy built a Jordan decomposition")
+
+    monkeypatch.setattr(ep_module, "jordan_decomposition", refuse)
+    got = {(L, ep.mode, ep.gamma): ep_ground_energy(quiet_spec(L, ep.gamma), ep)
+           for L in (4, 6, 8, 10) for ep in locate_eps(L)}
+    assert len(got) == 2 * (2 + 4 + 6 + 8)
+    assert got == expected
+    ep = closest_record(locate_eps(4), L4_EP_GAMMA)
+    with pytest.raises(DegenerateInput, match="anisotropy does not match"):
+        ep_ground_energy(ChainSpec(4, 0.2 + 0.1j), ep)
+    with pytest.raises(DegenerateInput, match="coalescing boundary roots"):
+        ep_ground_energy(quiet_spec(4, ep.gamma),
+                         dataclasses.replace(ep, x=ep.x + 1e-3))
+
+
+def test_every_residual_check_raises_defective_basis(monkeypatch):
+    ep = closest_record(locate_eps(6), 0.3399 + 0.5547j)
+    spec = quiet_spec(6, ep.gamma)
+    # a root 1e-3 off the double root breaks the chain identity
+    with pytest.raises(DefectiveBasis, match="chain identity residual"):
+        generalized_eigenvector(spec, dataclasses.replace(ep, x=ep.x + 1e-3))
+    real = ep_module.generalized_eigenvector
+
+    def stretched(spec, ep, sign=+1):
+        ch = real(spec, ep, sign)
+        return dataclasses.replace(ch, phi_u=2 * ch.phi_u, psi_u=2 * ch.psi_u)
+
+    monkeypatch.setattr(ep_module, "generalized_eigenvector", stretched)
+    with pytest.raises(DefectiveBasis, match="structured inverse residual"):
+        jordan_decomposition(spec, ep)
 
 
 def test_ep_state_catalog_size_guard_refuses_before_any_work(monkeypatch):

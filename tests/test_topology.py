@@ -386,3 +386,17 @@ def test_branch_scaling_probe_solves_only_the_ep_mode(monkeypatch):
     ep = locate_eps(8, "II")[0]
     fit = branch_scaling_probe(ep)
     assert len(calls) == fit.radii.size
+
+
+def test_branch_scaling_probe_needs_two_distinct_positive_radii(capfd):
+    ep = locate_eps(4, "II")[0]
+    bad = ([1e-4], [1e-4, 1e-4],         # no slope to fit
+           [1e-4, 0.0], [1e-4, -1e-5],   # no logarithm
+           [1e-4, np.inf], [1e-4, np.nan], 1e-4)
+    for radii in bad:
+        with pytest.raises(DegenerateInput, match="radii"):
+            branch_scaling_probe(ep, radii=radii)
+    assert capfd.readouterr().err == ""
+    fit = branch_scaling_probe(ep, radii=[1e-5, 1e-6])
+    assert isinstance(fit.radii, np.ndarray)
+    assert abs(fit.exponent - 0.5) < 0.05
