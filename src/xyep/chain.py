@@ -8,8 +8,10 @@ U_n(x) - lam U_{n-1}(x) in the Chebyshev variable x, with lam for mode I
 and 1/lam for mode II; every root x yields a quasi-energy pair +-eps and
 an explicitly known eigenvector with checkerboard support.
 
-:func:`mode_points` is the one place where roots (from
-:func:`xyep.polyalg.boundary_roots`) become labelled quasi-energies, and
+:func:`mode_spectra` is the one place where roots (from
+:func:`xyep.polyalg.boundary_roots`) become branch-ordered quasi-energies,
+for many anisotropies in one root solve per mode; :func:`mode_points`
+wraps its one-anisotropy row in labelled points, and
 :func:`mode_arrays` is the only forward-recurrence evaluator of mode
 data: eigenvector halves and, at order 1, their eps-derivative, at all
 roots of one mode in one call, so consumers make one call per mode;
@@ -44,6 +46,7 @@ __all__ = [
     "x_of_eps",
     "eps_of_x",
     "build_quasi_hamiltonian",
+    "mode_spectra",
     "mode_points",
     "quasi_energies",
     "mode_arrays",
@@ -75,8 +78,7 @@ class ChainSpec:
     gamma: complex
 
     def __post_init__(self):
-        if self.L < 2 or self.L % 2:
-            raise DegenerateInput(f"chain length must be even and >= 2, got {self.L}")
+        _check_length(self.L)
         object.__setattr__(self, "gamma", complex(self.gamma))
         if self.gamma == -1:
             raise LambdaSingular("gamma = -1 is a pole of the boundary parameter")
@@ -95,27 +97,47 @@ class ChainSpec:
         Raises :class:`LambdaSingular` at gamma = 1, where lambda = 0
         and the two boundary polynomials degenerate.
         """
-        if mode not in MODES:
-            raise DegenerateInput(f"mode must be one of {MODES}, got {mode!r}")
-        if self.gamma == 1:
-            raise LambdaSingular("boundary polynomial undefined at gamma = +-1")
-        return self.lam if mode == "I" else 1 / self.lam
+        return complex(_mode_lambdas(self.gamma, mode))
 
 
-def gamma_to_lambda(gamma: complex) -> complex:
+def _check_length(L: int):
+    if L < 2 or L % 2:
+        raise DegenerateInput(f"chain length must be even and >= 2, got {L}")
+
+
+def _mode_lambdas(gamma, mode: str):
+    """Boundary parameters of one mode at an anisotropy or an array of them."""
+    if mode not in MODES:
+        raise DegenerateInput(f"mode must be one of {MODES}, got {mode!r}")
+    gamma = np.asarray(gamma, dtype=complex)
+    if ((gamma == 1) | (gamma == -1)).any():
+        raise LambdaSingular("boundary polynomial undefined at gamma = +-1")
+    lam = np.asarray(gamma_to_lambda(gamma))
+    return lam if mode == "I" else 1 / lam
+
+
+def _result(value: np.ndarray):
+    """A numpy result as a Python complex for scalar input, else the array."""
+    return complex(value) if np.ndim(value) == 0 else value
+
+
+# The maps below evaluate in numpy whether given a scalar or an array,
+# so one anisotropy's value is bit for bit its entry in a batch.
+
+def gamma_to_lambda(gamma):
     """Boundary parameter lambda = -(1 - gamma) / (1 + gamma)."""
-    gamma = complex(gamma)
-    if gamma == -1:
+    gamma = np.asarray(gamma, dtype=complex)
+    if (gamma == -1).any():
         raise LambdaSingular("lambda diverges at gamma = -1")
-    return -(1 - gamma) / (1 + gamma)
+    return _result(-(1 - gamma) / (1 + gamma))
 
 
-def lambda_to_gamma(lam: complex) -> complex:
+def lambda_to_gamma(lam):
     """Inverse map gamma = (1 + lambda) / (1 - lambda)."""
-    lam = complex(lam)
-    if lam == 1:
+    lam = np.asarray(lam, dtype=complex)
+    if (lam == 1).any():
         raise LambdaSingular("gamma diverges at lambda = 1")
-    return (1 + lam) / (1 - lam)
+    return _result((1 + lam) / (1 - lam))
 
 
 def x_of_eps(gamma: complex, eps: complex) -> complex:
@@ -125,13 +147,15 @@ def x_of_eps(gamma: complex, eps: complex) -> complex:
     return (2 * eps * eps - 1 - gamma * gamma) / (1 - gamma * gamma)
 
 
-def eps_of_x(gamma: complex, x: complex) -> complex:
-    """Principal quasi-energy branch: Re eps >= 0, ties broken to Im eps >= 0."""
-    e2 = ((1 - gamma * gamma) * x + 1 + gamma * gamma) / 2
-    e = np.sqrt(complex(e2))
-    if e.real < 0 or (e.real == 0 and e.imag < 0):
-        e = -e
-    return complex(e)
+def eps_of_x(gamma, x):
+    """Principal quasi-energy branch: Re eps >= 0, ties broken to Im eps >= 0.
+
+    ``gamma`` and ``x`` broadcast against each other.
+    """
+    g2 = np.square(np.asarray(gamma, dtype=complex))
+    e = np.sqrt(((1 - g2) * np.asarray(x, dtype=complex) + 1 + g2) / 2)
+    flip = (e.real < 0) | ((e.real == 0) & (e.imag < 0))
+    return _result(np.where(flip, -e, e))
 
 
 @dataclass(frozen=True)
@@ -175,17 +199,34 @@ class SpectralPoint:
                              -self.epsilon, self.x)
 
 
+def mode_spectra(L: int, gammas, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Positive-branch quasi-energies of one mode at m anisotropies at once.
+
+    ``gammas`` holds m anisotropies (a scalar counts as m = 1); returns
+    ``(eps, x)`` of shape ``(m, L/2)`` from one
+    :func:`xyep.polyalg.boundary_roots` call.  Row i holds the branches
+    at ``gammas[i]`` in branch order, decreasing (Re eps, Im eps), so it
+    is the same whatever else is in the batch.  Raises
+    :class:`LambdaSingular` at gamma = +-1.
+    """
+    _check_length(L)
+    gammas = np.atleast_1d(np.asarray(gammas, dtype=complex))
+    x = boundary_roots(L // 2, _mode_lambdas(gammas, mode))
+    eps = eps_of_x(gammas[:, None], x)
+    order = np.lexsort((-eps.imag, -eps.real), axis=-1)
+    rows = np.arange(gammas.size)[:, None]
+    return eps[rows, order], x[rows, order]
+
+
 def mode_points(spec: ChainSpec, mode: str) -> list[SpectralPoint]:
     """The L/2 positive-branch quasi-energies of one mode, in branch order.
 
-    Branches are numbered 1..L/2 in order of decreasing (Re eps, Im eps).
+    The one-anisotropy row of :func:`mode_spectra` as labelled points;
+    branches are numbered 1..L/2 in order of decreasing (Re eps, Im eps).
     """
-    xs = boundary_roots(spec.n_pairs, spec.mode_lambda(mode))
-    eps = np.array([eps_of_x(spec.gamma, x) for x in xs])
-    order = np.lexsort((-eps.imag, -eps.real))
-    return [SpectralPoint(mode=mode, branch=rank + 1, sign=+1,
-                          epsilon=complex(eps[idx]), x=complex(xs[idx]))
-            for rank, idx in enumerate(order)]
+    eps, x = mode_spectra(spec.L, spec.gamma, mode)
+    return [SpectralPoint(mode=mode, branch=rank + 1, sign=+1, epsilon=e, x=xx)
+            for rank, (e, xx) in enumerate(zip(eps[0].tolist(), x[0].tolist()))]
 
 
 def quasi_energies(spec: ChainSpec, warn: bool = True) -> list[SpectralPoint]:
@@ -276,14 +317,18 @@ def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0):
 
 
 def _bilinear_normalize(phi: np.ndarray, psi: np.ndarray):
-    """Scale each column to phi.phi + psi.psi = 1 with a deterministic sign."""
+    """Scale each column to phi.phi + psi.psi = 1 with a deterministic sign.
+
+    The sign makes the site-1 entry phi[0] + psi[0] have Re > 0 (or
+    Re = 0, Im > 0).  One half vanishes there by the checkerboard
+    support and the other is (1 +- gamma) / (2 eps) before scaling,
+    nonzero for every chain, so no rounding tie decides the sign.
+    """
     n2 = np.sum(phi * phi + psi * psi, axis=0)
     if np.any(np.abs(n2) < 1e-300):
         raise DegenerateInput("mode vector is bilinearly null; cannot normalize")
     s = 1.0 / np.sqrt(n2)
-    stacked = np.concatenate([phi, psi]) * s
-    top = np.argmax(np.abs(stacked), axis=0)
-    lead = stacked[top, np.arange(top.size)]
+    lead = (phi[0] + psi[0]) * s
     s = np.where((lead.real < 0) | ((lead.real == 0) & (lead.imag < 0)), -s, s)
     return phi * s, psi * s, s
 

@@ -39,6 +39,7 @@ __all__ = [
     "EPStateCatalog",
     "locate_eps",
     "reference_ep_gammas",
+    "coalescing_order",
     "coalescing_pair",
     "generalized_eigenvector",
     "jordan_decomposition",
@@ -91,18 +92,22 @@ def locate_eps(L: int, mode: str = "both") -> list[EPRecord]:
         return []
 
     xs, lams, b_res = double_roots(L // 2)
+    wanted = [m for m in MODES if mode in (m, "both")]
+    # per mode: lam, gamma and eps at every double root, in one pass each
+    per_mode = {}
+    for mlabel in wanted:
+        lam_mode = lams if mlabel == "I" else 1 / lams
+        g = lambda_to_gamma(lam_mode)
+        per_mode[mlabel] = (lam_mode, g, eps_of_x(g, xs))
     records = []
-    for x, lam1, res in zip(xs, lams, b_res):
+    for k, (x, res) in enumerate(zip(xs, b_res)):
         x = complex(x)
         m_res = _momentum_ep_residual(L, x)
-        for mlabel in MODES:
-            if mode not in (mlabel, "both"):
-                continue
-            lam_mode = complex(lam1 if mlabel == "I" else 1 / lam1)
-            g = lambda_to_gamma(lam_mode)
+        for mlabel in wanted:
+            lam_mode, g, eps = per_mode[mlabel]
             records.append(EPRecord(
-                L=L, mode=mlabel, lam=lam_mode, gamma=g, x=x,
-                epsilon=eps_of_x(g, x),
+                L=L, mode=mlabel, lam=complex(lam_mode[k]), gamma=complex(g[k]),
+                x=x, epsilon=complex(eps[k]),
                 boundary_residual=float(res), momentum_residual=m_res))
     records.sort(key=lambda r: (r.mode, -round(abs(r.gamma), 10),
                                 -r.gamma.imag))
@@ -138,17 +143,27 @@ def reference_ep_gammas(L: int, mode: str) -> list[complex]:
     return out
 
 
+def coalescing_order(x, ep: EPRecord) -> np.ndarray:
+    """Indices along the last axis of roots x that put the coalescing pair first.
+
+    The pair is the two roots nearest ``ep.x``, nearest first; the other
+    indices follow in increasing order, so rows in branch order (from
+    :func:`xyep.chain.mode_spectra`) keep it for the rest.
+    """
+    near = np.argsort(np.abs(np.asarray(x) - ep.x), axis=-1)
+    return np.concatenate([near[..., :2], np.sort(near[..., 2:], axis=-1)],
+                          axis=-1)
+
+
 def coalescing_pair(points: list[SpectralPoint], ep: EPRecord
                     ) -> tuple[list[SpectralPoint], list[SpectralPoint]]:
     """Split the EP mode's points into the coalescing pair and the rest.
 
-    The pair is the two points whose roots lie nearest ``ep.x``, nearest
-    first; the rest keep the order of ``points`` (branch order when they
-    come from :func:`xyep.chain.mode_points`).
+    :func:`coalescing_order` on the points' roots: the pair nearest
+    first, the rest in the order of ``points``.
     """
-    order = np.argsort([abs(p.x - ep.x) for p in points])
-    return ([points[i] for i in order[:2]],
-            [points[i] for i in sorted(order[2:])])
+    order = coalescing_order([p.x for p in points], ep)
+    return ([points[i] for i in order[:2]], [points[i] for i in order[2:]])
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ things that work on P:
   derivatives (the only evaluator of P and its derivatives);
 * :func:`boundary_roots`, the n roots of P as eigenvalues of a
   tridiagonal comrade matrix (Good, "The colleague matrix", 1961),
-  Newton-polished on the recurrence and certified by a backward error;
+  Newton-polished on the recurrence and certified by a backward error,
+  for one lam or for many in one stacked solve;
 * :func:`double_roots`, the exceptional points: the roots of the
   Wronskian W = U_n' U_{n-1} - U_n U_{n-1}', which eliminates lam by
   hand, with lam read off as U_n / U_{n-1}.
@@ -28,6 +29,9 @@ from .errors import DegenerateInput, NonConvergence
 __all__ = ["chebyshev_u", "boundary_roots", "double_roots"]
 
 _NEWTON_STEPS = 2
+# boundary_roots solves at most this many comrade-matrix entries (m n^2)
+# at once, which bounds its memory for many parameters at large degree
+_CHUNK_ENTRIES = 2 ** 18
 
 
 def chebyshev_u(x, n: int, order: int = 0) -> np.ndarray:
@@ -42,19 +46,24 @@ def chebyshev_u(x, n: int, order: int = 0) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     u = np.zeros((order + 1, n + 2) + x.shape, dtype=complex)
     u[0, 1] = 1.0
-    two_d = 2.0 * np.arange(1, order + 1).reshape((order,) + (1,) * x.ndim)
+    two_x = 2 * x
+    val = u[0]
     for k in range(1, n + 1):
-        u[0, k + 1] = 2 * x * u[0, k] - u[0, k - 1]
-        if order:
-            u[1:, k + 1] = 2 * x * u[1:, k] - u[1:, k - 1] + two_d * u[:-1, k]
+        val[k + 1] = two_x * val[k] - val[k - 1]
+    if order:
+        two_d = 2.0 * np.arange(1, order + 1).reshape((order,) + (1,) * x.ndim)
+        der, low = u[1:], u[:-1]
+        for k in range(1, n + 1):
+            der[:, k + 1] = two_x * der[:, k] - der[:, k - 1] + two_d * low[:, k]
     return u
 
 
-def _backward_error(ud: np.ndarray, lam: complex, x: np.ndarray) -> np.ndarray:
+def _backward_error(ud: np.ndarray, lam, x: np.ndarray) -> np.ndarray:
     """|U_n - lam U_{n-1}| relative to the size of the terms that make it.
 
     ``ud`` is one derivative order of :func:`chebyshev_u`, so the same
-    measure certifies P (order 0) and P' (order 1).
+    measure certifies P (order 0) and P' (order 1); ``lam`` broadcasts
+    against x.
     """
     n = ud.shape[0] - 2
     scale = (1 + abs(lam)) * np.abs(ud[1:]).max(axis=0) * (1 + np.abs(x))
@@ -83,37 +92,49 @@ def _certify(err: np.ndarray, n: int, what: str):
             f"{what}: backward error {worst:.3e} exceeds {tol:.3e} (n = {n})")
 
 
-def boundary_roots(n: int, lam: complex) -> np.ndarray:
+def boundary_roots(n: int, lam) -> np.ndarray:
     """The n roots x of U_n(x) - lam U_{n-1}(x), with multiplicity.
 
+    ``lam`` is one boundary parameter or an array of them; the roots
+    have shape ``shape(lam) + (n,)``, so a scalar gives ``(n,)`` and m
+    parameters ``(m, n)``, row i holding the roots for ``lam[i]``.
     det(2x - T) is the boundary polynomial for the n x n tridiagonal
     T = tridiag(1, 0, 1) with T[n-1, n-1] = lam, so the roots start as
-    eigvals(T) / 2.  Each then takes two Newton steps on the recurrence
-    and must meet the backward-error bound 16 n eps, else
-    :class:`NonConvergence` is raised.  The bound holds at a double
-    root as well, where the coalescing pair stays split by about
-    sqrt(eps).
+    the eigenvalues of the stacked T, halved.  Each then takes two
+    Newton steps on the recurrence and must meet the backward-error
+    bound 16 n eps, else :class:`NonConvergence` is raised.  The bound
+    holds at a double root as well, where the coalescing pair stays
+    split by about sqrt(eps).  Rows are solved in chunks of at most
+    ``_CHUNK_ENTRIES`` matrix entries; every step acts on each row
+    alone, so a row does not depend on the others or on the chunking.
     """
     if n < 1:
         raise DegenerateInput(f"boundary polynomial needs degree >= 1, got {n}")
-    lam = complex(lam)
-    if not np.isfinite(lam):
+    lam = np.asarray(lam, dtype=complex)
+    if not np.isfinite(lam).all():
         raise DegenerateInput(f"boundary parameter must be finite, got {lam}")
-    T = np.zeros((n, n), dtype=complex)
+    lams = lam.reshape(-1)
+    x = np.empty(lams.size * n, dtype=complex)
+    rows = max(1, _CHUNK_ENTRIES // (n * n))
     idx = np.arange(n - 1)
-    T[idx, idx + 1] = T[idx + 1, idx] = 1.0
-    T[n - 1, n - 1] = lam
-    x = np.linalg.eigvals(T) / 2
+    for start in range(0, lams.size, rows):
+        part = lams[start: start + rows]
+        T = np.zeros((part.size, n, n), dtype=complex)
+        T[:, idx, idx + 1] = T[:, idx + 1, idx] = 1.0
+        T[:, n - 1, n - 1] = part
+        # the chunk's roots side by side, each with its own lam
+        lam_x = np.repeat(part, n)
 
-    def f(z):
-        u = chebyshev_u(z, n, 1)
-        return u[:, n + 1] - lam * u[:, n]
+        def f(z):
+            u = chebyshev_u(z, n, 1)
+            return u[:, n + 1] - lam_x * u[:, n]
 
-    x = _newton(f, x, _NEWTON_STEPS)
-    with np.errstate(all="ignore"):
-        _certify(_backward_error(chebyshev_u(x, n)[0], lam, x), n,
-                 "boundary roots")
-    return x
+        z = _newton(f, np.linalg.eigvals(T).reshape(-1) / 2, _NEWTON_STEPS)
+        with np.errstate(all="ignore"):
+            _certify(_backward_error(chebyshev_u(z, n)[0], lam_x, z), n,
+                     "boundary roots")
+        x[start * n: start * n + z.size] = z
+    return x.reshape(lam.shape + (n,))
 
 
 def double_roots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

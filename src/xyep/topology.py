@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import column_from_halves
-from .chain import MODES, ChainSpec, mode_arrays, mode_points
-from .ep import EPRecord, coalescing_pair, locate_eps
+from .chain import MODES, ChainSpec, mode_arrays, mode_spectra
+from .ep import EPRecord, coalescing_order, locate_eps
 from .errors import (
     AmbiguousContinuation,
     DegenerateInput,
@@ -105,28 +105,28 @@ def _default_selector(L: int, center: complex):
     return ep, tuple(a), tuple(b)
 
 
-def _slot_columns(spec: ChainSpec, ep: EPRecord):
+def _slot_columns(spec: ChainSpec, ep: EPRecord, spectra):
     """Quasi-energies and the +eps / -eps columns of V for all L slots.
 
-    Slots of the EP's mode start with its coalescing pair
-    (:func:`xyep.ep.coalescing_pair`, nearest first); every other slot
+    ``spectra`` holds each mode's branch-ordered (eps, x) row at
+    ``spec.gamma``, mode I first, as :func:`xyep.chain.mode_spectra`
+    returns them.  Slots of the EP's mode start with its coalescing pair
+    (:func:`xyep.ep.coalescing_order`, nearest first); every other slot
     keeps branch order, mode I before mode II.  Columns are left
     unnormalized: only their span is used, so the bilinearly null
     column at an exact EP needs no special case.
     """
     eps, phis, psis = [], [], []
-    for mode in MODES:
-        points = mode_points(spec, mode)
+    for mode, (mode_eps, x) in zip(MODES, spectra):
         if mode == ep.mode:
-            pair, rest = coalescing_pair(points, ep)
-            points = pair + rest
-        mode_eps = [p.epsilon for p in points]
-        phi, psi, _ = mode_arrays(spec, mode, mode_eps, [p.x for p in points])
-        eps.extend(mode_eps)
+            order = coalescing_order(x, ep)
+            mode_eps, x = mode_eps[order], x[order]
+        phi, psi, _ = mode_arrays(spec, mode, mode_eps, x)
+        eps.append(mode_eps)
         phis.append(phi[0])
         psis.append(psi[0])
     phis, psis = np.hstack(phis), np.hstack(psis)
-    return (np.array(eps), column_from_halves(phis, psis),
+    return (np.concatenate(eps), column_from_halves(phis, psis),
             column_from_halves(-phis, psis))
 
 
@@ -153,9 +153,10 @@ def _fermion_parity(q: np.ndarray) -> int:
     return 1 if np.linalg.det(t).real > 0 else -1
 
 
-def _cell(spec: ChainSpec, ep: EPRecord, pat_a, pat_b, sector: int):
+def _cell(spec: ChainSpec, ep: EPRecord, spectra, pat_a, pat_b, sector: int):
     """Rigidity and energy of both patterns' states at one anisotropy.
 
+    ``spectra`` is the cell's mode data as :func:`_slot_columns` takes it.
     Slot signs follow the principal quasi-energy branch (Re eps >= 0),
     which flips a slot's sign wherever its Re eps crosses zero and so
     moves a pattern's state into the other parity sector.  When the
@@ -164,7 +165,7 @@ def _cell(spec: ChainSpec, ep: EPRecord, pat_a, pat_b, sector: int):
     |v.v| / (v*.v) of a state is sqrt|det(Q^T Q)|, Q an orthonormal
     basis of its annihilators.
     """
-    eps, plus, minus = _slot_columns(spec, ep)
+    eps, plus, minus = _slot_columns(spec, ep, spectra)
     q_a = _annihilator_span(plus, minus, pat_a)
     if _fermion_parity(q_a) != sector:
         k = int(np.argmin(np.abs(eps.real)))
@@ -180,6 +181,19 @@ def _cell(spec: ChainSpec, ep: EPRecord, pat_a, pat_b, sector: int):
     return out
 
 
+def _b_sorts_first(ea: complex, eb: complex) -> int:
+    """1 if energy eb sorts before ea by (Re, Im), else 0.
+
+    Real parts within 16 eps of the energies' size count as a tie and
+    are ordered by Im, so rounding cannot flip the label where the pair
+    has equal real parts in exact arithmetic.
+    """
+    tol = 16 * np.finfo(float).eps * max(abs(ea), abs(eb))
+    if abs(ea.real - eb.real) <= tol:
+        return int(ea.imag > eb.imag)
+    return int(ea.real > eb.real)
+
+
 def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
                  im_max: float, n_re: int, n_im: int,
                  selector=None, threads: int = 1) -> OverlapGrid:
@@ -187,10 +201,13 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
 
     Every cell is evaluated on its own from the closed-form mode data
     (:func:`_cell`); nothing is continued from one cell to the next.
-    The a and b labels are the two occupation patterns over slots that
-    start with the EP mode's coalescing pair, nearest the EP root
-    first, so the pair's energies exchange across a seam that is one
-    ray ending at the EP.  Both patterns must have the same popcount
+    The quasi-energies of all usable cells come from one
+    :func:`xyep.chain.mode_spectra` call per mode.  The a and b labels
+    are the two occupation patterns over slots that start with the EP
+    mode's coalescing pair, nearest the EP root first, so the pair's
+    energies exchange across a seam that is one ray ending at the EP;
+    ``parity`` orders the pair by Re energy, and by Im where the real
+    parts tie to rounding.  Both patterns must have the same popcount
     parity, i.e. lie in one parity sector of the spin space, else
     :class:`DegenerateInput` is raised; the sector is read once, at the
     usable cell nearest the EP, and kept in every cell.  Cells within
@@ -221,8 +238,16 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     cells = list(zip(*np.nonzero(~pole_mask)))
     if not cells:
         raise DegenerateInput("every grid cell sits inside a pole disc")
-    nearest = min(cells, key=lambda c: abs(gammas[c] - ep.gamma))
-    _, plus, minus = _slot_columns(ChainSpec(L, complex(gammas[nearest])), ep)
+    cell_gammas = gammas[~pole_mask]
+    spectra = [mode_spectra(L, cell_gammas, mode) for mode in MODES]
+
+    def at(k):
+        return ChainSpec(L, complex(cell_gammas[k])), [
+            (eps[k], x[k]) for eps, x in spectra]
+
+    nearest = int(np.argmin(np.abs(cell_gammas - ep.gamma)))
+    spec, rows = at(nearest)
+    _, plus, minus = _slot_columns(spec, ep, rows)
     sector = _fermion_parity(_annihilator_span(plus, minus, pat_a))
 
     shape = (n_re, n_im)
@@ -231,12 +256,12 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     energy_a = np.full(shape, np.nan, dtype=complex)
     energy_b = np.full(shape, np.nan, dtype=complex)
     parity = np.zeros(shape, dtype=np.int8)
-    for c in cells:
-        (ra, ea), (rb, eb) = _cell(ChainSpec(L, complex(gammas[c])), ep,
-                                   pat_a, pat_b, sector)
+    for k, c in enumerate(cells):
+        spec, rows = at(k)
+        (ra, ea), (rb, eb) = _cell(spec, ep, rows, pat_a, pat_b, sector)
         overlap_a[c], overlap_b[c] = ra, rb
         energy_a[c], energy_b[c] = ea, eb
-        parity[c] = 0 if (ea.real, ea.imag) <= (eb.real, eb.imag) else 1
+        parity[c] = _b_sorts_first(ea, eb)
 
     return OverlapGrid(L=L, re_vals=re_vals, im_vals=im_vals,
                        overlap_a=overlap_a, overlap_b=overlap_b,
@@ -319,11 +344,15 @@ class LoopResult:
         }
 
 
-def _signed_values(L: int, g: complex) -> np.ndarray:
-    """All 2L signed quasi-energies at one anisotropy, +eps then -eps per label."""
-    spec = ChainSpec(L, g)
-    return np.array([e for mode in MODES for p in mode_points(spec, mode)
-                     for e in (p.epsilon, -p.epsilon)])
+def _signed_values(L: int, gammas) -> np.ndarray:
+    """All 2L signed quasi-energies at each of m anisotropies, shape (m, 2L).
+
+    Per row, +eps then -eps per label, labels as
+    :func:`xyep.chain.quasi_energies` numbers them; one root solve per
+    mode for all m.
+    """
+    eps = np.hstack([mode_spectra(L, gammas, mode)[0] for mode in MODES])
+    return np.stack([eps, -eps], axis=-1).reshape(eps.shape[0], -1)
 
 
 class _RefinementBudget:
@@ -332,9 +361,14 @@ class _RefinementBudget:
         self.total = 0
 
 
-def _continue_values(L: int, prev: np.ndarray, g0: complex, g1: complex,
-                     depth: int, budget: _RefinementBudget) -> np.ndarray:
-    cand = _signed_values(L, g1)
+def _continue_values(L: int, prev: np.ndarray, cand: np.ndarray, g0: complex,
+                     g1: complex, depth: int,
+                     budget: _RefinementBudget) -> np.ndarray:
+    """Carry the values ``prev`` at g0 onto ``cand``, the values at g1.
+
+    An ambiguous step is split at its midpoint, the only anisotropy
+    whose values are solved here.
+    """
     cost = np.abs(prev[:, None] - cand[None, :])
     pick = np.argmin(cost, axis=1)
     srt = np.sort(cost, axis=1)
@@ -350,14 +384,17 @@ def _continue_values(L: int, prev: np.ndarray, g0: complex, g1: complex,
             f"between gamma = {g0:.6g} and {g1:.6g}")
     budget.total += 1
     mid = (g0 + g1) / 2
-    half = _continue_values(L, prev, g0, mid, depth + 1, budget)
-    return _continue_values(L, half, mid, g1, depth + 1, budget)
+    half = _continue_values(L, prev, _signed_values(L, mid)[0], g0, mid,
+                            depth + 1, budget)
+    return _continue_values(L, half, cand, mid, g1, depth + 1, budget)
 
 
 def track_loop(L: int, center: complex, radius: float, steps: int = 256,
                max_refinements: int = 12, orientation: int = 1) -> LoopResult:
     """Drag all quasi-energy branches around a circle and read the permutation.
 
+    The values at all ``steps + 1`` loop points come from one root
+    solve per mode; only bisection midpoints are solved on their own.
     Each branch is continued to its nearest candidate value.  A step is
     bisected when some branch's best and second-best candidate distances
     differ by less than a factor of two, or when two branches pick the
@@ -375,15 +412,17 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
     if orientation not in (1, -1):
         raise DegenerateInput("orientation must be +1 or -1")
     center = complex(center)
-    gammas = [center + radius * np.exp(orientation * 2j * np.pi * t / steps)
-              for t in range(steps)]
-    gammas.append(gammas[0])
+    gammas = center + radius * np.exp(
+        orientation * 2j * np.pi * np.arange(steps) / steps)
+    gammas = np.append(gammas, gammas[0])
 
-    start = _signed_values(L, gammas[0])
+    values = _signed_values(L, gammas)
+    start = values[0]
     budget = _RefinementBudget(max_refinements)
-    vals = start.copy()
+    vals = start
     for t in range(steps):
-        vals = _continue_values(L, vals, gammas[t], gammas[t + 1], 0, budget)
+        vals = _continue_values(L, vals, values[t + 1], gammas[t],
+                                gammas[t + 1], 0, budget)
 
     # the last step lands on gammas[0] itself, so vals is an exact
     # reordering of start and each value finds its own copy
@@ -425,7 +464,8 @@ def branch_scaling_probe(ep: EPRecord, radii: np.ndarray | None = None,
     """Measure the splitting exponent of the coalescing pair near an EP.
 
     Evaluates the two nearest boundary roots at gamma = gamma_EP +
-    r * direction for a decade ladder of radii and fits
+    r * direction for a decade ladder of radii, all radii in one
+    :func:`xyep.chain.mode_spectra` call, and fits
     log|eps1 - eps2| = alpha log r + const; alpha -> 1/2 at a plain
     square-root branch point.  ``radii`` must hold at least two distinct,
     finite, positive values, else :class:`DegenerateInput` is raised.
@@ -439,13 +479,9 @@ def branch_scaling_probe(ep: EPRecord, radii: np.ndarray | None = None,
     if direction == 0:
         raise DegenerateInput("direction must be nonzero")
     direction /= abs(direction)
-    splittings = []
-    for r in radii:
-        g = ep.gamma + r * direction
-        points = mode_points(ChainSpec(ep.L, g), ep.mode)
-        (p1, p2), _ = coalescing_pair(points, ep)
-        splittings.append(abs(p1.epsilon - p2.epsilon))
-    splittings = np.array(splittings)
+    eps, x = mode_spectra(ep.L, ep.gamma + radii * direction, ep.mode)
+    pair = np.take_along_axis(eps, coalescing_order(x, ep)[:, :2], axis=-1)
+    splittings = np.abs(pair[:, 0] - pair[:, 1])
     if np.any(splittings == 0):
         raise DegenerateInput("splitting vanished at a probe radius")
     lx, ly = np.log(radii), np.log(splittings)

@@ -15,6 +15,7 @@ from xyep.chain import (
     mode_arrays,
     mode_equation_residual,
     mode_points,
+    mode_spectra,
     mode_vector_poly,
     mode_vector_trig,
     mode_vectors,
@@ -138,6 +139,38 @@ def test_mode_points_label_branches_of_one_mode():
         assert all(p.epsilon == eps_of_x(spec.gamma, p.x) for p in pts)
 
 
+def test_mode_spectra_rows_are_the_mode_points():
+    # one root solve for many anisotropies; each row is, bit for bit, the
+    # labelled points of its anisotropy alone
+    gammas = np.array(random_gammas(7) + [0.0, 2.5 - 0.3j, -0.9])
+    for mode in ("I", "II"):
+        eps, x = mode_spectra(10, gammas, mode)
+        assert eps.shape == x.shape == (gammas.size, 5)
+        for g, e_row, x_row in zip(gammas, eps, x):
+            pts = mode_points(ChainSpec(10, g), mode)
+            assert np.array_equal(e_row, [p.epsilon for p in pts])
+            assert np.array_equal(x_row, [p.x for p in pts])
+    for g in (1.0, -1.0):
+        with pytest.raises(LambdaSingular):
+            mode_spectra(6, [0.3 + 0.2j, g], "I")
+    with pytest.raises(DegenerateInput):
+        mode_spectra(5, [0.3], "I")
+    with pytest.raises(DegenerateInput):
+        mode_spectra(6, [0.3], "III")
+
+
+def test_gamma_maps_give_the_same_bits_for_scalars_and_arrays():
+    g = np.array(random_gammas(50) + [0.3, -2.0, 1j])
+    x = RNG.standard_normal(g.size) + 1j * RNG.standard_normal(g.size)
+    lam = gamma_to_lambda(g)
+    assert np.array_equal(lam, [gamma_to_lambda(z) for z in g])
+    assert np.array_equal(lambda_to_gamma(lam), [lambda_to_gamma(z) for z in lam])
+    assert np.array_equal(eps_of_x(g, x), [eps_of_x(a, b) for a, b in zip(g, x)])
+    assert all(type(f(0.3 + 0.1j)) is complex
+               for f in (gamma_to_lambda, lambda_to_gamma))
+    assert type(eps_of_x(0.3 + 0.1j, 0.5)) is complex
+
+
 def values_along_dispersion(spec, mode, eps):
     phi, psi, _ = mode_arrays(spec, mode, eps, x_of_eps(spec.gamma, eps))
     return np.concatenate([phi[0], psi[0]])
@@ -259,18 +292,32 @@ def test_mode_vectors_normalize_each_column_of_one_mode():
         assert np.max(np.abs(np.sum(phi * phi + psi * psi, axis=0) - 1)) < 1e-12
         assert np.all(residual < 1e-8)
         for j, p in enumerate(pts):
-            # the k = 1 case is mode_vector_poly, the same column to rounding;
-            # the largest entries of a column tie (the chain is reflection
-            # symmetric), so rounding may pick the other overall sign
+            # the k = 1 case is mode_vector_poly, the same column to rounding
             mv = mode_vector_poly(spec, p)
             col = np.concatenate([phi[:, j], psi[:, j]])
             one = np.concatenate([mv.phi, mv.psi])
-            assert min(np.max(np.abs(one - col)), np.max(np.abs(one + col))) < 1e-14
+            assert np.max(np.abs(one - col)) < 1e-14
             assert mv.boundary_residual < 1e-8
             # a -eps point yields the same +eps halves
             plus, _, _, _ = mode_vectors(spec, mode, [p])
             minus, _, _, _ = mode_vectors(spec, mode, [p.negated()])
             assert np.array_equal(minus, plus)
+
+
+def test_column_sign_does_not_depend_on_the_batch():
+    # the largest entries of a column tie under the chain's reflection
+    # symmetry, so a sign read from them followed rounding; these columns
+    # came out negated between one point and the whole mode
+    for L, g, mode, branch in ((12, -0.3 + 0.7j, "I", 5),
+                               (20, 0.2 + 0.1j, "II", 8)):
+        spec = ChainSpec(L, g)
+        pts = mode_points(spec, mode)
+        phi, psi, _, _ = mode_vectors(spec, mode, pts)
+        mv = mode_vector_poly(spec, pts[branch - 1])
+        assert np.max(np.abs(mv.phi - phi[:, branch - 1])) < 1e-14
+        assert np.max(np.abs(mv.psi - psi[:, branch - 1])) < 1e-14
+        # the site-1 entry carries the sign: Re > 0 in every column
+        assert np.all((phi[0] + psi[0]).real > 0)
 
 
 def test_trig_route_agrees_with_poly_route():

@@ -84,3 +84,23 @@ def oracle_importers() -> list[str]:
 
 def test_spin_space_oracle_is_imported_only_by_cli_and_package():
     assert set(oracle_importers()) <= {"cli.py", "__init__.py"}
+
+
+def names_used(path: Path) -> set[str]:
+    """Names a module imports from anywhere, and attributes it reads."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_only_chain_turns_boundary_roots_into_quasi_energies():
+    # roots become labelled, branch-ordered quasi-energies in one place,
+    # chain.mode_spectra; every batch of anisotropies goes through it
+    users = [path.name for path in sorted(SRC.glob("*.py"))
+             if path.name != "polyalg.py"
+             and "boundary_roots" in names_used(path)]
+    assert users == ["chain.py"]

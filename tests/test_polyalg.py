@@ -1,10 +1,13 @@
 """The boundary-polynomial kernel: recurrence, roots and double roots."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Chebyshev
 
+import xyep.polyalg as polyalg_module
 from xyep.chain import gamma_to_lambda
 from xyep.errors import DegenerateInput, NonConvergence
 from xyep.polyalg import boundary_roots, chebyshev_u, double_roots
@@ -67,6 +70,9 @@ def test_poly_derivative():
 def test_kernel_rejects_degenerate_input():
     with pytest.raises(DegenerateInput):
         boundary_roots(3, complex(np.nan, 0.0))
+    # one non-finite parameter refuses the whole batch
+    with pytest.raises(DegenerateInput):
+        boundary_roots(3, [0.5, complex(0.0, np.inf), 2.0])
 
 
 def test_roots_of_zero_poly_rejected():
@@ -126,9 +132,63 @@ def test_roots_nonconvergence_surfaces(monkeypatch):
     # starts far from every root: two Newton steps cannot meet the
     # certificate, and the kernel must refuse rather than return them
     monkeypatch.setattr(np.linalg, "eigvals",
-                        lambda T: np.full(T.shape[0], 40.0 + 0j))
+                        lambda T: np.full(T.shape[:-1], 40.0 + 0j))
     with pytest.raises(NonConvergence):
         boundary_roots(6, 0.4 + 0.2j)
+
+
+def test_roots_nonconvergence_of_one_row_refuses_the_batch(monkeypatch):
+    real = np.linalg.eigvals
+
+    def one_bad_row(T):
+        vals = real(T)
+        vals[min(2, vals.shape[0] - 1)] = 40.0
+        return vals
+
+    lams = [0.4 + 0.2j, -1.3, 0.1 - 2j, 3j]
+    assert boundary_roots(6, lams).shape == (4, 6)
+    monkeypatch.setattr(np.linalg, "eigvals", one_bad_row)
+    with pytest.raises(NonConvergence):
+        boundary_roots(6, lams)
+
+
+def test_batched_rows_equal_single_parameter_solves():
+    # every step acts on each row alone, so a row is bit for bit the
+    # solve of its parameter on its own, and a scalar keeps shape (n,)
+    rng = np.random.default_rng(17)
+    for n in range(2, 101):
+        lams = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        batch = boundary_roots(n, lams)
+        assert batch.shape == (2, n)
+        for lam, row in zip(lams, batch):
+            single = boundary_roots(n, lam)
+            assert single.shape == (n,)
+            assert np.array_equal(row, single)
+    assert boundary_roots(4, np.empty(0)).shape == (0, 4)
+
+
+def test_chunking_does_not_change_the_roots(monkeypatch):
+    rng = np.random.default_rng(19)
+    lams = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    for n in (2, 7, 40):
+        whole = boundary_roots(n, lams)
+        monkeypatch.setattr(polyalg_module, "_CHUNK_ENTRIES", 1)
+        one_row_each = boundary_roots(n, lams)
+        monkeypatch.undo()
+        assert np.array_equal(whole, one_row_each)
+
+
+def test_many_parameters_at_large_degree_stay_in_bounded_memory():
+    # without chunks, 300 parameters at n = 100 held about 144 MB at once
+    lams = np.exp(2j * np.pi * np.arange(300) / 300) * 1.5
+    tracemalloc.start()
+    try:
+        x = boundary_roots(100, lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (300, 100)
+    assert peak < 32 * 2 ** 20
 
 
 def test_double_root_splits_within_backward_error():

@@ -204,6 +204,55 @@ def test_overlap_grid_energies_are_the_pattern_energies():
                        for i, j in ((0, 0), (0, 1), (0, 2), (1, 0))}
 
 
+def test_overlap_grid_orders_tied_real_parts_by_imaginary_part():
+    # on the row Re gamma = Re gamma_EP of this grid the pair's energies
+    # have equal real parts in exact arithmetic; the label must come from
+    # the imaginary parts there, not from a rounding difference of Re
+    ep = locate_eps(4)[2]
+    g = ep.gamma
+    grid = overlap_grid(4, g.real - 0.1, g.real + 0.1, g.imag - 0.1,
+                        g.imag + 0.1, 13, 13)
+    ea, eb = grid.energy_a, grid.energy_b
+    size = np.maximum(np.abs(ea), np.abs(eb))
+    tied = np.abs(ea.real - eb.real) <= 16 * np.finfo(float).eps * size
+    assert tied[6].sum() >= 6 and not np.delete(tied, 6, axis=0).any()
+    assert np.array_equal(grid.parity[tied], (ea.imag > eb.imag)[tied])
+    assert np.array_equal(grid.parity[~tied], (ea.real > eb.real)[~tied])
+    assert grid.parity[6, 9] == 1
+
+
+def count_root_solves(monkeypatch):
+    calls = []
+    real = chain_module.boundary_roots
+
+    def counting(n, lam):
+        calls.append(np.size(lam))
+        return real(n, lam)
+
+    monkeypatch.setattr(chain_module, "boundary_roots", counting)
+    return calls
+
+
+def test_loop_and_grid_make_one_root_solve_per_mode(monkeypatch):
+    calls = count_root_solves(monkeypatch)
+    r = track_loop(4, L4_EP, 0.05, steps=64)
+    assert r.refinements == 0
+    assert calls == [65, 65]                  # every loop point, both modes
+    calls.clear()
+    grid = overlap_grid(4, 0.95, 1.05, -0.05, 0.05, 5, 5)
+    usable = int((~grid.pole_mask).sum())
+    assert calls == [usable, usable]
+
+
+def test_track_loop_solves_only_bisection_midpoints_on_demand(monkeypatch):
+    # the through-EP loop bisects until it gives up; apart from the two
+    # solves of the loop points, each solve is one midpoint per mode
+    calls = count_root_solves(monkeypatch)
+    with pytest.raises(AmbiguousContinuation):
+        track_loop(4, L4_EP + 0.05, 0.05, steps=64)
+    assert calls[:2] == [65, 65] and set(calls[2:]) == {1}
+
+
 def test_overlap_grid_is_symmetric_under_conjugate_gamma():
     # H(conj gamma) = conj H(gamma): on a window symmetric about the real
     # axis the pair's energies are conjugate and its rigidities equal
@@ -313,13 +362,13 @@ def test_track_loop_validation():
 
 
 def gliding_values(a0: complex, b0: complex, sigma: float):
-    """Fake signed values on a loop centred at gamma = 0.
+    """Fake signed values on a loop centred at gamma = 0, one row per gamma.
 
     Up to the angle fraction ``sigma`` the values are 0, 1, 10, 20, ...;
     past it the first two jump to a0 and b0 and then glide back to 0 and
     1 by the end of the loop, so the loop closes on the identity.
     """
-    def values(L, g):
+    def row(L, g):
         vals = np.concatenate([[0, 1], 10.0 * np.arange(1, 2 * L - 1)])
         vals = vals.astype(complex)
         s = (np.angle(g) / (2 * np.pi)) % 1.0
@@ -328,6 +377,9 @@ def gliding_values(a0: complex, b0: complex, sigma: float):
             vals[0] = (1 - u) * a0
             vals[1] = (1 - u) * b0 + u
         return vals
+
+    def values(L, gammas):
+        return np.array([row(L, g) for g in np.atleast_1d(gammas)])
 
     return values
 
@@ -375,17 +427,23 @@ def test_branch_scaling_square_root():
 
 
 def test_branch_scaling_probe_solves_only_the_ep_mode(monkeypatch):
+    # every radius is one boundary parameter, all of them of the EP's mode,
+    # solved together in one call
     calls = []
     real = chain_module.boundary_roots
 
     def counting(n, lam):
-        calls.append(lam)
+        calls.append(np.atleast_1d(lam))
         return real(n, lam)
 
     monkeypatch.setattr(chain_module, "boundary_roots", counting)
     ep = locate_eps(8, "II")[0]
     fit = branch_scaling_probe(ep)
-    assert len(calls) == fit.radii.size
+    assert len(calls) == 1
+    lams = calls[0]
+    assert lams.size == fit.radii.size
+    assert np.array_equal(lams, [ChainSpec(8, ep.gamma + r).mode_lambda("II")
+                                 for r in fit.radii])
 
 
 def test_branch_scaling_probe_needs_two_distinct_positive_radii(capfd):
