@@ -12,7 +12,6 @@ from .chain import (
     lambda_to_gamma,
     mode_vector_poly,
     mode_vector_trig,
-    momentum_residual,
     quasi_energies,
     x_of_eps,
 )

@@ -43,6 +43,9 @@ FAMILIES = ("R", "Rstar", "Lstar", "L")
 # (168 MB at L = 20) besides the 2^L energies
 MANY_BODY_LIMIT = 20
 
+# assemble_basis refuses a basis whose ||V V^T - I|| exceeds this
+_ORTH_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class BiorthogonalBasis:
@@ -76,13 +79,13 @@ def column_from_halves(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.concatenate([top, bot])
 
 
-def assemble_basis(spec: ChainSpec, tol: float = 1e-6) -> BiorthogonalBasis:
+def assemble_basis(spec: ChainSpec) -> BiorthogonalBasis:
     """Diagonalize M from the closed-form mode vectors.
 
     One :func:`xyep.chain.mode_vectors` call per mode gives the +eps
     columns; each -eps partner is (-phi, psi), exactly.  Raises
-    :class:`DefectiveBasis` when ||V V^T - I|| exceeds ``tol``, which is
-    the numerical signature of an exceptional point.
+    :class:`DefectiveBasis` when ||V V^T - I|| exceeds ``_ORTH_TOL`` or is
+    not a number, which is the numerical signature of an exceptional point.
     """
     L = spec.L
     plus_points = quasi_energies(spec)
@@ -103,9 +106,9 @@ def assemble_basis(spec: ChainSpec, tol: float = 1e-6) -> BiorthogonalBasis:
     V = column_from_halves(phis, psis)
     V_inv = V.T
     orth = float(np.max(np.abs(V @ V_inv - np.eye(2 * L))))
-    if orth > tol:
+    if not orth <= _ORTH_TOL:
         raise DefectiveBasis(
-            f"bilinear orthogonality residual {orth:.3e} > {tol:g}; "
+            f"bilinear orthogonality residual {orth:.3e} > {_ORTH_TOL:g}; "
             "the spectrum is (numerically) defective here")
     M = build_quasi_hamiltonian(spec).M
     diag = float(np.max(np.abs(M @ V - V * Lambda[None, :])))

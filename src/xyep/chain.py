@@ -30,9 +30,9 @@ from .errors import (
     DegenerateInput,
     EpsilonZero,
     LambdaSingular,
-    TrigSingular,
+    ModeCoincidenceWarning,
+    NearEPWarning,
 )
-from .errors import ModeCoincidenceWarning, NearEPWarning
 from .polyalg import boundary_roots, chebyshev_u
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "mode_vectors",
     "mode_vector_poly",
     "mode_vector_trig",
-    "momentum_residual",
     "mode_equation_residual",
 ]
 
@@ -207,12 +206,18 @@ def mode_spectra(L: int, gammas, mode: str) -> tuple[np.ndarray, np.ndarray]:
     :func:`xyep.polyalg.boundary_roots` call.  Row i holds the branches
     at ``gammas[i]`` in branch order, decreasing (Re eps, Im eps), so it
     is the same whatever else is in the batch.  Raises
-    :class:`LambdaSingular` at gamma = +-1.
+    :class:`LambdaSingular` at gamma = +-1 and :class:`DegenerateInput`
+    when some eps is not finite (gamma^2 overflows above |gamma| ~ 1e154).
     """
     _check_length(L)
     gammas = np.atleast_1d(np.asarray(gammas, dtype=complex))
     x = boundary_roots(L // 2, _mode_lambdas(gammas, mode))
-    eps = eps_of_x(gammas[:, None], x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = eps_of_x(gammas[:, None], x)
+    bad = ~np.all(np.isfinite(eps), axis=-1)
+    if bad.any():
+        raise DegenerateInput(
+            f"quasi-energies are not finite at gamma = {gammas[bad][0]:.6g}")
     order = np.lexsort((-eps.imag, -eps.real), axis=-1)
     rows = np.arange(gammas.size)[:, None]
     return eps[rows, order], x[rows, order]
@@ -371,7 +376,7 @@ def mode_vector_trig(spec: ChainSpec, point: SpectralPoint) -> ModeVector:
     n = spec.n_pairs
     k = 0.5 * cmath.acos(complex(point.x))
     if abs(cmath.sin(2 * k)) < _TRIG_GUARD:
-        raise TrigSingular("sin(2k) ~ 0: sine patterns collapse")
+        raise DegenerateInput("sin(2k) ~ 0: sine patterns collapse")
     eps_plus = point.epsilon if point.sign > 0 else -point.epsilon
     m = np.arange(1, n + 1)
     even = np.array([cmath.sin(2 * mm * k) for mm in m])
@@ -391,7 +396,7 @@ def mode_vector_trig(spec: ChainSpec, point: SpectralPoint) -> ModeVector:
             phi[0::2] = -delta * other
         norm = np.linalg.norm(np.concatenate([phi, psi]))
         if norm < _TRIG_GUARD:
-            raise TrigSingular("sine pattern is numerically zero")
+            raise DegenerateInput("sine pattern is numerically zero")
         phi, psi = phi / norm, psi / norm
         resid = np.linalg.norm((qh.A + qh.B) @ phi - eps_plus * psi)
         if best is None or resid < best[0]:
@@ -401,21 +406,6 @@ def mode_vector_trig(spec: ChainSpec, point: SpectralPoint) -> ModeVector:
     return ModeVector(mode=point.mode, sign=point.sign, epsilon=point.epsilon,
                       phi=phi[:, 0] if point.sign > 0 else -phi[:, 0],
                       psi=psi[:, 0], scale=s[0], boundary_residual=0.0)
-
-
-def momentum_residual(spec: ChainSpec, k: complex, mode: str) -> complex:
-    """Defect of the momentum quantization condition at k.
-
-    Zero exactly when sin((L+2)k)/sin(Lk) equals lambda (mode I) or
-    1/lambda (mode II).  Guards against vanishing denominators.
-    """
-    target = spec.mode_lambda(mode)
-    L = spec.L
-    sl = cmath.sin(L * k)
-    if abs(sl) < _TRIG_GUARD or abs(cmath.cos(k)) < _TRIG_GUARD \
-            or abs(cmath.cos((L + 1) * k)) < _TRIG_GUARD:
-        raise TrigSingular("momentum condition evaluated at a trigonometric zero")
-    return cmath.sin((L + 2) * k) / sl - target
 
 
 def mode_equation_residual(spec: ChainSpec, mv: ModeVector) -> float:

@@ -22,7 +22,8 @@ from ._fmt import csv_text, fmt_real, json_text, parse_complex
 from .basis import many_body_energies
 from .chain import ChainSpec
 from .ep import ep_table_rows, locate_eps, reference_ep_gammas
-from .errors import AmbiguousContinuation, LambdaSingular, XYEPError
+from .errors import (AmbiguousContinuation, DegenerateInput, LambdaSingular,
+                     XYEPError)
 from .oracle import build_spin_hamiltonian, ed_eigen, match_spectra
 from .topology import overlap_grid, track_loop
 
@@ -40,8 +41,12 @@ def _complex_arg(text: str) -> complex:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DegenerateInput(
+                f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -82,7 +87,7 @@ def cmd_spectrum(args) -> int:
 def cmd_ep_table(args) -> int:
     if args.L_min % 2 or args.L_max % 2 or args.L_min < 4 \
             or args.L_max < args.L_min:
-        raise XYEPError("need even 4 <= L-min <= L-max")
+        raise DegenerateInput("need even 4 <= L-min <= L-max")
     config = {
         "command": "ep-table",
         "version": __version__,

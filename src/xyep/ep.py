@@ -18,7 +18,6 @@ import numpy as np
 from .chain import (
     ChainSpec,
     MODES,
-    SpectralPoint,
     build_quasi_hamiltonian,
     eps_of_x,
     lambda_to_gamma,
@@ -40,7 +39,6 @@ __all__ = [
     "locate_eps",
     "reference_ep_gammas",
     "coalescing_order",
-    "coalescing_pair",
     "generalized_eigenvector",
     "jordan_decomposition",
     "ep_state_catalog",
@@ -155,17 +153,6 @@ def coalescing_order(x, ep: EPRecord) -> np.ndarray:
                           axis=-1)
 
 
-def coalescing_pair(points: list[SpectralPoint], ep: EPRecord
-                    ) -> tuple[list[SpectralPoint], list[SpectralPoint]]:
-    """Split the EP mode's points into the coalescing pair and the rest.
-
-    :func:`coalescing_order` on the points' roots: the pair nearest
-    first, the rest in the order of ``points``.
-    """
-    order = coalescing_order([p.x for p in points], ep)
-    return ([points[i] for i in order[:2]], [points[i] for i in order[2:]])
-
-
 @dataclass(frozen=True)
 class JordanChain:
     """Eigenvector w and generalized partner u of one defective block.
@@ -227,7 +214,7 @@ def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
     eye = np.eye(2 * spec.L)
     chain_res = float(np.linalg.norm((qh.M - eps * eye) @ su - sw)) / m_norm
     eigen_res = float(np.linalg.norm((qh.M - eps * eye) @ sw)) / m_norm
-    if chain_res > 1e-7:
+    if not chain_res <= 1e-7:
         raise DefectiveBasis(
             f"chain identity residual {chain_res:.3e} exceeds 1e-7")
     return JordanChain(
@@ -281,10 +268,12 @@ def _simple_points(spec: ChainSpec, ep: EPRecord) -> dict:
     for mode in MODES:
         points = mode_points(spec, mode)
         if mode == ep.mode:
-            pair, points = coalescing_pair(points, ep)
-            if max(abs(p.x - ep.x) for p in pair) > 1e-4 * (1 + abs(ep.x)):
+            order = coalescing_order([p.x for p in points], ep)
+            if max(abs(points[i].x - ep.x) for i in order[:2]) \
+                    > 1e-4 * (1 + abs(ep.x)):
                 raise DegenerateInput(
                     "could not identify the coalescing boundary roots")
+            points = [points[i] for i in order[2:]]
         simple[mode] = points
     return simple
 
@@ -321,7 +310,7 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
 
     eye = np.eye(2 * L)
     inv_res = float(np.max(np.abs(V @ V_inv - eye)))
-    if inv_res > 1e-6:
+    if not inv_res <= 1e-6:
         raise DefectiveBasis(
             f"structured inverse residual {inv_res:.3e} exceeds 1e-6")
     m_norm = float(np.linalg.norm(qh.M))

@@ -1,4 +1,15 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+One class per failure kind that some caller tells apart:
+
+- :class:`DegenerateInput` and :class:`SizeLimit`: the CLI exits 2;
+  ``SizeLimit`` is the 2^L guard of the dense and enumerating routes.
+- :class:`LambdaSingular`: the CLI exits 3 (the gamma = +-1 pole).
+- :class:`AmbiguousContinuation`: the CLI exits 4.
+- :class:`DefectiveBasis`, :class:`EpsilonZero` and
+  :class:`NonConvergence`: the CLI exits 2; the benchmark harness
+  classifies known refusals by these names.
+"""
 
 
 class XYEPError(Exception):
@@ -13,16 +24,17 @@ class EpsilonZero(XYEPError):
     """A quasi-energy of exactly zero was requested where the construction divides by it."""
 
 
-class TrigSingular(XYEPError):
-    """A trigonometric expression is evaluated too close to a zero of its denominator."""
-
-
 class NonConvergence(XYEPError):
     """An iterative solver exhausted its iteration budget before meeting tolerance."""
 
 
 class DegenerateInput(XYEPError):
-    """Input is structurally unusable (zero polynomial, vanishing leading block, ...)."""
+    """Input is unusable: invalid, degenerate at this parameter, or without a result.
+
+    Covers malformed arguments, closed forms that degenerate at the given
+    parameter, zero vectors, mismatched sizes, clusters that cannot be
+    separated and annihilation conditions that admit no state.
+    """
 
 
 class DefectiveBasis(XYEPError):
@@ -33,28 +45,8 @@ class SizeLimit(XYEPError):
     """Requested system size exceeds what the dense construction supports."""
 
 
-class ClusterAmbiguity(XYEPError):
-    """Eigenvalue clustering could not separate clusters cleanly at the given tolerance."""
-
-
-class VacuumNotFound(XYEPError):
-    """No joint null vector exists for the requested annihilation conditions."""
-
-
-class CardinalityMismatch(XYEPError):
-    """Two spectra to be matched have different lengths."""
-
-
 class AmbiguousContinuation(XYEPError):
     """Eigenvalue tracking could not disambiguate branches within the refinement budget."""
-
-
-class ZeroVector(XYEPError):
-    """An operation that needs a nonzero vector received (numerically) zero."""
-
-
-class LimitRequired(XYEPError):
-    """A closed-form expression degenerates at this parameter; take the limit instead."""
 
 
 class XYEPWarning(UserWarning):

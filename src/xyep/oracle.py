@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CardinalityMismatch,
-    ClusterAmbiguity,
-    LimitRequired,
-    SizeLimit,
-    VacuumNotFound,
-)
+from .errors import DegenerateInput, SizeLimit
 
 __all__ = [
     "EDResult",
@@ -45,6 +39,14 @@ SPIN_LIMIT = 12        # dense 2^L x 2^L Hamiltonians
 VECTOR_LIMIT = 10      # full eigenvector computation
 REALIZE_LIMIT = 8      # Jordan-Wigner operator realization
 EP_STATE_LIMIT = 6     # explicit many-body states at an exceptional point
+
+# geometric_multiplicities: defective eigenvalues of a dense solve scatter
+# by roughly the square root of machine precision, so clusters are joined
+# above that scatter and must stand _GAP_FACTOR times further from the rest
+_CLUSTER_TOL = 1e-7
+_GAP_FACTOR = 10.0
+# singular values below this fraction of the largest count as null
+_RANK_TOL = 1e-8
 
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 _SM = np.array([[0.0, 1.0], [0.0, 0.0]])   # annihilates the down state
@@ -189,11 +191,11 @@ def l4_closed_form(gamma: complex) -> L4ClosedForm:
     """Radical-form spectrum and eigenvectors for L = 4.
 
     The displayed denominators vanish at gamma in {0, +1, -1}; those
-    parameters need limiting forms and raise :class:`LimitRequired`.
+    parameters need limiting forms and raise :class:`DegenerateInput`.
     """
     g = complex(gamma)
     if g in (0, 1, -1) or g * g == 1:
-        raise LimitRequired("closed forms degenerate at gamma in {0, +1, -1}")
+        raise DegenerateInput("closed forms degenerate at gamma in {0, +1, -1}")
     dp = np.sqrt(5 * g * g + 6 * g + 5 + 0j)
     dm = np.sqrt(5 * g * g - 6 * g + 5 + 0j)
 
@@ -253,17 +255,14 @@ class ClusterRecord:
     spread: float
 
 
-def geometric_multiplicities(H: np.ndarray, cluster_tol: float = 1e-7,
-                             rank_tol: float = 1e-8,
-                             gap_factor: float = 10.0) -> list[ClusterRecord]:
+def geometric_multiplicities(H: np.ndarray) -> list[ClusterRecord]:
     """Cluster eigenvalues and measure each cluster's eigenspace dimension.
 
-    Defective eigenvalues of a dense solve scatter by roughly the
-    square root of machine precision, so ``cluster_tol`` must sit above
-    that scatter; a cluster whose distance to the rest is not at least
-    ``gap_factor`` times the tolerance raises :class:`ClusterAmbiguity`.
-    Geometric multiplicity is the number of singular values of
-    H - mu I below ``rank_tol`` times the largest.
+    Eigenvalues within ``_CLUSTER_TOL`` of each other form one cluster;
+    a cluster whose distance to the rest is less than ``_GAP_FACTOR``
+    times that tolerance raises :class:`DegenerateInput`.  Geometric
+    multiplicity is the number of singular values of H - mu I below
+    ``_RANK_TOL`` times the largest.
     """
     vals = np.linalg.eigvals(H)
     n = vals.size
@@ -277,7 +276,7 @@ def geometric_multiplicities(H: np.ndarray, cluster_tol: float = 1e-7,
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= cluster_tol:
+            if abs(vals[i] - vals[j]) <= _CLUSTER_TOL:
                 parent[find(j)] = find(i)
     groups: dict[int, list[int]] = {}
     for i in range(n):
@@ -292,12 +291,12 @@ def geometric_multiplicities(H: np.ndarray, cluster_tol: float = 1e-7,
         outside = np.delete(vals, members)
         if outside.size:
             d_out = float(np.min(np.abs(outside - mu)))
-            if d_out < gap_factor * cluster_tol:
-                raise ClusterAmbiguity(
+            if d_out < _GAP_FACTOR * _CLUSTER_TOL:
+                raise DegenerateInput(
                     f"cluster at {mu:.6g} is only {d_out:.3e} away from "
                     "the rest of the spectrum")
         sv = np.linalg.svd(H - mu * eye, compute_uv=False)
-        geom = int(np.sum(sv < rank_tol * sv[0]))
+        geom = int(np.sum(sv < _RANK_TOL * sv[0]))
         records.append(ClusterRecord(value=mu, algebraic=len(members),
                                      geometric=geom, spread=spread))
     records.sort(key=lambda r: (r.value.real, r.value.imag))
@@ -313,7 +312,7 @@ def realize_operator(L: int, row: np.ndarray,
     """
     row = np.asarray(row, dtype=complex)
     if row.size != 2 * L:
-        raise CardinalityMismatch(f"coefficient row must have length {2 * L}")
+        raise DegenerateInput(f"coefficient row must have length {2 * L}")
     if modes is None:
         modes = jordan_wigner_modes(L)
     X = np.zeros((2 ** L, 2 ** L), dtype=complex)
@@ -362,7 +361,7 @@ def match_spectra(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> MatchResul
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     if a.size != b.size:
-        raise CardinalityMismatch(f"spectra differ in size: {a.size} vs {b.size}")
+        raise DegenerateInput(f"spectra differ in size: {a.size} vs {b.size}")
 
     def sorted_order(v):
         return np.lexsort((v.imag, np.round(v.real, 9)))
@@ -391,14 +390,14 @@ def match_spectra(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> MatchResul
 # explicit many-body states at an exceptional point
 # ---------------------------------------------------------------------------
 
-def _joint_null_space(ops: list[np.ndarray], rank_tol: float = 1e-8) -> np.ndarray:
+def _joint_null_space(ops: list[np.ndarray]) -> np.ndarray:
     stacked = np.vstack(ops)
     _, sv, vh = np.linalg.svd(stacked)
     smax = sv[0] if sv.size else 0.0
-    keep = np.sum(sv > rank_tol * smax)
+    keep = np.sum(sv > _RANK_TOL * smax)
     null = vh[keep:].conj().T
     if null.shape[1] == 0:
-        raise VacuumNotFound("the requested annihilation conditions admit no state")
+        raise DegenerateInput("the requested annihilation conditions admit no state")
     return null
 
 
@@ -505,7 +504,7 @@ def build_ep_states(spec, jordan, seed: int = 0) -> EPStates:
         ):
             nrm = np.linalg.norm(vec)
             if nrm < 1e-12:
-                raise VacuumNotFound(
+                raise DegenerateInput(
                     f"sector {sector} pattern {pattern} collapsed to zero")
             states.append(vec / nrm)
             sectors.append(sector)

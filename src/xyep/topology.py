@@ -18,12 +18,7 @@ import numpy as np
 from .basis import column_from_halves
 from .chain import MODES, ChainSpec, mode_arrays, mode_spectra
 from .ep import EPRecord, coalescing_order, locate_eps
-from .errors import (
-    AmbiguousContinuation,
-    DegenerateInput,
-    SizeLimit,
-    ZeroVector,
-)
+from .errors import AmbiguousContinuation, DegenerateInput, SizeLimit
 
 __all__ = [
     "OverlapGrid",
@@ -39,6 +34,8 @@ __all__ = [
 
 POLE_RADIUS = 1e-2
 _GRID_SIZE_LIMIT = 8
+# track_loop: levels of bisection allowed within one loop step
+_MAX_REFINEMENTS = 12
 
 
 def phase_rigidity(v: np.ndarray) -> complex:
@@ -51,7 +48,7 @@ def phase_rigidity(v: np.ndarray) -> complex:
     v = np.asarray(v, dtype=complex).ravel()
     d = np.vdot(v, v).real
     if d < 1e-300:
-        raise ZeroVector("phase rigidity of the zero vector is undefined")
+        raise DegenerateInput("phase rigidity of the zero vector is undefined")
     return complex((v @ v) / d)
 
 
@@ -355,19 +352,13 @@ def _signed_values(L: int, gammas) -> np.ndarray:
     return np.stack([eps, -eps], axis=-1).reshape(eps.shape[0], -1)
 
 
-class _RefinementBudget:
-    def __init__(self, per_step: int):
-        self.per_step = per_step
-        self.total = 0
-
-
 def _continue_values(L: int, prev: np.ndarray, cand: np.ndarray, g0: complex,
-                     g1: complex, depth: int,
-                     budget: _RefinementBudget) -> np.ndarray:
+                     g1: complex, depth: int) -> tuple[np.ndarray, int]:
     """Carry the values ``prev`` at g0 onto ``cand``, the values at g1.
 
     An ambiguous step is split at its midpoint, the only anisotropy
-    whose values are solved here.
+    whose values are solved here.  Returns the carried values and the
+    number of bisections made.
     """
     cost = np.abs(prev[:, None] - cand[None, :])
     pick = np.argmin(cost, axis=1)
@@ -377,20 +368,20 @@ def _continue_values(L: int, prev: np.ndarray, cand: np.ndarray, g0: complex,
     ambiguous = (np.any((srt[:, 1] == 0) | (srt[:, 0] > 0.5 * srt[:, 1]))
                  or np.unique(pick).size < pick.size)
     if not ambiguous:
-        return cand[pick]
-    if depth >= budget.per_step:
+        return cand[pick], 0
+    if depth >= _MAX_REFINEMENTS:
         raise AmbiguousContinuation(
             f"branch matching stayed ambiguous after {depth} bisections "
             f"between gamma = {g0:.6g} and {g1:.6g}")
-    budget.total += 1
     mid = (g0 + g1) / 2
-    half = _continue_values(L, prev, _signed_values(L, mid)[0], g0, mid,
-                            depth + 1, budget)
-    return _continue_values(L, half, cand, mid, g1, depth + 1, budget)
+    half, n_first = _continue_values(L, prev, _signed_values(L, mid)[0], g0,
+                                     mid, depth + 1)
+    out, n_second = _continue_values(L, half, cand, mid, g1, depth + 1)
+    return out, 1 + n_first + n_second
 
 
 def track_loop(L: int, center: complex, radius: float, steps: int = 256,
-               max_refinements: int = 12, orientation: int = 1) -> LoopResult:
+               orientation: int = 1) -> LoopResult:
     """Drag all quasi-energy branches around a circle and read the permutation.
 
     The values at all ``steps + 1`` loop points come from one root
@@ -398,7 +389,7 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
     Each branch is continued to its nearest candidate value.  A step is
     bisected when some branch's best and second-best candidate distances
     differ by less than a factor of two, or when two branches pick the
-    same candidate; after ``max_refinements`` levels of bisection
+    same candidate; after ``_MAX_REFINEMENTS`` levels of bisection
     :class:`AmbiguousContinuation` is raised.  The returned
     permutation acts on the L positive-branch labels as
     :func:`xyep.chain.quasi_energies` numbers them at the loop's start
@@ -418,11 +409,12 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
 
     values = _signed_values(L, gammas)
     start = values[0]
-    budget = _RefinementBudget(max_refinements)
+    refinements = 0
     vals = start
     for t in range(steps):
-        vals = _continue_values(L, vals, values[t + 1], gammas[t],
-                                gammas[t + 1], 0, budget)
+        vals, n = _continue_values(L, vals, values[t + 1], gammas[t],
+                                   gammas[t + 1], 0)
+        refinements += n
 
     # the last step lands on gammas[0] itself, so vals is an exact
     # reordering of start and each value finds its own copy
@@ -438,7 +430,7 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
         permutation.append(target // 2)
         sign_flips.append(target % 2 == 1)
     return LoopResult(L=L, center=center, radius=float(radius), steps=steps,
-                      refinements=budget.total, permutation=permutation,
+                      refinements=refinements, permutation=permutation,
                       sign_flips=sign_flips, closed=closed,
                       closure_defect=defect)
 

@@ -54,6 +54,17 @@ def test_defective_basis_raised_at_ep():
             assemble_basis(ChainSpec(4, 0.6 + 0.8j))
 
 
+def test_nan_columns_raise_defective_basis(monkeypatch):
+    # NaN fails every comparison, so the residual gate must refuse it
+    def nan_vectors(spec, mode, points):
+        phi, psi, s, res = mode_vectors(spec, mode, points)
+        return np.full_like(phi, np.nan), psi, s, res
+
+    monkeypatch.setattr(basis_module, "mode_vectors", nan_vectors)
+    with pytest.raises(DefectiveBasis, match="orthogonality residual nan"):
+        assemble_basis(ChainSpec(4, 0.3 + 0.2j))
+
+
 def test_bilinear_halves_split_evenly():
     # the +eps row against the -eps column forces phi.phi = psi.psi = 1/2
     spec = ChainSpec(8, 0.9 + 0.4j)

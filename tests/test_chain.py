@@ -340,6 +340,21 @@ def test_epsilon_zero_rejected():
         mode_vector_poly(spec, broken)
 
 
+def test_non_finite_quasi_energies_are_refused():
+    # gamma^2 overflows above |gamma| ~ 1.34e154; that must not come back
+    # as NaN quasi-energies or as numpy RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        eps, _ = mode_spectra(4, 1e150, "I")
+        assert np.all(np.isfinite(eps))
+        with pytest.raises(DegenerateInput, match="not finite at gamma = 1e"):
+            mode_spectra(4, [0.3 + 0.2j, 1e200], "II")
+        with pytest.raises(DegenerateInput, match="not finite"):
+            quasi_energies(ChainSpec(4, 1e200))
+        with pytest.raises(DegenerateInput, match="not finite"):
+            assemble_basis(ChainSpec(4, 1e155))
+
+
 def test_mode_coincidence_warning_at_gamma_zero():
     with pytest.warns(ModeCoincidenceWarning):
         quasi_energies(ChainSpec(4, 0.0))

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -122,6 +123,29 @@ def test_loop_through_ep_exit_code_4(capsys):
                             "--radius", "0.05", "--steps", "64"], capsys)
     assert code == 4
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--L", "4", "--gamma", "1e200"],
+    ["loop", "--L", "4", "--center", "0", "--radius", "1e300"],
+    ["overlap-map", "--L", "4", "--re-min", "1e154", "--re-max", "2e154",
+     "--im-min", "0", "--im-max", "1", "--n-re", "3", "--n-im", "3"],
+])
+def test_overflowing_gamma_exit_code_2(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: quasi-energies are not finite")
+
+
+def test_unwritable_out_exit_code_2(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run_cli(["ep-table", "--L-max", "4",
+                                  "--out", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
 
 
 def test_ep_table_contains_l4_values(capsys):

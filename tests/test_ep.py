@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 import xyep.ep as ep_module
 from xyep.chain import ChainSpec, gamma_to_lambda, lambda_to_gamma, mode_points
-from xyep.ep import (coalescing_pair, ep_ground_energy, ep_state_catalog,
+from xyep.ep import (coalescing_order, ep_ground_energy, ep_state_catalog,
                      ep_table_rows,
                      generalized_eigenvector, jordan_decomposition,
                      locate_eps, reference_ep_gammas)
@@ -127,14 +127,39 @@ def test_reference_gammas_bounds_and_symmetry():
         sorted(refs_I, key=lambda z: (z.real, z.imag))
 
 
-def test_coalescing_pair_nearest_first_rest_in_branch_order():
+def test_coalescing_order_nearest_first_rest_in_branch_order():
     for ep in locate_eps(10):
         points = mode_points(quiet_spec(10, ep.gamma + 1e-3), ep.mode)
-        pair, rest = coalescing_pair(points, ep)
-        dist = [abs(p.x - ep.x) for p in pair]
-        assert dist[0] <= dist[1] <= min(abs(p.x - ep.x) for p in rest)
-        assert [p.branch for p in rest] == sorted(p.branch for p in rest)
-        assert sorted(p.branch for p in pair + rest) == list(range(1, 6))
+        order = coalescing_order([p.x for p in points], ep)
+        dist = [abs(points[i].x - ep.x) for i in order]
+        assert dist[0] <= dist[1] <= min(dist[2:])
+        rest = [points[i].branch for i in order[2:]]
+        assert rest == sorted(rest)
+        assert sorted(points[i].branch for i in order) == list(range(1, 6))
+
+
+def test_nan_residuals_raise_defective_basis(monkeypatch):
+    # a NaN residual fails every comparison, so each gate must refuse it
+    ep = closest_record(locate_eps(6), 0.3399 + 0.5547j)
+    spec = ChainSpec(6, ep.gamma)
+    real_vectors, real_arrays = ep_module.mode_vectors, ep_module.mode_arrays
+
+    def nan_vectors(*args):
+        phi, psi, s, res = real_vectors(*args)
+        return np.full_like(phi, np.nan), psi, s, res
+
+    def nan_arrays(*args, **kwargs):
+        phi, psi, boundary = real_arrays(*args, **kwargs)
+        return np.full_like(phi, np.nan), psi, boundary
+
+    with monkeypatch.context() as m:
+        m.setattr(ep_module, "mode_vectors", nan_vectors)
+        with pytest.raises(DefectiveBasis, match="inverse residual nan"):
+            jordan_decomposition(spec, ep)
+    monkeypatch.setattr(ep_module, "mode_arrays", nan_arrays)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(DefectiveBasis, match="chain identity residual nan"):
+        generalized_eigenvector(spec, ep)
 
 
 def test_generalized_eigenvector_gauge_and_support():

@@ -1,6 +1,7 @@
 """Module layout: private names stay private, and the runtime needs only numpy."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +105,53 @@ def test_only_chain_turns_boundary_roots_into_quasi_energies():
              if path.name != "polyalg.py"
              and "boundary_roots" in names_used(path)]
     assert users == ["chain.py"]
+
+
+ROOT = SRC.parents[1]
+
+
+def error_kinds() -> list[str]:
+    """The XYEPError subclasses defined in errors.py."""
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    return [node.name for node in tree.body if isinstance(node, ast.ClassDef)
+            and any(isinstance(b, ast.Name) and b.id == "XYEPError"
+                    for b in node.bases)]
+
+
+def raised_names() -> set[str]:
+    """Names raised as ``raise Name(...)`` anywhere in the package."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)):
+                found.add(node.exc.func.id)
+    return found
+
+
+def readme_exit_codes() -> dict[str, int]:
+    """Error kind -> exit code, from the rows of the README's exit-code table."""
+    rows = re.findall(r"^\| `(\d)` \| `(\w+)` \|",
+                      (ROOT / "README.md").read_text(encoding="utf-8"),
+                      flags=re.MULTILINE)
+    return {name: int(code) for code, name in rows}
+
+
+def test_every_error_kind_is_raised_and_documented():
+    kinds = error_kinds()
+    assert len(kinds) == 7
+    assert sorted(set(kinds) - raised_names()) == []
+    assert sorted(readme_exit_codes()) == sorted(kinds)
+
+
+def test_documented_exit_codes_are_the_cli_codes(monkeypatch, capsys):
+    import xyep.cli as cli
+    import xyep.errors as errors
+
+    for name, code in readme_exit_codes().items():
+        def refuse(args, exc=getattr(errors, name)):
+            raise exc("refused")
+
+        monkeypatch.setattr(cli, "cmd_ep_table", refuse)
+        assert cli.main(["ep-table", "--L-max", "4"]) == code, name
+        assert capsys.readouterr().err == "error: refused\n"

@@ -9,8 +9,7 @@ from numpy.testing import assert_allclose
 from xyep.basis import assemble_basis, many_body_energies, operator_coefficients
 from xyep.chain import ChainSpec, build_quasi_hamiltonian
 from xyep.ep import ep_ground_energy, jordan_decomposition, locate_eps
-from xyep.errors import (CardinalityMismatch, ClusterAmbiguity, LimitRequired,
-                         SizeLimit, XYEPWarning)
+from xyep.errors import DegenerateInput, SizeLimit, XYEPWarning
 from xyep.oracle import (EP_STATE_LIMIT, build_ep_states, build_spin_hamiltonian,
                          ed_eigen, geometric_multiplicities, jordan_wigner_modes,
                          l4_closed_form, match_spectra, parity_sectors,
@@ -187,7 +186,7 @@ def test_l4_closed_form_matches_ed():
 
 def test_l4_closed_form_limit_required():
     for g in (0.0, 1.0, -1.0, 0j, 1 + 0j):
-        with pytest.raises(LimitRequired):
+        with pytest.raises(DegenerateInput, match="closed forms degenerate"):
             l4_closed_form(g)
 
 
@@ -203,7 +202,7 @@ def test_geometric_multiplicities_defective_block():
 
 
 def test_geometric_multiplicities_ambiguous_cluster():
-    with pytest.raises(ClusterAmbiguity):
+    with pytest.raises(DegenerateInput, match="away from the rest"):
         geometric_multiplicities(np.diag([0.0, 5e-7, 1.0]))
 
 
@@ -213,7 +212,7 @@ def test_match_spectra_permutation_and_mismatch():
     assert m.max_abs_diff == 0.0
     assert not m.greedy_used
     assert_allclose(a[m.order_a], a[::-1][m.order_b], atol=0)
-    with pytest.raises(CardinalityMismatch):
+    with pytest.raises(DegenerateInput, match="spectra differ in size"):
         match_spectra(a, a[:3])
 
 
@@ -246,7 +245,7 @@ def test_realize_operator_reproduces_scalar_anticommutators():
 
 
 def test_realize_operator_row_length_check():
-    with pytest.raises(CardinalityMismatch):
+    with pytest.raises(DegenerateInput, match="row must have length 8"):
         realize_operator(4, np.zeros(6))
 
 
