@@ -22,7 +22,6 @@ from .basis import (
     assemble_basis,
     many_body_energies,
     operator_coefficients,
-    pairing_structure,
     vacuum_energy,
 )
 from .ep import (

@@ -29,12 +29,12 @@ __all__ = [
     "ManyBodySpectrum",
     "VacuumEnergy",
     "column_from_halves",
+    "pair_columns",
     "assemble_basis",
     "operator_coefficients",
     "anticommutator",
     "many_body_energies",
     "vacuum_energy",
-    "pairing_structure",
 ]
 
 FAMILIES = ("R", "Rstar", "Lstar", "L")
@@ -79,29 +79,41 @@ def column_from_halves(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.concatenate([top, bot])
 
 
+def pair_columns(spec: ChainSpec, points: list[SpectralPoint]):
+    """Checkerboard halves of the +/- eps column pairs of positive-branch points.
+
+    Columns are grouped by mode, mode I first, in the order of ``points``
+    within a mode.  One :func:`xyep.chain.mode_vectors` call per mode
+    gives the +eps halves; each +eps column is followed by its -eps
+    partner (-phi, psi), exactly.  Returns ``(phis, psis, labels)``: two
+    L x 2k blocks and the signed spectral label of every column.
+    """
+    per_mode = [[p for p in points if p.mode == m] for m in MODES]
+    # each mode's +eps halves, every column doubled for its -eps partner
+    phis, psis = (np.repeat(np.hstack(h), 2, axis=1) for h in zip(*[
+        mode_vectors(spec, m, pts)[:2] for m, pts in zip(MODES, per_mode)]))
+    np.negative(phis[:, 1::2], out=phis[:, 1::2])
+    labels = [q for pts in per_mode for p in pts for q in (p, p.negated())]
+    return phis, psis, labels
+
+
 def assemble_basis(spec: ChainSpec) -> BiorthogonalBasis:
     """Diagonalize M from the closed-form mode vectors.
 
-    One :func:`xyep.chain.mode_vectors` call per mode gives the +eps
-    columns; each -eps partner is (-phi, psi), exactly.  Raises
+    The columns are :func:`pair_columns` of all quasi-energies.  Raises
     :class:`DefectiveBasis` when ||V V^T - I|| exceeds ``_ORTH_TOL`` or is
     not a number, which is the numerical signature of an exceptional point.
     """
     L = spec.L
     plus_points = quasi_energies(spec)
     try:
-        # each mode's +eps halves, every column doubled for its -eps partner
-        phis, psis = (np.repeat(np.hstack(h), 2, axis=1) for h in zip(*[
-            mode_vectors(spec, m, [p for p in plus_points if p.mode == m])[:2]
-            for m in MODES]))
+        phis, psis, points = pair_columns(spec, plus_points)
     except DegenerateInput as exc:
         # at an exact EP a mode vector is bilinearly null and cannot be
         # normalized; report that as a defective basis, which is the
         # signal callers are told to expect near exceptional couplings
         raise DefectiveBasis("a mode vector is bilinearly null; the "
                              "spectrum is defective here") from exc
-    np.negative(phis[:, 1::2], out=phis[:, 1::2])    # partner: (-phi, psi)
-    points = [q for p in plus_points for q in (p, p.negated())]
     Lambda = np.array([p.epsilon for p in points], dtype=complex)
     V = column_from_halves(phis, psis)
     V_inv = V.T
@@ -228,26 +240,3 @@ def vacuum_energy(spec: ChainSpec) -> VacuumEnergy:
     pts = quasi_energies(spec)
     e0 = complex(sum(p.epsilon for p in pts))
     return VacuumEnergy(e0=e0, ground=-e0 / 2)
-
-
-def pairing_structure(basis: BiorthogonalBasis) -> list[dict]:
-    """Verify the exact +-eps pair relation column by column.
-
-    For each +eps column and its partner the phi halves must be exact
-    negatives and the psi halves exactly equal.  Returns one record per
-    pair with the two defect norms (exactly zero by construction here,
-    but recomputed from the stored columns).
-    """
-    out = []
-    for i in range(0, len(basis.points), 2):
-        p_plus, p_minus = basis.points[i], basis.points[i + 1]
-        if p_plus.mode != p_minus.mode or p_plus.branch != p_minus.branch:
-            raise DegenerateInput("basis columns are not in +/- pair order")
-        out.append({
-            "mode": p_plus.mode,
-            "branch": p_plus.branch,
-            "epsilon": p_plus.epsilon,
-            "phi_defect": float(np.linalg.norm(basis.phis[:, i] + basis.phis[:, i + 1])),
-            "psi_defect": float(np.linalg.norm(basis.psis[:, i] - basis.psis[:, i + 1])),
-        })
-    return out

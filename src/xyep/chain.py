@@ -69,8 +69,9 @@ _TRIG_GUARD = 1e-12
 class ChainSpec:
     """Chain length and complex anisotropy.
 
-    ``L`` must be even and at least 2.  ``gamma = -1`` is excluded
-    outright: the boundary parameter lambda has a pole there.
+    ``L`` must be even and at least 2, and ``gamma`` finite.
+    ``gamma = -1`` is excluded outright: the boundary parameter lambda
+    has a pole there.
     """
 
     L: int
@@ -79,6 +80,9 @@ class ChainSpec:
     def __post_init__(self):
         _check_length(self.L)
         object.__setattr__(self, "gamma", complex(self.gamma))
+        if not cmath.isfinite(self.gamma):
+            raise DegenerateInput(
+                f"anisotropy must be finite, got gamma = {self.gamma:.6g}")
         if self.gamma == -1:
             raise LambdaSingular("gamma = -1 is a pole of the boundary parameter")
 
@@ -207,10 +211,15 @@ def mode_spectra(L: int, gammas, mode: str) -> tuple[np.ndarray, np.ndarray]:
     at ``gammas[i]`` in branch order, decreasing (Re eps, Im eps), so it
     is the same whatever else is in the batch.  Raises
     :class:`LambdaSingular` at gamma = +-1 and :class:`DegenerateInput`
-    when some eps is not finite (gamma^2 overflows above |gamma| ~ 1e154).
+    when some gamma or eps is not finite (gamma^2 overflows above
+    |gamma| ~ 1e154).
     """
     _check_length(L)
     gammas = np.atleast_1d(np.asarray(gammas, dtype=complex))
+    bad = ~np.isfinite(gammas)
+    if bad.any():
+        raise DegenerateInput(
+            f"anisotropy must be finite, got gamma = {gammas[bad][0]:.6g}")
     x = boundary_roots(L // 2, _mode_lambdas(gammas, mode))
     with np.errstate(over="ignore", invalid="ignore"):
         eps = eps_of_x(gammas[:, None], x)

@@ -18,21 +18,20 @@ import numpy as np
 from .chain import (
     ChainSpec,
     MODES,
+    SpectralPoint,
     build_quasi_hamiltonian,
     eps_of_x,
     lambda_to_gamma,
     mode_arrays,
     mode_points,
-    mode_vectors,
 )
-from .basis import MANY_BODY_LIMIT, column_from_halves
+from .basis import MANY_BODY_LIMIT, column_from_halves, pair_columns
 from .errors import DefectiveBasis, DegenerateInput, SizeLimit
 from .polyalg import double_roots
 
 __all__ = [
     "EPRecord",
     "JordanChain",
-    "EPColumn",
     "JordanDecomposition",
     "EPStateEntry",
     "EPStateCatalog",
@@ -227,32 +226,24 @@ def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
 
 
 @dataclass(frozen=True)
-class EPColumn:
-    """Bookkeeping for one column of the Jordan basis."""
-
-    mode: str
-    kind: str          # 'pair_plus' | 'pair_minus' | 'chain_w' | 'chain_u'
-    epsilon: complex
-    phi: np.ndarray
-    psi: np.ndarray
-    partner: int       # column whose transpose forms this row of V^{-1}
-
-
-@dataclass(frozen=True)
 class JordanDecomposition:
     """M = V J V^{-1} at an exceptional point.
 
-    J is diagonal except for exactly two 2x2 upper Jordan blocks at
-    +-eps_EP, stored in the last four columns (w then u for each
-    sign).  V^{-1} equals V^T with each chain pair's rows swapped.
+    The columns, with checkerboard halves ``phis``/``psis``, are
+    :func:`xyep.basis.pair_columns` of the simple points (``points``
+    labels them), then the chains (w, u) at +eps_EP and -eps_EP, which
+    make J's two 2x2 upper Jordan blocks.  V^{-1} equals V^T with each
+    chain's w and u rows swapped.
     """
 
     spec: ChainSpec
     ep: EPRecord
+    points: list[SpectralPoint]
     V: np.ndarray
     V_inv: np.ndarray
     J: np.ndarray
-    columns: list[EPColumn]
+    phis: np.ndarray
+    psis: np.ndarray
     chain_start: int
     inv_residual: float
     jordan_residual: float
@@ -260,11 +251,11 @@ class JordanDecomposition:
     rank_deficiency_minus: int
 
 
-def _simple_points(spec: ChainSpec, ep: EPRecord) -> dict:
-    """Mode points of each mode without the EP's coalescing pair, by mode."""
+def _simple_points(spec: ChainSpec, ep: EPRecord) -> list[SpectralPoint]:
+    """Mode points of both modes without the EP's coalescing pair, mode I first."""
     if abs(spec.gamma - ep.gamma) > 1e-10 * (1 + abs(ep.gamma)):
         raise DegenerateInput("spec anisotropy does not match the EP record")
-    simple = {}
+    simple = []
     for mode in MODES:
         points = mode_points(spec, mode)
         if mode == ep.mode:
@@ -274,7 +265,7 @@ def _simple_points(spec: ChainSpec, ep: EPRecord) -> dict:
                 raise DegenerateInput(
                     "could not identify the coalescing boundary roots")
             points = [points[i] for i in order[2:]]
-        simple[mode] = points
+        simple += points
     return simple
 
 
@@ -283,30 +274,23 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
     L = spec.L
     qh = build_quasi_hamiltonian(spec)
 
-    columns: list[EPColumn] = []
-    for mode, points in _simple_points(spec, ep).items():
-        phi, psi, _, _ = mode_vectors(spec, mode, points)
-        for pt, phi_j, psi_j in zip(points, phi.T, psi.T):
-            for kind, eps, half in (("pair_plus", pt.epsilon, phi_j),
-                                    ("pair_minus", -pt.epsilon, -phi_j)):
-                columns.append(EPColumn(mode=mode, kind=kind, epsilon=eps,
-                                        phi=half, psi=psi_j, partner=len(columns)))
+    phis, psis, points = pair_columns(spec, _simple_points(spec, ep))
+    chain_start = len(points)
+    chains = [generalized_eigenvector(spec, ep, sign) for sign in (+1, -1)]
+    phis = np.column_stack([phis] + [h for c in chains for h in (c.phi_w, c.phi_u)])
+    psis = np.column_stack([psis] + [h for c in chains for h in (c.psi_w, c.psi_u)])
 
-    chain_start = len(columns)
-    for sign in (+1, -1):
-        ch = generalized_eigenvector(spec, ep, sign)
-        base = len(columns)
-        columns.append(EPColumn(mode=ep.mode, kind="chain_w", epsilon=ch.epsilon,
-                                phi=ch.phi_w, psi=ch.psi_w, partner=base + 1))
-        columns.append(EPColumn(mode=ep.mode, kind="chain_u", epsilon=ch.epsilon,
-                                phi=ch.phi_u, psi=ch.psi_u, partner=base))
-
-    V = np.column_stack([column_from_halves(c.phi, c.psi) for c in columns])
-    J = np.diag(np.array([c.epsilon for c in columns], dtype=complex))
+    V = column_from_halves(phis, psis)
+    J = np.diag(np.array([p.epsilon for p in points]
+                         + [chains[0].epsilon] * 2 + [chains[1].epsilon] * 2,
+                         dtype=complex))
     J[chain_start, chain_start + 1] = 1.0
     J[chain_start + 2, chain_start + 3] = 1.0
 
-    V_inv = V[:, [c.partner for c in columns]].T
+    # V^{-1} rows are the columns transposed, w and u of each chain swapped
+    swap = np.arange(2 * L)
+    swap[chain_start:] = swap[chain_start:][[1, 0, 3, 2]]
+    V_inv = V[:, swap].T
 
     eye = np.eye(2 * L)
     inv_res = float(np.max(np.abs(V @ V_inv - eye)))
@@ -321,8 +305,8 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
         return int(np.sum(sv < 1e-8 * sv[0]))
 
     return JordanDecomposition(
-        spec=spec, ep=ep, V=V, V_inv=V_inv, J=J, columns=columns,
-        chain_start=chain_start, inv_residual=inv_res,
+        spec=spec, ep=ep, points=points, V=V, V_inv=V_inv, J=J,
+        phis=phis, psis=psis, chain_start=chain_start, inv_residual=inv_res,
         jordan_residual=jordan_res,
         rank_deficiency_plus=rank_deficiency(ep.epsilon),
         rank_deficiency_minus=rank_deficiency(-ep.epsilon))
@@ -375,8 +359,7 @@ def ep_state_catalog(spec: ChainSpec, ep: EPRecord) -> EPStateCatalog:
     if spec.L > MANY_BODY_LIMIT:
         raise SizeLimit(f"EP state catalog capped at L = {MANY_BODY_LIMIT}")
     jd = jordan_decomposition(spec, ep)
-    slots = [(c.mode, c.epsilon)
-             for c in jd.columns[: jd.chain_start][0::2]]
+    slots = [(p.mode, p.epsilon) for p in jd.points[0::2]]
     n_pairs = len(slots)
     eps_ep = ep.epsilon
     entries = []
@@ -406,8 +389,7 @@ def ep_ground_energy(spec: ChainSpec, ep: EPRecord) -> complex:
     E0 sums every positive-branch quasi-energy, counting the defective
     one twice; it is read off the mode points, without a Jordan basis.
     """
-    simple = sum(p.epsilon for points in _simple_points(spec, ep).values()
-                 for p in points)
+    simple = sum(p.epsilon for p in _simple_points(spec, ep))
     return complex(-0.5 * (simple + 2 * ep.epsilon))
 
 

@@ -440,19 +440,18 @@ def build_ep_states(spec, jordan, seed: int = 0) -> EPStates:
     h_norm = float(np.linalg.norm(H, np.inf))
     modes = jordan_wigner_modes(L)
 
-    def lop(col):
-        # annihilator-side operator attached to column `col` of V
+    def lop(k):
+        # annihilator-side operator attached to column k of V
         return realize_operator(
-            L, np.concatenate([col.phi, -col.psi]), modes)
+            L, np.concatenate([jordan.phis[:, k], -jordan.psis[:, k]]), modes)
 
-    def rop(col):
+    def rop(k):
         # V^{-1}-row operator; the row equals the partner column transposed
         return realize_operator(
-            L, np.concatenate([col.phi, col.psi]), modes)
+            L, np.concatenate([jordan.phis[:, k], jordan.psis[:, k]]), modes)
 
-    cols = jordan.columns
     p = jordan.chain_start
-    wp, up, wm, um = cols[p], cols[p + 1], cols[p + 2], cols[p + 3]
+    wp, up, wm, um = p, p + 1, p + 2, p + 3
 
     # sector projectors of the degenerate 2x2 Jordan blocks
     proj_hat_plus = lop(wp) @ rop(up)
@@ -478,12 +477,10 @@ def build_ep_states(spec, jordan, seed: int = 0) -> EPStates:
     # number projectors of the simple pairs, in column-pair order
     pair_info = []
     for i in range(0, p, 2):
-        plus_col, minus_col = cols[i], cols[i + 1]
-        pair_info.append((plus_col.epsilon,
-                          lop(plus_col) @ rop(plus_col),
-                          lop(minus_col) @ rop(minus_col)))
+        pair_info.append((jordan.J[i, i], lop(i) @ rop(i),
+                          lop(i + 1) @ rop(i + 1)))
 
-    eps_ep = up.epsilon
+    eps_ep = jordan.J[up, up]
     sectors, occupations, energies, states = [], [], [], []
     mixed_overlap_min = 1.0
     n_pairs = len(pair_info)

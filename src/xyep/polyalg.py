@@ -111,8 +111,10 @@ def boundary_roots(n: int, lam) -> np.ndarray:
     if n < 1:
         raise DegenerateInput(f"boundary polynomial needs degree >= 1, got {n}")
     lam = np.asarray(lam, dtype=complex)
-    if not np.isfinite(lam).all():
-        raise DegenerateInput(f"boundary parameter must be finite, got {lam}")
+    bad = ~np.isfinite(lam)
+    if bad.any():
+        raise DegenerateInput(
+            f"boundary parameter must be finite, got {lam[bad][0]:.6g}")
     lams = lam.reshape(-1)
     x = np.empty(lams.size * n, dtype=complex)
     rows = max(1, _CHUNK_ENTRIES // (n * n))

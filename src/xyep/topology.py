@@ -34,6 +34,8 @@ __all__ = [
 
 POLE_RADIUS = 1e-2
 _GRID_SIZE_LIMIT = 8
+_GRID_CELL_LIMIT = 2 ** 20      # overlap_grid cells, n_re * n_im
+_LOOP_VALUE_LIMIT = 2 ** 21     # track_loop signed values, (steps + 1) * L
 # track_loop: levels of bisection allowed within one loop step
 _MAX_REFINEMENTS = 12
 
@@ -209,12 +211,19 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     :class:`DegenerateInput` is raised; the sector is read once, at the
     usable cell nearest the EP, and kept in every cell.  Cells within
     1e-2 of gamma = +-1 are masked as poles.  ``threads`` must be at
-    least 1 and has no other effect.
+    least 1 and has no other effect.  Grids longer than L = 8 or with
+    more than ``_GRID_CELL_LIMIT`` = 2^20 cells raise :class:`SizeLimit`
+    before any array is built.
     """
     if L > _GRID_SIZE_LIMIT:
         raise SizeLimit(f"overlap grids are capped at L = {_GRID_SIZE_LIMIT}")
     if n_re < 2 or n_im < 2:
         raise DegenerateInput("grid needs at least 2 points per axis")
+    if n_re * n_im > _GRID_CELL_LIMIT:
+        raise SizeLimit(f"overlap grids are capped at {_GRID_CELL_LIMIT} cells, "
+                        f"got {n_re} x {n_im}")
+    if not np.isfinite([re_min, re_max, im_min, im_max]).all():
+        raise DegenerateInput("grid edges must be finite")
     if threads < 1:
         raise DegenerateInput(f"threads must be at least 1, got {threads}")
     re_vals = np.linspace(re_min, re_max, n_re)
@@ -396,10 +405,17 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
     point (mode I branches 1..L/2 are labels 0..L/2-1, then mode II);
     ``sign_flips[k]`` reports a label returning to its partner's
     negative.  ``orientation`` +1 traverses counterclockwise,
-    -1 clockwise; reversing it inverts the permutation.
+    -1 clockwise; reversing it inverts the permutation.  A loop of more
+    than ``_LOOP_VALUE_LIMIT`` = 2^21 signed values, (steps + 1) * L,
+    raises :class:`SizeLimit` before any array is built.
     """
     if steps < 8:
         raise DegenerateInput("a loop needs at least 8 steps")
+    if (steps + 1) * L > _LOOP_VALUE_LIMIT:
+        raise SizeLimit(f"loops are capped at {_LOOP_VALUE_LIMIT} values, "
+                        f"(steps + 1) * L; got steps = {steps}")
+    if not np.isfinite(radius):
+        raise DegenerateInput(f"loop radius must be finite, got {radius}")
     if orientation not in (1, -1):
         raise DegenerateInput("orientation must be +1 or -1")
     center = complex(center)

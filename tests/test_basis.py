@@ -10,7 +10,6 @@ from xyep.basis import (
     column_from_halves,
     many_body_energies,
     operator_coefficients,
-    pairing_structure,
     vacuum_energy,
 )
 from xyep.chain import (ChainSpec, build_quasi_hamiltonian, mode_points,
@@ -150,14 +149,6 @@ def test_occupation_energy_consistency():
     for bits, energy in zip(mb.occupations, mb.energies):
         expect = 0.5 * (2 * bits - 1) @ eps
         assert abs(energy - expect) < 1e-12
-
-
-def test_pairing_structure_defects_vanish():
-    spec = ChainSpec(8, -0.6 + 1.1j)
-    records = pairing_structure(assemble_basis(spec))
-    assert len(records) == 8
-    worst = max(max(r["phi_defect"], r["psi_defect"]) for r in records)
-    assert worst < 1e-9
 
 
 def test_mode_vectors_columns_are_the_basis_columns():

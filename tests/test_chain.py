@@ -355,6 +355,19 @@ def test_non_finite_quasi_energies_are_refused():
             assemble_basis(ChainSpec(4, 1e155))
 
 
+def test_non_finite_anisotropies_are_refused_by_name():
+    # refused before gamma_to_lambda runs, so numpy warns about nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateInput, match=r"got gamma = nan\+0j$"):
+            mode_spectra(4, [0.3 + 0.2j, np.nan, complex(np.inf, 0)], "I")
+        with pytest.raises(DegenerateInput, match=r"got gamma = inf\+0j$"):
+            mode_spectra(4, [0.3, np.inf], "II")
+        for g in (np.nan, complex(0.2, np.inf)):
+            with pytest.raises(DegenerateInput, match="must be finite"):
+                ChainSpec(4, g)
+
+
 def test_mode_coincidence_warning_at_gamma_zero():
     with pytest.warns(ModeCoincidenceWarning):
         quasi_energies(ChainSpec(4, 0.0))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from xyep.cli import main
@@ -213,6 +214,66 @@ def test_oracle_compare_reports_pass(capsys):
     lines = out.splitlines()
     assert lines[-1].startswith("worst relative deviation:")
     assert all(l.startswith("PASS") for l in lines[:-1])
+
+
+def test_oracle_compare_refuses_no_samples(capsys):
+    for n in ("0", "-1"):
+        code, out, err = run_cli(["oracle-compare", "--L", "4",
+                                  "--samples", n], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: need at least one sample, got {n}\n"
+
+
+class PoleDraws:
+    """A generator stand-in whose every draw is gamma = 1, a pole."""
+
+    def __init__(self, seed=None):
+        pass
+
+    def uniform(self, low, high, size):
+        return np.array([1.0, 0.0])
+
+
+def test_oracle_checks_that_compare_nothing_fail(monkeypatch, capsys):
+    import xyep.cli as cli
+    monkeypatch.setattr(cli.np.random, "default_rng", PoleDraws)
+    code, out, err = run_cli(["oracle-compare", "--L", "4"], capsys)
+    assert code == 1
+    assert out == "FAIL every sampled gamma fell within 5e-2 of a pole\n"
+    assert err == "FAIL: no sample was compared\n"
+    code, out, _ = run_cli(["verify", "--suite", "oracle"], capsys)
+    assert code == 1
+    assert out.splitlines() == [f"FAIL oracle L={L} worst rel dev = nan"
+                                for L in (2, 4, 6)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["loop", "--L", "4", "--center", "0.2+0.1i", "--radius", "0.05",
+     "--steps", "100000000000"],
+    ["overlap-map", "--L", "6", "--re-min", "0", "--re-max", "1",
+     "--im-min", "0", "--im-max", "1", "--n-re", "1000000", "--n-im", "1000000"],
+])
+def test_oversized_loop_and_grid_exit_code_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "capped at" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["loop", "--L", "4", "--center", "0.2", "--radius", "nan"],
+    ["loop", "--L", "4", "--center", "0.2", "--radius", "inf"],
+    ["overlap-map", "--L", "4", "--re-min", "nan", "--re-max", "1",
+     "--im-min", "0", "--im-max", "1", "--n-re", "3", "--n-im", "3"],
+    ["overlap-map", "--L", "4", "--re-min", "0", "--re-max", "inf",
+     "--im-min", "0", "--im-max", "1", "--n-re", "3", "--n-im", "3"],
+])
+def test_non_finite_anisotropy_exit_code_2(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_fast_suites(capsys):

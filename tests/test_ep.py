@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import xyep.basis as basis_module
 import xyep.ep as ep_module
-from xyep.chain import ChainSpec, gamma_to_lambda, lambda_to_gamma, mode_points
+from xyep.chain import (ChainSpec, gamma_to_lambda, lambda_to_gamma, mode_points,
+                        quasi_energies)
 from xyep.ep import (coalescing_order, ep_ground_energy, ep_state_catalog,
                      ep_table_rows,
                      generalized_eigenvector, jordan_decomposition,
                      locate_eps, reference_ep_gammas)
-from xyep.basis import MANY_BODY_LIMIT
+from xyep.basis import (MANY_BODY_LIMIT, assemble_basis, column_from_halves,
+                        pair_columns)
 from xyep.errors import DefectiveBasis, DegenerateInput, SizeLimit, XYEPWarning
 from xyep.oracle import build_spin_hamiltonian
 
@@ -142,7 +145,7 @@ def test_nan_residuals_raise_defective_basis(monkeypatch):
     # a NaN residual fails every comparison, so each gate must refuse it
     ep = closest_record(locate_eps(6), 0.3399 + 0.5547j)
     spec = ChainSpec(6, ep.gamma)
-    real_vectors, real_arrays = ep_module.mode_vectors, ep_module.mode_arrays
+    real_vectors, real_arrays = basis_module.mode_vectors, ep_module.mode_arrays
 
     def nan_vectors(*args):
         phi, psi, s, res = real_vectors(*args)
@@ -153,7 +156,7 @@ def test_nan_residuals_raise_defective_basis(monkeypatch):
         return np.full_like(phi, np.nan), psi, boundary
 
     with monkeypatch.context() as m:
-        m.setattr(ep_module, "mode_vectors", nan_vectors)
+        m.setattr(basis_module, "mode_vectors", nan_vectors)
         with pytest.raises(DefectiveBasis, match="inverse residual nan"):
             jordan_decomposition(spec, ep)
     monkeypatch.setattr(ep_module, "mode_arrays", nan_arrays)
@@ -214,13 +217,28 @@ def test_jordan_decomposition_invariants():
         assert np.max(np.abs(offdiag)) == 0.0
         assert jd.J[p, p] == jd.J[p + 1, p + 1] == pytest.approx(ep.epsilon)
         assert jd.J[p + 2, p + 2] == pytest.approx(-ep.epsilon)
-        # V_inv rows are the partner columns transposed
-        for i, col in enumerate(jd.columns):
-            assert_allclose(jd.V_inv[i], jd.V[:, col.partner], atol=0)
-        kinds = [c.kind for c in jd.columns]
-        assert kinds[:p] == ["pair_plus", "pair_minus"] * (p // 2)
-        assert kinds[p:] == ["chain_w", "chain_u", "chain_w", "chain_u"]
+        # V_inv rows are the columns transposed, each chain's w and u swapped
+        swap = list(range(p)) + [p + 1, p, p + 3, p + 2]
+        assert np.array_equal(jd.V_inv, jd.V[:, swap].T)
+        assert np.array_equal(column_from_halves(jd.phis, jd.psis), jd.V)
+        assert len(jd.points) == p
         assert np.max(np.abs(jd.V_inv @ jd.V - np.eye(N))) < 1e-9
+
+
+def test_both_bases_take_their_pair_columns_from_pair_columns():
+    for L in (4, 6, 10):
+        for ep in locate_eps(L):
+            spec = quiet_spec(L, ep.gamma)
+            jd = jordan_decomposition(spec, ep)
+            phis, psis, points = pair_columns(spec, jd.points[0::2])
+            assert points == jd.points
+            assert np.array_equal(jd.V[:, : jd.chain_start],
+                                  column_from_halves(phis, psis))
+        spec = ChainSpec(L, 0.3 - 0.2j)
+        basis = assemble_basis(spec)
+        phis, psis, points = pair_columns(spec, quasi_energies(spec))
+        assert points == basis.points
+        assert np.array_equal(basis.V, column_from_halves(phis, psis))
 
 
 def test_jordan_decomposition_rejects_gamma_mismatch():
@@ -273,7 +291,7 @@ def test_ep_ground_energy_needs_no_jordan_basis(monkeypatch):
     for L in (4, 6, 8, 10):
         for ep in locate_eps(L):
             jd = jordan_decomposition(quiet_spec(L, ep.gamma), ep)
-            simple = sum(c.epsilon for c in jd.columns[: jd.chain_start][0::2])
+            simple = sum(p.epsilon for p in jd.points[0::2])
             expected[L, ep.mode, ep.gamma] = complex(-0.5 * (simple + 2 * ep.epsilon))
 
     def refuse(*args):

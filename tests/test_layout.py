@@ -107,6 +107,15 @@ def test_only_chain_turns_boundary_roots_into_quasi_energies():
     assert users == ["chain.py"]
 
 
+def test_only_chain_evaluates_chebyshev_polynomials():
+    # one Chebyshev evaluator: outside polyalg.py, mode data comes from
+    # chain.mode_arrays and never from a recurrence of its own
+    users = [path.name for path in sorted(SRC.glob("*.py"))
+             if path.name != "polyalg.py"
+             and "chebyshev_u" in names_used(path)]
+    assert users == ["chain.py"]
+
+
 ROOT = SRC.parents[1]
 
 

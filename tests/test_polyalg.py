@@ -70,9 +70,9 @@ def test_poly_derivative():
 def test_kernel_rejects_degenerate_input():
     with pytest.raises(DegenerateInput):
         boundary_roots(3, complex(np.nan, 0.0))
-    # one non-finite parameter refuses the whole batch
-    with pytest.raises(DegenerateInput):
-        boundary_roots(3, [0.5, complex(0.0, np.inf), 2.0])
+    # one non-finite parameter refuses the whole batch, named on its own
+    with pytest.raises(DegenerateInput, match=r"finite, got 0\+infj$"):
+        boundary_roots(3, [0.5, complex(0.0, np.inf), 2.0, np.nan])
 
 
 def test_roots_of_zero_poly_rejected():

@@ -140,6 +140,39 @@ def test_overlap_grid_limits_and_validation():
             overlap_grid(4, 0.55, 0.65, 0.75, 0.85, 5, 5, threads=threads)
 
 
+def test_size_guards_refuse_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started past the size guard")
+
+    with monkeypatch.context() as m:
+        m.setattr(topology_module, "_signed_values", refuse)
+        m.setattr(topology_module, "_default_selector", refuse)
+        with pytest.raises(SizeLimit, match="steps = 100000000000"):
+            track_loop(4, 0.2 + 0.1j, 0.05, steps=10 ** 11)
+        with pytest.raises(SizeLimit, match="1000000 x 1000000"):
+            overlap_grid(6, 0, 1, 0, 1, 10 ** 6, 10 ** 6)
+    # the limits are inclusive: (steps + 1) * L and n_re * n_im may equal them
+    monkeypatch.setattr(topology_module, "_LOOP_VALUE_LIMIT", 4 * 9)
+    monkeypatch.setattr(topology_module, "_GRID_CELL_LIMIT", 4)
+    assert track_loop(4, 0.2 + 0.1j, 0.05, steps=8).steps == 8
+    with pytest.raises(SizeLimit):
+        track_loop(4, 0.2 + 0.1j, 0.05, steps=9)
+    assert overlap_grid(4, 0.55, 0.65, 0.75, 0.85, 2, 2).overlap_a.shape == (2, 2)
+    with pytest.raises(SizeLimit):
+        overlap_grid(4, 0.55, 0.65, 0.75, 0.85, 2, 3)
+
+
+def test_non_finite_loop_and_grid_sizes_are_refused():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for radius in (np.nan, np.inf):
+            with pytest.raises(DegenerateInput, match="radius must be finite"):
+                track_loop(4, 0.2, radius)
+        for edges in ((np.nan, 1, 0, 1), (0, np.inf, 0, 1), (0, 1, -np.inf, 1)):
+            with pytest.raises(DegenerateInput, match="edges must be finite"):
+                overlap_grid(4, *edges, 3, 3)
+
+
 def test_overlap_grid_thread_count_does_not_change_values():
     kw = dict(re_min=0.3, re_max=0.9, im_min=0.5, im_max=1.1, n_re=7, n_im=7)
     g1 = overlap_grid(4, threads=1, **kw)
