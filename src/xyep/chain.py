@@ -10,11 +10,12 @@ an explicitly known eigenvector with checkerboard support.
 
 :func:`mode_spectra` is the one place where roots (from
 :func:`xyep.polyalg.boundary_roots`) become branch-ordered quasi-energies,
-for many anisotropies in one root solve per mode; :func:`mode_points`
-wraps its one-anisotropy row in labelled points, and
+for many anisotropies and one or both modes in one root solve;
+:func:`mode_points` wraps its one-anisotropy row in labelled points, and
 :func:`mode_arrays` is the only forward-recurrence evaluator of mode
-data: eigenvector halves and, at order 1, their eps-derivative, at all
-roots of one mode in one call, so consumers make one call per mode;
+data: eigenvector halves and, at order 1, their eps-derivative, at any
+number of roots of one mode in one call, so consumers make one call per
+mode (the two Jordan chains at an exceptional point share one);
 :func:`mode_vectors` normalizes such a block column by column.
 """
 
@@ -175,16 +176,18 @@ class QuasiHamiltonian:
 def build_quasi_hamiltonian(spec: ChainSpec) -> QuasiHamiltonian:
     """Assemble M = [[A, B], [-B, -A]] for the open chain."""
     L, g = spec.L, spec.gamma
+    j = np.arange(L - 1)
     A = np.zeros((L, L), dtype=complex)
     B = np.zeros((L, L), dtype=complex)
-    for j in range(L - 1):
-        A[j, j + 1] = A[j + 1, j] = 0.5
-        B[j, j + 1] = g / 2
-        B[j + 1, j] = -g / 2
-    M = np.block([[A, B], [-B, -A]])
-    eye = np.eye(L)
-    S = np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)
-    return QuasiHamiltonian(spec=spec, A=A, B=B, M=M, S=S)
+    A[j, j + 1] = A[j + 1, j] = 0.5
+    B[j, j + 1] = g / 2
+    B[j + 1, j] = -g / 2
+    M = np.empty((2 * L, 2 * L), dtype=complex)
+    M[:L, :L], M[:L, L:], M[L:, :L], M[L:, L:] = A, B, -B, -A
+    S = np.empty((2 * L, 2 * L))
+    S[:L, :L] = S[:L, L:] = S[L:, :L] = np.eye(L)
+    S[L:, L:] = -np.eye(L)
+    return QuasiHamiltonian(spec=spec, A=A, B=B, M=M, S=S / np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -203,16 +206,17 @@ class SpectralPoint:
 
 
 def mode_spectra(L: int, gammas, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Positive-branch quasi-energies of one mode at m anisotropies at once.
+    """Positive-branch quasi-energies of one or both modes at m anisotropies.
 
-    ``gammas`` holds m anisotropies (a scalar counts as m = 1); returns
-    ``(eps, x)`` of shape ``(m, L/2)`` from one
+    ``gammas`` holds m anisotropies (a scalar counts as m = 1) and
+    ``mode`` is ``"I"``, ``"II"`` or ``"both"``; returns ``(eps, x)`` of
+    shape ``(m, L/2)``, or ``(m, L)`` for both modes, from one
     :func:`xyep.polyalg.boundary_roots` call.  Row i holds the branches
-    at ``gammas[i]`` in branch order, decreasing (Re eps, Im eps), so it
-    is the same whatever else is in the batch.  Raises
-    :class:`LambdaSingular` at gamma = +-1 and :class:`DegenerateInput`
-    when some gamma or eps is not finite (gamma^2 overflows above
-    |gamma| ~ 1e154).
+    at ``gammas[i]`` in branch order, decreasing (Re eps, Im eps), mode I
+    branches before mode II ones, so it is the same whatever else is in
+    the batch.  Raises :class:`LambdaSingular` at gamma = +-1 and
+    :class:`DegenerateInput` when some gamma or eps is not finite
+    (gamma^2 overflows above |gamma| ~ 1e154).
     """
     _check_length(L)
     gammas = np.atleast_1d(np.asarray(gammas, dtype=complex))
@@ -220,27 +224,37 @@ def mode_spectra(L: int, gammas, mode: str) -> tuple[np.ndarray, np.ndarray]:
     if bad.any():
         raise DegenerateInput(
             f"anisotropy must be finite, got gamma = {gammas[bad][0]:.6g}")
-    x = boundary_roots(L // 2, _mode_lambdas(gammas, mode))
+    if mode not in MODES + ("both",):
+        raise DegenerateInput(f"mode must be 'I', 'II' or 'both', got {mode!r}")
+    modes = MODES if mode == "both" else (mode,)
+    # each anisotropy's boundary parameters side by side, one per mode
+    lams = np.stack([_mode_lambdas(gammas, m) for m in modes], axis=-1)
+    x = boundary_roots(L // 2, lams.ravel()).reshape(lams.shape + (-1,))
     with np.errstate(over="ignore", invalid="ignore"):
-        eps = eps_of_x(gammas[:, None], x)
-    bad = ~np.all(np.isfinite(eps), axis=-1)
+        eps = eps_of_x(gammas[:, None, None], x)
+    bad = ~np.all(np.isfinite(eps), axis=(1, 2))
     if bad.any():
         raise DegenerateInput(
             f"quasi-energies are not finite at gamma = {gammas[bad][0]:.6g}")
     order = np.lexsort((-eps.imag, -eps.real), axis=-1)
-    rows = np.arange(gammas.size)[:, None]
-    return eps[rows, order], x[rows, order]
+    return (np.take_along_axis(eps, order, -1).reshape(gammas.size, -1),
+            np.take_along_axis(x, order, -1).reshape(gammas.size, -1))
 
 
 def mode_points(spec: ChainSpec, mode: str) -> list[SpectralPoint]:
-    """The L/2 positive-branch quasi-energies of one mode, in branch order.
+    """The positive-branch quasi-energies of one or both modes, in branch order.
 
-    The one-anisotropy row of :func:`mode_spectra` as labelled points;
-    branches are numbered 1..L/2 in order of decreasing (Re eps, Im eps).
+    The one-anisotropy row of :func:`mode_spectra` as labelled points:
+    per mode, branches are numbered 1..L/2 in order of decreasing
+    (Re eps, Im eps), and with ``mode="both"`` mode I's L/2 points come
+    before mode II's.
     """
     eps, x = mode_spectra(spec.L, spec.gamma, mode)
-    return [SpectralPoint(mode=mode, branch=rank + 1, sign=+1, epsilon=e, x=xx)
-            for rank, (e, xx) in enumerate(zip(eps[0].tolist(), x[0].tolist()))]
+    modes = MODES if mode == "both" else (mode,)
+    n = spec.n_pairs
+    return [SpectralPoint(mode=modes[k // n], branch=k % n + 1, sign=+1,
+                          epsilon=e, x=xx)
+            for k, (e, xx) in enumerate(zip(eps[0].tolist(), x[0].tolist()))]
 
 
 def quasi_energies(spec: ChainSpec, warn: bool = True) -> list[SpectralPoint]:
@@ -254,10 +268,10 @@ def quasi_energies(spec: ChainSpec, warn: bool = True) -> list[SpectralPoint]:
     if warn and abs(spec.lam + 1) < 1e-14:
         warnings.warn("gamma = 0: both modes share one boundary condition",
                       ModeCoincidenceWarning, stacklevel=2)
-    points = []
-    for mode in MODES:
-        pts = mode_points(spec, mode)
-        if warn:
+    points = mode_points(spec, "both")
+    if warn:
+        for mode in MODES:
+            pts = [p for p in points if p.mode == mode]
             x = np.array([p.x for p in pts])
             close = np.abs(x[:, None] - x[None, :]) \
                 <= NEAR_EP_TOL * (1 + np.abs(x))[:, None]
@@ -266,7 +280,6 @@ def quasi_energies(spec: ChainSpec, warn: bool = True) -> list[SpectralPoint]:
                     f"mode {mode}: boundary roots {pts[i].x:.6g} and "
                     f"{pts[k].x:.6g} nearly coincide; an exceptional "
                     "point may be close", NearEPWarning, stacklevel=2)
-        points.extend(pts)
     return points
 
 

@@ -94,9 +94,11 @@ def cmd_ep_table(args) -> int:
         "L_min": args.L_min,
         "L_max": args.L_max,
     }
-    rows = []
-    for L in range(args.L_min, args.L_max + 1, 2):
-        rows += ep_table_rows(locate_eps(L, "both"))
+    # largest L first, so the EP search's size cap refuses before any work
+    tables = [locate_eps(L, "both")
+              for L in range(args.L_max, args.L_min - 1, -2)]
+    rows = [row for records in reversed(tables)
+            for row in ep_table_rows(records)]
     cols = ["L", "mode", "re_gamma", "im_gamma",
             "re_epsilon", "im_epsilon", "boundary_residual"]
     _emit(csv_text(config, cols, rows), args.out)

@@ -45,6 +45,11 @@ __all__ = [
     "ep_table_rows",
 ]
 
+# locate_eps refuses longer chains: double_roots(L/2) samples the
+# Wronskian into 3 (n + 2)(2n - 1) complex entries, about 100 MB at
+# L = 2048, besides a (2n - 2)^2 companion matrix
+_EP_SEARCH_LIMIT = 2048
+
 
 @dataclass(frozen=True)
 class EPRecord:
@@ -79,12 +84,15 @@ def locate_eps(L: int, mode: str = "both") -> list[EPRecord]:
     Mode I carries L-2 of them; mode II is the image of mode I under
     lambda -> 1/lambda, equivalently gamma -> -gamma.  Sorted by
     decreasing |gamma| then decreasing Im gamma, so conjugate partners
-    are adjacent.
+    are adjacent.  Chains longer than ``_EP_SEARCH_LIMIT`` = 2048 raise
+    :class:`SizeLimit` before any array is built.
     """
     if L < 2 or L % 2:
         raise DegenerateInput(f"chain length must be even and >= 2, got {L}")
     if mode not in MODES + ("both",):
         raise DegenerateInput(f"mode must be 'I', 'II' or 'both', got {mode!r}")
+    if L > _EP_SEARCH_LIMIT:
+        raise SizeLimit(f"EP search capped at L = {_EP_SEARCH_LIMIT}, got {L}")
     if L == 2:
         return []
 
@@ -178,6 +186,54 @@ class JordanChain:
     cross: complex
 
 
+def _jordan_chains(spec: ChainSpec, ep: EPRecord, signs,
+                   M: np.ndarray) -> list[JordanChain]:
+    """Jordan chains of the sign * eps_EP blocks, one per sign, from one call.
+
+    One order-1 :func:`xyep.chain.mode_arrays` call evaluates the chains
+    at every sign; ``M`` is the quasi-Hamiltonian of ``spec``, for the
+    residuals.
+    """
+    eps_all = [sign * ep.epsilon for sign in signs]
+    phi, psi, _ = mode_arrays(spec, ep.mode, eps_all, [ep.x] * len(signs),
+                              order=1)
+    m_norm = float(np.linalg.norm(M))
+    eye = np.eye(2 * spec.L)
+    chains = []
+    for k, (sign, eps) in enumerate(zip(signs, eps_all)):
+        # contiguous copies: a strided slice would round the dot products
+        # differently from the one-sign call
+        phi_w, phi_u = np.ascontiguousarray(phi[..., k])
+        psi_w, psi_u = np.ascontiguousarray(psi[..., k])
+        cross = phi_u @ phi_w + psi_u @ psi_w
+        if abs(cross) < 1e-14:
+            raise DegenerateInput(
+                "chain cross norm vanishes: higher-order defect")
+        u_self = phi_u @ phi_u + psi_u @ psi_u
+        beta = -u_self / (2 * cross)
+        phi_u = phi_u + beta * phi_w
+        psi_u = psi_u + beta * psi_w
+        scale = 1 / np.sqrt(complex(cross))
+        phi_w, psi_w = scale * phi_w, scale * psi_w
+        phi_u, psi_u = scale * phi_u, scale * psi_u
+
+        sw = column_from_halves(phi_w, psi_w)
+        su = column_from_halves(phi_u, psi_u)
+        chain_res = float(np.linalg.norm((M - eps * eye) @ su - sw)) / m_norm
+        eigen_res = float(np.linalg.norm((M - eps * eye) @ sw)) / m_norm
+        if not chain_res <= 1e-7:
+            raise DefectiveBasis(
+                f"chain identity residual {chain_res:.3e} exceeds 1e-7")
+        chains.append(JordanChain(
+            mode=ep.mode, sign=sign, epsilon=eps, x=ep.x,
+            phi_w=phi_w, psi_w=psi_w, phi_u=phi_u, psi_u=psi_u, beta=beta,
+            chain_residual=chain_res, eigen_residual=eigen_res,
+            w_self=complex(phi_w @ phi_w + psi_w @ psi_w),
+            u_self=complex(phi_u @ phi_u + psi_u @ psi_u),
+            cross=complex(phi_u @ phi_w + psi_u @ psi_w)))
+    return chains
+
+
 def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
                             sign: int = +1) -> JordanChain:
     """Jordan chain of the +-eps block at an exceptional point.
@@ -191,38 +247,8 @@ def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
         raise DegenerateInput("spec anisotropy does not match the EP record")
     if sign not in (+1, -1):
         raise DegenerateInput("sign must be +1 or -1")
-    eps = sign * ep.epsilon
-    phi, psi, _ = mode_arrays(spec, ep.mode, eps, ep.x, order=1)
-    (phi_w, phi_u), (psi_w, psi_u) = phi[..., 0], psi[..., 0]
-
-    cross = phi_u @ phi_w + psi_u @ psi_w
-    if abs(cross) < 1e-14:
-        raise DegenerateInput("chain cross norm vanishes: higher-order defect")
-    u_self = phi_u @ phi_u + psi_u @ psi_u
-    beta = -u_self / (2 * cross)
-    phi_u = phi_u + beta * phi_w
-    psi_u = psi_u + beta * psi_w
-    scale = 1 / np.sqrt(complex(cross))
-    phi_w, psi_w = scale * phi_w, scale * psi_w
-    phi_u, psi_u = scale * phi_u, scale * psi_u
-
-    qh = build_quasi_hamiltonian(spec)
-    m_norm = float(np.linalg.norm(qh.M))
-    sw = column_from_halves(phi_w, psi_w)
-    su = column_from_halves(phi_u, psi_u)
-    eye = np.eye(2 * spec.L)
-    chain_res = float(np.linalg.norm((qh.M - eps * eye) @ su - sw)) / m_norm
-    eigen_res = float(np.linalg.norm((qh.M - eps * eye) @ sw)) / m_norm
-    if not chain_res <= 1e-7:
-        raise DefectiveBasis(
-            f"chain identity residual {chain_res:.3e} exceeds 1e-7")
-    return JordanChain(
-        mode=ep.mode, sign=sign, epsilon=eps, x=ep.x,
-        phi_w=phi_w, psi_w=psi_w, phi_u=phi_u, psi_u=psi_u, beta=beta,
-        chain_residual=chain_res, eigen_residual=eigen_res,
-        w_self=complex(phi_w @ phi_w + psi_w @ psi_w),
-        u_self=complex(phi_u @ phi_u + psi_u @ psi_u),
-        cross=complex(phi_u @ phi_w + psi_u @ psi_w))
+    return _jordan_chains(spec, ep, (sign,),
+                          build_quasi_hamiltonian(spec).M)[0]
 
 
 @dataclass(frozen=True)
@@ -255,28 +281,29 @@ def _simple_points(spec: ChainSpec, ep: EPRecord) -> list[SpectralPoint]:
     """Mode points of both modes without the EP's coalescing pair, mode I first."""
     if abs(spec.gamma - ep.gamma) > 1e-10 * (1 + abs(ep.gamma)):
         raise DegenerateInput("spec anisotropy does not match the EP record")
-    simple = []
-    for mode in MODES:
-        points = mode_points(spec, mode)
-        if mode == ep.mode:
-            order = coalescing_order([p.x for p in points], ep)
-            if max(abs(points[i].x - ep.x) for i in order[:2]) \
-                    > 1e-4 * (1 + abs(ep.x)):
-                raise DegenerateInput(
-                    "could not identify the coalescing boundary roots")
-            points = [points[i] for i in order[2:]]
-        simple += points
-    return simple
+    points = mode_points(spec, "both")
+    n = spec.n_pairs
+    start = MODES.index(ep.mode) * n
+    own = points[start: start + n]
+    order = coalescing_order([p.x for p in own], ep)
+    if max(abs(own[i].x - ep.x) for i in order[:2]) > 1e-4 * (1 + abs(ep.x)):
+        raise DegenerateInput("could not identify the coalescing boundary roots")
+    return points[:start] + [own[i] for i in order[2:]] + points[start + n:]
 
 
 def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
-    """Assemble the full 2L x 2L Jordan basis at an exceptional point."""
+    """Assemble the full 2L x 2L Jordan basis at an exceptional point.
+
+    The work is done once per EP: one root solve for both modes, one
+    order-1 :func:`xyep.chain.mode_arrays` call for both chains, one M
+    and one stacked SVD for the rank deficiencies at +-eps_EP.
+    """
     L = spec.L
-    qh = build_quasi_hamiltonian(spec)
+    M = build_quasi_hamiltonian(spec).M
 
     phis, psis, points = pair_columns(spec, _simple_points(spec, ep))
     chain_start = len(points)
-    chains = [generalized_eigenvector(spec, ep, sign) for sign in (+1, -1)]
+    chains = _jordan_chains(spec, ep, (+1, -1), M)
     phis = np.column_stack([phis] + [h for c in chains for h in (c.phi_w, c.phi_u)])
     psis = np.column_stack([psis] + [h for c in chains for h in (c.psi_w, c.psi_u)])
 
@@ -297,19 +324,20 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
     if not inv_res <= 1e-6:
         raise DefectiveBasis(
             f"structured inverse residual {inv_res:.3e} exceeds 1e-6")
-    m_norm = float(np.linalg.norm(qh.M))
-    jordan_res = float(np.linalg.norm(qh.M @ V - V @ J)) / m_norm
+    m_norm = float(np.linalg.norm(M))
+    jordan_res = float(np.linalg.norm(M @ V - V @ J)) / m_norm
 
-    def rank_deficiency(eps):
-        sv = np.linalg.svd(qh.M - eps * eye, compute_uv=False)
-        return int(np.sum(sv < 1e-8 * sv[0]))
+    # M - eps I at eps = +-eps_EP, in one stacked SVD
+    sv = np.linalg.svd(np.stack([M - eps * eye
+                                 for eps in (ep.epsilon, -ep.epsilon)]),
+                       compute_uv=False)
+    plus, minus = np.sum(sv < 1e-8 * sv[:, :1], axis=1).tolist()
 
     return JordanDecomposition(
         spec=spec, ep=ep, points=points, V=V, V_inv=V_inv, J=J,
         phis=phis, psis=psis, chain_start=chain_start, inv_residual=inv_res,
         jordan_residual=jordan_res,
-        rank_deficiency_plus=rank_deficiency(ep.epsilon),
-        rank_deficiency_minus=rank_deficiency(-ep.epsilon))
+        rank_deficiency_plus=plus, rank_deficiency_minus=minus)
 
 
 @dataclass(frozen=True)

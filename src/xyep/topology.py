@@ -107,16 +107,19 @@ def _default_selector(L: int, center: complex):
 def _slot_columns(spec: ChainSpec, ep: EPRecord, spectra):
     """Quasi-energies and the +eps / -eps columns of V for all L slots.
 
-    ``spectra`` holds each mode's branch-ordered (eps, x) row at
-    ``spec.gamma``, mode I first, as :func:`xyep.chain.mode_spectra`
-    returns them.  Slots of the EP's mode start with its coalescing pair
+    ``spectra`` is the (eps, x) pair of length-L rows at ``spec.gamma``,
+    as :func:`xyep.chain.mode_spectra` returns them for both modes: each
+    mode's branches in branch order, mode I first.  Slots of the EP's
+    mode start with its coalescing pair
     (:func:`xyep.ep.coalescing_order`, nearest first); every other slot
     keeps branch order, mode I before mode II.  Columns are left
     unnormalized: only their span is used, so the bilinearly null
     column at an exact EP needs no special case.
     """
+    n = spec.n_pairs
     eps, phis, psis = [], [], []
-    for mode, (mode_eps, x) in zip(MODES, spectra):
+    for k, mode in enumerate(MODES):
+        mode_eps, x = (row[k * n: (k + 1) * n] for row in spectra)
         if mode == ep.mode:
             order = coalescing_order(x, ep)
             mode_eps, x = mode_eps[order], x[order]
@@ -200,8 +203,8 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
 
     Every cell is evaluated on its own from the closed-form mode data
     (:func:`_cell`); nothing is continued from one cell to the next.
-    The quasi-energies of all usable cells come from one
-    :func:`xyep.chain.mode_spectra` call per mode.  The a and b labels
+    The quasi-energies of all usable cells, both modes, come from one
+    :func:`xyep.chain.mode_spectra` call.  The a and b labels
     are the two occupation patterns over slots that start with the EP
     mode's coalescing pair, nearest the EP root first, so the pair's
     energies exchange across a seam that is one ray ending at the EP;
@@ -245,11 +248,10 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     if not cells:
         raise DegenerateInput("every grid cell sits inside a pole disc")
     cell_gammas = gammas[~pole_mask]
-    spectra = [mode_spectra(L, cell_gammas, mode) for mode in MODES]
+    eps, x = mode_spectra(L, cell_gammas, "both")
 
     def at(k):
-        return ChainSpec(L, complex(cell_gammas[k])), [
-            (eps[k], x[k]) for eps, x in spectra]
+        return ChainSpec(L, complex(cell_gammas[k])), (eps[k], x[k])
 
     nearest = int(np.argmin(np.abs(cell_gammas - ep.gamma)))
     spec, rows = at(nearest)
@@ -354,10 +356,10 @@ def _signed_values(L: int, gammas) -> np.ndarray:
     """All 2L signed quasi-energies at each of m anisotropies, shape (m, 2L).
 
     Per row, +eps then -eps per label, labels as
-    :func:`xyep.chain.quasi_energies` numbers them; one root solve per
-    mode for all m.
+    :func:`xyep.chain.quasi_energies` numbers them; one root solve for
+    both modes at all m.
     """
-    eps = np.hstack([mode_spectra(L, gammas, mode)[0] for mode in MODES])
+    eps = mode_spectra(L, gammas, "both")[0]
     return np.stack([eps, -eps], axis=-1).reshape(eps.shape[0], -1)
 
 
@@ -394,8 +396,8 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
     """Drag all quasi-energy branches around a circle and read the permutation.
 
     The values at all ``steps + 1`` loop points come from one root
-    solve per mode; only bisection midpoints are solved on their own.
-    Each branch is continued to its nearest candidate value.  A step is
+    solve for both modes; only bisection midpoints are solved on their
+    own.  Each branch is continued to its nearest candidate value.  A step is
     bisected when some branch's best and second-best candidate distances
     differ by less than a factor of two, or when two branches pick the
     same candidate; after ``_MAX_REFINEMENTS`` levels of bisection

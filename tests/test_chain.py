@@ -30,7 +30,7 @@ from xyep.errors import (
     ModeCoincidenceWarning,
     NearEPWarning,
 )
-from xyep.polyalg import chebyshev_u
+from xyep.polyalg import _CHUNK_ENTRIES, chebyshev_u
 from xyep.topology import overlap_grid
 
 RNG = np.random.default_rng(20240816)
@@ -94,6 +94,29 @@ def test_quasi_hamiltonian_structure():
     assert abs(B[0, 1] - (0.4 + 0.3j) / 2) < 1e-15
 
 
+def quasi_matrix_by_definition(L, g):
+    """A, B, M = [[A, B], [-B, -A]] and S, entry by entry from the definition."""
+    A = np.zeros((L, L), dtype=complex)
+    B = np.zeros((L, L), dtype=complex)
+    for j in range(L - 1):
+        A[j, j + 1] = A[j + 1, j] = 0.5
+        B[j, j + 1] = g / 2
+        B[j + 1, j] = -g / 2
+    eye = np.eye(L)
+    return (A, B, np.block([[A, B], [-B, -A]]),
+            np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0))
+
+
+def test_quasi_hamiltonian_is_its_definition():
+    for L in range(2, 14, 2):
+        for g in (0.4 + 0.3j, -1.2 + 0.7j, 2.5 - 0.3j, 0.9j):
+            qh = build_quasi_hamiltonian(ChainSpec(L, g))
+            for got, want in zip((qh.A, qh.B, qh.M, qh.S),
+                                 quasi_matrix_by_definition(L, g)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+
 def test_l2_quasi_energies_closed_form():
     g = 0.3 + 0.4j
     pts = quasi_energies(ChainSpec(2, g))
@@ -155,8 +178,27 @@ def test_mode_spectra_rows_are_the_mode_points():
             mode_spectra(6, [0.3 + 0.2j, g], "I")
     with pytest.raises(DegenerateInput):
         mode_spectra(5, [0.3], "I")
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DegenerateInput, match="'I', 'II' or 'both', got 'III'"):
         mode_spectra(6, [0.3], "III")
+
+
+def test_both_modes_are_the_one_mode_rows_side_by_side():
+    # one root solve for both modes; each row is, bit for bit, the two
+    # one-mode rows side by side.  At n = 100 the stacked batch crosses a
+    # chunk boundary of the root kernel that the one-mode batches do not.
+    rows_per_chunk = _CHUNK_ENTRIES // 100 ** 2
+    for L, gammas in ((10, random_gammas(9) + [0.0, 2.5 - 0.3j, -0.9]),
+                      (200, random_gammas(14))):
+        if L == 200:
+            assert len(gammas) < rows_per_chunk < 2 * len(gammas)
+        both = mode_spectra(L, gammas, "both")
+        for got, one, two in zip(both, mode_spectra(L, gammas, "I"),
+                                 mode_spectra(L, gammas, "II")):
+            assert got.shape == (len(gammas), L)
+            assert np.array_equal(got, np.hstack([one, two]))
+    spec = ChainSpec(10, gammas[0])
+    assert mode_points(spec, "both") == (mode_points(spec, "I")
+                                         + mode_points(spec, "II"))
 
 
 def test_gamma_maps_give_the_same_bits_for_scalars_and_arrays():
@@ -226,8 +268,8 @@ def test_every_consumer_makes_one_mode_arrays_call_per_mode(monkeypatch):
     shapes.clear()
     ep = next(r for r in locate_eps(20) if r.mode == "II")
     jordan_decomposition(ChainSpec(20, ep.gamma), ep)
-    # mode I whole, mode II without the coalescing pair, then the two chains
-    assert shapes == [(10,), (8,), (1,), (1,)]
+    # mode I whole, mode II without the coalescing pair, then both chains
+    assert shapes == [(10,), (8,), (2,)]
     shapes.clear()
     # 2 x 2 cells plus the cell nearest the EP, read once for the sector
     overlap_grid(6, 0.0, 0.7, 0.2, 0.9, 2, 2)
@@ -397,7 +439,8 @@ def test_near_ep_warnings_list_close_pairs_in_row_major_order(monkeypatch):
     xs = [0.5 + 0j, 0.3 + 0j, 0.5 + 2e-5j, 0.50003 + 0j]
 
     def fake_points(spec, mode):
-        return [SimpleNamespace(x=x) for x in xs]
+        assert mode == "both"
+        return [SimpleNamespace(mode=m, x=x) for m in ("I", "II") for x in xs]
 
     monkeypatch.setattr(chain_module, "mode_points", fake_points)
     got = [msg for _, msg in near_ep_messages(ChainSpec(4, 0.3 + 0.2j))]

@@ -80,7 +80,7 @@ def test_spectrum_quasi_rows_follow_quasi_energies(capsys):
                      fmt_real(p.epsilon.imag)] for p in pts]
 
 
-def test_spectrum_solves_each_mode_once(monkeypatch, capsys):
+def test_spectrum_solves_both_modes_in_one_call(monkeypatch, capsys):
     import xyep.chain as chain_module
 
     calls = []
@@ -93,7 +93,7 @@ def test_spectrum_solves_each_mode_once(monkeypatch, capsys):
     monkeypatch.setattr(chain_module, "boundary_roots", counting)
     code, _, _ = run_cli(["spectrum", "--L", "14", "--gamma", "0.3-0.55i",
                           "--format", "json"], capsys)
-    assert code == 0 and len(calls) == 2
+    assert code == 0 and len(calls) == 1
     calls.clear()
     # the many-body size guard fires before any root solve
     code, _, _ = run_cli(["spectrum", "--L", "40", "--gamma", "0.3-0.55i"],
@@ -165,6 +165,28 @@ def test_ep_table_l60_to_file(tmp_path, capsys):
     assert code == 0 and err == ""
     rows = [r for r in path.read_text().splitlines() if r.startswith("60,")]
     assert len(rows) == 2 * (60 - 2)
+
+
+def test_ep_table_size_cap_exit_code_2_before_any_search(monkeypatch, capsys):
+    import xyep.ep as ep_module
+
+    calls = []
+    real = ep_module.double_roots
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(ep_module, "double_roots", counting)
+    monkeypatch.setattr(ep_module, "_EP_SEARCH_LIMIT", 8)
+    code, out, err = run_cli(["ep-table", "--L-min", "4", "--L-max", "10"],
+                             capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: EP search capped at L = 8, got 10\n"
+    code, out, _ = run_cli(["ep-table", "--L-min", "4", "--L-max", "8"], capsys)
+    assert code == 0 and calls == [4, 3, 2]   # largest L first
+    rows = [r.split(",")[0] for r in out.splitlines() if r[:1].isdigit()]
+    assert rows == ["4"] * 4 + ["6"] * 8 + ["8"] * 12
 
 
 def test_ep_table_range_validation(capsys):

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import xyep.basis as basis_module
+import xyep.chain as chain_module
 import xyep.ep as ep_module
 from xyep.chain import (ChainSpec, gamma_to_lambda, lambda_to_gamma, mode_points,
                         quasi_energies)
@@ -316,15 +317,68 @@ def test_every_residual_check_raises_defective_basis(monkeypatch):
     # a root 1e-3 off the double root breaks the chain identity
     with pytest.raises(DefectiveBasis, match="chain identity residual"):
         generalized_eigenvector(spec, dataclasses.replace(ep, x=ep.x + 1e-3))
-    real = ep_module.generalized_eigenvector
+    real = ep_module._jordan_chains
 
-    def stretched(spec, ep, sign=+1):
-        ch = real(spec, ep, sign)
-        return dataclasses.replace(ch, phi_u=2 * ch.phi_u, psi_u=2 * ch.psi_u)
+    def stretched(*args):
+        return [dataclasses.replace(ch, phi_u=2 * ch.phi_u, psi_u=2 * ch.psi_u)
+                for ch in real(*args)]
 
-    monkeypatch.setattr(ep_module, "generalized_eigenvector", stretched)
+    monkeypatch.setattr(ep_module, "_jordan_chains", stretched)
     with pytest.raises(DefectiveBasis, match="structured inverse residual"):
         jordan_decomposition(spec, ep)
+
+
+def test_jordan_chain_columns_are_the_generalized_eigenvectors():
+    # the decomposition evaluates both chains in one call; each matches
+    # the one-sign chain to rounding
+    for L in (4, 10, 20):
+        for ep in locate_eps(L):
+            spec = quiet_spec(L, ep.gamma)
+            jd = jordan_decomposition(spec, ep)
+            for k, sign in enumerate((+1, -1)):
+                ch = generalized_eigenvector(spec, ep, sign)
+                w = jd.chain_start + 2 * k
+                for got, want in ((jd.phis[:, w], ch.phi_w),
+                                  (jd.psis[:, w], ch.psi_w),
+                                  (jd.phis[:, w + 1], ch.phi_u),
+                                  (jd.psis[:, w + 1], ch.psi_u)):
+                    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_jordan_decomposition_solves_once_and_builds_both_chains_at_once(
+        monkeypatch):
+    # chain.chebyshev_u runs once per mode_arrays call, at its order
+    roots, orders = [], []
+    real_roots, real_u = chain_module.boundary_roots, chain_module.chebyshev_u
+
+    def count_roots(n, lam):
+        roots.append(np.size(lam))
+        return real_roots(n, lam)
+
+    def count_orders(x, n, order=0):
+        orders.append((order, np.size(x)))
+        return real_u(x, n, order)
+
+    monkeypatch.setattr(chain_module, "boundary_roots", count_roots)
+    monkeypatch.setattr(chain_module, "chebyshev_u", count_orders)
+    ep = closest_record(locate_eps(10), 0.2806 + 0.7035j)
+    jordan_decomposition(quiet_spec(10, ep.gamma), ep)
+    assert roots == [2]                       # both modes, one solve
+    assert orders == [(0, 5), (0, 3), (1, 2)]
+
+
+def test_ep_search_size_cap_refuses_before_any_work(monkeypatch):
+    def refuse(n):
+        raise AssertionError("double_roots ran past the size guard")
+
+    monkeypatch.setattr(ep_module, "double_roots", refuse)
+    cap = ep_module._EP_SEARCH_LIMIT
+    with pytest.raises(SizeLimit, match=f"capped at L = {cap}, got {cap + 2}"):
+        locate_eps(cap + 2)
+    monkeypatch.setattr(ep_module, "_EP_SEARCH_LIMIT", 8)
+    for L, mode in ((10, "both"), (100000, "I")):
+        with pytest.raises(SizeLimit, match=f"capped at L = 8, got {L}"):
+            locate_eps(L, mode)
 
 
 def test_ep_state_catalog_size_guard_refuses_before_any_work(monkeypatch):

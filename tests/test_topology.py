@@ -265,24 +265,24 @@ def count_root_solves(monkeypatch):
     return calls
 
 
-def test_loop_and_grid_make_one_root_solve_per_mode(monkeypatch):
+def test_loop_and_grid_make_one_root_solve(monkeypatch):
     calls = count_root_solves(monkeypatch)
     r = track_loop(4, L4_EP, 0.05, steps=64)
     assert r.refinements == 0
-    assert calls == [65, 65]                  # every loop point, both modes
+    assert calls == [130]                     # every loop point, both modes
     calls.clear()
     grid = overlap_grid(4, 0.95, 1.05, -0.05, 0.05, 5, 5)
     usable = int((~grid.pole_mask).sum())
-    assert calls == [usable, usable]
+    assert calls == [2 * usable]
 
 
 def test_track_loop_solves_only_bisection_midpoints_on_demand(monkeypatch):
-    # the through-EP loop bisects until it gives up; apart from the two
-    # solves of the loop points, each solve is one midpoint per mode
+    # the through-EP loop bisects until it gives up; apart from the one
+    # solve of the loop points, each solve is one midpoint, both modes
     calls = count_root_solves(monkeypatch)
     with pytest.raises(AmbiguousContinuation):
         track_loop(4, L4_EP + 0.05, 0.05, steps=64)
-    assert calls[:2] == [65, 65] and set(calls[2:]) == {1}
+    assert calls[0] == 130 and set(calls[1:]) == {2}
 
 
 def test_overlap_grid_is_symmetric_under_conjugate_gamma():
