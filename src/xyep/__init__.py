@@ -11,7 +11,6 @@ from .chain import (
     gamma_to_lambda,
     lambda_to_gamma,
     mode_vector_poly,
-    mode_vector_trig,
     quasi_energies,
     x_of_eps,
 )

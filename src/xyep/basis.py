@@ -39,9 +39,11 @@ __all__ = [
 
 FAMILIES = ("R", "Rstar", "Lstar", "L")
 
-# many_body_energies holds an 8 L 2^L-byte occupation-bit table
-# (168 MB at L = 20) besides the 2^L energies
+# many_body_energies returns an L 2^L-byte int8 occupation table and
+# 2^L complex energies, 21 MB and 17 MB at L = 20; filled in blocks of
+# _MANY_BODY_BLOCK rows, the call then peaks about 50 MB above its start
 MANY_BODY_LIMIT = 20
+_MANY_BODY_BLOCK = 2 ** 14
 
 # assemble_basis refuses a basis whose ||V V^T - I|| exceeds this
 _ORTH_TOL = 1e-6
@@ -221,11 +223,18 @@ def many_body_energies(spec: ChainSpec) -> ManyBodySpectrum:
     eps_II = np.array([p.epsilon for p in pts if p.mode == "II"])
     eps = np.concatenate([eps_I, eps_II])
     L = spec.L
-    states = np.arange(2 ** L)
-    bits = (states[:, None] >> np.arange(L - 1, -1, -1)) & 1
-    energies = 0.5 * (2 * bits - 1) @ eps
+    shifts = np.arange(L - 1, -1, -1)
+    occupations = np.empty((2 ** L, L), dtype=np.int8)
+    energies = np.empty(2 ** L, dtype=complex)
+    # row blocks bound the int64, float and complex temporaries of the
+    # sign matrix to a few MB; each row's energy is the same dot product
+    for start in range(0, 2 ** L, _MANY_BODY_BLOCK):
+        stop = min(start + _MANY_BODY_BLOCK, 2 ** L)
+        bits = (np.arange(start, stop)[:, None] >> shifts) & 1
+        occupations[start:stop] = bits
+        energies[start:stop] = 0.5 * (2 * bits - 1) @ eps
     return ManyBodySpectrum(spec=spec, epsilons_I=eps_I, epsilons_II=eps_II,
-                            energies=energies, occupations=bits.astype(np.int8))
+                            energies=energies, occupations=occupations)
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,17 @@ an explicitly known eigenvector with checkerboard support.
 :func:`xyep.polyalg.boundary_roots`) become branch-ordered quasi-energies,
 for many anisotropies and one or both modes in one root solve;
 :func:`mode_points` wraps its one-anisotropy row in labelled points, and
-:func:`mode_arrays` is the only forward-recurrence evaluator of mode
-data: eigenvector halves and, at order 1, their eps-derivative, at any
-number of roots of one mode in one call, so consumers make one call per
-mode (the two Jordan chains at an exceptional point share one);
+:func:`mode_arrays` is the one evaluator of mode data: eigenvector
+halves and, at order 1, their eps-derivative, at any number of roots of
+one mode in one call, so consumers make one call per mode (the two
+Jordan chains at an exceptional point share one);
 :func:`mode_vectors` normalizes such a block column by column.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -53,7 +54,6 @@ __all__ = [
     "mode_arrays",
     "mode_vectors",
     "mode_vector_poly",
-    "mode_vector_trig",
     "mode_equation_residual",
 ]
 
@@ -63,14 +63,13 @@ MODES = ("I", "II")
 # splitting scales like sqrt of the distance to the exceptional gamma,
 # so this catches anisotropies within roughly 1e-8 of an EP
 NEAR_EP_TOL = 1e-4
-_TRIG_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
 class ChainSpec:
     """Chain length and complex anisotropy.
 
-    ``L`` must be even and at least 2, and ``gamma`` finite.
+    ``L`` must be an even integer, at least 2, and ``gamma`` finite.
     ``gamma = -1`` is excluded outright: the boundary parameter lambda
     has a pole there.
     """
@@ -79,7 +78,7 @@ class ChainSpec:
     gamma: complex
 
     def __post_init__(self):
-        _check_length(self.L)
+        object.__setattr__(self, "L", _check_length(self.L))
         object.__setattr__(self, "gamma", complex(self.gamma))
         if not cmath.isfinite(self.gamma):
             raise DegenerateInput(
@@ -91,28 +90,21 @@ class ChainSpec:
     def n_pairs(self) -> int:
         return self.L // 2
 
-    @property
-    def lam(self) -> complex:
-        return gamma_to_lambda(self.gamma)
 
-    def mode_lambda(self, mode: str) -> complex:
-        """Boundary parameter of one mode: lambda for mode I, 1/lambda for mode II.
-
-        Raises :class:`LambdaSingular` at gamma = 1, where lambda = 0
-        and the two boundary polynomials degenerate.
-        """
-        return complex(_mode_lambdas(self.gamma, mode))
-
-
-def _check_length(L: int):
+def _check_length(L) -> int:
+    """L as an int; DegenerateInput unless it is an even integer >= 2."""
+    try:
+        L = operator.index(L)
+    except TypeError:
+        raise DegenerateInput(
+            f"chain length must be an integer, got {L!r}") from None
     if L < 2 or L % 2:
         raise DegenerateInput(f"chain length must be even and >= 2, got {L}")
+    return L
 
 
 def _mode_lambdas(gamma, mode: str):
-    """Boundary parameters of one mode at an anisotropy or an array of them."""
-    if mode not in MODES:
-        raise DegenerateInput(f"mode must be one of {MODES}, got {mode!r}")
+    """Boundary parameters of one mode (``"I"`` or ``"II"``) at anisotropies."""
     gamma = np.asarray(gamma, dtype=complex)
     if ((gamma == 1) | (gamma == -1)).any():
         raise LambdaSingular("boundary polynomial undefined at gamma = +-1")
@@ -218,7 +210,7 @@ def mode_spectra(L: int, gammas, mode: str) -> tuple[np.ndarray, np.ndarray]:
     :class:`DegenerateInput` when some gamma or eps is not finite
     (gamma^2 overflows above |gamma| ~ 1e154).
     """
-    _check_length(L)
+    L = _check_length(L)
     gammas = np.atleast_1d(np.asarray(gammas, dtype=complex))
     bad = ~np.isfinite(gammas)
     if bad.any():
@@ -265,7 +257,7 @@ def quasi_energies(spec: ChainSpec, warn: bool = True) -> list[SpectralPoint]:
     :class:`ModeCoincidenceWarning` at gamma = 0 where the two modes
     have identical spectra.
     """
-    if warn and abs(spec.lam + 1) < 1e-14:
+    if warn and abs(gamma_to_lambda(spec.gamma) + 1) < 1e-14:
         warnings.warn("gamma = 0: both modes share one boundary condition",
                       ModeCoincidenceWarning, stacklevel=2)
     points = mode_points(spec, "both")
@@ -343,35 +335,29 @@ def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0):
     return phi, psi, boundary
 
 
-def _bilinear_normalize(phi: np.ndarray, psi: np.ndarray):
-    """Scale each column to phi.phi + psi.psi = 1 with a deterministic sign.
+def mode_vectors(spec: ChainSpec, mode: str, points: list[SpectralPoint]):
+    """Normalized +eps halves (L x k) of k points of one mode, in one call.
 
-    The sign makes the site-1 entry phi[0] + psi[0] have Re > 0 (or
-    Re = 0, Im > 0).  One half vanishes there by the checkerboard
-    support and the other is (1 +- gamma) / (2 eps) before scaling,
-    nonzero for every chain, so no rounding tie decides the sign.
+    Each column is scaled to phi.phi + psi.psi = 1, with the sign that
+    makes the site-1 entry phi[0] + psi[0] have Re > 0 (or Re = 0,
+    Im > 0).  One half vanishes there by the checkerboard support and
+    the other is (1 +- gamma) / (2 eps) before scaling, nonzero for
+    every chain, so no rounding tie decides the sign.  Returns
+    ``(phi, psi, scale, boundary_residual)``: the halves, the k scales
+    applied to the :func:`mode_arrays` values, and |scale * boundary|,
+    which vanishes on a quantized root.  The -eps partner of a column
+    is (-phi, psi), exactly.
     """
+    eps = [p.epsilon if p.sign > 0 else -p.epsilon for p in points]
+    phi, psi, boundary = mode_arrays(spec, mode, eps, [p.x for p in points])
+    phi, psi = phi[0], psi[0]
     n2 = np.sum(phi * phi + psi * psi, axis=0)
     if np.any(np.abs(n2) < 1e-300):
         raise DegenerateInput("mode vector is bilinearly null; cannot normalize")
     s = 1.0 / np.sqrt(n2)
     lead = (phi[0] + psi[0]) * s
     s = np.where((lead.real < 0) | ((lead.real == 0) & (lead.imag < 0)), -s, s)
-    return phi * s, psi * s, s
-
-
-def mode_vectors(spec: ChainSpec, mode: str, points: list[SpectralPoint]):
-    """Normalized +eps halves (L x k) of k points of one mode, in one call.
-
-    Returns ``(phi, psi, scale, boundary_residual)``: the halves, the k
-    scales applied to the :func:`mode_arrays` values, and |scale *
-    boundary|, which vanishes on a quantized root.  The -eps partner of
-    a column is (-phi, psi), exactly.
-    """
-    eps = [p.epsilon if p.sign > 0 else -p.epsilon for p in points]
-    phi, psi, boundary = mode_arrays(spec, mode, eps, [p.x for p in points])
-    phi, psi, s = _bilinear_normalize(phi[0], psi[0])
-    return phi, psi, s, np.abs(s * boundary)
+    return phi * s, psi * s, s, np.abs(s * boundary)
 
 
 def mode_vector_poly(spec: ChainSpec, point: SpectralPoint) -> ModeVector:
@@ -384,50 +370,6 @@ def mode_vector_poly(spec: ChainSpec, point: SpectralPoint) -> ModeVector:
     return ModeVector(mode=point.mode, sign=point.sign, epsilon=point.epsilon,
                       phi=phi[:, 0] if point.sign > 0 else -phi[:, 0],
                       psi=psi[:, 0], scale=s[0], boundary_residual=residual[0])
-
-
-def mode_vector_trig(spec: ChainSpec, point: SpectralPoint) -> ModeVector:
-    """Same eigenvector from sine patterns in the momentum k = arccos(x)/2.
-
-    The relative sign delta between the two sublattice patterns is not
-    fixed by the closed form; both choices are tried and the one
-    minimizing the first mode-equation residual wins.  Agrees with
-    :func:`mode_vector_poly` up to overall complex scale.
-    """
-    L = spec.L
-    n = spec.n_pairs
-    k = 0.5 * cmath.acos(complex(point.x))
-    if abs(cmath.sin(2 * k)) < _TRIG_GUARD:
-        raise DegenerateInput("sin(2k) ~ 0: sine patterns collapse")
-    eps_plus = point.epsilon if point.sign > 0 else -point.epsilon
-    m = np.arange(1, n + 1)
-    even = np.array([cmath.sin(2 * mm * k) for mm in m])
-    mm2 = np.arange(0, n)
-    other = np.array([cmath.sin((L - 2 * mm) * k) for mm in mm2])
-
-    qh = build_quasi_hamiltonian(spec)
-    best = None
-    for delta in (1.0, -1.0):
-        phi = np.zeros(L, dtype=complex)
-        psi = np.zeros(L, dtype=complex)
-        if point.mode == "I":
-            phi[1::2] = even
-            psi[0::2] = -delta * other
-        else:
-            psi[1::2] = even
-            phi[0::2] = -delta * other
-        norm = np.linalg.norm(np.concatenate([phi, psi]))
-        if norm < _TRIG_GUARD:
-            raise DegenerateInput("sine pattern is numerically zero")
-        phi, psi = phi / norm, psi / norm
-        resid = np.linalg.norm((qh.A + qh.B) @ phi - eps_plus * psi)
-        if best is None or resid < best[0]:
-            best = (resid, phi, psi)
-    _, phi, psi = best
-    phi, psi, s = _bilinear_normalize(phi[:, None], psi[:, None])
-    return ModeVector(mode=point.mode, sign=point.sign, epsilon=point.epsilon,
-                      phi=phi[:, 0] if point.sign > 0 else -phi[:, 0],
-                      psi=psi[:, 0], scale=s[0], boundary_residual=0.0)
 
 
 def mode_equation_residual(spec: ChainSpec, mv: ModeVector) -> float:

@@ -11,6 +11,7 @@ U_n / U_{n-1} at each of them.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,11 @@ def locate_eps(L: int, mode: str = "both") -> list[EPRecord]:
     are adjacent.  Chains longer than ``_EP_SEARCH_LIMIT`` = 2048 raise
     :class:`SizeLimit` before any array is built.
     """
+    try:
+        L = operator.index(L)
+    except TypeError:
+        raise DegenerateInput(
+            f"chain length must be an integer, got {L!r}") from None
     if L < 2 or L % 2:
         raise DegenerateInput(f"chain length must be even and >= 2, got {L}")
     if mode not in MODES + ("both",):
@@ -186,25 +192,27 @@ class JordanChain:
     cross: complex
 
 
-def _jordan_chains(spec: ChainSpec, ep: EPRecord, signs,
-                   M: np.ndarray) -> list[JordanChain]:
-    """Jordan chains of the sign * eps_EP blocks, one per sign, from one call.
+def _check_record(spec: ChainSpec, ep: EPRecord):
+    """Refuse a spec whose anisotropy is not the EP record's."""
+    if abs(spec.gamma - ep.gamma) > 1e-10 * (1 + abs(ep.gamma)):
+        raise DegenerateInput("spec anisotropy does not match the EP record")
 
-    One order-1 :func:`xyep.chain.mode_arrays` call evaluates the chains
-    at every sign; ``M`` is the quasi-Hamiltonian of ``spec``, for the
-    residuals.
+
+def _jordan_chains(spec: ChainSpec, ep: EPRecord,
+                   M: np.ndarray) -> list[JordanChain]:
+    """Jordan chains of the +eps_EP and -eps_EP blocks, in that order.
+
+    One order-1 :func:`xyep.chain.mode_arrays` call evaluates both;
+    ``M`` is the quasi-Hamiltonian of ``spec``, for the residuals.
     """
-    eps_all = [sign * ep.epsilon for sign in signs]
-    phi, psi, _ = mode_arrays(spec, ep.mode, eps_all, [ep.x] * len(signs),
-                              order=1)
+    eps_all = [ep.epsilon, -ep.epsilon]
+    phi, psi, _ = mode_arrays(spec, ep.mode, eps_all, [ep.x] * 2, order=1)
     m_norm = float(np.linalg.norm(M))
     eye = np.eye(2 * spec.L)
     chains = []
-    for k, (sign, eps) in enumerate(zip(signs, eps_all)):
-        # contiguous copies: a strided slice would round the dot products
-        # differently from the one-sign call
-        phi_w, phi_u = np.ascontiguousarray(phi[..., k])
-        psi_w, psi_u = np.ascontiguousarray(psi[..., k])
+    for k, (sign, eps) in enumerate(zip((+1, -1), eps_all)):
+        phi_w, phi_u = phi[..., k]
+        psi_w, psi_u = psi[..., k]
         cross = phi_u @ phi_w + psi_u @ psi_w
         if abs(cross) < 1e-14:
             raise DegenerateInput(
@@ -241,14 +249,15 @@ def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
     w is the (defective) eigenvector and u solves (M - eps) S u = S w
     in checkerboard coordinates; u is the parameter derivative of the
     eps-branch eigenvector, projected to the stated gauge.  Raises
-    :class:`DefectiveBasis` above 1e-7 relative chain residual.
+    :class:`DefectiveBasis` above 1e-7 relative chain residual.  Both
+    chains are evaluated exactly as :func:`jordan_decomposition`
+    evaluates them, so the result equals that basis's chain columns.
     """
-    if abs(spec.gamma - ep.gamma) > 1e-10 * (1 + abs(ep.gamma)):
-        raise DegenerateInput("spec anisotropy does not match the EP record")
+    _check_record(spec, ep)
     if sign not in (+1, -1):
         raise DegenerateInput("sign must be +1 or -1")
-    return _jordan_chains(spec, ep, (sign,),
-                          build_quasi_hamiltonian(spec).M)[0]
+    chains = _jordan_chains(spec, ep, build_quasi_hamiltonian(spec).M)
+    return chains[0 if sign > 0 else 1]
 
 
 @dataclass(frozen=True)
@@ -279,8 +288,7 @@ class JordanDecomposition:
 
 def _simple_points(spec: ChainSpec, ep: EPRecord) -> list[SpectralPoint]:
     """Mode points of both modes without the EP's coalescing pair, mode I first."""
-    if abs(spec.gamma - ep.gamma) > 1e-10 * (1 + abs(ep.gamma)):
-        raise DegenerateInput("spec anisotropy does not match the EP record")
+    _check_record(spec, ep)
     points = mode_points(spec, "both")
     n = spec.n_pairs
     start = MODES.index(ep.mode) * n
@@ -303,7 +311,7 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
 
     phis, psis, points = pair_columns(spec, _simple_points(spec, ep))
     chain_start = len(points)
-    chains = _jordan_chains(spec, ep, (+1, -1), M)
+    chains = _jordan_chains(spec, ep, M)
     phis = np.column_stack([phis] + [h for c in chains for h in (c.phi_w, c.phi_u)])
     psis = np.column_stack([psis] + [h for c in chains for h in (c.psi_w, c.psi_u)])
 

@@ -11,6 +11,7 @@ in the tests.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,14 @@ _GRID_CELL_LIMIT = 2 ** 20      # overlap_grid cells, n_re * n_im
 _LOOP_VALUE_LIMIT = 2 ** 21     # track_loop signed values, (steps + 1) * L
 # track_loop: levels of bisection allowed within one loop step
 _MAX_REFINEMENTS = 12
+
+
+def _count(n, what: str) -> int:
+    """A size argument as an int; DegenerateInput if it is not an integer."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DegenerateInput(f"{what} must be an integer, got {n!r}") from None
 
 
 def phase_rigidity(v: np.ndarray) -> complex:
@@ -183,19 +192,6 @@ def _cell(spec: ChainSpec, ep: EPRecord, spectra, pat_a, pat_b, sector: int):
     return out
 
 
-def _b_sorts_first(ea: complex, eb: complex) -> int:
-    """1 if energy eb sorts before ea by (Re, Im), else 0.
-
-    Real parts within 16 eps of the energies' size count as a tie and
-    are ordered by Im, so rounding cannot flip the label where the pair
-    has equal real parts in exact arithmetic.
-    """
-    tol = 16 * np.finfo(float).eps * max(abs(ea), abs(eb))
-    if abs(ea.real - eb.real) <= tol:
-        return int(ea.imag > eb.imag)
-    return int(ea.real > eb.real)
-
-
 def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
                  im_max: float, n_re: int, n_im: int,
                  selector=None, threads: int = 1) -> OverlapGrid:
@@ -218,6 +214,7 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     more than ``_GRID_CELL_LIMIT`` = 2^20 cells raise :class:`SizeLimit`
     before any array is built.
     """
+    n_re, n_im = _count(n_re, "n_re"), _count(n_im, "n_im")
     if L > _GRID_SIZE_LIMIT:
         raise SizeLimit(f"overlap grids are capped at L = {_GRID_SIZE_LIMIT}")
     if n_re < 2 or n_im < 2:
@@ -263,13 +260,19 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     overlap_b = np.full(shape, np.nan)
     energy_a = np.full(shape, np.nan, dtype=complex)
     energy_b = np.full(shape, np.nan, dtype=complex)
-    parity = np.zeros(shape, dtype=np.int8)
     for k, c in enumerate(cells):
         spec, rows = at(k)
         (ra, ea), (rb, eb) = _cell(spec, ep, rows, pat_a, pat_b, sector)
         overlap_a[c], overlap_b[c] = ra, rb
         energy_a[c], energy_b[c] = ea, eb
-        parity[c] = _b_sorts_first(ea, eb)
+    # 1 where the b energy sorts first by (Re, Im); real parts within 16
+    # eps of the energies' size tie and are ordered by Im, so rounding
+    # cannot flip the label where they are equal in exact arithmetic.
+    # Pole cells hold NaN, which compares false: parity 0 there.
+    tol = 16 * np.finfo(float).eps * np.maximum(abs(energy_a), abs(energy_b))
+    parity = np.where(abs(energy_a.real - energy_b.real) <= tol,
+                      energy_a.imag > energy_b.imag,
+                      energy_a.real > energy_b.real).astype(np.int8)
 
     return OverlapGrid(L=L, re_vals=re_vals, im_vals=im_vals,
                        overlap_a=overlap_a, overlap_b=overlap_b,
@@ -297,28 +300,18 @@ def sheet_stitch(grid: OverlapGrid) -> SheetStitch:
     ordered by imaginary part; on a grid straddling an exceptional
     point it terminates at (within one cell of) the EP.
     """
-    seam = []
-    n_re, n_im = grid.parity.shape
-    dre = grid.re_vals[1] - grid.re_vals[0] if n_re > 1 else 0.0
-    dim = grid.im_vals[1] - grid.im_vals[0] if n_im > 1 else 0.0
-    for i in range(n_re - 1):
-        for j in range(n_im):
-            if grid.pole_mask[i, j] or grid.pole_mask[i + 1, j]:
-                continue
-            if grid.parity[i, j] != grid.parity[i + 1, j]:
-                seam.append(complex((grid.re_vals[i] + grid.re_vals[i + 1]) / 2,
-                                    grid.im_vals[j]))
-    for i in range(n_re):
-        for j in range(n_im - 1):
-            if grid.pole_mask[i, j] or grid.pole_mask[i, j + 1]:
-                continue
-            if grid.parity[i, j] != grid.parity[i, j + 1]:
-                seam.append(complex(grid.re_vals[i],
-                                    (grid.im_vals[j] + grid.im_vals[j + 1]) / 2))
+    re, im, p, usable = grid.re_vals, grid.im_vals, grid.parity, ~grid.pole_mask
+    # parity flips between neighbouring usable cells, along Re then along Im
+    flip_re = (p[:-1] != p[1:]) & usable[:-1] & usable[1:]
+    flip_im = (p[:, :-1] != p[:, 1:]) & usable[:, :-1] & usable[:, 1:]
+    seam = [complex((re[i] + re[i + 1]) / 2, im[j])
+            for i, j in zip(*np.nonzero(flip_re))]
+    seam += [complex(re[i], (im[j] + im[j + 1]) / 2)
+             for i, j in zip(*np.nonzero(flip_im))]
     seam.sort(key=lambda z: (z.imag, z.real))
     return SheetStitch(sheet_a=grid.overlap_a, sheet_b=grid.overlap_b,
                        seam_points=seam, ep_gamma=grid.ep_gamma,
-                       cell_diag=float(np.hypot(dre, dim)))
+                       cell_diag=float(np.hypot(re[1] - re[0], im[1] - im[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +404,7 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
     than ``_LOOP_VALUE_LIMIT`` = 2^21 signed values, (steps + 1) * L,
     raises :class:`SizeLimit` before any array is built.
     """
+    steps = _count(steps, "steps")
     if steps < 8:
         raise DegenerateInput("a loop needs at least 8 steps")
     if (steps + 1) * L > _LOOP_VALUE_LIMIT:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,25 @@ def test_occupation_energy_consistency():
     for bits, energy in zip(mb.occupations, mb.energies):
         expect = 0.5 * (2 * bits - 1) @ eps
         assert abs(energy - expect) < 1e-12
+    # 2^16 rows span several fill blocks: row s is still the bits of s
+    L = 16
+    mb = many_body_energies(ChainSpec(L, -0.45 + 0.75j))
+    bits = (np.arange(2 ** L)[:, None] >> np.arange(L - 1, -1, -1)) & 1
+    eps = np.concatenate([mb.epsilons_I, mb.epsilons_II])
+    assert np.array_equal(mb.occupations, bits)
+    assert np.max(np.abs(mb.energies - 0.5 * (2 * bits - 1) @ eps)) < 1e-12
+
+
+def test_many_body_energies_allocate_a_few_times_their_result():
+    # the sign matrix's int64, float and complex temporaries, 2^L x L
+    # each, once took 150 MB at L = 18 for a 9 MB result
+    tracemalloc.start()
+    try:
+        mb = many_body_energies(ChainSpec(18, 0.3 + 0.2j))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (mb.energies.nbytes + mb.occupations.nbytes)
 
 
 def test_mode_vectors_columns_are_the_basis_columns():

@@ -17,7 +17,6 @@ from xyep.chain import (
     mode_points,
     mode_spectra,
     mode_vector_poly,
-    mode_vector_trig,
     mode_vectors,
     quasi_energies,
     x_of_eps,
@@ -31,7 +30,7 @@ from xyep.errors import (
     NearEPWarning,
 )
 from xyep.polyalg import _CHUNK_ENTRIES, chebyshev_u
-from xyep.topology import overlap_grid
+from xyep.topology import overlap_grid, track_loop
 
 RNG = np.random.default_rng(20240816)
 
@@ -143,10 +142,11 @@ def test_gamma_zero_energies_are_cosines():
 def test_boundary_polynomial_roots_are_quasi_energy_xs():
     spec = ChainSpec(8, 0.7 - 0.2j)
     n = spec.n_pairs
-    for mode in ("I", "II"):
+    lam = gamma_to_lambda(spec.gamma)
+    for mode, mode_lam in (("I", lam), ("II", 1 / lam)):
         xs = np.array([p.x for p in quasi_energies(spec) if p.mode == mode])
         u = chebyshev_u(xs, n)[0]
-        vals = u[n + 1] - spec.mode_lambda(mode) * u[n]
+        vals = u[n + 1] - mode_lam * u[n]
         assert np.max(np.abs(vals)) < 1e-10
 
 
@@ -279,11 +279,11 @@ def test_every_consumer_makes_one_mode_arrays_call_per_mode(monkeypatch):
 def test_boundary_polynomial_pole():
     for mode in ("I", "II"):
         with pytest.raises(LambdaSingular):
-            ChainSpec(4, 1.0).mode_lambda(mode)
+            mode_spectra(4, 1.0, mode)
     with pytest.raises(LambdaSingular):
         quasi_energies(ChainSpec(4, 1.0))
     with pytest.raises(DegenerateInput):
-        ChainSpec(4, 0.5).mode_lambda("III")
+        mode_spectra(4, 0.5, "III")
 
 
 def test_mode_vectors_parity_support_exact():
@@ -362,17 +362,6 @@ def test_column_sign_does_not_depend_on_the_batch():
         assert np.all((phi[0] + psi[0]).real > 0)
 
 
-def test_trig_route_agrees_with_poly_route():
-    spec = ChainSpec(8, 0.3 + 0.2j)
-    for p in quasi_energies(spec):
-        a = mode_vector_poly(spec, p)
-        b = mode_vector_trig(spec, p)
-        # same normalized vector up to the shared sign convention
-        d = min(np.max(np.abs(np.concatenate([a.phi - b.phi, a.psi - b.psi]))),
-                np.max(np.abs(np.concatenate([a.phi + b.phi, a.psi + b.psi]))))
-        assert d < 1e-8
-
-
 def test_epsilon_zero_rejected():
     spec = ChainSpec(4, 0.2 + 0.1j)
     pt = quasi_energies(spec)[0]
@@ -408,6 +397,21 @@ def test_non_finite_anisotropies_are_refused_by_name():
         for g in (np.nan, complex(0.2, np.inf)):
             with pytest.raises(DegenerateInput, match="must be finite"):
                 ChainSpec(4, g)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ChainSpec(4.0, 0.3),
+    lambda: mode_spectra(4.0, 0.3, "I"),
+    lambda: locate_eps(6.0),
+    lambda: track_loop(4.0, 0.2 + 0.1j, 0.05),
+    lambda: track_loop(4, 0.2 + 0.1j, 0.05, steps=9.0),
+    lambda: overlap_grid(4, 0.55, 0.65, 0.75, 0.85, n_re=3.0, n_im=3),
+    lambda: overlap_grid(4, 0.55, 0.65, 0.75, 0.85, n_re=3, n_im="3"),
+])
+def test_non_integral_sizes_are_refused(call):
+    # each of these once passed validation and died in a raw TypeError
+    with pytest.raises(DegenerateInput, match="must be an integer"):
+        call()
 
 
 def test_mode_coincidence_warning_at_gamma_zero():

@@ -329,8 +329,8 @@ def test_every_residual_check_raises_defective_basis(monkeypatch):
 
 
 def test_jordan_chain_columns_are_the_generalized_eigenvectors():
-    # the decomposition evaluates both chains in one call; each matches
-    # the one-sign chain to rounding
+    # the decomposition and generalized_eigenvector share one evaluation
+    # of both chains, so the columns are the same numbers
     for L in (4, 10, 20):
         for ep in locate_eps(L):
             spec = quiet_spec(L, ep.gamma)
@@ -342,7 +342,7 @@ def test_jordan_chain_columns_are_the_generalized_eigenvectors():
                                   (jd.psis[:, w], ch.psi_w),
                                   (jd.phis[:, w + 1], ch.phi_u),
                                   (jd.psis[:, w + 1], ch.psi_u)):
-                    assert np.max(np.abs(got - want)) <= 1e-14
+                    assert np.array_equal(got, want)
 
 
 def test_jordan_decomposition_solves_once_and_builds_both_chains_at_once(

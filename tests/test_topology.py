@@ -7,7 +7,7 @@ import pytest
 
 import xyep.chain as chain_module
 import xyep.topology as topology_module
-from xyep.chain import ChainSpec, quasi_energies
+from xyep.chain import ChainSpec, gamma_to_lambda, quasi_energies
 from xyep.ep import locate_eps
 from xyep.oracle import build_spin_hamiltonian, parity_sectors
 from xyep.errors import AmbiguousContinuation, DegenerateInput, SizeLimit
@@ -474,8 +474,8 @@ def test_branch_scaling_probe_solves_only_the_ep_mode(monkeypatch):
     assert len(calls) == 1
     lams = calls[0]
     assert lams.size == fit.radii.size
-    assert np.array_equal(lams, [ChainSpec(8, ep.gamma + r).mode_lambda("II")
-                                 for r in fit.radii])
+    # mode II's 1/lambda, divided as chain._mode_lambdas divides arrays
+    assert np.array_equal(lams, 1 / gamma_to_lambda(ep.gamma + fit.radii))
 
 
 def test_branch_scaling_probe_needs_two_distinct_positive_radii(capfd):
