@@ -41,25 +41,28 @@ def fmt_real(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def fmt_complex(z: complex) -> str:
+    """z as 'a+bi', or 'a-bi' when Im z < 0; parse_complex reads it back."""
+    sign = "-" if z.imag < 0 else "+"
+    return f"{fmt_real(z.real)}{sign}{fmt_real(abs(z.imag))}i"
+
+
 def csv_text(config: dict, columns: list[str], rows: list[list]) -> str:
     """CSV with a comment header echoing the resolved configuration."""
     lines = [f"# artifact-version: {ARTIFACT_VERSION}"]
-    for key in config:
-        lines.append(f"# {key}: {config[key]}")
+    lines += [f"# {key}: {value}" for key, value in config.items()]
     lines.append(",".join(columns))
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(fmt_real(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+    lines += [",".join(fmt_real(c) if isinstance(c, float) else str(c)
+                       for c in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def json_text(config: dict, payload: dict) -> str:
-    """JSON with the resolved configuration embedded under 'config'."""
+    """One line of compact JSON, the resolved configuration under 'config'.
+
+    Without ``indent`` the encoder runs in C, about three times faster on
+    a many-body spectrum than the pure-Python indenting one.
+    """
     doc = {"artifact_version": ARTIFACT_VERSION, "config": config}
     doc.update(payload)
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    return json.dumps(doc) + "\n"

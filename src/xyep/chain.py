@@ -313,6 +313,8 @@ def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0):
     eps = np.atleast_1d(np.asarray(eps, dtype=complex))
     if np.any(eps == 0):
         raise EpsilonZero("mode construction divides by the quasi-energy")
+    if mode not in MODES:
+        raise DegenerateInput(f"mode must be 'I' or 'II', got {mode!r}")
     if order not in (0, 1):
         raise DegenerateInput(f"order must be 0 or 1, got {order}")
     u = chebyshev_u(np.atleast_1d(x), n, order)

@@ -5,9 +5,8 @@ point table, overlap maps, monodromy loops, oracle comparison, and a
 self-check suite.  All artifacts are deterministic for a fixed
 configuration and seed, and every file carries its resolved
 configuration in a comment header (CSV) or config block (JSON).
-
-Exit codes: 0 success, 1 failed verification, 2 configuration error,
-3 boundary-parameter pole, 4 ambiguous eigenvalue continuation.
+Exit codes, tabulated in the README: 1 from a failed PASS/FAIL report
+(:func:`_report`), 3 and 4 from ``_EXIT_CODES``, 2 for any other refusal.
 """
 
 from __future__ import annotations
@@ -18,18 +17,19 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._fmt import csv_text, fmt_real, json_text, parse_complex
+from ._fmt import csv_text, fmt_complex, fmt_real, json_text, parse_complex
 from .basis import many_body_energies
-from .chain import ChainSpec
-from .ep import ep_table_rows, locate_eps, reference_ep_gammas
+from .chain import MODES, ChainSpec
+from .ep import (ep_table_rows, jordan_decomposition, locate_eps,
+                 reference_ep_gammas)
 from .errors import (AmbiguousContinuation, DegenerateInput, LambdaSingular,
                      XYEPError)
 from .oracle import build_spin_hamiltonian, ed_eigen, match_spectra
 from .topology import overlap_grid, track_loop
 
 
-class VerificationFailed(Exception):
-    """At least one requested check reported FAIL."""
+# refusals with an exit code of their own; every other XYEPError exits 2
+_EXIT_CODES = {LambdaSingular: 3, AmbiguousContinuation: 4}
 
 
 def _complex_arg(text: str) -> complex:
@@ -51,18 +51,35 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _config(args, **fields) -> dict:
+    """An artifact's configuration header: command and version, then fields."""
+    return {"command": args.command, "version": __version__, **fields}
+
+
+def _report(checks, out: str | None, failure: str, summary=()) -> int:
+    """Write one PASS/FAIL line per ``(passed, text)`` check, then ``summary``.
+
+    Every check runs before anything is written.  Returns the exit code:
+    0, or 1 with ``FAIL: <failure>`` on stderr if some check failed.
+    """
+    lines, ok = [], True
+    for passed, text in checks:
+        ok = ok and passed
+        lines.append(f"{'PASS' if passed else 'FAIL'} {text}")
+    _emit("\n".join([*lines, *summary]) + "\n", out)
+    if ok:
+        return 0
+    print(f"FAIL: {failure}", file=sys.stderr)
+    return 1
+
+
 def cmd_spectrum(args) -> int:
     mb = many_body_energies(ChainSpec(args.L, args.gamma))
     # epsilons_I/II are in branch order, so the labels follow quasi_energies
     quasi = [(mode, branch, eps)
              for mode, eps_m in (("I", mb.epsilons_I), ("II", mb.epsilons_II))
              for branch, eps in enumerate(eps_m, start=1)]
-    config = {
-        "command": "spectrum",
-        "version": __version__,
-        "L": args.L,
-        "gamma": f"{fmt_real(args.gamma.real)}+{fmt_real(args.gamma.imag)}i",
-    }
+    config = _config(args, L=args.L, gamma=fmt_complex(args.gamma))
     # one "0"/"1" string per state, read straight off the occupation bytes
     labels = (mb.occupations + ord("0")).astype(np.uint8).view(
         f"S{args.L}").ravel().astype(str).tolist()
@@ -88,12 +105,7 @@ def cmd_ep_table(args) -> int:
     if args.L_min % 2 or args.L_max % 2 or args.L_min < 4 \
             or args.L_max < args.L_min:
         raise DegenerateInput("need even 4 <= L-min <= L-max")
-    config = {
-        "command": "ep-table",
-        "version": __version__,
-        "L_min": args.L_min,
-        "L_max": args.L_max,
-    }
+    config = _config(args, L_min=args.L_min, L_max=args.L_max)
     # largest L first, so the EP search's size cap refuses before any work
     tables = [locate_eps(L, "both")
               for L in range(args.L_max, args.L_min - 1, -2)]
@@ -108,16 +120,13 @@ def cmd_ep_table(args) -> int:
 def cmd_overlap_map(args) -> int:
     grid = overlap_grid(args.L, args.re_min, args.re_max, args.im_min,
                         args.im_max, args.n_re, args.n_im)
-    config = {
-        "command": "overlap-map",
-        "version": __version__,
-        "L": args.L,
-        "re_min": fmt_real(args.re_min), "re_max": fmt_real(args.re_max),
-        "im_min": fmt_real(args.im_min), "im_max": fmt_real(args.im_max),
-        "n_re": args.n_re, "n_im": args.n_im,
-        "tracked_a": "".join(map(str, grid.occupation_a)),
-        "tracked_b": "".join(map(str, grid.occupation_b)),
-    }
+    config = _config(
+        args, L=args.L,
+        re_min=fmt_real(args.re_min), re_max=fmt_real(args.re_max),
+        im_min=fmt_real(args.im_min), im_max=fmt_real(args.im_max),
+        n_re=args.n_re, n_im=args.n_im,
+        tracked_a="".join(map(str, grid.occupation_a)),
+        tracked_b="".join(map(str, grid.occupation_b)))
     rows = [[float(re), float(im), float(grid.overlap_a[i, j])]
             for i, re in enumerate(grid.re_vals)
             for j, im in enumerate(grid.im_vals)]
@@ -128,14 +137,8 @@ def cmd_overlap_map(args) -> int:
 
 def cmd_loop(args) -> int:
     result = track_loop(args.L, args.center, args.radius, steps=args.steps)
-    config = {
-        "command": "loop",
-        "version": __version__,
-        "L": args.L,
-        "center": f"{fmt_real(args.center.real)}+{fmt_real(args.center.imag)}i",
-        "radius": fmt_real(args.radius),
-        "steps": args.steps,
-    }
+    config = _config(args, L=args.L, center=fmt_complex(args.center),
+                     radius=fmt_real(args.radius), steps=args.steps)
     _emit(json_text(config, result.as_jsonable()), args.out)
     return 0
 
@@ -165,101 +168,72 @@ def _oracle_samples(L: int, n: int, rng, half_width: float):
 def cmd_oracle_compare(args) -> int:
     samples, worst = _oracle_samples(args.L, args.samples,
                                      np.random.default_rng(args.seed), 1.5)
-    lines = [f"{'PASS' if dev <= 1e-8 else 'FAIL'} gamma={g:.6g} rel_dev={dev:.3e}"
-             for g, dev in samples]
-    lines.append(f"worst relative deviation: {worst:.3e}" if samples else
-                 "FAIL every sampled gamma fell within 5e-2 of a pole")
-    _emit("\n".join(lines) + "\n", args.out)
-    if not worst <= 1e-8:
-        raise VerificationFailed("oracle comparison exceeded tolerance"
-                                 if samples else "no sample was compared")
-    return 0
+    checks = ([(dev <= 1e-8, f"gamma={g:.6g} rel_dev={dev:.3e}")
+               for g, dev in samples]
+              or [(False, "every sampled gamma fell within 5e-2 of a pole")])
+    summary = [f"worst relative deviation: {worst:.3e}"] if samples else []
+    failure = ("oracle comparison exceeded tolerance" if samples
+               else "no sample was compared")
+    return _report(checks, args.out, failure, summary)
 
 
-def _verify_ep_table(lines: list[str]) -> bool:
+def _verify_ep_table():
     # component-wise deviation: the reference values carry four decimals,
     # so only max(|d re|, |d im|) < 5e-5 is meaningful (the modulus of the
     # rounding error itself can reach ~7e-5)
-    ok = True
     for L in (4, 6, 8, 10, 12, 14):
         found = locate_eps(L, "both")
         worst = 0.0
-        for mode in ("I", "II"):
-            refs = reference_ep_gammas(L, mode)
+        for mode in MODES:
             got = [r.gamma for r in found if r.mode == mode]
-            for ref in refs:
+            for ref in reference_ep_gammas(L, mode):
                 d = min(max(abs(g.real - ref.real), abs(g.imag - ref.imag))
                         for g in got)
                 worst = max(worst, d)
-        passed = worst < 5e-5
-        ok = ok and passed
-        lines.append(f"{'PASS' if passed else 'FAIL'} ep-table L={L} "
-                     f"max component |dgamma| = {worst:.2e}")
-    return ok
+        yield (worst < 5e-5,
+               f"ep-table L={L} max component |dgamma| = {worst:.2e}")
 
 
-def _verify_oracle(lines: list[str]) -> bool:
+def _verify_oracle():
     rng = np.random.default_rng(7)
-    ok = True
     for L in (2, 4, 6):
         _, worst = _oracle_samples(L, 8, rng, 1.2)
-        passed = worst <= 1e-8
-        ok = ok and passed
-        lines.append(f"{'PASS' if passed else 'FAIL'} oracle L={L} "
-                     f"worst rel dev = {worst:.2e}")
-    return ok
+        yield worst <= 1e-8, f"oracle L={L} worst rel dev = {worst:.2e}"
 
 
-def _verify_jordan(lines: list[str]) -> bool:
-    from .ep import jordan_decomposition
-    ok = True
+def _verify_jordan():
     for L in (4, 6):
         worst = 0.0
         for rec in locate_eps(L, "both"):
-            spec = ChainSpec(L, rec.gamma)
-            jd = jordan_decomposition(spec, rec)
+            jd = jordan_decomposition(ChainSpec(L, rec.gamma), rec)
             worst = max(worst, jd.jordan_residual, jd.inv_residual)
-        passed = worst <= 1e-8
-        ok = ok and passed
-        lines.append(f"{'PASS' if passed else 'FAIL'} jordan L={L} "
-                     f"worst residual = {worst:.2e}")
-    return ok
+        yield worst <= 1e-8, f"jordan L={L} worst residual = {worst:.2e}"
 
 
-def _verify_loop(lines: list[str]) -> bool:
-    ok = True
+def _verify_loop():
     eps4 = [r for r in locate_eps(4, "II") if r.gamma.imag > 0]
     res = track_loop(4, eps4[0].gamma, 0.05, steps=128)
-    moved = sorted(k for k, p in enumerate(res.permutation) if p != k)
-    passed = res.closed and len(moved) == 2
-    ok = ok and passed
-    lines.append(f"{'PASS' if passed else 'FAIL'} loop around EP: "
-                 f"permutation {res.permutation}")
-    res2 = track_loop(4, 0.2 + 0.1j, 0.05, steps=128)
-    passed2 = res2.closed and res2.permutation == list(range(4)) \
-        and not any(res2.sign_flips)
-    ok = ok and passed2
-    lines.append(f"{'PASS' if passed2 else 'FAIL'} EP-free loop: "
-                 f"permutation {res2.permutation}")
-    return ok
+    moved = sum(p != k for k, p in enumerate(res.permutation))
+    yield (res.closed and moved == 2,
+           f"loop around EP: permutation {res.permutation}")
+    res = track_loop(4, 0.2 + 0.1j, 0.05, steps=128)
+    yield (res.closed and res.permutation == list(range(4))
+           and not any(res.sign_flips),
+           f"EP-free loop: permutation {res.permutation}")
+
+
+_SUITES = {
+    "ep-table": _verify_ep_table,
+    "oracle": _verify_oracle,
+    "jordan": _verify_jordan,
+    "loop": _verify_loop,
+}
 
 
 def cmd_verify(args) -> int:
-    suites = {
-        "ep-table": _verify_ep_table,
-        "oracle": _verify_oracle,
-        "jordan": _verify_jordan,
-        "loop": _verify_loop,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    lines: list[str] = []
-    ok = True
-    for name in names:
-        ok = suites[name](lines) and ok
-    _emit("\n".join(lines) + "\n", args.out)
-    if not ok:
-        raise VerificationFailed("one or more verification checks failed")
-    return 0
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    return _report((check for name in names for check in _SUITES[name]()),
+                   args.out, "one or more verification checks failed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,13 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_complex_arg, required=True,
                    help="complex anisotropy, e.g. 0.6+0.8i")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("ep-table", help="exceptional points for a range of L")
     p.add_argument("--L-min", type=int, default=4)
     p.add_argument("--L-max", type=int, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ep_table)
 
     p = sub.add_parser("overlap-map",
@@ -294,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--im-max", type=float, required=True)
     p.add_argument("--n-re", type=int, default=21)
     p.add_argument("--n-im", type=int, default=21)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_overlap_map)
 
     p = sub.add_parser("loop", help="quasi-energy monodromy around a circle")
@@ -302,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", type=_complex_arg, required=True)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--steps", type=int, default=256)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_loop)
 
     p = sub.add_parser("oracle-compare",
@@ -310,16 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser("verify", help="run a built-in check suite")
-    p.add_argument("--suite",
-                   choices=("ep-table", "oracle", "jordan", "loop", "all"),
-                   default="all")
-    p.add_argument("--out", default=None)
+    p.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     p.set_defaults(func=cmd_verify)
 
+    # last in every subcommand, so each usage line ends with it
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -328,18 +297,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VerificationFailed as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
-    except LambdaSingular as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except AmbiguousContinuation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except XYEPError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _EXIT_CODES.get(type(exc), 2)
 
 
 if __name__ == "__main__":

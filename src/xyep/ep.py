@@ -193,7 +193,10 @@ class JordanChain:
 
 
 def _check_record(spec: ChainSpec, ep: EPRecord):
-    """Refuse a spec whose anisotropy is not the EP record's."""
+    """Refuse a spec whose length or anisotropy is not the EP record's."""
+    if spec.L != ep.L:
+        raise DegenerateInput(f"spec length L = {spec.L} does not match "
+                              f"the EP record's L = {ep.L}")
     if abs(spec.gamma - ep.gamma) > 1e-10 * (1 + abs(ep.gamma)):
         raise DegenerateInput("spec anisotropy does not match the EP record")
 

@@ -1,14 +1,9 @@
 """Exception and warning types shared across the package.
 
-One class per failure kind that some caller tells apart:
-
-- :class:`DegenerateInput` and :class:`SizeLimit`: the CLI exits 2;
-  ``SizeLimit`` is the 2^L guard of the dense and enumerating routes.
-- :class:`LambdaSingular`: the CLI exits 3 (the gamma = +-1 pole).
-- :class:`AmbiguousContinuation`: the CLI exits 4.
-- :class:`DefectiveBasis`, :class:`EpsilonZero` and
-  :class:`NonConvergence`: the CLI exits 2; the benchmark harness
-  classifies known refusals by these names.
+One class per failure kind that some caller tells apart; the README's
+exit-code table gives the CLI exit code of each.  The benchmark harness
+classifies known refusals by the names :class:`DefectiveBasis`,
+:class:`EpsilonZero` and :class:`NonConvergence`.
 """
 
 

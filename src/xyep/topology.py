@@ -12,7 +12,7 @@ in the tests.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -320,7 +320,11 @@ def sheet_stitch(grid: OverlapGrid) -> SheetStitch:
 
 @dataclass(frozen=True)
 class LoopResult:
-    """Permutation of quasi-energy labels after one closed parameter loop."""
+    """Permutation of quasi-energy labels after one closed parameter loop.
+
+    ``closed`` and ``closure_defect`` are structural, always True and 0.0,
+    until a discriminant winding number gives them a check that can fail.
+    """
 
     L: int
     center: complex
@@ -333,16 +337,11 @@ class LoopResult:
     closure_defect: float
 
     def as_jsonable(self) -> dict:
-        return {
-            "L": self.L,
-            "center": [self.center.real, self.center.imag],
-            "radius": self.radius,
-            "steps": self.steps,
-            "refinements": self.refinements,
-            "permutation": self.permutation,
-            "sign_flips": [bool(f) for f in self.sign_flips],
-            "closed": self.closed,
-        }
+        """The fields in JSON types, without the structural closure_defect."""
+        doc = asdict(self)
+        del doc["closure_defect"]
+        doc["center"] = [self.center.real, self.center.imag]
+        return doc
 
 
 def _signed_values(L: int, gammas) -> np.ndarray:
@@ -356,13 +355,13 @@ def _signed_values(L: int, gammas) -> np.ndarray:
     return np.stack([eps, -eps], axis=-1).reshape(eps.shape[0], -1)
 
 
-def _continue_values(L: int, prev: np.ndarray, cand: np.ndarray, g0: complex,
+def _continue_labels(L: int, prev: np.ndarray, cand: np.ndarray, g0: complex,
                      g1: complex, depth: int) -> tuple[np.ndarray, int]:
-    """Carry the values ``prev`` at g0 onto ``cand``, the values at g1.
+    """Indices into ``cand``, the values at g1, continuing ``prev`` at g0.
 
     An ambiguous step is split at its midpoint, the only anisotropy
-    whose values are solved here.  Returns the carried values and the
-    number of bisections made.
+    whose values are solved here.  Returns the indices and the number of
+    bisections made.
     """
     cost = np.abs(prev[:, None] - cand[None, :])
     pick = np.argmin(cost, axis=1)
@@ -372,15 +371,16 @@ def _continue_values(L: int, prev: np.ndarray, cand: np.ndarray, g0: complex,
     ambiguous = (np.any((srt[:, 1] == 0) | (srt[:, 0] > 0.5 * srt[:, 1]))
                  or np.unique(pick).size < pick.size)
     if not ambiguous:
-        return cand[pick], 0
+        return pick, 0
     if depth >= _MAX_REFINEMENTS:
         raise AmbiguousContinuation(
             f"branch matching stayed ambiguous after {depth} bisections "
             f"between gamma = {g0:.6g} and {g1:.6g}")
     mid = (g0 + g1) / 2
-    half, n_first = _continue_values(L, prev, _signed_values(L, mid)[0], g0,
-                                     mid, depth + 1)
-    out, n_second = _continue_values(L, half, cand, mid, g1, depth + 1)
+    mid_vals = _signed_values(L, mid)[0]
+    half, n_first = _continue_labels(L, prev, mid_vals, g0, mid, depth + 1)
+    out, n_second = _continue_labels(L, mid_vals[half], cand, mid, g1,
+                                     depth + 1)
     return out, 1 + n_first + n_second
 
 
@@ -399,10 +399,12 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
     :func:`xyep.chain.quasi_energies` numbers them at the loop's start
     point (mode I branches 1..L/2 are labels 0..L/2-1, then mode II);
     ``sign_flips[k]`` reports a label returning to its partner's
-    negative.  ``orientation`` +1 traverses counterclockwise,
-    -1 clockwise; reversing it inverts the permutation.  A loop of more
-    than ``_LOOP_VALUE_LIMIT`` = 2^21 signed values, (steps + 1) * L,
-    raises :class:`SizeLimit` before any array is built.
+    negative.  The last loop point is the first, with the same values bit
+    for bit, so both are read off the continued slot indices.
+    ``orientation`` +1 traverses counterclockwise, -1 clockwise;
+    reversing it inverts the permutation.  A loop of more than
+    ``_LOOP_VALUE_LIMIT`` = 2^21 signed values, (steps + 1) * L, raises
+    :class:`SizeLimit` before any array is built.
     """
     steps = _count(steps, "steps")
     if steps < 8:
@@ -420,31 +422,20 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
     gammas = np.append(gammas, gammas[0])
 
     values = _signed_values(L, gammas)
-    start = values[0]
+    # slots[i]: where start value i sits in the current row of values
+    slots = np.arange(2 * L)
     refinements = 0
-    vals = start
     for t in range(steps):
-        vals, n = _continue_values(L, vals, values[t + 1], gammas[t],
-                                   gammas[t + 1], 0)
+        slots, n = _continue_labels(L, values[t][slots], values[t + 1],
+                                    gammas[t], gammas[t + 1], 0)
         refinements += n
-
-    # the last step lands on gammas[0] itself, so vals is an exact
-    # reordering of start and each value finds its own copy
-    perm2 = np.argmin(np.abs(vals[:, None] - start[None, :]), axis=1)
-    defect = float(np.max(np.abs(vals - start[perm2])))
-    closed = defect <= 1e-8 * (1 + float(np.max(np.abs(start))))
-
-    n_labels = L
-    permutation = []
-    sign_flips = []
-    for q in range(n_labels):
-        target = int(perm2[2 * q])
-        permutation.append(target // 2)
-        sign_flips.append(target % 2 == 1)
+    # +eps of label q is slot 2q; it ends on +-eps of label slot // 2
+    plus = slots[0::2]
     return LoopResult(L=L, center=center, radius=float(radius), steps=steps,
-                      refinements=refinements, permutation=permutation,
-                      sign_flips=sign_flips, closed=closed,
-                      closure_defect=defect)
+                      refinements=refinements,
+                      permutation=(plus // 2).tolist(),
+                      sign_flips=(plus % 2 == 1).tolist(), closed=True,
+                      closure_defect=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from xyep.errors import (
     ModeCoincidenceWarning,
     NearEPWarning,
 )
+from xyep.oracle import build_spin_hamiltonian, jordan_wigner_modes, parity_sectors
 from xyep.polyalg import _CHUNK_ENTRIES, chebyshev_u
 from xyep.topology import overlap_grid, track_loop
 
@@ -407,11 +408,26 @@ def test_non_finite_anisotropies_are_refused_by_name():
     lambda: track_loop(4, 0.2 + 0.1j, 0.05, steps=9.0),
     lambda: overlap_grid(4, 0.55, 0.65, 0.75, 0.85, n_re=3.0, n_im=3),
     lambda: overlap_grid(4, 0.55, 0.65, 0.75, 0.85, n_re=3, n_im="3"),
+    lambda: build_spin_hamiltonian(4.0, 0.3),
+    lambda: jordan_wigner_modes(4.0),
+    lambda: parity_sectors(4.0),
 ])
 def test_non_integral_sizes_are_refused(call):
     # each of these once passed validation and died in a raw TypeError
     with pytest.raises(DegenerateInput, match="must be an integer"):
         call()
+
+
+def test_unknown_modes_are_refused():
+    # any mode but "I" once evaluated as mode II, without a refusal
+    spec = ChainSpec(4, 0.3 + 0.2j)
+    points = mode_points(spec, "I")
+    for mode in ("1", "i", "both"):
+        with pytest.raises(DegenerateInput, match="mode must be 'I' or 'II'"):
+            mode_arrays(spec, mode, [p.epsilon for p in points],
+                        [p.x for p in points])
+        with pytest.raises(DegenerateInput, match="mode must be 'I' or 'II'"):
+            mode_vectors(spec, mode, points)
 
 
 def test_mode_coincidence_warning_at_gamma_zero():

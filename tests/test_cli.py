@@ -46,6 +46,28 @@ def test_spectrum_json_to_file(tmp_path, capsys):
     assert len(occupations) == 16
 
 
+def test_spectrum_json_is_one_line(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    code, _, _ = run_cli(["spectrum", "--L", "6", "--gamma", "0.3-0.55i",
+                          "--format", "json", "--out", str(path)], capsys)
+    text = path.read_text()
+    assert code == 0 and text.count("\n") == 1 and text.endswith("\n")
+    assert json.loads(text)["config"]["gamma"] == "0.3-0.55i"
+
+
+def test_header_anisotropies_read_back_through_the_cli(tmp_path, capsys):
+    _, out, _ = run_cli(["spectrum", "--L", "4", "--gamma", "0.3-0.55i"], capsys)
+    header = [l for l in out.splitlines() if l.startswith("# gamma: ")]
+    assert header == ["# gamma: 0.3-0.55i"]
+    code, again, _ = run_cli(["spectrum", "--L", "4",
+                              f"--gamma={header[0][len('# gamma: '):]}"], capsys)
+    assert code == 0 and again == out
+    path = tmp_path / "loop.json"
+    run_cli(["loop", "--L", "4", "--center", "0.2-0.1i", "--radius", "0.05",
+             "--steps", "32", "--out", str(path)], capsys)
+    assert json.loads(path.read_text())["config"]["center"] == "0.2-0.1i"
+
+
 def test_spectrum_labels_are_the_occupation_bits(tmp_path, capsys):
     from xyep.basis import many_body_energies
     from xyep.chain import ChainSpec

@@ -248,6 +248,17 @@ def test_jordan_decomposition_rejects_gamma_mismatch():
         jordan_decomposition(ChainSpec(4, 0.2 + 0.1j), ep)
 
 
+@pytest.mark.parametrize("entry", [generalized_eigenvector, jordan_decomposition,
+                                   ep_state_catalog, ep_ground_energy])
+def test_ep_entry_points_refuse_a_record_of_another_length(entry):
+    # an L = 4 record at L = 6 was once refused with misleading residual
+    # or root-identification errors
+    ep = closest_record(locate_eps(4), L4_EP_GAMMA)
+    with pytest.raises(DegenerateInput, match=r"spec length L = 6 does not "
+                                              r"match the EP record's L = 4"):
+        entry(ChainSpec(6, ep.gamma), ep)
+
+
 def test_ep_state_catalog_census():
     ep = closest_record(locate_eps(4), L4_EP_GAMMA)
     spec = quiet_spec(4, ep.gamma)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from xyep._fmt import csv_text, fmt_real, json_text, parse_complex
+from xyep._fmt import csv_text, fmt_complex, fmt_real, json_text, parse_complex
 
 ACCEPT = [
     ("0.6+0.8i", 0.6 + 0.8j),
@@ -46,6 +46,12 @@ def test_fmt_real_significant_digits():
     assert fmt_real(0.0) == "0"
 
 
+@pytest.mark.parametrize("z", [0.3 - 0.55j, 0.2 - 0.1j, -1.5 - 2e-7j, 0.4 + 0j,
+                               complex(0.4, -0.0), -0.6 + 0.8j, 1e-3 + 2.5e2j])
+def test_fmt_complex_reads_back(z):
+    assert parse_complex(fmt_complex(z)) == z
+
+
 def test_csv_text_layout():
     text = csv_text({"L": 4, "gamma": "0.6+0.8i"}, ["a", "b"],
                     [[1, 0.5], ["x", 1 / 3]])
@@ -68,3 +74,9 @@ def test_json_text_round_trip():
     assert text.endswith("\n")
     # key order is stable, so the byte stream is reproducible
     assert text == json_text({"L": 6}, {"rows": [1, 2, 3]})
+
+
+def test_json_text_is_one_line():
+    text = json_text({"L": 6, "gamma": "0.3-0.55i"},
+                     {"rows": [{"a": [1.5, -2.0]}, {"b": "x\ny"}]})
+    assert text.endswith("\n") and text.count("\n") == 1
