@@ -41,10 +41,16 @@ def fmt_real(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def fmt_exact(x: float) -> str:
+    """:func:`fmt_real` if it reads back as x, else the shortest digits that do."""
+    text = fmt_real(x)
+    return text if float(text) == float(x) else repr(float(x))
+
+
 def fmt_complex(z: complex) -> str:
-    """z as 'a+bi', or 'a-bi' when Im z < 0; parse_complex reads it back."""
+    """z as 'a+bi', or 'a-bi' when Im z < 0; parse_complex reads it back exactly."""
     sign = "-" if z.imag < 0 else "+"
-    return f"{fmt_real(z.real)}{sign}{fmt_real(abs(z.imag))}i"
+    return f"{fmt_exact(z.real)}{sign}{fmt_exact(abs(z.imag))}i"
 
 
 def csv_text(config: dict, columns: list[str], rows: list[list]) -> str:

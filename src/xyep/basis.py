@@ -151,29 +151,21 @@ class OperatorCoefficients:
 
 
 def operator_coefficients(basis: BiorthogonalBasis) -> OperatorCoefficients:
-    """Extract the four coefficient-row families from an assembled basis."""
+    """Extract the four coefficient-row families from an assembled basis.
+
+    :func:`assemble_basis` puts mode I's L columns first, then mode II's,
+    so each family is a slice of the column halves.
+    """
     L = basis.spec.L
-    n = L // 2
-    idx_I = [i for i, p in enumerate(basis.points) if p.mode == "I"]
-    idx_II = [i for i, p in enumerate(basis.points) if p.mode == "II"]
-
-    def rows(indices, flip_psi):
-        sgn = -1.0 if flip_psi else 1.0
-        return np.stack([np.concatenate([basis.phis[:, i],
-                                         sgn * basis.psis[:, i]])
-                         for i in indices])
-
-    eps_I = np.array([basis.points[i].epsilon for i in idx_I[0::2]])
-    eps_II = np.array([basis.points[i].epsilon for i in idx_II[0::2]])
-    assert eps_I.size == n and eps_II.size == n
+    phis, psis = basis.phis.T, basis.psis.T
     return OperatorCoefficients(
         spec=basis.spec,
-        R=rows(idx_I, flip_psi=False),
-        Rstar=rows(idx_II, flip_psi=False),
-        Lstar=rows(idx_I, flip_psi=True),
-        L=rows(idx_II, flip_psi=True),
-        epsilons_I=eps_I,
-        epsilons_II=eps_II,
+        R=np.hstack([phis[:L], psis[:L]]),
+        Rstar=np.hstack([phis[L:], psis[L:]]),
+        Lstar=np.hstack([phis[:L], -psis[:L]]),
+        L=np.hstack([phis[L:], -psis[L:]]),
+        epsilons_I=basis.Lambda[:L:2],
+        epsilons_II=basis.Lambda[L::2],
     )
 
 

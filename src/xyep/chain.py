@@ -11,7 +11,7 @@ an explicitly known eigenvector with checkerboard support.
 :func:`mode_spectra` is the one place where roots (from
 :func:`xyep.polyalg.boundary_roots`) become branch-ordered quasi-energies,
 for many anisotropies and one or both modes in one root solve;
-:func:`mode_points` wraps its one-anisotropy row in labelled points, and
+:func:`quasi_energies` labels its one-anisotropy row of both modes, and
 :func:`mode_arrays` is the one evaluator of mode data: eigenvector
 halves and, at order 1, their eps-derivative, at any number of roots of
 one mode in one call, so consumers make one call per mode (the two
@@ -21,8 +21,6 @@ Jordan chains at an exceptional point share one);
 
 from __future__ import annotations
 
-import cmath
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -34,6 +32,7 @@ from .errors import (
     LambdaSingular,
     ModeCoincidenceWarning,
     NearEPWarning,
+    as_int,
 )
 from .polyalg import boundary_roots, chebyshev_u
 
@@ -48,8 +47,9 @@ __all__ = [
     "x_of_eps",
     "eps_of_x",
     "build_quasi_hamiltonian",
+    "check_length",
+    "mode_names",
     "mode_spectra",
-    "mode_points",
     "quasi_energies",
     "mode_arrays",
     "mode_vectors",
@@ -78,11 +78,9 @@ class ChainSpec:
     gamma: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "L", _check_length(self.L))
+        object.__setattr__(self, "L", check_length(self.L))
         object.__setattr__(self, "gamma", complex(self.gamma))
-        if not cmath.isfinite(self.gamma):
-            raise DegenerateInput(
-                f"anisotropy must be finite, got gamma = {self.gamma:.6g}")
+        _check_finite(self.gamma)
         if self.gamma == -1:
             raise LambdaSingular("gamma = -1 is a pole of the boundary parameter")
 
@@ -91,16 +89,28 @@ class ChainSpec:
         return self.L // 2
 
 
-def _check_length(L) -> int:
+def check_length(L) -> int:
     """L as an int; DegenerateInput unless it is an even integer >= 2."""
-    try:
-        L = operator.index(L)
-    except TypeError:
-        raise DegenerateInput(
-            f"chain length must be an integer, got {L!r}") from None
+    L = as_int(L, "chain length")
     if L < 2 or L % 2:
         raise DegenerateInput(f"chain length must be even and >= 2, got {L}")
     return L
+
+
+def mode_names(mode: str) -> tuple[str, ...]:
+    """The modes ``mode`` names: :data:`MODES` for ``"both"``, else ``(mode,)``."""
+    if mode != "both" and mode not in MODES:
+        raise DegenerateInput(f"mode must be 'I', 'II' or 'both', got {mode!r}")
+    return MODES if mode == "both" else (mode,)
+
+
+def _check_finite(gammas):
+    """DegenerateInput naming the first anisotropy that is not finite."""
+    gammas = np.atleast_1d(gammas)
+    bad = ~np.isfinite(gammas)
+    if bad.any():
+        raise DegenerateInput(
+            f"anisotropy must be finite, got gamma = {gammas[bad][0]:.6g}")
 
 
 def _mode_lambdas(gamma, mode: str):
@@ -210,17 +220,11 @@ def mode_spectra(L: int, gammas, mode: str) -> tuple[np.ndarray, np.ndarray]:
     :class:`DegenerateInput` when some gamma or eps is not finite
     (gamma^2 overflows above |gamma| ~ 1e154).
     """
-    L = _check_length(L)
+    L = check_length(L)
     gammas = np.atleast_1d(np.asarray(gammas, dtype=complex))
-    bad = ~np.isfinite(gammas)
-    if bad.any():
-        raise DegenerateInput(
-            f"anisotropy must be finite, got gamma = {gammas[bad][0]:.6g}")
-    if mode not in MODES + ("both",):
-        raise DegenerateInput(f"mode must be 'I', 'II' or 'both', got {mode!r}")
-    modes = MODES if mode == "both" else (mode,)
+    _check_finite(gammas)
     # each anisotropy's boundary parameters side by side, one per mode
-    lams = np.stack([_mode_lambdas(gammas, m) for m in modes], axis=-1)
+    lams = np.stack([_mode_lambdas(gammas, m) for m in mode_names(mode)], -1)
     x = boundary_roots(L // 2, lams.ravel()).reshape(lams.shape + (-1,))
     with np.errstate(over="ignore", invalid="ignore"):
         eps = eps_of_x(gammas[:, None, None], x)
@@ -233,25 +237,12 @@ def mode_spectra(L: int, gammas, mode: str) -> tuple[np.ndarray, np.ndarray]:
             np.take_along_axis(x, order, -1).reshape(gammas.size, -1))
 
 
-def mode_points(spec: ChainSpec, mode: str) -> list[SpectralPoint]:
-    """The positive-branch quasi-energies of one or both modes, in branch order.
-
-    The one-anisotropy row of :func:`mode_spectra` as labelled points:
-    per mode, branches are numbered 1..L/2 in order of decreasing
-    (Re eps, Im eps), and with ``mode="both"`` mode I's L/2 points come
-    before mode II's.
-    """
-    eps, x = mode_spectra(spec.L, spec.gamma, mode)
-    modes = MODES if mode == "both" else (mode,)
-    n = spec.n_pairs
-    return [SpectralPoint(mode=modes[k // n], branch=k % n + 1, sign=+1,
-                          epsilon=e, x=xx)
-            for k, (e, xx) in enumerate(zip(eps[0].tolist(), x[0].tolist()))]
-
-
 def quasi_energies(spec: ChainSpec, warn: bool = True) -> list[SpectralPoint]:
-    """The L positive-branch quasi-energies: :func:`mode_points` of both modes.
+    """The L positive-branch quasi-energies as labelled points, in branch order.
 
+    The one-anisotropy row of :func:`mode_spectra` for both modes: per
+    mode, branches are numbered 1..L/2 in order of decreasing
+    (Re eps, Im eps), and mode I's L/2 points come before mode II's.
     Emits :class:`NearEPWarning` when two roots of one boundary
     polynomial nearly coincide (see NEAR_EP_TOL) and
     :class:`ModeCoincidenceWarning` at gamma = 0 where the two modes
@@ -260,17 +251,20 @@ def quasi_energies(spec: ChainSpec, warn: bool = True) -> list[SpectralPoint]:
     if warn and abs(gamma_to_lambda(spec.gamma) + 1) < 1e-14:
         warnings.warn("gamma = 0: both modes share one boundary condition",
                       ModeCoincidenceWarning, stacklevel=2)
-    points = mode_points(spec, "both")
+    eps, x = (row[0] for row in mode_spectra(spec.L, spec.gamma, "both"))
+    n = spec.n_pairs
+    points = [SpectralPoint(mode=MODES[k // n], branch=k % n + 1, sign=+1,
+                            epsilon=e, x=xx)
+              for k, (e, xx) in enumerate(zip(eps.tolist(), x.tolist()))]
     if warn:
-        for mode in MODES:
-            pts = [p for p in points if p.mode == mode]
-            x = np.array([p.x for p in pts])
-            close = np.abs(x[:, None] - x[None, :]) \
-                <= NEAR_EP_TOL * (1 + np.abs(x))[:, None]
-            for i, k in zip(*np.nonzero(np.triu(close, 1))):
+        for k, mode in enumerate(MODES):
+            pts, xm = points[k * n: (k + 1) * n], x[k * n: (k + 1) * n]
+            close = np.abs(xm[:, None] - xm[None, :]) \
+                <= NEAR_EP_TOL * (1 + np.abs(xm))[:, None]
+            for i, j in zip(*np.nonzero(np.triu(close, 1))):
                 warnings.warn(
                     f"mode {mode}: boundary roots {pts[i].x:.6g} and "
-                    f"{pts[k].x:.6g} nearly coincide; an exceptional "
+                    f"{pts[j].x:.6g} nearly coincide; an exceptional "
                     "point may be close", NearEPWarning, stacklevel=2)
     return points
 

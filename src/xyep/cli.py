@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._fmt import csv_text, fmt_complex, fmt_real, json_text, parse_complex
+from ._fmt import csv_text, fmt_complex, fmt_exact, json_text, parse_complex
 from .basis import many_body_energies
 from .chain import MODES, ChainSpec
 from .ep import (ep_table_rows, jordan_decomposition, locate_eps,
@@ -122,8 +122,8 @@ def cmd_overlap_map(args) -> int:
                         args.im_max, args.n_re, args.n_im)
     config = _config(
         args, L=args.L,
-        re_min=fmt_real(args.re_min), re_max=fmt_real(args.re_max),
-        im_min=fmt_real(args.im_min), im_max=fmt_real(args.im_max),
+        re_min=fmt_exact(args.re_min), re_max=fmt_exact(args.re_max),
+        im_min=fmt_exact(args.im_min), im_max=fmt_exact(args.im_max),
         n_re=args.n_re, n_im=args.n_im,
         tracked_a="".join(map(str, grid.occupation_a)),
         tracked_b="".join(map(str, grid.occupation_b)))
@@ -138,7 +138,7 @@ def cmd_overlap_map(args) -> int:
 def cmd_loop(args) -> int:
     result = track_loop(args.L, args.center, args.radius, steps=args.steps)
     config = _config(args, L=args.L, center=fmt_complex(args.center),
-                     radius=fmt_real(args.radius), steps=args.steps)
+                     radius=fmt_exact(args.radius), steps=args.steps)
     _emit(json_text(config, result.as_jsonable()), args.out)
     return 0
 

@@ -11,7 +11,6 @@ U_n / U_{n-1} at each of them.
 from __future__ import annotations
 
 import cmath
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +20,12 @@ from .chain import (
     MODES,
     SpectralPoint,
     build_quasi_hamiltonian,
+    check_length,
     eps_of_x,
     lambda_to_gamma,
     mode_arrays,
-    mode_points,
+    mode_names,
+    quasi_energies,
 )
 from .basis import MANY_BODY_LIMIT, column_from_halves, pair_columns
 from .errors import DefectiveBasis, DegenerateInput, SizeLimit
@@ -88,22 +89,14 @@ def locate_eps(L: int, mode: str = "both") -> list[EPRecord]:
     are adjacent.  Chains longer than ``_EP_SEARCH_LIMIT`` = 2048 raise
     :class:`SizeLimit` before any array is built.
     """
-    try:
-        L = operator.index(L)
-    except TypeError:
-        raise DegenerateInput(
-            f"chain length must be an integer, got {L!r}") from None
-    if L < 2 or L % 2:
-        raise DegenerateInput(f"chain length must be even and >= 2, got {L}")
-    if mode not in MODES + ("both",):
-        raise DegenerateInput(f"mode must be 'I', 'II' or 'both', got {mode!r}")
+    L = check_length(L)
+    wanted = mode_names(mode)
     if L > _EP_SEARCH_LIMIT:
         raise SizeLimit(f"EP search capped at L = {_EP_SEARCH_LIMIT}, got {L}")
     if L == 2:
         return []
 
     xs, lams, b_res = double_roots(L // 2)
-    wanted = [m for m in MODES if mode in (m, "both")]
     # per mode: lam, gamma and eps at every double root, in one pass each
     per_mode = {}
     for mlabel in wanted:
@@ -290,9 +283,9 @@ class JordanDecomposition:
 
 
 def _simple_points(spec: ChainSpec, ep: EPRecord) -> list[SpectralPoint]:
-    """Mode points of both modes without the EP's coalescing pair, mode I first."""
+    """Quasi-energies of both modes without the EP's coalescing pair, mode I first."""
     _check_record(spec, ep)
-    points = mode_points(spec, "both")
+    points = quasi_energies(spec, warn=False)
     n = spec.n_pairs
     start = MODES.index(ep.mode) * n
     own = points[start: start + n]
@@ -426,7 +419,7 @@ def ep_ground_energy(spec: ChainSpec, ep: EPRecord) -> complex:
     """Vacuum energy -E0/2 at the exceptional point.
 
     E0 sums every positive-branch quasi-energy, counting the defective
-    one twice; it is read off the mode points, without a Jordan basis.
+    one twice; it is read off the quasi-energies, without a Jordan basis.
     """
     simple = sum(p.epsilon for p in _simple_points(spec, ep))
     return complex(-0.5 * (simple + 2 * ep.epsilon))

@@ -3,8 +3,11 @@
 One class per failure kind that some caller tells apart; the README's
 exit-code table gives the CLI exit code of each.  The benchmark harness
 classifies known refusals by the names :class:`DefectiveBasis`,
-:class:`EpsilonZero` and :class:`NonConvergence`.
+:class:`EpsilonZero` and :class:`NonConvergence`.  :func:`as_int` is
+the one rule for integer arguments.
 """
+
+import operator
 
 
 class XYEPError(Exception):
@@ -54,3 +57,12 @@ class NearEPWarning(XYEPWarning):
 
 class ModeCoincidenceWarning(XYEPWarning):
     """The two boundary conditions coincide (gamma = 0), so mode labels are conventional."""
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int; :class:`DegenerateInput` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DegenerateInput(
+            f"{what} must be an integer, got {value!r}") from None

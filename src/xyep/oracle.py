@@ -11,12 +11,11 @@ cap the reachable sizes; the limits are enforced explicitly.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, SizeLimit
+from .errors import DegenerateInput, SizeLimit, as_int
 
 __all__ = [
     "EDResult",
@@ -54,15 +53,6 @@ _SM = np.array([[0.0, 1.0], [0.0, 0.0]])   # annihilates the down state
 _ID = np.eye(2)
 
 
-def _sites(L) -> int:
-    """L as an int; DegenerateInput if it is not an integer."""
-    try:
-        return operator.index(L)
-    except TypeError:
-        raise DegenerateInput(
-            f"chain length must be an integer, got {L!r}") from None
-
-
 def build_spin_hamiltonian(L: int, gamma: complex) -> np.ndarray:
     """Dense open-chain Hamiltonian with complex anisotropy.
 
@@ -72,7 +62,7 @@ def build_spin_hamiltonian(L: int, gamma: complex) -> np.ndarray:
     and its sy.sy element is -(1-2b_j)(1-2b_{j+1}).  Complex symmetric
     by construction (H == H.T exactly).
     """
-    L = _sites(L)
+    L = as_int(L, "chain length")
     if L < 2:
         raise SizeLimit(f"need at least two sites, got {L}")
     if L > SPIN_LIMIT:
@@ -102,7 +92,7 @@ def jordan_wigner_modes(L: int) -> list[np.ndarray]:
     with it, the spin Hamiltonian equals +(1/2) C^+ M C for the block
     matrix M used throughout, rather than its negative.
     """
-    L = _sites(L)
+    L = as_int(L, "chain length")
     if L > REALIZE_LIMIT:
         raise SizeLimit(f"operator realization capped at L = {REALIZE_LIMIT}")
     modes = []
@@ -131,7 +121,7 @@ def parity_sectors(L: int) -> tuple[np.ndarray, np.ndarray]:
     Every bond of the spin Hamiltonian flips two spins, so it couples no
     index of one sector to an index of the other.
     """
-    L = _sites(L)
+    L = as_int(L, "chain length")
     states = np.arange(2 ** L)
     odd = np.zeros_like(states)
     for bit in range(L):

@@ -11,7 +11,6 @@ in the tests.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .basis import column_from_halves
 from .chain import MODES, ChainSpec, mode_arrays, mode_spectra
 from .ep import EPRecord, coalescing_order, locate_eps
-from .errors import AmbiguousContinuation, DegenerateInput, SizeLimit
+from .errors import AmbiguousContinuation, DegenerateInput, SizeLimit, as_int
 
 __all__ = [
     "OverlapGrid",
@@ -39,14 +38,6 @@ _GRID_CELL_LIMIT = 2 ** 20      # overlap_grid cells, n_re * n_im
 _LOOP_VALUE_LIMIT = 2 ** 21     # track_loop signed values, (steps + 1) * L
 # track_loop: levels of bisection allowed within one loop step
 _MAX_REFINEMENTS = 12
-
-
-def _count(n, what: str) -> int:
-    """A size argument as an int; DegenerateInput if it is not an integer."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise DegenerateInput(f"{what} must be an integer, got {n!r}") from None
 
 
 def phase_rigidity(v: np.ndarray) -> complex:
@@ -214,7 +205,7 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     more than ``_GRID_CELL_LIMIT`` = 2^20 cells raise :class:`SizeLimit`
     before any array is built.
     """
-    n_re, n_im = _count(n_re, "n_re"), _count(n_im, "n_im")
+    n_re, n_im = as_int(n_re, "n_re"), as_int(n_im, "n_im")
     if L > _GRID_SIZE_LIMIT:
         raise SizeLimit(f"overlap grids are capped at L = {_GRID_SIZE_LIMIT}")
     if n_re < 2 or n_im < 2:
@@ -406,7 +397,7 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
     ``_LOOP_VALUE_LIMIT`` = 2^21 signed values, (steps + 1) * L, raises
     :class:`SizeLimit` before any array is built.
     """
-    steps = _count(steps, "steps")
+    steps = as_int(steps, "steps")
     if steps < 8:
         raise DegenerateInput("a loop needs at least 8 steps")
     if (steps + 1) * L > _LOOP_VALUE_LIMIT:

@@ -1,5 +1,4 @@
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from xyep.chain import (
     lambda_to_gamma,
     mode_arrays,
     mode_equation_residual,
-    mode_points,
     mode_spectra,
     mode_vector_poly,
     mode_vectors,
@@ -151,11 +149,11 @@ def test_boundary_polynomial_roots_are_quasi_energy_xs():
         assert np.max(np.abs(vals)) < 1e-10
 
 
-def test_mode_points_label_branches_of_one_mode():
+def test_quasi_energies_label_branches_of_each_mode():
     spec = ChainSpec(12, -0.45 + 0.75j)
-    per_mode = {mode: mode_points(spec, mode) for mode in ("I", "II")}
-    assert quasi_energies(spec) == per_mode["I"] + per_mode["II"]
-    for mode, pts in per_mode.items():
+    points = quasi_energies(spec)
+    assert quasi_energies(spec, warn=False) == points
+    for mode, pts in (("I", points[:6]), ("II", points[6:])):
         assert [p.branch for p in pts] == list(range(1, 7))
         assert all(p.mode == mode and p.sign == 1 for p in pts)
         keys = [(p.epsilon.real, p.epsilon.imag) for p in pts]
@@ -163,15 +161,16 @@ def test_mode_points_label_branches_of_one_mode():
         assert all(p.epsilon == eps_of_x(spec.gamma, p.x) for p in pts)
 
 
-def test_mode_spectra_rows_are_the_mode_points():
+def test_mode_spectra_rows_are_the_quasi_energies():
     # one root solve for many anisotropies; each row is, bit for bit, the
-    # labelled points of its anisotropy alone
+    # labelled points of its anisotropy alone, mode I's five then mode II's
     gammas = np.array(random_gammas(7) + [0.0, 2.5 - 0.3j, -0.9])
-    for mode in ("I", "II"):
+    for k, mode in enumerate(("I", "II")):
         eps, x = mode_spectra(10, gammas, mode)
         assert eps.shape == x.shape == (gammas.size, 5)
         for g, e_row, x_row in zip(gammas, eps, x):
-            pts = mode_points(ChainSpec(10, g), mode)
+            pts = quasi_energies(ChainSpec(10, g), warn=False)
+            pts = pts[5 * k: 5 * k + 5]
             assert np.array_equal(e_row, [p.epsilon for p in pts])
             assert np.array_equal(x_row, [p.x for p in pts])
     for g in (1.0, -1.0):
@@ -198,8 +197,10 @@ def test_both_modes_are_the_one_mode_rows_side_by_side():
             assert got.shape == (len(gammas), L)
             assert np.array_equal(got, np.hstack([one, two]))
     spec = ChainSpec(10, gammas[0])
-    assert mode_points(spec, "both") == (mode_points(spec, "I")
-                                         + mode_points(spec, "II"))
+    eps, x = mode_spectra(10, spec.gamma, "both")
+    pts = quasi_energies(spec, warn=False)
+    assert np.array_equal(eps[0], [p.epsilon for p in pts])
+    assert np.array_equal(x[0], [p.x for p in pts])
 
 
 def test_gamma_maps_give_the_same_bits_for_scalars_and_arrays():
@@ -222,8 +223,8 @@ def values_along_dispersion(spec, mode, eps):
 def test_mode_arrays_derivative_follows_the_dispersion():
     spec = ChainSpec(10, 0.35 - 0.6j)
     h = 1e-5
-    for mode in ("I", "II"):
-        pts = mode_points(spec, mode)
+    points = quasi_energies(spec, warn=False)
+    for mode, pts in (("I", points[:5]), ("II", points[5:])):
         eps = np.array([p.epsilon for p in pts])
         x = np.array([p.x for p in pts])
         block = mode_arrays(spec, mode, eps, x, order=1)
@@ -325,8 +326,8 @@ def test_minus_branch_is_sign_partner():
 
 def test_mode_vectors_normalize_each_column_of_one_mode():
     spec = ChainSpec(12, -0.3 + 0.7j)
-    for mode in ("I", "II"):
-        pts = mode_points(spec, mode)
+    points = quasi_energies(spec, warn=False)
+    for mode, pts in (("I", points[:6]), ("II", points[6:])):
         phi, psi, scale, residual = mode_vectors(spec, mode, pts)
         raw_phi, raw_psi, _ = mode_arrays(spec, mode, [p.epsilon for p in pts],
                                           [p.x for p in pts])
@@ -354,7 +355,8 @@ def test_column_sign_does_not_depend_on_the_batch():
     for L, g, mode, branch in ((12, -0.3 + 0.7j, "I", 5),
                                (20, 0.2 + 0.1j, "II", 8)):
         spec = ChainSpec(L, g)
-        pts = mode_points(spec, mode)
+        pts = quasi_energies(spec, warn=False)
+        pts = pts[:L // 2] if mode == "I" else pts[L // 2:]
         phi, psi, _, _ = mode_vectors(spec, mode, pts)
         mv = mode_vector_poly(spec, pts[branch - 1])
         assert np.max(np.abs(mv.phi - phi[:, branch - 1])) < 1e-14
@@ -421,7 +423,7 @@ def test_non_integral_sizes_are_refused(call):
 def test_unknown_modes_are_refused():
     # any mode but "I" once evaluated as mode II, without a refusal
     spec = ChainSpec(4, 0.3 + 0.2j)
-    points = mode_points(spec, "I")
+    points = quasi_energies(spec, warn=False)[:2]
     for mode in ("1", "i", "both"):
         with pytest.raises(DegenerateInput, match="mode must be 'I' or 'II'"):
             mode_arrays(spec, mode, [p.epsilon for p in points],
@@ -458,12 +460,14 @@ def test_near_ep_warnings_list_close_pairs_in_row_major_order(monkeypatch):
     # reported once, first root first, in the order the roots are listed
     xs = [0.5 + 0j, 0.3 + 0j, 0.5 + 2e-5j, 0.50003 + 0j]
 
-    def fake_points(spec, mode):
-        assert mode == "both"
-        return [SimpleNamespace(mode=m, x=x) for m in ("I", "II") for x in xs]
+    def fake_spectra(L, gammas, mode):
+        # an L = 8 row, four roots per mode; eps is not read by the check
+        assert (L, mode) == (8, "both")
+        row = np.array([xs + xs])
+        return row, row
 
-    monkeypatch.setattr(chain_module, "mode_points", fake_points)
-    got = [msg for _, msg in near_ep_messages(ChainSpec(4, 0.3 + 0.2j))]
+    monkeypatch.setattr(chain_module, "mode_spectra", fake_spectra)
+    got = [msg for _, msg in near_ep_messages(ChainSpec(8, 0.3 + 0.2j))]
     pairs = [(0, 2), (0, 3), (2, 3)]
     assert got == [f"mode {mode}: boundary roots {xs[i]:.6g} and {xs[k]:.6g} "
                    "nearly coincide; an exceptional point may be close"

@@ -68,6 +68,43 @@ def test_header_anisotropies_read_back_through_the_cli(tmp_path, capsys):
     assert json.loads(path.read_text())["config"]["center"] == "0.2-0.1i"
 
 
+def test_header_values_read_back_exactly(tmp_path, capsys):
+    # 15 to 17 significant digits, which a 12-digit header used to cut;
+    # values whose 12-digit form reads back keep it
+    from xyep._fmt import parse_complex
+
+    def header(text):
+        return dict(line[2:].split(": ", 1) for line in text.splitlines()
+                    if line.startswith("# "))
+
+    gamma = "0.123456789012345-0.30000000000000004i"
+    code, out, _ = run_cli(["spectrum", "--L", "2", f"--gamma={gamma}"], capsys)
+    assert code == 0
+    assert parse_complex(header(out)["gamma"]) == parse_complex(gamma)
+
+    center, radius = "0.21234567890123457-0.1i", "0.0512345678901234"
+    path = tmp_path / "loop.json"
+    code, _, _ = run_cli(["loop", "--L", "4", f"--center={center}",
+                          "--radius", radius, "--steps", "32",
+                          "--out", str(path)], capsys)
+    assert code == 0
+    config = json.loads(path.read_text())["config"]
+    assert parse_complex(config["center"]) == parse_complex(center)
+    assert float(config["radius"]) == float(radius)
+
+    edges = {"re_min": "0.5012345678901234", "re_max": "0.70000000000000007",
+             "im_min": "0.69999999999999996", "im_max": "0.9123456789012345"}
+    code, out, _ = run_cli(["overlap-map", "--L", "4", "--n-re", "3",
+                            "--n-im", "3"]
+                           + [f"--{k.replace('_', '-')}={v}"
+                              for k, v in edges.items()], capsys)
+    assert code == 0
+    got = header(out)
+    assert {k: float(got[k]) for k in edges} == \
+        {k: float(v) for k, v in edges.items()}
+    assert got["im_min"] == "0.7"
+
+
 def test_spectrum_labels_are_the_occupation_bits(tmp_path, capsys):
     from xyep.basis import many_body_energies
     from xyep.chain import ChainSpec
@@ -321,7 +358,7 @@ def test_non_finite_anisotropy_exit_code_2(argv, capsys):
 
 
 def test_verify_fast_suites(capsys):
-    for suite in ("jordan", "loop"):
+    for suite in ("jordan", "loop", "ep-table"):
         code, out, _ = run_cli(["verify", "--suite", suite], capsys)
         assert code == 0
         assert "FAIL" not in out

@@ -32,20 +32,24 @@ def test_no_module_imports_private_helpers():
     assert found == []
 
 
-def foreign_imports(path: Path) -> list[str]:
-    """Absolute imports of anything but numpy and the standard library."""
+def imported_modules(path: Path) -> list[tuple[int, str]]:
+    """(line, module) of every absolute import in a module."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
+            found += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module]
-        else:
-            continue
-        for module in modules:
-            top = module.split(".")[0]
-            if top != "numpy" and top not in sys.stdlib_module_names:
-                found.append(f"{path.name}:{node.lineno} imports {module}")
+            found.append((node.lineno, node.module))
+    return found
+
+
+def foreign_imports(path: Path) -> list[str]:
+    """Absolute imports of anything but numpy and the standard library."""
+    found = []
+    for line, module in imported_modules(path):
+        top = module.split(".")[0]
+        if top != "numpy" and top not in sys.stdlib_module_names:
+            found.append(f"{path.name}:{line} imports {module}")
     return found
 
 
@@ -114,6 +118,14 @@ def test_only_chain_evaluates_chebyshev_polynomials():
              if path.name != "polyalg.py"
              and "chebyshev_u" in names_used(path)]
     assert users == ["chain.py"]
+
+
+def test_only_errors_applies_the_integer_rule():
+    # one owner of the integer-argument rule, errors.as_int; every other
+    # module calls it instead of operator.index
+    users = [path.name for path in sorted(SRC.glob("*.py"))
+             if any(module == "operator" for _, module in imported_modules(path))]
+    assert users == ["errors.py"]
 
 
 ROOT = SRC.parents[1]

@@ -355,6 +355,18 @@ def test_track_loop_around_ep_swaps_the_pair():
     assert [p[p[k]] for k in range(4)] == [0, 1, 2, 3]
 
 
+def test_track_loop_coarse_steps_succeed_by_bisection():
+    # eight steps around the L = 4 EP are too coarse to match directly;
+    # bisection settles every step, and the permutation is the one the
+    # fine loop reads without any
+    coarse = track_loop(4, L4_EP, 0.3, steps=8)
+    fine = track_loop(4, L4_EP, 0.3, steps=256)
+    assert (coarse.refinements, fine.refinements) == (14, 0)
+    for r in (coarse, fine):
+        assert r.permutation == [0, 1, 3, 2]
+        assert r.sign_flips == [False] * 4
+
+
 def test_track_loop_orientation_reversal_inverts():
     ccw = track_loop(4, L4_EP, 0.05, steps=64)
     cw = track_loop(4, L4_EP, 0.05, steps=64, orientation=-1)
