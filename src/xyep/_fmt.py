@@ -3,37 +3,22 @@
 from __future__ import annotations
 
 import json
-import re
 
 ARTIFACT_VERSION = 1
 
-_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(
-    rf"^(?P<re>[+-]?{_NUM})?(?P<im>[+-]{_NUM})?(?P<imunit>[ij])?$")
+# what complex() reads once whitespace is gone and i is written j
+_LITERAL_CHARS = frozenset("0123456789.eE+-j")
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' style literals: '0.6+0.8i', '-1.5', '2i', '0.3-0.4j'."""
-    s = text.strip().replace(" ", "")
-    low = s.lower()
-    if low in ("i", "+i", "j", "+j"):
-        return 1j
-    if low in ("-i", "-j"):
-        return -1j
-    m = _COMPLEX_RE.match(s) if s else None
-    if m is None:
-        raise ValueError(f"cannot parse complex literal {text!r}")
-    re_part, im_part, unit = m.group("re"), m.group("im"), m.group("imunit")
-    if im_part is not None and unit is None:
-        raise ValueError(f"two components need an i suffix in {text!r}")
-    if unit and im_part is None:
-        # forms like '2i': the single number is the imaginary part
-        re_part, im_part = None, re_part
-        if im_part is None:
-            raise ValueError(f"cannot parse complex literal {text!r}")
-    if re_part is None and im_part is None:
-        raise ValueError(f"cannot parse complex literal {text!r}")
-    return complex(float(re_part or 0.0), float(im_part or 0.0))
+    """Python's complex literals, i for j: '0.6+0.8i', '-1.5', '2i', '1+i'."""
+    s = "".join(text.split()).replace("i", "j")
+    if set(s) <= _LITERAL_CHARS:
+        try:
+            return complex(s)
+        except ValueError:
+            pass
+    raise ValueError(f"cannot parse complex literal {text!r}")
 
 
 def fmt_real(x: float) -> str:

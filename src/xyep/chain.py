@@ -299,8 +299,10 @@ def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0):
     ``order = 1`` adds d(phi, psi)/d(eps) along the dispersion x(eps).
     Even sites carry plain Chebyshev values; odd sites carry the
     eps-dependent combination.  Division by eps makes eps = 0 unusable
-    here, but det(A +- B) is a nonzero constant for gamma != +-1, so
-    that case never arises from a boundary root.
+    here, so it raises :class:`EpsilonZero`.  det(A +- B) is a nonzero
+    constant for gamma != +-1, so no exact eps vanishes, but
+    :func:`eps_of_x` can cancel an edge mode's eps to exactly 0 at large
+    L (the README's known limitation on edge-mode quasi-energies).
     """
     L, g = spec.L, spec.gamma
     n = spec.n_pairs

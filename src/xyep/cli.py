@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -20,8 +21,7 @@ from . import __version__
 from ._fmt import csv_text, fmt_complex, fmt_exact, json_text, parse_complex
 from .basis import many_body_energies
 from .chain import MODES, ChainSpec
-from .ep import (ep_table_rows, jordan_decomposition, locate_eps,
-                 reference_ep_gammas)
+from .ep import jordan_decomposition, locate_eps, reference_ep_gammas
 from .errors import (AmbiguousContinuation, DegenerateInput, LambdaSingular,
                      XYEPError)
 from .oracle import build_spin_hamiltonian, ed_eigen, match_spectra
@@ -109,10 +109,11 @@ def cmd_ep_table(args) -> int:
     # largest L first, so the EP search's size cap refuses before any work
     tables = [locate_eps(L, "both")
               for L in range(args.L_max, args.L_min - 1, -2)]
-    rows = [row for records in reversed(tables)
-            for row in ep_table_rows(records)]
     cols = ["L", "mode", "re_gamma", "im_gamma",
             "re_epsilon", "im_epsilon", "boundary_residual"]
+    rows = [[r.L, r.mode, r.gamma.real, r.gamma.imag,
+             r.epsilon.real, r.epsilon.imag, r.boundary_residual]
+            for records in reversed(tables) for r in records]
     _emit(csv_text(config, cols, rows), args.out)
     return 0
 
@@ -139,7 +140,11 @@ def cmd_loop(args) -> int:
     result = track_loop(args.L, args.center, args.radius, steps=args.steps)
     config = _config(args, L=args.L, center=fmt_complex(args.center),
                      radius=fmt_exact(args.radius), steps=args.steps)
-    _emit(json_text(config, result.as_jsonable()), args.out)
+    # the fields in JSON types, without the structural closure_defect
+    doc = asdict(result)
+    del doc["closure_defect"]
+    doc["center"] = [result.center.real, result.center.imag]
+    _emit(json_text(config, doc), args.out)
     return 0
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "jordan_decomposition",
     "ep_state_catalog",
     "ep_ground_energy",
-    "ep_table_rows",
 ]
 
 # locate_eps refuses longer chains: double_roots(L/2) samples the
@@ -136,6 +135,8 @@ _REFERENCE_EP_MODE_II = {
 
 def reference_ep_gammas(L: int, mode: str) -> list[complex]:
     """Reference exceptional anisotropies (both half-planes) for one mode."""
+    if mode not in MODES:
+        raise DegenerateInput(f"mode must be 'I' or 'II', got {mode!r}")
     if L not in _REFERENCE_EP_MODE_II:
         raise DegenerateInput(f"no reference values recorded for L = {L}")
     base = _REFERENCE_EP_MODE_II[L]
@@ -424,11 +425,3 @@ def ep_ground_energy(spec: ChainSpec, ep: EPRecord) -> complex:
     simple = sum(p.epsilon for p in _simple_points(spec, ep))
     return complex(-0.5 * (simple + 2 * ep.epsilon))
 
-
-def ep_table_rows(records: list[EPRecord]) -> list[list]:
-    """Flatten EP records into CSV-ready rows."""
-    rows = []
-    for r in records:
-        rows.append([r.L, r.mode, r.gamma.real, r.gamma.imag,
-                     r.epsilon.real, r.epsilon.imag, r.boundary_residual])
-    return rows

@@ -11,7 +11,7 @@ in the tests.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -327,13 +327,6 @@ class LoopResult:
     closed: bool
     closure_defect: float
 
-    def as_jsonable(self) -> dict:
-        """The fields in JSON types, without the structural closure_defect."""
-        doc = asdict(self)
-        del doc["closure_defect"]
-        doc["center"] = [self.center.real, self.center.imag]
-        return doc
-
 
 def _signed_values(L: int, gammas) -> np.ndarray:
     """All 2L signed quasi-energies at each of m anisotropies, shape (m, 2L).
@@ -403,8 +396,9 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
     if (steps + 1) * L > _LOOP_VALUE_LIMIT:
         raise SizeLimit(f"loops are capped at {_LOOP_VALUE_LIMIT} values, "
                         f"(steps + 1) * L; got steps = {steps}")
-    if not np.isfinite(radius):
-        raise DegenerateInput(f"loop radius must be finite, got {radius}")
+    if not (np.isfinite(radius) and radius > 0):
+        raise DegenerateInput(
+            f"loop radius must be finite and positive, got {radius}")
     if orientation not in (1, -1):
         raise DegenerateInput("orientation must be +1 or -1")
     center = complex(center)

@@ -209,12 +209,24 @@ def test_unwritable_out_exit_code_2(tmp_path, capsys):
 
 
 def test_ep_table_contains_l4_values(capsys):
+    from xyep._fmt import fmt_real
+    from xyep.ep import locate_eps
+
     code, out, _ = run_cli(["ep-table", "--L-max", "4"], capsys)
     assert code == 0
     assert "4,II,0.6,0.8," in out
     assert "4,I,-0.6,-0.8," in out
     header = "L,mode,re_gamma,im_gamma,re_epsilon,im_epsilon,boundary_residual"
     assert header in out.splitlines()
+    # one row per EP record, in locate_eps order
+    rows = [r.split(",") for r in out.splitlines() if r[:1].isdigit()]
+    records = locate_eps(4, "both")
+    assert len(rows) == len(records) == 4
+    for row, rec in zip(rows, records):
+        assert row == [str(rec.L), rec.mode] + [
+            fmt_real(v) for v in (rec.gamma.real, rec.gamma.imag,
+                                  rec.epsilon.real, rec.epsilon.imag,
+                                  rec.boundary_residual)]
 
 
 def test_ep_table_l60_to_file(tmp_path, capsys):
@@ -264,6 +276,10 @@ def test_loop_json_fields(tmp_path, capsys):
     assert doc["closed"] is True
     assert doc["config"]["steps"] == 64
     assert doc["sign_flips"] == [False] * 4
+    assert set(doc) == {"artifact_version", "config", "L", "center", "radius",
+                        "steps", "refinements", "permutation", "sign_flips",
+                        "closed"}
+    assert doc["center"] == [0.6, 0.8]
 
 
 def test_overlap_map_writes_the_rigidity_magnitude(capsys):
@@ -344,6 +360,8 @@ def test_oversized_loop_and_grid_exit_code_2(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["loop", "--L", "4", "--center", "0.2", "--radius", "nan"],
     ["loop", "--L", "4", "--center", "0.2", "--radius", "inf"],
+    ["loop", "--L", "4", "--center", "0.6+0.8i", "--radius", "0"],
+    ["loop", "--L", "4", "--center", "0.6+0.8i", "--radius=-0.05"],
     ["overlap-map", "--L", "4", "--re-min", "nan", "--re-max", "1",
      "--im-min", "0", "--im-max", "1", "--n-re", "3", "--n-im", "3"],
     ["overlap-map", "--L", "4", "--re-min", "0", "--re-max", "inf",

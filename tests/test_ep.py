@@ -13,7 +13,6 @@ import xyep.ep as ep_module
 from xyep.chain import (ChainSpec, gamma_to_lambda, lambda_to_gamma,
                         quasi_energies)
 from xyep.ep import (coalescing_order, ep_ground_energy, ep_state_catalog,
-                     ep_table_rows,
                      generalized_eigenvector, jordan_decomposition,
                      locate_eps, reference_ep_gammas)
 from xyep.basis import (MANY_BODY_LIMIT, assemble_basis, column_from_halves,
@@ -129,6 +128,9 @@ def test_reference_gammas_bounds_and_symmetry():
     refs_I = reference_ep_gammas(6, "I")
     assert sorted((-g for g in refs_II), key=lambda z: (z.real, z.imag)) == \
         sorted(refs_I, key=lambda z: (z.real, z.imag))
+    for mode in ("both", "x", None):
+        with pytest.raises(DegenerateInput, match="mode must be 'I' or 'II'"):
+            reference_ep_gammas(4, mode)
 
 
 def test_coalescing_order_nearest_first_rest_in_branch_order():
@@ -404,11 +406,3 @@ def test_ep_state_catalog_size_guard_refuses_before_any_work(monkeypatch):
     with pytest.raises(SizeLimit):
         ep_state_catalog(quiet_spec(L, ep.gamma), ep)
 
-
-def test_ep_table_rows_flatten():
-    records = locate_eps(4, "II")
-    rows = ep_table_rows(records)
-    assert len(rows) == 2
-    for row, rec in zip(rows, records):
-        assert row[0] == 4 and row[1] == "II"
-        assert row[2] == rec.gamma.real and row[3] == rec.gamma.imag

@@ -21,6 +21,8 @@ ACCEPT = [
     ("-1e-3+2.5e2i", -1e-3 + 2.5e2j),
     (" 0.1 + 0.2i ", 0.1 + 0.2j),
     (".5+.5i", 0.5 + 0.5j),
+    ("1+i", 1 + 1j),
+    ("-2.5-j", -2.5 - 1j),
 ]
 
 REJECT = ["", "abc", "0.6 0.8", "0.60.8i", "1+2", "i+1", "1+ij", "1i2",

@@ -68,8 +68,8 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def oracle_importers() -> list[str]:
-    """Modules of the package that import the dense spin-space oracle."""
+def importers(target: str) -> list[str]:
+    """Modules of the package that import ``target``, e.g. 'xyep.oracle'."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -82,13 +82,13 @@ def oracle_importers() -> list[str]:
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            if "xyep.oracle" in names:
+            if target in names:
                 found.add(path.name)
     return sorted(found)
 
 
 def test_spin_space_oracle_is_imported_only_by_cli_and_package():
-    assert set(oracle_importers()) <= {"cli.py", "__init__.py"}
+    assert set(importers("xyep.oracle")) <= {"cli.py", "__init__.py"}
 
 
 def names_used(path: Path) -> set[str]:
@@ -118,6 +118,15 @@ def test_only_chain_evaluates_chebyshev_polynomials():
              if path.name != "polyalg.py"
              and "chebyshev_u" in names_used(path)]
     assert users == ["chain.py"]
+
+
+def test_only_cli_lays_out_artifacts():
+    # the CLI owns every artifact format: only it parses and serializes
+    # through _fmt, and only it turns a result dataclass into a document
+    assert importers("xyep._fmt") == ["cli.py"]
+    users = [path.name for path in sorted(SRC.glob("*.py"))
+             if "asdict" in names_used(path)]
+    assert users == ["cli.py"]
 
 
 def test_only_errors_applies_the_integer_rule():

@@ -10,8 +10,9 @@ from xyep.basis import assemble_basis, many_body_energies, operator_coefficients
 from xyep.chain import ChainSpec, build_quasi_hamiltonian
 from xyep.ep import ep_ground_energy, jordan_decomposition, locate_eps
 from xyep.errors import DegenerateInput, SizeLimit, XYEPWarning
-from xyep.oracle import (EP_STATE_LIMIT, build_ep_states, build_spin_hamiltonian,
-                         ed_eigen, geometric_multiplicities, jordan_wigner_modes,
+from xyep.oracle import (EP_STATE_LIMIT, REALIZE_LIMIT, SPIN_LIMIT,
+                         build_ep_states, build_spin_hamiltonian, ed_eigen,
+                         geometric_multiplicities, jordan_wigner_modes,
                          l4_closed_form, match_spectra, parity_sectors,
                          realize_operator, realize_quadratic_form)
 
@@ -156,6 +157,12 @@ def test_ed_eigen_size_limits():
         ed_eigen(np.zeros((2 ** 11, 2 ** 11)), want_vectors=True)
     with pytest.raises(SizeLimit):
         ed_eigen(np.zeros((2 ** 13, 2 ** 13)), want_vectors=False)
+    with pytest.raises(SizeLimit, match="at least two sites"):
+        build_spin_hamiltonian(1, 0.3 + 0.2j)
+    with pytest.raises(SizeLimit, match="capped at L = 12"):
+        build_spin_hamiltonian(SPIN_LIMIT + 1, 0.3 + 0.2j)
+    with pytest.raises(SizeLimit, match="capped at L = 8"):
+        jordan_wigner_modes(REALIZE_LIMIT + 1)
 
 
 def test_many_body_vs_ed():

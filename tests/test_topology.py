@@ -135,6 +135,13 @@ def test_overlap_grid_limits_and_validation():
         overlap_grid(10, 0, 1, 0, 1, 3, 3)
     with pytest.raises(DegenerateInput):
         overlap_grid(4, 0, 1, 0, 1, 1, 3)
+    with pytest.raises(DegenerateInput, match="no exceptional points exist"):
+        overlap_grid(2, 0, 1, 0, 1, 3, 3)
+    with pytest.raises(DegenerateInput, match="every grid cell sits inside"):
+        overlap_grid(4, 0.999, 1.001, -0.001, 0.001, 2, 2)
+    ep = locate_eps(4, "II")[0]
+    with pytest.raises(DegenerateInput, match="patterns need 4 slots"):
+        overlap_grid(4, 0, 1, 0, 1, 3, 3, selector=(ep, [0] * 3, [0] * 4))
     for threads in (0, -2):
         with pytest.raises(DegenerateInput, match="threads"):
             overlap_grid(4, 0.55, 0.65, 0.75, 0.85, 5, 5, threads=threads)
@@ -165,7 +172,7 @@ def test_size_guards_refuse_before_any_work(monkeypatch):
 def test_non_finite_loop_and_grid_sizes_are_refused():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for radius in (np.nan, np.inf):
+        for radius in (np.nan, np.inf, 0.0, -0.05):
             with pytest.raises(DegenerateInput, match="radius must be finite"):
                 track_loop(4, 0.2, radius)
         for edges in ((np.nan, 1, 0, 1), (0, np.inf, 0, 1), (0, 1, -np.inf, 1)):
