@@ -297,9 +297,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose complex value may start with "-", which argparse would read
+# as an option of its own unless the two are joined by "="
+_SIGNED_VALUE_OPTIONS = ("--gamma", "--center")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """Fold ``--gamma -0.5-0.2i`` into ``--gamma=-0.5-0.2i`` (same for
+    ``--center``); a following ``--option`` is left alone."""
+    joined = []
+    for token in argv:
+        if (joined and joined[-1] in _SIGNED_VALUE_OPTIONS
+                and token.startswith("-") and not token.startswith("--")):
+            joined[-1] = f"{joined[-1]}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except XYEPError as exc:

@@ -5,8 +5,13 @@ with no input from the closed-form spectral data, so it can arbitrate
 the analytic route.  The spin Hamiltonian is filled bond by bond with
 bit operations in O(L 2^L); every bond flips two spins, so it conserves
 the parity of the number of down spins, and dense eigensolves run on the
-even and odd sectors separately (two 2^(L-1) blocks).  Dense matrices
-cap the reachable sizes; the limits are enforced explicitly.
+even and odd sectors separately.  The global spin flip, which reverses
+the basis index, commutes with the Hamiltonian too.  For even L it keeps
+each sector, so each sector splits into its flip-even and flip-odd
+halves (four 2^(L-2) blocks); for odd L it swaps the sectors, so the odd
+sector is the even one reversed and one 2^(L-1) solve serves both.
+Dense matrices cap the reachable sizes; the limits are enforced
+explicitly.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ __all__ = [
     "l4_closed_form",
     "geometric_multiplicities",
     "realize_operator",
-    "realize_quadratic_form",
     "build_ep_states",
     "match_spectra",
 ]
@@ -141,15 +145,44 @@ def _blocks(H: np.ndarray) -> list[np.ndarray | None]:
     return [even, odd]
 
 
+def _eig(B: np.ndarray, want_vectors: bool):
+    if want_vectors:
+        return np.linalg.eig(B)
+    return np.linalg.eigvals(B), None
+
+
+def _halved_eig(B: np.ndarray, want_vectors: bool):
+    """Eigenpairs of B; if B equals its own index reversal, from the two
+    half-size blocks of the reversal-even and reversal-odd vectors
+    [v; +-v[::-1]] / sqrt2, else from B whole."""
+    n = B.shape[0]
+    if n % 2 or not np.array_equal(B, B[::-1, ::-1]):
+        return _eig(B, want_vectors)
+    h = n // 2
+    top, cross = B[:h, :h], B[:h, ::-1][:, :h]
+    w_even, v_even = _eig(top + cross, want_vectors)
+    w_odd, v_odd = _eig(top - cross, want_vectors)
+    vals = np.concatenate([w_even, w_odd])
+    if not want_vectors:
+        return vals, None
+    vecs = np.hstack([np.vstack([v_even, v_even[::-1]]),
+                      np.vstack([v_odd, -v_odd[::-1]])]) / np.sqrt(2.0)
+    return vals, vecs
+
+
 def ed_eigen(H: np.ndarray, want_vectors: bool = True) -> EDResult:
     """Dense nonsymmetric eigensolve with a backward-error report.
 
     A matrix of dimension 2^L whose entries coupling the even and odd
     parity sectors are all exactly zero (any spin Hamiltonian here) is
-    solved block by block, and each vector is scattered back to full
-    length with exact zeros in the other sector; any other matrix is
-    solved whole.  Vectors are only computed up to 2^10; values alone
-    up to 2^12.
+    solved sector by sector, and each vector is scattered back to full
+    length with exact zeros in the other sector.  The global spin flip
+    reverses the basis index, and the checks for it are exact too:
+    a sector block equal to its own reversal (even L) is solved as two
+    half-size blocks, and an odd block equal to the even one reversed
+    (odd L) reuses the even block's values, with its vectors reversed.
+    Any other matrix is solved whole.  Vectors are only computed up to
+    2^10; values alone up to 2^12.
     """
     N = H.shape[0]
     if want_vectors and N > 2 ** VECTOR_LIMIT:
@@ -157,21 +190,28 @@ def ed_eigen(H: np.ndarray, want_vectors: bool = True) -> EDResult:
     if N > 2 ** SPIN_LIMIT:
         raise SizeLimit(f"eigenvalues capped at dimension 2^{SPIN_LIMIT}")
     h_norm = float(np.linalg.norm(H, np.inf))
+    blocks = _blocks(H)
+    if blocks[0] is None:
+        solves = [(slice(None), H, _eig(H, want_vectors))]
+    else:
+        even, odd = blocks
+        b_even, b_odd = H[np.ix_(even, even)], H[np.ix_(odd, odd)]
+        vals, v = _halved_eig(b_even, want_vectors)
+        if np.array_equal(b_odd, b_even[::-1, ::-1]):
+            odd_solved = vals, None if v is None else v[::-1]
+        else:
+            odd_solved = _halved_eig(b_odd, want_vectors)
+        solves = [(even, b_even, (vals, v)), (odd, b_odd, odd_solved)]
     parts = []
     vecs = np.zeros((N, N), dtype=complex) if want_vectors else None
     resid = 0.0
     start = 0
-    for idx in _blocks(H):
-        block = H if idx is None else H[np.ix_(idx, idx)]
-        if not want_vectors:
-            parts.append(np.linalg.eigvals(block))
-            continue
-        vals, v = np.linalg.eig(block)
-        resid = max(resid, float(np.max(np.abs(block @ v - v * vals[None, :]))))
-        rows = slice(None) if idx is None else idx
-        vecs[rows, start:start + vals.size] = v
-        start += vals.size
+    for rows, block, (vals, v) in solves:
         parts.append(vals)
+        if want_vectors:
+            resid = max(resid, float(np.max(np.abs(block @ v - v * vals[None, :]))))
+            vecs[rows, start:start + vals.size] = v
+        start += vals.size
     vals = np.concatenate(parts)
     order = np.lexsort((vals.imag, vals.real))
     if want_vectors:
@@ -324,24 +364,6 @@ def realize_operator(L: int, row: np.ndarray,
         cd = c.conj().T
         X += row[j] * (c + cd) + row[L + j] * (c - cd)
     return X / np.sqrt(2.0)
-
-
-def realize_quadratic_form(L: int, M: np.ndarray) -> np.ndarray:
-    """Dense matrix of (1/2) C^+ M C over the phased modes.
-
-    C stacks the L annihilators followed by the L creators.  With the
-    alternating-phase convention this reproduces the spin Hamiltonian
-    exactly.
-    """
-    modes = jordan_wigner_modes(L)
-    C = modes + [c.conj().T for c in modes]
-    H = np.zeros((2 ** L, 2 ** L), dtype=complex)
-    for a in range(2 * L):
-        Ca_dag = C[a].conj().T
-        for b in range(2 * L):
-            if M[a, b] != 0:
-                H += 0.5 * M[a, b] * (Ca_dag @ C[b])
-    return H
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,23 @@ def test_spectrum_solves_both_modes_in_one_call(monkeypatch, capsys):
     assert code == 2 and calls == []
 
 
+def test_anisotropies_may_start_with_a_minus_sign(tmp_path, capsys):
+    # "--gamma -0.5-0.2i" reads as "--gamma=-0.5-0.2i", not as an option
+    code, out, _ = run_cli(["spectrum", "--L", "2", "--gamma", "-0.5-0.2i"],
+                           capsys)
+    assert code == 0 and "# gamma: -0.5-0.2i" in out.splitlines()
+    assert run_cli(["spectrum", "--L", "2", "--gamma=-0.5-0.2i"],
+                   capsys) == (0, out, "")
+    paths = [tmp_path / "spaced.json", tmp_path / "joined.json"]
+    for path, center in zip(paths, (["--center", "-0.6-0.8i"],
+                                    ["--center=-0.6-0.8i"])):
+        code, _, _ = run_cli(["loop", "--L", "4", *center, "--radius", "0.05",
+                              "--steps", "32", "--out", str(path)], capsys)
+        assert code == 0
+    assert paths[0].read_text() == paths[1].read_text()
+    assert json.loads(paths[0].read_text())["config"]["center"] == "-0.6-0.8i"
+
+
 def test_bad_gamma_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--L", "4", "--gamma", "0.60.8i"])

@@ -14,7 +14,7 @@ from xyep.oracle import (EP_STATE_LIMIT, REALIZE_LIMIT, SPIN_LIMIT,
                          build_ep_states, build_spin_hamiltonian, ed_eigen,
                          geometric_multiplicities, jordan_wigner_modes,
                          l4_closed_form, match_spectra, parity_sectors,
-                         realize_operator, realize_quadratic_form)
+                         realize_operator)
 
 RNG = np.random.default_rng(20240817)
 
@@ -40,6 +40,20 @@ def kron_spin_hamiltonian(L, gamma):
     return H
 
 
+def realize_quadratic_form(L, M):
+    """Dense matrix of (1/2) C^+ M C over the phased modes, where C stacks
+    the L annihilators followed by the L creators."""
+    modes = jordan_wigner_modes(L)
+    C = modes + [c.conj().T for c in modes]
+    H = np.zeros((2 ** L, 2 ** L), dtype=complex)
+    for a in range(2 * L):
+        Ca_dag = C[a].conj().T
+        for b in range(2 * L):
+            if M[a, b] != 0:
+                H += 0.5 * M[a, b] * (Ca_dag @ C[b])
+    return H
+
+
 @pytest.mark.parametrize("gamma", [0, 0.7, 0.3 + 0.5j, -1.2 + 0.1j])
 def test_spin_hamiltonian_equals_kron_assembly_bit_for_bit(gamma):
     for L in range(2, 9):
@@ -59,7 +73,7 @@ def test_parity_sectors():
 
 
 def test_blocked_ed_eigen_matches_the_full_solve():
-    for L in range(2, 9):
+    for L in range(2, 10):
         H = build_spin_hamiltonian(L, random_gamma())
         full = np.linalg.eigvals(H)
         scale = float(np.max(np.abs(full)))
@@ -76,6 +90,55 @@ def test_blocked_ed_eigen_matches_the_full_solve():
         in_odd = ~np.any(res.vectors[even], axis=0)
         assert np.all(in_even ^ in_odd)
         assert in_even.sum() == in_odd.sum() == 2 ** (L - 1)
+        if L % 2 == 0:
+            # the spin flip s -> 2^L-1-s keeps every vector up to a sign
+            flipped = res.vectors[::-1]
+            assert np.all(np.minimum(
+                np.max(np.abs(flipped - res.vectors), axis=0),
+                np.max(np.abs(flipped + res.vectors), axis=0)) < 1e-15)
+
+
+def test_ed_eigen_without_spin_flip_symmetry_solves_each_sector_as_before():
+    # one in-sector entry per sector changes but not its flip partner, so
+    # neither spin-flip shortcut applies and each sector is solved whole
+    for L in range(2, 8):
+        H = build_spin_hamiltonian(L, random_gamma())
+        sectors = parity_sectors(L)
+        for idx in sectors:
+            H[idx[0], idx[1]] += 0.25
+        vecs = np.zeros_like(H)
+        vals, only, resid, start = [], [], 0.0, 0
+        for idx in sectors:
+            block = H[np.ix_(idx, idx)]
+            w, v = np.linalg.eig(block)
+            resid = max(resid, float(np.max(np.abs(block @ v - v * w[None, :]))))
+            vecs[idx, start:start + w.size] = v
+            start += w.size
+            vals.append(w)
+            only.append(np.linalg.eigvals(block))
+        vals, only = np.concatenate(vals), np.concatenate(only)
+        order = np.lexsort((vals.imag, vals.real))
+        res = ed_eigen(H)
+        assert np.array_equal(res.values, vals[order])
+        assert np.array_equal(res.vectors, vecs[:, order])
+        assert res.max_residual == resid
+        only = only[np.lexsort((only.imag, only.real))]
+        assert np.array_equal(ed_eigen(H, want_vectors=False).values, only)
+
+
+def test_odd_chain_values_come_in_exactly_equal_spin_flip_pairs():
+    for L in (3, 5, 7, 9):
+        N = 2 ** L
+        H = build_spin_hamiltonian(L, random_gamma())
+        vals = ed_eigen(H, want_vectors=False).values
+        assert np.array_equal(vals[0::2], vals[1::2])
+        res = ed_eigen(H)
+        assert np.array_equal(res.values[0::2], res.values[1::2])
+        # each pair's vectors are one another reversed: s -> 2^L-1-s
+        pairs = res.vectors.reshape(N, N // 2, 2)
+        assert np.all(np.minimum(
+            np.max(np.abs(pairs[::-1, :, 0] - pairs[:, :, 1]), axis=0),
+            np.max(np.abs(pairs[::-1, :, 1] - pairs[:, :, 0]), axis=0)) == 0)
 
 
 def test_ed_eigen_solves_other_matrices_whole():
