@@ -47,8 +47,6 @@ from .topology import (
     OverlapGrid,
     branch_scaling_probe,
     overlap_grid,
-    phase_rigidity,
-    sheet_stitch,
     track_loop,
 )
 

@@ -74,11 +74,11 @@ def column_from_halves(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Column(s) of V from checkerboard halves: left-multiplication by S.
 
     S = (1/sqrt2)[[I, I], [I, -I]]; ``phi`` and ``psi`` are one column
-    each or L x k blocks of columns.
+    each, L x k blocks of columns, or stacks of such blocks.
     """
     top = (phi + psi) / np.sqrt(2.0)
     bot = (phi - psi) / np.sqrt(2.0)
-    return np.concatenate([top, bot])
+    return np.concatenate([top, bot], axis=-min(top.ndim, 2))
 
 
 def pair_columns(spec: ChainSpec, points: list[SpectralPoint]):

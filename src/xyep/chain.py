@@ -14,8 +14,9 @@ for many anisotropies and one or both modes in one root solve;
 :func:`quasi_energies` labels its one-anisotropy row of both modes, and
 :func:`mode_arrays` is the one evaluator of mode data: eigenvector
 halves and, at order 1, their eps-derivative, at any number of roots of
-one mode in one call, so consumers make one call per mode (the two
-Jordan chains at an exceptional point share one);
+one mode and any number of anisotropies in one call, so consumers make
+one call per mode (the two Jordan chains at an exceptional point share
+one; a rigidity grid, one per chunk of cells);
 :func:`mode_vectors` normalizes such a block column by column.
 """
 
@@ -289,7 +290,15 @@ class ModeVector:
     boundary_residual: float
 
 
-def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0):
+def _per_gamma(f, g):
+    """f in Python complex arithmetic at one anisotropy or each of a column."""
+    if np.ndim(g) == 0:
+        return f(g)
+    return np.reshape([f(z) for z in g.ravel().tolist()], g.shape)
+
+
+def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0, *,
+                gammas=None):
     """Unnormalized (phi, psi) for the +eps branch at k roots of one mode.
 
     ``eps`` and ``x`` are length-k arrays (a scalar counts as k = 1),
@@ -297,6 +306,10 @@ def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0):
     ``(order + 1, L, k)`` and the boundary values shape ``(k,)``.  As in
     :func:`xyep.polyalg.chebyshev_u`, row d is the d-th derivative:
     ``order = 1`` adds d(phi, psi)/d(eps) along the dispersion x(eps).
+    ``gammas``, m anisotropies of the chain of length ``spec.L``, stacks
+    m such evaluations in place of ``spec.gamma``: ``eps`` and ``x``
+    are then ``(m, k)``, every result gains a leading axis of length m,
+    and slice i is bit for bit the call at ``gammas[i]`` alone.
     Even sites carry plain Chebyshev values; odd sites carry the
     eps-dependent combination.  Division by eps makes eps = 0 unusable
     here, so it raises :class:`EpsilonZero`.  det(A +- B) is a nonzero
@@ -304,8 +317,7 @@ def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0):
     :func:`eps_of_x` can cancel an edge mode's eps to exactly 0 at large
     L (the README's known limitation on edge-mode quasi-energies).
     """
-    L, g = spec.L, spec.gamma
-    n = spec.n_pairs
+    L, n = spec.L, spec.n_pairs
     eps = np.atleast_1d(np.asarray(eps, dtype=complex))
     if np.any(eps == 0):
         raise EpsilonZero("mode construction divides by the quasi-energy")
@@ -313,23 +325,29 @@ def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0):
         raise DegenerateInput(f"mode must be 'I' or 'II', got {mode!r}")
     if order not in (0, 1):
         raise DegenerateInput(f"order must be 0 or 1, got {order}")
+    # a stack puts one anisotropy on each row of eps and x
+    g = spec.gamma if gammas is None else np.asarray(gammas, complex)[:, None]
     u = chebyshev_u(np.atleast_1d(x), n, order)
     ca, cb = (1 + g, 1 - g) if mode == "I" else (1 - g, 1 + g)
     # U_0 .. U_{n-1} on sites 2,4,..,L; the eps-dependent mix on 1,3,..,L-1
     even = [u[0, 1: n + 1]]
     odd = [(ca * u[0, 1: n + 1] + cb * u[0, 0: n]) / (2 * eps)]
     if order:
+        # rounded as a one-anisotropy call rounds them, also in a stack
+        w = _per_gamma(lambda z: 1 - z * z, g)
+        w2 = _per_gamma(lambda z: 2 / (1 - z * z), g)
         du = u[1]
-        even.append(du[1: n + 1] * (4 * eps / (1 - g * g)))
-        odd.append(-odd[0] / eps
-                   + (ca * du[1: n + 1] + cb * du[0: n]) * (2 / (1 - g * g)))
-    phi = np.zeros((order + 1, L, eps.size), dtype=complex)
+        even.append(du[1: n + 1] * (4 * eps / w))
+        odd.append(-odd[0] / eps + (ca * du[1: n + 1] + cb * du[0: n]) * w2)
+    phi = np.zeros((order + 1, L) + eps.shape, dtype=complex)
     psi = np.zeros_like(phi)
     # site s (1-based) lives at array index s-1
     even_half, odd_half = (phi, psi) if mode == "I" else (psi, phi)
     even_half[:, 1::2] = even
     odd_half[:, 0::2] = odd
     boundary = (ca * u[0, n + 1] + cb * u[0, n]) / (2 * eps)
+    if gammas is not None:
+        phi, psi = np.moveaxis(phi, 2, 0), np.moveaxis(psi, 2, 0)
     return phi, psi, boundary
 
 

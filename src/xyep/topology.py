@@ -22,12 +22,9 @@ from .errors import AmbiguousContinuation, DegenerateInput, SizeLimit, as_int
 
 __all__ = [
     "OverlapGrid",
-    "SheetStitch",
     "LoopResult",
     "ScalingFit",
-    "phase_rigidity",
     "overlap_grid",
-    "sheet_stitch",
     "track_loop",
     "branch_scaling_probe",
 ]
@@ -36,22 +33,16 @@ POLE_RADIUS = 1e-2
 _GRID_SIZE_LIMIT = 8
 _GRID_CELL_LIMIT = 2 ** 20      # overlap_grid cells, n_re * n_im
 _LOOP_VALUE_LIMIT = 2 ** 21     # track_loop signed values, (steps + 1) * L
+# overlap_grid cells and track_loop steps are stacked in chunks of at
+# most this many matrix entries, 4 L^2 per cell or step
+_CHUNK_ENTRIES = 2 ** 18
 # track_loop: levels of bisection allowed within one loop step
 _MAX_REFINEMENTS = 12
 
 
-def phase_rigidity(v: np.ndarray) -> complex:
-    """Bilinear self-overlap (v.v) / (v*.v) of a state vector.
-
-    Equals 1 for any real vector, 0 for a bilinearly self-orthogonal
-    one such as a coalescing eigenvector.  The magnitude is gauge
-    independent; the phase rotates with the gauge of v.
-    """
-    v = np.asarray(v, dtype=complex).ravel()
-    d = np.vdot(v, v).real
-    if d < 1e-300:
-        raise DegenerateInput("phase rigidity of the zero vector is undefined")
-    return complex((v @ v) / d)
+def _chunk_size(L: int) -> int:
+    """Cells or loop steps per stacked chunk at chain length L."""
+    return max(1, _CHUNK_ENTRIES // (4 * L * L))
 
 
 @dataclass(frozen=True)
@@ -104,83 +95,60 @@ def _default_selector(L: int, center: complex):
     return ep, tuple(a), tuple(b)
 
 
-def _slot_columns(spec: ChainSpec, ep: EPRecord, spectra):
-    """Quasi-energies and the +eps / -eps columns of V for all L slots.
+def _slot_columns(L: int, ep: EPRecord, gammas: np.ndarray, eps: np.ndarray,
+                  x: np.ndarray):
+    """Quasi-energies and +eps / -eps columns of V for all L slots, per cell.
 
-    ``spectra`` is the (eps, x) pair of length-L rows at ``spec.gamma``,
-    as :func:`xyep.chain.mode_spectra` returns them for both modes: each
-    mode's branches in branch order, mode I first.  Slots of the EP's
-    mode start with its coalescing pair
+    ``eps`` and ``x`` are the (m, L) rows of
+    :func:`xyep.chain.mode_spectra` for both modes at the m anisotropies
+    ``gammas``: each mode's branches in branch order, mode I first.
+    Slots of the EP's mode start with its coalescing pair
     (:func:`xyep.ep.coalescing_order`, nearest first); every other slot
-    keeps branch order, mode I before mode II.  Columns are left
+    keeps branch order, mode I before mode II.  Returns the (m, L) slot
+    quasi-energies and two (m, 2L, L) column stacks, from one stacked
+    :func:`xyep.chain.mode_arrays` call per mode.  Columns are left
     unnormalized: only their span is used, so the bilinearly null
     column at an exact EP needs no special case.
     """
-    n = spec.n_pairs
-    eps, phis, psis = [], [], []
+    n = L // 2
+    spec = ChainSpec(L, ep.gamma)       # its length; gammas stack the cells
+    slot_eps, phis, psis = [], [], []
     for k, mode in enumerate(MODES):
-        mode_eps, x = (row[k * n: (k + 1) * n] for row in spectra)
+        mode_eps, mode_x = eps[:, k * n: (k + 1) * n], x[:, k * n: (k + 1) * n]
         if mode == ep.mode:
-            order = coalescing_order(x, ep)
-            mode_eps, x = mode_eps[order], x[order]
-        phi, psi, _ = mode_arrays(spec, mode, mode_eps, x)
-        eps.append(mode_eps)
-        phis.append(phi[0])
-        psis.append(psi[0])
-    phis, psis = np.hstack(phis), np.hstack(psis)
-    return (np.concatenate(eps), column_from_halves(phis, psis),
+            order = coalescing_order(mode_x, ep)
+            mode_eps = np.take_along_axis(mode_eps, order, -1)
+            mode_x = np.take_along_axis(mode_x, order, -1)
+        phi, psi, _ = mode_arrays(spec, mode, mode_eps, mode_x, gammas=gammas)
+        slot_eps.append(mode_eps)
+        phis.append(phi[:, 0])
+        psis.append(psi[:, 0])
+    phis, psis = np.concatenate(phis, -1), np.concatenate(psis, -1)
+    return (np.concatenate(slot_eps, -1), column_from_halves(phis, psis),
             column_from_halves(-phis, psis))
 
 
 def _annihilator_span(plus: np.ndarray, minus: np.ndarray,
                       pattern) -> np.ndarray:
-    """Orthonormal basis of the columns annihilating a pattern's state.
+    """Orthonormal bases of the columns annihilating a pattern's state.
 
     That is the +eps column of every empty slot and the -eps column of
-    every filled one.
+    every filled one; one stacked QR for all cells.
     """
     return np.linalg.qr(np.where(np.array(pattern, dtype=bool), minus, plus))[0]
 
 
-def _fermion_parity(q: np.ndarray) -> int:
-    """Fermion parity (+-1) of the state annihilated by the span of q.
+def _fermion_parity(q: np.ndarray) -> np.ndarray:
+    """Fermion parity (+-1) of the states annihilated by the spans of q.
 
-    Rows of q are the c_j then c_j^+ coefficients, and the columns
+    Rows of each q are the c_j then c_j^+ coefficients, and the columns
     anticommute, so with G swapping the two halves [q, G conj(q)] is
     orthogonal under G; its determinant is +-1, with the sign of the
     state's parity relative to the vacuum of all c_j.
     """
-    L = q.shape[1]
-    t = np.hstack([q, np.conj(np.vstack([q[L:], q[:L]]))])
-    return 1 if np.linalg.det(t).real > 0 else -1
-
-
-def _cell(spec: ChainSpec, ep: EPRecord, spectra, pat_a, pat_b, sector: int):
-    """Rigidity and energy of both patterns' states at one anisotropy.
-
-    ``spectra`` is the cell's mode data as :func:`_slot_columns` takes it.
-    Slot signs follow the principal quasi-energy branch (Re eps >= 0),
-    which flips a slot's sign wherever its Re eps crosses zero and so
-    moves a pattern's state into the other parity sector.  When the
-    states' fermion parity is not ``sector``, the slot nearest that cut
-    (smallest |Re eps|) takes the other sign.  The self-overlap
-    |v.v| / (v*.v) of a state is sqrt|det(Q^T Q)|, Q an orthonormal
-    basis of its annihilators.
-    """
-    eps, plus, minus = _slot_columns(spec, ep, spectra)
-    q_a = _annihilator_span(plus, minus, pat_a)
-    if _fermion_parity(q_a) != sector:
-        k = int(np.argmin(np.abs(eps.real)))
-        eps[k] = -eps[k]
-        plus[:, k], minus[:, k] = minus[:, k], plus[:, k].copy()
-        q_a = _annihilator_span(plus, minus, pat_a)
-    out = []
-    for pattern, q in ((pat_a, q_a),
-                       (pat_b, _annihilator_span(plus, minus, pat_b))):
-        signs = np.where(np.array(pattern, dtype=bool), 0.5, -0.5)
-        out.append((float(np.sqrt(abs(np.linalg.det(q.T @ q)))),
-                    complex(signs @ eps)))
-    return out
+    swapped = np.roll(q, q.shape[-1], axis=-2)
+    t = np.concatenate([q, np.conj(swapped)], axis=-1)
+    return np.where(np.linalg.det(t).real > 0, 1, -1)
 
 
 def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
@@ -188,10 +156,18 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
                  selector=None, threads: int = 1) -> OverlapGrid:
     """Rigidity and energy of a merging pair of eigenstates over a rectangle.
 
-    Every cell is evaluated on its own from the closed-form mode data
-    (:func:`_cell`); nothing is continued from one cell to the next.
-    The quasi-energies of all usable cells, both modes, come from one
-    :func:`xyep.chain.mode_spectra` call.  The a and b labels
+    One :func:`xyep.chain.mode_spectra` call solves all usable cells,
+    both modes; the cells then go through stacked chunks of at most
+    ``_CHUNK_ENTRIES`` = 2^18 matrix entries (one
+    :func:`xyep.chain.mode_arrays` call per mode, stacked QR and
+    determinants).  Each cell is computed from its own slice of every
+    stack, so no value depends on the chunking or on other cells.  A
+    state's self-overlap |v.v| / (v*.v) is sqrt|det(Q^T Q)|, Q an
+    orthonormal basis of its annihilators.  Slot signs follow the
+    principal branch (Re eps >= 0); where that puts a cell's pair in the
+    other parity sector, the slot nearest the cut (smallest |Re eps|)
+    takes the other sign, and those cells are solved again as one
+    sub-stack.  The a and b labels
     are the two occupation patterns over slots that start with the EP
     mode's coalescing pair, nearest the EP root first, so the pair's
     energies exchange across a seam that is one ray ending at the EP;
@@ -200,10 +176,10 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     parity, i.e. lie in one parity sector of the spin space, else
     :class:`DegenerateInput` is raised; the sector is read once, at the
     usable cell nearest the EP, and kept in every cell.  Cells within
-    1e-2 of gamma = +-1 are masked as poles.  ``threads`` must be at
-    least 1 and has no other effect.  Grids longer than L = 8 or with
-    more than ``_GRID_CELL_LIMIT`` = 2^20 cells raise :class:`SizeLimit`
-    before any array is built.
+    1e-2 of gamma = +-1 are masked as poles.  ``threads`` must be an
+    integer of at least 1 and has no other effect.  Grids longer than
+    L = 8 or with more than ``_GRID_CELL_LIMIT`` = 2^20 cells raise
+    :class:`SizeLimit` before any array is built.
     """
     n_re, n_im = as_int(n_re, "n_re"), as_int(n_im, "n_im")
     if L > _GRID_SIZE_LIMIT:
@@ -215,6 +191,7 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
                         f"got {n_re} x {n_im}")
     if not np.isfinite([re_min, re_max, im_min, im_max]).all():
         raise DegenerateInput("grid edges must be finite")
+    threads = as_int(threads, "threads")
     if threads < 1:
         raise DegenerateInput(f"threads must be at least 1, got {threads}")
     re_vals = np.linspace(re_min, re_max, n_re)
@@ -232,30 +209,43 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     gammas = re_vals[:, None] + 1j * im_vals[None, :]
     pole_mask = ((np.abs(gammas - 1) < POLE_RADIUS)
                  | (np.abs(gammas + 1) < POLE_RADIUS))
-    cells = list(zip(*np.nonzero(~pole_mask)))
-    if not cells:
+    usable = ~pole_mask
+    if not usable.any():
         raise DegenerateInput("every grid cell sits inside a pole disc")
-    cell_gammas = gammas[~pole_mask]
+    cell_gammas = gammas[usable]
     eps, x = mode_spectra(L, cell_gammas, "both")
 
-    def at(k):
-        return ChainSpec(L, complex(cell_gammas[k])), (eps[k], x[k])
-
     nearest = int(np.argmin(np.abs(cell_gammas - ep.gamma)))
-    spec, rows = at(nearest)
-    _, plus, minus = _slot_columns(spec, ep, rows)
-    sector = _fermion_parity(_annihilator_span(plus, minus, pat_a))
+    near = slice(nearest, nearest + 1)
+    _, plus, minus = _slot_columns(L, ep, cell_gammas[near], eps[near], x[near])
+    sector = _fermion_parity(_annihilator_span(plus, minus, pat_a))[0]
 
-    shape = (n_re, n_im)
-    overlap_a = np.full(shape, np.nan)
-    overlap_b = np.full(shape, np.nan)
-    energy_a = np.full(shape, np.nan, dtype=complex)
-    energy_b = np.full(shape, np.nan, dtype=complex)
-    for k, c in enumerate(cells):
-        spec, rows = at(k)
-        (ra, ea), (rb, eb) = _cell(spec, ep, rows, pat_a, pat_b, sector)
-        overlap_a[c], overlap_b[c] = ra, rb
-        energy_a[c], energy_b[c] = ea, eb
+    # rows: pattern a, then pattern b; cells in row-major order, poles NaN
+    cell_index = np.flatnonzero(usable)
+    overlap = np.full((2, n_re * n_im), np.nan)
+    energy = np.full((2, n_re * n_im), np.nan, dtype=complex)
+    chunk = _chunk_size(L)
+    for lo in range(0, cell_gammas.size, chunk):
+        cells = slice(lo, lo + chunk)
+        at = cell_index[cells]
+        slot_eps, plus, minus = _slot_columns(L, ep, cell_gammas[cells],
+                                              eps[cells], x[cells])
+        q_a = _annihilator_span(plus, minus, pat_a)
+        flip = np.flatnonzero(_fermion_parity(q_a) != sector)
+        if flip.size:
+            k = np.argmin(np.abs(slot_eps[flip].real), axis=-1)
+            slot_eps[flip, k] = -slot_eps[flip, k]
+            plus[flip, :, k], minus[flip, :, k] = \
+                minus[flip, :, k], plus[flip, :, k]
+            q_a[flip] = _annihilator_span(plus[flip], minus[flip], pat_a)
+        q_b = _annihilator_span(plus, minus, pat_b)
+        for row, (pattern, q) in enumerate(((pat_a, q_a), (pat_b, q_b))):
+            gram = np.swapaxes(q, -1, -2) @ q
+            overlap[row, at] = np.sqrt(np.abs(np.linalg.det(gram)))
+            signs = np.where(np.array(pattern, dtype=bool), 0.5, -0.5)
+            energy[row, at] = np.sum(signs * slot_eps, axis=-1)
+    overlap_a, overlap_b = overlap.reshape(2, n_re, n_im)
+    energy_a, energy_b = energy.reshape(2, n_re, n_im)
     # 1 where the b energy sorts first by (Re, Im); real parts within 16
     # eps of the energies' size tie and are ordered by Im, so rounding
     # cannot flip the label where they are equal in exact arithmetic.
@@ -271,38 +261,6 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
                        parity=parity, pole_mask=pole_mask,
                        ep_gamma=ep.gamma,
                        occupation_a=pat_a, occupation_b=pat_b)
-
-
-@dataclass(frozen=True)
-class SheetStitch:
-    """Two overlap sheets plus the seam where their labels exchange."""
-
-    sheet_a: np.ndarray
-    sheet_b: np.ndarray
-    seam_points: list[complex]
-    ep_gamma: complex
-    cell_diag: float
-
-
-def sheet_stitch(grid: OverlapGrid) -> SheetStitch:
-    """Locate the branch-cut seam as midpoints of parity flips.
-
-    The seam is reported as a polyline of cell-boundary midpoints
-    ordered by imaginary part; on a grid straddling an exceptional
-    point it terminates at (within one cell of) the EP.
-    """
-    re, im, p, usable = grid.re_vals, grid.im_vals, grid.parity, ~grid.pole_mask
-    # parity flips between neighbouring usable cells, along Re then along Im
-    flip_re = (p[:-1] != p[1:]) & usable[:-1] & usable[1:]
-    flip_im = (p[:, :-1] != p[:, 1:]) & usable[:, :-1] & usable[:, 1:]
-    seam = [complex((re[i] + re[i + 1]) / 2, im[j])
-            for i, j in zip(*np.nonzero(flip_re))]
-    seam += [complex(re[i], (im[j] + im[j + 1]) / 2)
-             for i, j in zip(*np.nonzero(flip_im))]
-    seam.sort(key=lambda z: (z.imag, z.real))
-    return SheetStitch(sheet_a=grid.overlap_a, sheet_b=grid.overlap_b,
-                       seam_points=seam, ep_gamma=grid.ep_gamma,
-                       cell_diag=float(np.hypot(re[1] - re[0], im[1] - im[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -339,21 +297,35 @@ def _signed_values(L: int, gammas) -> np.ndarray:
     return np.stack([eps, -eps], axis=-1).reshape(eps.shape[0], -1)
 
 
+def _nearest(prev: np.ndarray, cand: np.ndarray):
+    """Nearest candidate of every value, and whether that choice is ambiguous.
+
+    ``prev`` and ``cand`` are rows of values, one row per step (a
+    single row counts as one step).  A step is ambiguous when some
+    value's best and second-best candidate distances differ by less than
+    a factor of two, or when two values pick the same candidate.
+    Otherwise every value is strictly nearest to a distinct candidate;
+    that choice is the unique optimal assignment, and it is accepted as
+    it stands.  Returns the picks, shaped like ``prev``, and the flags.
+    """
+    cost = np.abs(prev[..., :, None] - cand[..., None, :])
+    pick = np.argmin(cost, axis=-1)
+    best = np.partition(cost, 1, axis=-1)
+    unclear = (best[..., 1] == 0) | (best[..., 0] > 0.5 * best[..., 1])
+    taken = np.sort(pick, axis=-1)
+    shared = taken[..., 1:] == taken[..., :-1]
+    return pick, unclear.any(axis=-1) | shared.any(axis=-1)
+
+
 def _continue_labels(L: int, prev: np.ndarray, cand: np.ndarray, g0: complex,
                      g1: complex, depth: int) -> tuple[np.ndarray, int]:
     """Indices into ``cand``, the values at g1, continuing ``prev`` at g0.
 
-    An ambiguous step is split at its midpoint, the only anisotropy
-    whose values are solved here.  Returns the indices and the number of
-    bisections made.
+    An ambiguous step (:func:`_nearest`) is split at its midpoint, the
+    only anisotropy whose values are solved here.  Returns the indices
+    and the number of bisections made.
     """
-    cost = np.abs(prev[:, None] - cand[None, :])
-    pick = np.argmin(cost, axis=1)
-    srt = np.sort(cost, axis=1)
-    # every label strictly nearest to a distinct candidate: that choice is
-    # the unique optimal assignment, so it is accepted as it stands
-    ambiguous = (np.any((srt[:, 1] == 0) | (srt[:, 0] > 0.5 * srt[:, 1]))
-                 or np.unique(pick).size < pick.size)
+    pick, ambiguous = _nearest(prev, cand)
     if not ambiguous:
         return pick, 0
     if depth >= _MAX_REFINEMENTS:
@@ -375,9 +347,12 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
     The values at all ``steps + 1`` loop points come from one root
     solve for both modes; only bisection midpoints are solved on their
     own.  Each branch is continued to its nearest candidate value.  A step is
-    bisected when some branch's best and second-best candidate distances
+    ambiguous when some branch's best and second-best candidate distances
     differ by less than a factor of two, or when two branches pick the
-    same candidate; after ``_MAX_REFINEMENTS`` levels of bisection
+    same candidate.  Every step is checked at once, in stacked chunks of
+    at most ``_CHUNK_ENTRIES`` = 2^18 distances; the picks of clear steps
+    are composed by indexing, and only ambiguous steps are bisected, in
+    loop order.  After ``_MAX_REFINEMENTS`` levels of bisection
     :class:`AmbiguousContinuation` is raised.  The returned
     permutation acts on the L positive-branch labels as
     :func:`xyep.chain.quasi_energies` numbers them at the loop's start
@@ -407,13 +382,22 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
     gammas = np.append(gammas, gammas[0])
 
     values = _signed_values(L, gammas)
-    # slots[i]: where start value i sits in the current row of values
+    # slots[i]: where start value i sits in the current row of values.
+    # Each step maps every value at t to one at t + 1 whatever slot it
+    # holds, so a step's picks index the slots.
     slots = np.arange(2 * L)
     refinements = 0
-    for t in range(steps):
-        slots, n = _continue_labels(L, values[t][slots], values[t + 1],
-                                    gammas[t], gammas[t + 1], 0)
-        refinements += n
+    chunk = _chunk_size(L)
+    for lo in range(0, steps, chunk):
+        hi = min(lo + chunk, steps)
+        picks, ambiguous = _nearest(values[lo:hi], values[lo + 1: hi + 1])
+        for t in range(lo, hi):
+            pick = picks[t - lo]
+            if ambiguous[t - lo]:
+                pick, n = _continue_labels(L, values[t], values[t + 1],
+                                           gammas[t], gammas[t + 1], 0)
+                refinements += n
+            slots = pick[slots]
     # +eps of label q is slot 2q; it ends on +-eps of label slot // 2
     plus = slots[0::2]
     return LoopResult(L=L, center=center, radius=float(radius), steps=steps,

@@ -255,6 +255,27 @@ def test_mode_arrays_derivative_follows_the_dispersion():
         mode_arrays(spec, mode, eps, x, order=2)
 
 
+def test_stacked_mode_arrays_match_one_anisotropy_calls():
+    # a stack of m anisotropies is m evaluations side by side: slice i is
+    # bit for bit the call at gammas[i] alone, at both orders
+    rng = np.random.default_rng(5)
+    gammas = rng.uniform(-2, 2, 9) + 1j * rng.uniform(-2, 2, 9)
+    L, n = 10, 5
+    eps, x = mode_spectra(L, gammas, "both")
+    for k, mode in enumerate(("I", "II")):
+        cols = slice(k * n, (k + 1) * n)
+        for order in (0, 1):
+            stacked = mode_arrays(ChainSpec(L, 0.5), mode, eps[:, cols],
+                                  x[:, cols], order, gammas=gammas)
+            assert stacked[0].shape == stacked[1].shape == (9, order + 1, L, n)
+            assert stacked[2].shape == (9, n)
+            for i, g in enumerate(gammas):
+                one = mode_arrays(ChainSpec(L, g), mode, eps[i, cols],
+                                  x[i, cols], order)
+                for got, want in zip(stacked, one):
+                    assert np.array_equal(got[i], want)
+
+
 def test_every_consumer_makes_one_mode_arrays_call_per_mode(monkeypatch):
     # chain.chebyshev_u is called once per mode_arrays call and nowhere else
     shapes = []
@@ -273,9 +294,10 @@ def test_every_consumer_makes_one_mode_arrays_call_per_mode(monkeypatch):
     # mode I whole, mode II without the coalescing pair, then both chains
     assert shapes == [(10,), (8,), (2,)]
     shapes.clear()
-    # 2 x 2 cells plus the cell nearest the EP, read once for the sector
+    # the cell nearest the EP, read once for the sector, then all 2 x 2
+    # cells in one stacked chunk
     overlap_grid(6, 0.0, 0.7, 0.2, 0.9, 2, 2)
-    assert shapes == [(3,), (3,)] * 5
+    assert shapes == [(1, 3), (1, 3), (4, 3), (4, 3)]
 
 
 def test_boundary_polynomial_pole():

@@ -11,13 +11,37 @@ from xyep.chain import ChainSpec, gamma_to_lambda, quasi_energies
 from xyep.ep import locate_eps
 from xyep.oracle import build_spin_hamiltonian, parity_sectors
 from xyep.errors import AmbiguousContinuation, DegenerateInput, SizeLimit
-from xyep.topology import (branch_scaling_probe, overlap_grid, phase_rigidity,
-                           sheet_stitch, track_loop)
+from xyep.topology import branch_scaling_probe, overlap_grid, track_loop
 
 L4_EP = 0.6 + 0.8j
 RNG = np.random.default_rng(7)
 
 warnings.simplefilter("ignore", UserWarning)
+
+
+def phase_rigidity(v: np.ndarray) -> complex:
+    """Bilinear self-overlap (v.v) / (v*.v) of a full-space state vector.
+
+    The reference for the grid's rigidities: 1 for any real vector, 0 for
+    a bilinearly self-orthogonal one such as a coalescing eigenvector.
+    The magnitude is gauge independent; the phase rotates with the gauge.
+    """
+    v = np.asarray(v, dtype=complex).ravel()
+    d = np.vdot(v, v).real
+    if d < 1e-300:
+        raise DegenerateInput("phase rigidity of the zero vector is undefined")
+    return complex((v @ v) / d)
+
+
+def parity_flips(grid):
+    """Midpoints between neighbouring usable cells whose parity differs."""
+    re, im, p, usable = grid.re_vals, grid.im_vals, grid.parity, ~grid.pole_mask
+    flip_re = (p[:-1] != p[1:]) & usable[:-1] & usable[1:]
+    flip_im = (p[:, :-1] != p[:, 1:]) & usable[:, :-1] & usable[:, 1:]
+    return ([complex((re[i] + re[i + 1]) / 2, im[j])
+             for i, j in zip(*np.nonzero(flip_re))]
+            + [complex(re[i], (im[j] + im[j + 1]) / 2)
+               for i, j in zip(*np.nonzero(flip_im))])
 
 
 def test_phase_rigidity_basic_identities():
@@ -52,8 +76,7 @@ def test_overlap_grid_strip_through_ep():
 
 def test_overlap_grid_no_ep_window_is_smooth():
     grid = overlap_grid(4, -0.2, 0.2, -0.1, 0.1, 4, 4)
-    stitch = sheet_stitch(grid)
-    assert stitch.seam_points == []
+    assert parity_flips(grid) == []
     assert np.nanmin(np.abs(grid.overlap_a)) > 0.9
     assert np.nanmin(np.abs(grid.overlap_b)) > 0.9
 
@@ -65,12 +88,13 @@ def test_overlap_grid_pole_masking():
     assert not np.isnan(grid.overlap_a[~grid.pole_mask]).any()
 
 
-def test_sheet_stitch_seam_ends_at_ep():
+def test_overlap_grid_parity_seam_ends_at_ep():
     grid = overlap_grid(4, 0.55, 0.65, 0.75, 0.85, 5, 5)
-    stitch = sheet_stitch(grid)
-    assert stitch.seam_points             # the branch cut crosses this window
-    nearest = min(abs(z - grid.ep_gamma) for z in stitch.seam_points)
-    assert nearest <= 2 * stitch.cell_diag
+    seam = parity_flips(grid)
+    assert seam                            # the branch cut crosses this window
+    cell_diag = np.hypot(grid.re_vals[1] - grid.re_vals[0],
+                         grid.im_vals[1] - grid.im_vals[0])
+    assert min(abs(z - grid.ep_gamma) for z in seam) <= 2 * cell_diag
 
 
 def test_overlap_grid_selector_override():
@@ -142,7 +166,7 @@ def test_overlap_grid_limits_and_validation():
     ep = locate_eps(4, "II")[0]
     with pytest.raises(DegenerateInput, match="patterns need 4 slots"):
         overlap_grid(4, 0, 1, 0, 1, 3, 3, selector=(ep, [0] * 3, [0] * 4))
-    for threads in (0, -2):
+    for threads in (0, -2, "2", 2.5):
         with pytest.raises(DegenerateInput, match="threads"):
             overlap_grid(4, 0.55, 0.65, 0.75, 0.85, 5, 5, threads=threads)
 
@@ -241,6 +265,31 @@ def test_overlap_grid_energies_are_the_pattern_energies():
                 assert holds(values, got, tol)
     assert negated == {complex(grid.re_vals[i], grid.im_vals[j])
                        for i, j in ((0, 0), (0, 1), (0, 2), (1, 0))}
+
+
+def test_overlap_grid_does_not_depend_on_the_chunking(monkeypatch):
+    # the 7 x 7 window whose four corner cells take the sector flip, in one
+    # chunk, in chunks of one cell and in uneven chunks of five cells
+    kw = dict(re_min=0.3, re_max=0.9, im_min=0.5, im_max=1.1, n_re=7, n_im=7)
+    whole = overlap_grid(4, **kw)
+    calls = []
+    real = topology_module.mode_arrays
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[2]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(topology_module, "mode_arrays", counting)
+    for entries, cells in ((1, 1), (5 * 4 * 4 ** 2, 5)):
+        calls.clear()
+        monkeypatch.setattr(topology_module, "_CHUNK_ENTRIES", entries)
+        split = overlap_grid(4, **kw)
+        # the sector cell, then every chunk, one call per mode each
+        chunks = [min(cells, 49 - lo) for lo in range(0, 49, cells)]
+        assert calls == [(1, 2)] * 2 + [(c, 2) for c in chunks for _ in "ab"]
+        for name in ("overlap_a", "overlap_b", "energy_a", "energy_b",
+                     "parity"):
+            assert np.array_equal(getattr(split, name), getattr(whole, name))
 
 
 def test_overlap_grid_orders_tied_real_parts_by_imaginary_part():
@@ -454,6 +503,56 @@ def test_track_loop_bisects_when_two_labels_share_a_nearest_candidate(
                         gliding_values(0.45, 0.5 + 2j, sigma))
     with pytest.raises(AmbiguousContinuation):
         track_loop(4, 0, 0.5, steps=steps)
+
+
+def test_track_loop_follows_values_through_reordered_rows(monkeypatch):
+    # every loop point lists the same closed trajectories in an order of
+    # its own; the continued labels must undo each reordering, step after
+    # step, so the loop closes on the identity
+    def values(L, gammas):
+        rows = []
+        for g in np.atleast_1d(gammas):
+            s = np.angle(g) / (2 * np.pi) % 1.0
+            vals = 10.0 * np.arange(2 * L) + 0.1 * np.exp(2j * np.pi * s)
+            order = np.random.default_rng(round(s * 4096)).permutation(2 * L)
+            rows.append(vals[order])
+        return np.array(rows)
+
+    monkeypatch.setattr(topology_module, "_signed_values", values)
+    r = track_loop(4, 0, 0.5, steps=64)
+    assert r.permutation == [0, 1, 2, 3] and not any(r.sign_flips)
+    assert r.refinements == 0
+
+
+def test_track_loop_does_not_depend_on_the_chunking(monkeypatch):
+    # steps checked in one chunk, one at a time and (at L = 14) in uneven
+    # chunks of three give the same labels and bisect the same steps: on
+    # an L = 14 loop, on the coarse loop that bisects 14 times and under
+    # the gliding stub, where the refusal must name the same step
+    ep = next(r for r in locate_eps(14, "I") if r.gamma.imag > 0)
+
+    def outcomes():
+        got = []
+        for args, steps in (((14, ep.gamma, 0.01), 256), ((4, L4_EP, 0.3), 8)):
+            r = track_loop(*args, steps=steps)
+            got.append((r.permutation, r.sign_flips, r.refinements))
+        with monkeypatch.context() as m:
+            m.setattr(topology_module, "_signed_values",
+                      gliding_values(0.2, 1.2, 0.9 / 64))
+            r = track_loop(4, 0, 0.5, steps=64)
+            got.append((r.permutation, r.sign_flips, r.refinements))
+            m.setattr(topology_module, "_signed_values",
+                      gliding_values(0.45, 0.5 + 2j, 0.9 / 64))
+            with pytest.raises(AmbiguousContinuation) as refusal:
+                track_loop(4, 0, 0.5, steps=64)
+            got.append(str(refusal.value))
+        return got
+
+    whole = outcomes()
+    assert [r[2] for r in whole[:3]] == [0, 14, 0]
+    for entries in (1, 3 * 4 * 14 ** 2):
+        monkeypatch.setattr(topology_module, "_CHUNK_ENTRIES", entries)
+        assert outcomes() == whole
 
 
 def test_track_loop_through_ep_is_ambiguous():
