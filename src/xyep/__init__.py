@@ -12,7 +12,6 @@ from .chain import (
     lambda_to_gamma,
     mode_vector_poly,
     quasi_energies,
-    x_of_eps,
 )
 from .basis import (
     BiorthogonalBasis,
@@ -21,12 +20,10 @@ from .basis import (
     assemble_basis,
     many_body_energies,
     operator_coefficients,
-    vacuum_energy,
 )
 from .ep import (
     EPRecord,
     JordanDecomposition,
-    ep_ground_energy,
     ep_state_catalog,
     generalized_eigenvector,
     jordan_decomposition,

@@ -21,20 +21,18 @@ from .chain import (
     mode_vectors,
     quasi_energies,
 )
-from .errors import DefectiveBasis, DegenerateInput, SizeLimit
+from .errors import DefectiveBasis, DegenerateInput, SizeLimit, as_int
 
 __all__ = [
     "BiorthogonalBasis",
     "OperatorCoefficients",
     "ManyBodySpectrum",
-    "VacuumEnergy",
     "column_from_halves",
     "pair_columns",
     "assemble_basis",
     "operator_coefficients",
     "anticommutator",
     "many_body_energies",
-    "vacuum_energy",
 ]
 
 FAMILIES = ("R", "Rstar", "Lstar", "L")
@@ -173,9 +171,10 @@ def anticommutator(coeffs: OperatorCoefficients, family_a: str, index_a: int,
                    family_b: str, index_b: int) -> complex:
     """Scalar value of the anticommutator of two quasi-particle operators.
 
-    Indices are 1-based within each family.  For rows (a, b) and
+    Indices are 1-based integers within each family.  For rows (a, b) and
     (a', b') the canonical fermion algebra gives {X, Y} = a.a' - b.b'.
     """
+    index_a, index_b = as_int(index_a, "index"), as_int(index_b, "index")
     for fam, idx in ((family_a, index_a), (family_b, index_b)):
         if fam not in FAMILIES:
             raise DegenerateInput(f"unknown operator family {fam!r}")
@@ -227,17 +226,3 @@ def many_body_energies(spec: ChainSpec) -> ManyBodySpectrum:
         energies[start:stop] = 0.5 * (2 * bits - 1) @ eps
     return ManyBodySpectrum(spec=spec, epsilons_I=eps_I, epsilons_II=eps_II,
                             energies=energies, occupations=occupations)
-
-
-@dataclass(frozen=True)
-class VacuumEnergy:
-    """Total quasi-energy scale E0 and the ground (vacuum) energy -E0/2."""
-
-    e0: complex
-    ground: complex
-
-
-def vacuum_energy(spec: ChainSpec) -> VacuumEnergy:
-    pts = quasi_energies(spec)
-    e0 = complex(sum(p.epsilon for p in pts))
-    return VacuumEnergy(e0=e0, ground=-e0 / 2)

@@ -14,9 +14,9 @@ for many anisotropies and one or both modes in one root solve;
 :func:`quasi_energies` labels its one-anisotropy row of both modes, and
 :func:`mode_arrays` is the one evaluator of mode data: eigenvector
 halves and, at order 1, their eps-derivative, at any number of roots of
-one mode and any number of anisotropies in one call, so consumers make
-one call per mode (the two Jordan chains at an exceptional point share
-one; a rigidity grid, one per chunk of cells);
+one mode in one call (and, at order 0, any number of anisotropies), so
+consumers make one call per mode (the two Jordan chains at an
+exceptional point share one; a rigidity grid, one per chunk of cells);
 :func:`mode_vectors` normalizes such a block column by column.
 """
 
@@ -45,7 +45,6 @@ __all__ = [
     "MODES",
     "gamma_to_lambda",
     "lambda_to_gamma",
-    "x_of_eps",
     "eps_of_x",
     "build_quasi_hamiltonian",
     "check_length",
@@ -55,7 +54,6 @@ __all__ = [
     "mode_arrays",
     "mode_vectors",
     "mode_vector_poly",
-    "mode_equation_residual",
 ]
 
 MODES = ("I", "II")
@@ -145,13 +143,6 @@ def lambda_to_gamma(lam):
     if (lam == 1).any():
         raise LambdaSingular("gamma diverges at lambda = 1")
     return _result((1 + lam) / (1 - lam))
-
-
-def x_of_eps(gamma: complex, eps: complex) -> complex:
-    """Chebyshev variable x for a quasi-energy eps."""
-    if gamma * gamma == 1:
-        raise LambdaSingular("x(eps) degenerates at gamma = +-1")
-    return (2 * eps * eps - 1 - gamma * gamma) / (1 - gamma * gamma)
 
 
 def eps_of_x(gamma, x):
@@ -290,13 +281,6 @@ class ModeVector:
     boundary_residual: float
 
 
-def _per_gamma(f, g):
-    """f in Python complex arithmetic at one anisotropy or each of a column."""
-    if np.ndim(g) == 0:
-        return f(g)
-    return np.reshape([f(z) for z in g.ravel().tolist()], g.shape)
-
-
 def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0, *,
                 gammas=None):
     """Unnormalized (phi, psi) for the +eps branch at k roots of one mode.
@@ -307,9 +291,10 @@ def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0, *,
     :func:`xyep.polyalg.chebyshev_u`, row d is the d-th derivative:
     ``order = 1`` adds d(phi, psi)/d(eps) along the dispersion x(eps).
     ``gammas``, m anisotropies of the chain of length ``spec.L``, stacks
-    m such evaluations in place of ``spec.gamma``: ``eps`` and ``x``
+    m order-0 evaluations in place of ``spec.gamma``: ``eps`` and ``x``
     are then ``(m, k)``, every result gains a leading axis of length m,
-    and slice i is bit for bit the call at ``gammas[i]`` alone.
+    and slice i is bit for bit the call at ``gammas[i]`` alone.  A stack
+    at ``order = 1`` raises :class:`DegenerateInput`.
     Even sites carry plain Chebyshev values; odd sites carry the
     eps-dependent combination.  Division by eps makes eps = 0 unusable
     here, so it raises :class:`EpsilonZero`.  det(A +- B) is a nonzero
@@ -325,6 +310,8 @@ def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0, *,
         raise DegenerateInput(f"mode must be 'I' or 'II', got {mode!r}")
     if order not in (0, 1):
         raise DegenerateInput(f"order must be 0 or 1, got {order}")
+    if order and gammas is not None:
+        raise DegenerateInput("a stack of anisotropies is evaluated at order 0")
     # a stack puts one anisotropy on each row of eps and x
     g = spec.gamma if gammas is None else np.asarray(gammas, complex)[:, None]
     u = chebyshev_u(np.atleast_1d(x), n, order)
@@ -333,12 +320,10 @@ def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0, *,
     even = [u[0, 1: n + 1]]
     odd = [(ca * u[0, 1: n + 1] + cb * u[0, 0: n]) / (2 * eps)]
     if order:
-        # rounded as a one-anisotropy call rounds them, also in a stack
-        w = _per_gamma(lambda z: 1 - z * z, g)
-        w2 = _per_gamma(lambda z: 2 / (1 - z * z), g)
+        w = 1 - g * g
         du = u[1]
         even.append(du[1: n + 1] * (4 * eps / w))
-        odd.append(-odd[0] / eps + (ca * du[1: n + 1] + cb * du[0: n]) * w2)
+        odd.append(-odd[0] / eps + (ca * du[1: n + 1] + cb * du[0: n]) * (2 / w))
     phi = np.zeros((order + 1, L) + eps.shape, dtype=complex)
     psi = np.zeros_like(phi)
     # site s (1-based) lives at array index s-1
@@ -386,11 +371,3 @@ def mode_vector_poly(spec: ChainSpec, point: SpectralPoint) -> ModeVector:
     return ModeVector(mode=point.mode, sign=point.sign, epsilon=point.epsilon,
                       phi=phi[:, 0] if point.sign > 0 else -phi[:, 0],
                       psi=psi[:, 0], scale=s[0], boundary_residual=residual[0])
-
-
-def mode_equation_residual(spec: ChainSpec, mv: ModeVector) -> float:
-    """max of ||(A+B)phi - eps psi|| and ||(A-B)psi - eps phi||."""
-    qh = build_quasi_hamiltonian(spec)
-    r1 = np.linalg.norm((qh.A + qh.B) @ mv.phi - mv.epsilon * mv.psi)
-    r2 = np.linalg.norm((qh.A - qh.B) @ mv.psi - mv.epsilon * mv.phi)
-    return float(max(r1, r2))

@@ -43,7 +43,6 @@ __all__ = [
     "generalized_eigenvector",
     "jordan_decomposition",
     "ep_state_catalog",
-    "ep_ground_energy",
 ]
 
 # locate_eps refuses longer chains: double_roots(L/2) samples the
@@ -414,14 +413,3 @@ def ep_state_catalog(spec: ChainSpec, ep: EPRecord) -> EPStateCatalog:
                 vanishes_naively=(sector == "plus_plus")))
     return EPStateCatalog(spec=spec, ep=ep, epsilon_ep=eps_ep,
                           slot_epsilons=slots, entries=entries)
-
-
-def ep_ground_energy(spec: ChainSpec, ep: EPRecord) -> complex:
-    """Vacuum energy -E0/2 at the exceptional point.
-
-    E0 sums every positive-branch quasi-energy, counting the defective
-    one twice; it is read off the quasi-energies, without a Jordan basis.
-    """
-    simple = sum(p.epsilon for p in _simple_points(spec, ep))
-    return complex(-0.5 * (simple + 2 * ep.epsilon))
-

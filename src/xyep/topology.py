@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import column_from_halves
-from .chain import MODES, ChainSpec, mode_arrays, mode_spectra
+from .chain import MODES, ChainSpec, check_length, mode_arrays, mode_spectra
 from .ep import EPRecord, coalescing_order, locate_eps
 from .errors import AmbiguousContinuation, DegenerateInput, SizeLimit, as_int
 
@@ -181,7 +181,7 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     L = 8 or with more than ``_GRID_CELL_LIMIT`` = 2^20 cells raise
     :class:`SizeLimit` before any array is built.
     """
-    n_re, n_im = as_int(n_re, "n_re"), as_int(n_im, "n_im")
+    L, n_re, n_im = check_length(L), as_int(n_re, "n_re"), as_int(n_im, "n_im")
     if L > _GRID_SIZE_LIMIT:
         raise SizeLimit(f"overlap grids are capped at L = {_GRID_SIZE_LIMIT}")
     if n_re < 2 or n_im < 2:
@@ -365,7 +365,7 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
     ``_LOOP_VALUE_LIMIT`` = 2^21 signed values, (steps + 1) * L, raises
     :class:`SizeLimit` before any array is built.
     """
-    steps = as_int(steps, "steps")
+    L, steps = check_length(L), as_int(steps, "steps")
     if steps < 8:
         raise DegenerateInput("a loop needs at least 8 steps")
     if (steps + 1) * L > _LOOP_VALUE_LIMIT:

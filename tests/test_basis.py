@@ -12,7 +12,6 @@ from xyep.basis import (
     column_from_halves,
     many_body_energies,
     operator_coefficients,
-    vacuum_energy,
 )
 from xyep.chain import (ChainSpec, build_quasi_hamiltonian, mode_vectors,
                         quasi_energies)
@@ -112,6 +111,11 @@ def test_anticommutator_validates_input():
         anticommutator(coeffs, "R", 0, "R", 1)
     with pytest.raises(DegenerateInput):
         anticommutator(coeffs, "R", 5, "R", 1)
+    for index in (1.5, "1"):
+        with pytest.raises(DegenerateInput, match="must be an integer"):
+            anticommutator(coeffs, "R", 1, "Lstar", index)
+        with pytest.raises(DegenerateInput, match="must be an integer"):
+            anticommutator(coeffs, "R", index, "Lstar", 1)
 
 
 def test_many_body_spectrum_shape_and_ground():
@@ -119,11 +123,11 @@ def test_many_body_spectrum_shape_and_ground():
     mb = many_body_energies(spec)
     assert mb.energies.shape == (64,)
     assert mb.occupations.shape == (64, 6)
-    vac = vacuum_energy(spec)
-    # the all-minus configuration is -E0/2 = -(sum eps)/2
-    eps_sum = complex(np.sum(mb.epsilons_I) + np.sum(mb.epsilons_II))
-    assert vac.ground == pytest.approx(-eps_sum / 2, abs=1e-12)
-    assert np.min(mb.energies.real) == pytest.approx(vac.ground.real, abs=1e-10)
+    # the all-minus configuration is the vacuum, -E0/2 = -(sum eps)/2
+    ground = -sum(p.epsilon for p in quasi_energies(spec)) / 2
+    assert not mb.occupations[0].any()
+    assert mb.energies[0] == pytest.approx(ground, abs=1e-12)
+    assert np.min(mb.energies.real) == pytest.approx(ground.real, abs=1e-10)
     # spectrum is symmetric under global sign flip
     flipped = np.sort_complex(-mb.energies)
     np.testing.assert_allclose(np.sort_complex(mb.energies), flipped,

@@ -12,12 +12,10 @@ from xyep.chain import (
     gamma_to_lambda,
     lambda_to_gamma,
     mode_arrays,
-    mode_equation_residual,
     mode_spectra,
     mode_vector_poly,
     mode_vectors,
     quasi_energies,
-    x_of_eps,
 )
 from xyep.ep import jordan_decomposition, locate_eps
 from xyep.errors import (
@@ -59,6 +57,11 @@ def test_lambda_gamma_roundtrip():
         gamma_to_lambda(-1.0)
     with pytest.raises(LambdaSingular):
         lambda_to_gamma(1.0)
+
+
+def x_of_eps(gamma, eps):
+    """The dispersion solved for the Chebyshev variable x of a quasi-energy."""
+    return (2 * eps * eps - 1 - gamma * gamma) / (1 - gamma * gamma)
 
 
 def test_x_eps_maps_inverse():
@@ -256,24 +259,25 @@ def test_mode_arrays_derivative_follows_the_dispersion():
 
 
 def test_stacked_mode_arrays_match_one_anisotropy_calls():
-    # a stack of m anisotropies is m evaluations side by side: slice i is
-    # bit for bit the call at gammas[i] alone, at both orders
+    # a stack of m anisotropies is m order-0 evaluations side by side:
+    # slice i is bit for bit the call at gammas[i] alone
     rng = np.random.default_rng(5)
     gammas = rng.uniform(-2, 2, 9) + 1j * rng.uniform(-2, 2, 9)
     L, n = 10, 5
     eps, x = mode_spectra(L, gammas, "both")
     for k, mode in enumerate(("I", "II")):
         cols = slice(k * n, (k + 1) * n)
-        for order in (0, 1):
-            stacked = mode_arrays(ChainSpec(L, 0.5), mode, eps[:, cols],
-                                  x[:, cols], order, gammas=gammas)
-            assert stacked[0].shape == stacked[1].shape == (9, order + 1, L, n)
-            assert stacked[2].shape == (9, n)
-            for i, g in enumerate(gammas):
-                one = mode_arrays(ChainSpec(L, g), mode, eps[i, cols],
-                                  x[i, cols], order)
-                for got, want in zip(stacked, one):
-                    assert np.array_equal(got[i], want)
+        stacked = mode_arrays(ChainSpec(L, 0.5), mode, eps[:, cols],
+                              x[:, cols], gammas=gammas)
+        assert stacked[0].shape == stacked[1].shape == (9, 1, L, n)
+        assert stacked[2].shape == (9, n)
+        for i, g in enumerate(gammas):
+            one = mode_arrays(ChainSpec(L, g), mode, eps[i, cols], x[i, cols])
+            for got, want in zip(stacked, one):
+                assert np.array_equal(got[i], want)
+        with pytest.raises(DegenerateInput, match="order 0"):
+            mode_arrays(ChainSpec(L, 0.5), mode, eps[:, cols], x[:, cols], 1,
+                        gammas=gammas)
 
 
 def test_every_consumer_makes_one_mode_arrays_call_per_mode(monkeypatch):
@@ -328,9 +332,13 @@ def test_mode_equations_and_normalization():
     for L in (2, 6, 12, 14):
         for g in random_gammas(3):
             spec = ChainSpec(L, g)
+            qh = build_quasi_hamiltonian(spec)
             for p in quasi_energies(spec):
                 mv = mode_vector_poly(spec, p)
-                assert mode_equation_residual(spec, mv) < 1e-10
+                # (A+B) phi = eps psi and (A-B) psi = eps phi, densely
+                r1 = (qh.A + qh.B) @ mv.phi - mv.epsilon * mv.psi
+                r2 = (qh.A - qh.B) @ mv.psi - mv.epsilon * mv.phi
+                assert max(np.linalg.norm(r1), np.linalg.norm(r2)) < 1e-10
                 norm = mv.phi @ mv.phi + mv.psi @ mv.psi
                 assert abs(norm - 1) < 1e-10
                 assert mv.boundary_residual < 1e-8

@@ -12,13 +12,13 @@ import xyep.chain as chain_module
 import xyep.ep as ep_module
 from xyep.chain import (ChainSpec, gamma_to_lambda, lambda_to_gamma,
                         quasi_energies)
-from xyep.ep import (coalescing_order, ep_ground_energy, ep_state_catalog,
+from xyep.ep import (coalescing_order, ep_state_catalog,
                      generalized_eigenvector, jordan_decomposition,
                      locate_eps, reference_ep_gammas)
 from xyep.basis import (MANY_BODY_LIMIT, assemble_basis, column_from_halves,
                         pair_columns)
 from xyep.errors import DefectiveBasis, DegenerateInput, SizeLimit, XYEPWarning
-from xyep.oracle import build_spin_hamiltonian
+from xyep.oracle import build_spin_hamiltonian, ed_eigen, match_spectra
 
 L4_EP_GAMMA = 0.6 + 0.8j
 
@@ -247,12 +247,15 @@ def test_both_bases_take_their_pair_columns_from_pair_columns():
 
 def test_jordan_decomposition_rejects_gamma_mismatch():
     ep = closest_record(locate_eps(4), L4_EP_GAMMA)
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DegenerateInput, match="anisotropy does not match"):
         jordan_decomposition(ChainSpec(4, 0.2 + 0.1j), ep)
+    with pytest.raises(DegenerateInput, match="coalescing boundary roots"):
+        jordan_decomposition(quiet_spec(4, ep.gamma),
+                             dataclasses.replace(ep, x=ep.x + 1e-3))
 
 
 @pytest.mark.parametrize("entry", [generalized_eigenvector, jordan_decomposition,
-                                   ep_state_catalog, ep_ground_energy])
+                                   ep_state_catalog])
 def test_ep_entry_points_refuse_a_record_of_another_length(entry):
     # an L = 4 record at L = 6 was once refused with misleading residual
     # or root-identification errors
@@ -288,41 +291,17 @@ def test_ep_state_catalog_census():
         assert mx.energy - mm.energy == pytest.approx(eps_ep, abs=1e-12)
 
 
-def test_ep_ground_energy_matches_ed():
-    ep = closest_record(locate_eps(4), L4_EP_GAMMA)
-    spec = quiet_spec(4, ep.gamma)
-    ground = ep_ground_energy(spec, ep)
-    cat = ep_state_catalog(spec, ep)
-    assert min(e.energy.real for e in cat.entries) == \
-        pytest.approx(ground.real, abs=1e-12)
-    ed_vals = np.linalg.eigvals(build_spin_hamiltonian(4, ep.gamma))
-    assert min(abs(v - ground) for v in ed_vals) < 1e-10
-
-
-def test_ep_ground_energy_needs_no_jordan_basis(monkeypatch):
-    # the sum of the simple Jordan columns' epsilons, as it was taken
-    # from a whole decomposition, is matched exactly from the mode points
-    expected = {}
-    for L in (4, 6, 8, 10):
+def test_ep_state_catalog_matches_ed_spectrum():
+    # the catalog with each mixed (algebraic weight 2) entry counted twice
+    # is the whole 2^L spectrum; a defective ED pair splits by about
+    # sqrt(machine eps) around its catalog energy
+    for L in (4, 6):
         for ep in locate_eps(L):
-            jd = jordan_decomposition(quiet_spec(L, ep.gamma), ep)
-            simple = sum(p.epsilon for p in jd.points[0::2])
-            expected[L, ep.mode, ep.gamma] = complex(-0.5 * (simple + 2 * ep.epsilon))
-
-    def refuse(*args):
-        raise AssertionError("ep_ground_energy built a Jordan decomposition")
-
-    monkeypatch.setattr(ep_module, "jordan_decomposition", refuse)
-    got = {(L, ep.mode, ep.gamma): ep_ground_energy(quiet_spec(L, ep.gamma), ep)
-           for L in (4, 6, 8, 10) for ep in locate_eps(L)}
-    assert len(got) == 2 * (2 + 4 + 6 + 8)
-    assert got == expected
-    ep = closest_record(locate_eps(4), L4_EP_GAMMA)
-    with pytest.raises(DegenerateInput, match="anisotropy does not match"):
-        ep_ground_energy(ChainSpec(4, 0.2 + 0.1j), ep)
-    with pytest.raises(DegenerateInput, match="coalescing boundary roots"):
-        ep_ground_energy(quiet_spec(4, ep.gamma),
-                         dataclasses.replace(ep, x=ep.x + 1e-3))
+            spec = quiet_spec(L, ep.gamma)
+            energies = [e.energy for e in ep_state_catalog(spec, ep).entries
+                        for _ in range(e.algebraic)]
+            ed = ed_eigen(build_spin_hamiltonian(L, ep.gamma), want_vectors=False)
+            assert match_spectra(energies, ed.values).max_abs_diff < 1e-6
 
 
 def test_every_residual_check_raises_defective_basis(monkeypatch):

@@ -1,6 +1,8 @@
-"""Module layout: private names stay private, and the runtime needs only numpy."""
+"""Module layout: private names stay private, public names have callers,
+and the runtime needs only numpy."""
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -185,3 +187,55 @@ def test_documented_exit_codes_are_the_cli_codes(monkeypatch, capsys):
         monkeypatch.setattr(cli, "cmd_ep_table", refuse)
         assert cli.main(["ep-table", "--L-max", "4"]) == code, name
         assert capsys.readouterr().err == "error: refused\n"
+
+
+
+def definition_lines(tree: ast.Module, name: str) -> set[int]:
+    """Lines of ``__all__`` and of the top-level statements defining ``name``."""
+    lines = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined = {node.name}
+        else:
+            defined = {t.id for t in getattr(node, "targets", [])
+                       if isinstance(t, ast.Name)}
+        if defined & {name, "__all__"}:
+            start = min([node.lineno] + [d.lineno for d in
+                                         getattr(node, "decorator_list", [])])
+            lines.update(range(start, node.end_lineno + 1))
+    return lines
+
+
+def orphaned_public_names() -> list[str]:
+    """Names in a module's ``__all__`` that nothing outside the unit tests uses.
+
+    A use is the name as a whole word anywhere in the package but its own
+    definition, ``__all__`` entry and the ``__init__`` re-export, in the
+    acceptance gate, in the README or in a non-test file under bench/.
+    """
+    modules = [path for path in sorted(SRC.glob("*.py"))
+               if path.name != "__init__.py"]
+    callers = [ROOT / "tests" / "test_acceptance.py", ROOT / "README.md"]
+    callers += [path for path in sorted((ROOT / "bench").glob("*"))
+                if path.is_file() and not path.name.startswith("test_")]
+    texts = {path: path.read_text(encoding="utf-8") for path in modules + callers}
+    found = []
+    for path in modules:
+        module = importlib.import_module(f"xyep.{path.stem}")
+        tree = ast.parse(texts[path])
+        for name in getattr(module, "__all__", []):
+            skip = definition_lines(tree, name)
+            own = "\n".join(line for i, line in
+                            enumerate(texts[path].splitlines(), 1)
+                            if i not in skip)
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(text) for text in
+                       [own] + [texts[p] for p in texts if p != path]):
+                found.append(f"{path.stem}.{name}")
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_unit_tests():
+    # a public name that only its own unit tests use is dead weight:
+    # delete it, or keep what it checks as a local helper in the tests
+    assert orphaned_public_names() == []

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from xyep.basis import assemble_basis, many_body_energies, operator_coefficients
 from xyep.chain import ChainSpec, build_quasi_hamiltonian
-from xyep.ep import ep_ground_energy, jordan_decomposition, locate_eps
+from xyep.ep import ep_state_catalog, jordan_decomposition, locate_eps
 from xyep.errors import DegenerateInput, SizeLimit, XYEPWarning
 from xyep.oracle import (EP_STATE_LIMIT, REALIZE_LIMIT, SPIN_LIMIT,
                          build_ep_states, build_spin_hamiltonian, ed_eigen,
@@ -340,7 +340,8 @@ def test_build_ep_states_four_sites():
     assert st.naive_square_norm < 1e-10
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", XYEPWarning)
-        ground = ep_ground_energy(spec, ep)
+        cat = ep_state_catalog(spec, ep)
+    ground = min((e.energy for e in cat.entries), key=lambda e: e.real)
     assert min(st.energies, key=lambda e: e.real) == pytest.approx(ground)
 
 

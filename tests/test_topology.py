@@ -169,6 +169,8 @@ def test_overlap_grid_limits_and_validation():
     for threads in (0, -2, "2", 2.5):
         with pytest.raises(DegenerateInput, match="threads"):
             overlap_grid(4, 0.55, 0.65, 0.75, 0.85, 5, 5, threads=threads)
+    with pytest.raises(DegenerateInput, match="chain length"):
+        overlap_grid("4", 0.55, 0.65, 0.75, 0.85, 5, 5)
 
 
 def test_size_guards_refuse_before_any_work(monkeypatch):
@@ -459,6 +461,8 @@ def test_track_loop_validation():
         track_loop(4, 0.2, 0.05, steps=4)
     with pytest.raises(DegenerateInput):
         track_loop(4, 0.2, 0.05, orientation=0)
+    with pytest.raises(DegenerateInput, match="chain length"):
+        track_loop("4", 0.2, 0.05)
 
 
 def gliding_values(a0: complex, b0: complex, sigma: float):
