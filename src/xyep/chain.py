@@ -18,12 +18,19 @@ one mode in one call (and, at order 0, any number of anisotropies), so
 consumers make one call per mode (the two Jordan chains at an
 exceptional point share one; a rigidity grid, one per chunk of cells);
 :func:`mode_vectors` normalizes such a block column by column.
+
+A :class:`ChainSpec` solves its boundary roots once: its first
+:func:`quasi_energies` call keeps the :func:`mode_spectra` row on the
+instance, and every later quasi-energy, basis or many-body call on that
+spec reads it.  Equal but distinct specs do not share the result, so
+build one spec per chain and pass it around.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +41,7 @@ from .errors import (
     ModeCoincidenceWarning,
     NearEPWarning,
     as_int,
+    as_number,
 )
 from .polyalg import boundary_roots, chebyshev_u
 
@@ -68,9 +76,12 @@ NEAR_EP_TOL = 1e-4
 class ChainSpec:
     """Chain length and complex anisotropy.
 
-    ``L`` must be an even integer, at least 2, and ``gamma`` finite.
-    ``gamma = -1`` is excluded outright: the boundary parameter lambda
-    has a pole there.
+    ``L`` must be an even integer, at least 2, and ``gamma`` a finite
+    number (a string such as ``"0.3"`` is refused).  ``gamma = -1`` is
+    excluded outright: the boundary parameter lambda has a pole there.
+    A spec solves its boundary roots once, on the first
+    :func:`quasi_energies` call, and keeps them; an equal but distinct
+    spec solves them again.
     """
 
     L: int
@@ -78,7 +89,8 @@ class ChainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "L", check_length(self.L))
-        object.__setattr__(self, "gamma", complex(self.gamma))
+        object.__setattr__(self, "gamma",
+                           complex(as_number(self.gamma, "anisotropy")))
         _check_finite(self.gamma)
         if self.gamma == -1:
             raise LambdaSingular("gamma = -1 is a pole of the boundary parameter")
@@ -86,6 +98,17 @@ class ChainSpec:
     @property
     def n_pairs(self) -> int:
         return self.L // 2
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(eps, x)`` row of :func:`mode_spectra` for both modes.
+
+        A refusal is not kept: the next access solves again.
+        """
+        rows = tuple(row[0] for row in mode_spectra(self.L, self.gamma, "both"))
+        for row in rows:
+            row.flags.writeable = False
+        return rows
 
 
 def check_length(L) -> int:
@@ -238,12 +261,14 @@ def quasi_energies(spec: ChainSpec, warn: bool = True) -> list[SpectralPoint]:
     Emits :class:`NearEPWarning` when two roots of one boundary
     polynomial nearly coincide (see NEAR_EP_TOL) and
     :class:`ModeCoincidenceWarning` at gamma = 0 where the two modes
-    have identical spectra.
+    have identical spectra.  The roots are solved on the first call for
+    ``spec`` and kept on it; later calls build their points and warnings
+    from that row, so they warn again.  Equal specs do not share it.
     """
     if warn and abs(gamma_to_lambda(spec.gamma) + 1) < 1e-14:
         warnings.warn("gamma = 0: both modes share one boundary condition",
                       ModeCoincidenceWarning, stacklevel=2)
-    eps, x = (row[0] for row in mode_spectra(spec.L, spec.gamma, "both"))
+    eps, x = spec._spectrum
     n = spec.n_pairs
     points = [SpectralPoint(mode=MODES[k // n], branch=k % n + 1, sign=+1,
                             epsilon=e, x=xx)

@@ -4,9 +4,11 @@ One class per failure kind that some caller tells apart; the README's
 exit-code table gives the CLI exit code of each.  The benchmark harness
 classifies known refusals by the names :class:`DefectiveBasis`,
 :class:`EpsilonZero` and :class:`NonConvergence`.  :func:`as_int` is
-the one rule for integer arguments.
+the one rule for integer arguments and :func:`as_number` the one rule
+for real and complex ones.
 """
 
+import numbers
 import operator
 
 
@@ -66,3 +68,15 @@ def as_int(value, what: str) -> int:
     except TypeError:
         raise DegenerateInput(
             f"{what} must be an integer, got {value!r}") from None
+
+
+def as_number(value, what: str, real: bool = False):
+    """``value`` unchanged if it is a number (a real one if ``real``).
+
+    Numpy scalars count; strings, arrays and ``None`` raise
+    :class:`DegenerateInput`, as :func:`as_int` refuses ``"4"``.
+    """
+    if not isinstance(value, numbers.Real if real else numbers.Number):
+        kind = "a real number" if real else "a number"
+        raise DegenerateInput(f"{what} must be {kind}, got {value!r}")
+    return value

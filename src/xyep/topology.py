@@ -18,7 +18,13 @@ import numpy as np
 from .basis import column_from_halves
 from .chain import MODES, ChainSpec, check_length, mode_arrays, mode_spectra
 from .ep import EPRecord, coalescing_order, locate_eps
-from .errors import AmbiguousContinuation, DegenerateInput, SizeLimit, as_int
+from .errors import (
+    AmbiguousContinuation,
+    DegenerateInput,
+    SizeLimit,
+    as_int,
+    as_number,
+)
 
 __all__ = [
     "OverlapGrid",
@@ -189,7 +195,9 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     if n_re * n_im > _GRID_CELL_LIMIT:
         raise SizeLimit(f"overlap grids are capped at {_GRID_CELL_LIMIT} cells, "
                         f"got {n_re} x {n_im}")
-    if not np.isfinite([re_min, re_max, im_min, im_max]).all():
+    edges = [as_number(e, "grid edge", real=True)
+             for e in (re_min, re_max, im_min, im_max)]
+    if not np.isfinite(edges).all():
         raise DegenerateInput("grid edges must be finite")
     threads = as_int(threads, "threads")
     if threads < 1:
@@ -371,12 +379,13 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
     if (steps + 1) * L > _LOOP_VALUE_LIMIT:
         raise SizeLimit(f"loops are capped at {_LOOP_VALUE_LIMIT} values, "
                         f"(steps + 1) * L; got steps = {steps}")
+    center = complex(as_number(center, "loop center"))
+    radius = as_number(radius, "loop radius", real=True)
     if not (np.isfinite(radius) and radius > 0):
         raise DegenerateInput(
             f"loop radius must be finite and positive, got {radius}")
     if orientation not in (1, -1):
         raise DegenerateInput("orientation must be +1 or -1")
-    center = complex(center)
     gammas = center + radius * np.exp(
         orientation * 2j * np.pi * np.arange(steps) / steps)
     gammas = np.append(gammas, gammas[0])
@@ -439,7 +448,7 @@ def branch_scaling_probe(ep: EPRecord, radii: np.ndarray | None = None,
     if (radii.ndim != 1 or radii.size < 2 or radii.min() == radii.max()
             or not np.all(np.isfinite(radii) & (radii > 0))):
         raise DegenerateInput("radii need two distinct finite positive values")
-    direction = complex(direction)
+    direction = complex(as_number(direction, "probe direction"))
     if direction == 0:
         raise DegenerateInput("direction must be nonzero")
     direction /= abs(direction)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import xyep.chain as chain_module
-from xyep.basis import assemble_basis
+from xyep.basis import assemble_basis, many_body_energies
 from xyep.chain import (
     ChainSpec,
     build_quasi_hamiltonian,
@@ -24,10 +24,11 @@ from xyep.errors import (
     LambdaSingular,
     ModeCoincidenceWarning,
     NearEPWarning,
+    NonConvergence,
 )
 from xyep.oracle import build_spin_hamiltonian, jordan_wigner_modes, parity_sectors
 from xyep.polyalg import _CHUNK_ENTRIES, chebyshev_u
-from xyep.topology import overlap_grid, track_loop
+from xyep.topology import branch_scaling_probe, overlap_grid, track_loop
 
 RNG = np.random.default_rng(20240816)
 
@@ -450,6 +451,31 @@ def test_non_integral_sizes_are_refused(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ChainSpec(4, "abc"),
+    lambda: ChainSpec(4, "0.3"),
+    lambda: ChainSpec(4, None),
+    lambda: track_loop(4, "abc", 0.05),
+    lambda: track_loop(4, 0.2, "0.05"),
+    lambda: track_loop(4, 0.2, 0.05 + 0j),
+    lambda: overlap_grid(4, "0", 1, 0, 1, 3, 3),
+    lambda: overlap_grid(4, 0, 1, 0, 1j, 3, 3),
+    lambda: branch_scaling_probe(locate_eps(4)[0], direction="1"),
+])
+def test_non_numeric_parameters_are_refused(call):
+    # each of these once died in a raw ValueError or TypeError, or took a
+    # string through complex()
+    with pytest.raises(DegenerateInput, match="must be a (real )?number"):
+        call()
+
+
+def test_numpy_scalars_are_numbers():
+    assert ChainSpec(4, np.float32(0.5)).gamma == 0.5
+    assert ChainSpec(4, np.complex128(0.3 + 0.2j)) == ChainSpec(4, 0.3 + 0.2j)
+    assert track_loop(4, np.complex64(0.2 + 0.1j), np.float64(0.05),
+                      steps=8).radius == 0.05
+
+
 def test_unknown_modes_are_refused():
     # any mode but "I" once evaluated as mode II, without a refusal
     spec = ChainSpec(4, 0.3 + 0.2j)
@@ -508,3 +534,75 @@ def test_real_gamma_spectra_real():
     for g in (0.35, -0.8, 1.7, 2.5):
         pts = quasi_energies(ChainSpec(10, g))
         assert max(abs(p.epsilon.imag) for p in pts) < 1e-10
+
+
+def count_root_solves(monkeypatch, fail_first=False):
+    """Calls of chain's boundary_roots from now on; optionally refuse the first."""
+    calls = []
+    real = chain_module.boundary_roots
+
+    def counting(*args):
+        calls.append(args)
+        if fail_first and len(calls) == 1:
+            raise NonConvergence("patched refusal")
+        return real(*args)
+
+    monkeypatch.setattr(chain_module, "boundary_roots", counting)
+    return calls
+
+
+def test_a_spec_solves_its_roots_once(monkeypatch):
+    calls = count_root_solves(monkeypatch)
+    spec = ChainSpec(8, 0.3 - 0.4j)
+    quasi_energies(spec)
+    assemble_basis(spec)
+    many_body_energies(spec)
+    quasi_energies(spec, warn=False)
+    assert len(calls) == 1
+
+
+def test_equal_specs_do_not_share_a_solve(monkeypatch):
+    calls = count_root_solves(monkeypatch)
+    a, b = ChainSpec(8, 0.3 - 0.4j), ChainSpec(8, 0.3 - 0.4j)
+    assert a == b and hash(a) == hash(b)
+    quasi_energies(a)
+    quasi_energies(b)
+    assert len(calls) == 2
+
+
+def test_the_kept_spectrum_is_read_only():
+    spec = ChainSpec(6, 0.3 + 0.2j)
+    quasi_energies(spec)
+    for row in spec._spectrum:
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0
+
+
+def test_a_near_ep_spec_warns_on_every_call():
+    spec = ChainSpec(4, 0.6 + 0.8j + 1e-10)
+    first = near_ep_messages(spec)
+    assert len(first) == 1 and first[0][0] is NearEPWarning
+    assert near_ep_messages(spec) == first
+
+
+def test_a_refused_solve_is_not_kept(monkeypatch):
+    calls = count_root_solves(monkeypatch, fail_first=True)
+    spec = ChainSpec(6, 0.3 + 0.2j)
+    with pytest.raises(NonConvergence, match="patched refusal"):
+        quasi_energies(spec)
+    assert quasi_energies(spec) == quasi_energies(ChainSpec(6, 0.3 + 0.2j))
+    assert len(calls) == 3
+
+
+def test_a_reused_spec_returns_what_a_fresh_one_does():
+    spec = ChainSpec(10, 0.35 - 0.55j)
+    quasi_energies(spec)
+    basis, many = assemble_basis(spec), many_body_energies(spec)
+    fresh = ChainSpec(10, 0.35 - 0.55j)
+    assert quasi_energies(spec) == quasi_energies(fresh)
+    fresh_basis = assemble_basis(ChainSpec(10, 0.35 - 0.55j))
+    assert np.array_equal(basis.V, fresh_basis.V)
+    assert np.array_equal(basis.Lambda, fresh_basis.Lambda)
+    assert np.array_equal(many.energies,
+                          many_body_energies(ChainSpec(10, 0.35 - 0.55j)).energies)

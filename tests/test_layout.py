@@ -139,6 +139,20 @@ def test_only_errors_applies_the_integer_rule():
     assert users == ["errors.py"]
 
 
+def test_only_errors_applies_the_number_rule():
+    # likewise errors.as_number owns the check against numbers.Number
+    users = [path.name for path in sorted(SRC.glob("*.py"))
+             if any(module == "numbers" for _, module in imported_modules(path))]
+    assert users == ["errors.py"]
+
+
+def test_only_chain_reads_a_specs_kept_spectrum():
+    # every other module reaches a spec's roots through quasi_energies
+    users = [path.name for path in sorted(SRC.glob("*.py"))
+             if "_spectrum" in names_used(path)]
+    assert users == ["chain.py"]
+
+
 ROOT = SRC.parents[1]
 
 
