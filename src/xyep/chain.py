@@ -181,13 +181,12 @@ def eps_of_x(gamma, x):
 
 @dataclass(frozen=True)
 class QuasiHamiltonian:
-    """The block matrix M together with its ingredients A, B and the involution S."""
+    """The block matrix M together with its ingredients A and B."""
 
     spec: ChainSpec
     A: np.ndarray
     B: np.ndarray
     M: np.ndarray
-    S: np.ndarray
 
 
 def build_quasi_hamiltonian(spec: ChainSpec) -> QuasiHamiltonian:
@@ -201,10 +200,7 @@ def build_quasi_hamiltonian(spec: ChainSpec) -> QuasiHamiltonian:
     B[j + 1, j] = -g / 2
     M = np.empty((2 * L, 2 * L), dtype=complex)
     M[:L, :L], M[:L, L:], M[L:, :L], M[L:, L:] = A, B, -B, -A
-    S = np.empty((2 * L, 2 * L))
-    S[:L, :L] = S[:L, L:] = S[L:, :L] = np.eye(L)
-    S[L:, L:] = -np.eye(L)
-    return QuasiHamiltonian(spec=spec, A=A, B=B, M=M, S=S / np.sqrt(2.0))
+    return QuasiHamiltonian(spec=spec, A=A, B=B, M=M)
 
 
 @dataclass(frozen=True)

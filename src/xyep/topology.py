@@ -159,7 +159,7 @@ def _fermion_parity(q: np.ndarray) -> np.ndarray:
 
 def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
                  im_max: float, n_re: int, n_im: int,
-                 selector=None, threads: int = 1) -> OverlapGrid:
+                 threads: int = 1) -> OverlapGrid:
     """Rigidity and energy of a merging pair of eigenstates over a rectangle.
 
     One :func:`xyep.chain.mode_spectra` call solves all usable cells,
@@ -173,19 +173,19 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     principal branch (Re eps >= 0); where that puts a cell's pair in the
     other parity sector, the slot nearest the cut (smallest |Re eps|)
     takes the other sign, and those cells are solved again as one
-    sub-stack.  The a and b labels
-    are the two occupation patterns over slots that start with the EP
-    mode's coalescing pair, nearest the EP root first, so the pair's
-    energies exchange across a seam that is one ray ending at the EP;
-    ``parity`` orders the pair by Re energy, and by Im where the real
-    parts tie to rounding.  Both patterns must have the same popcount
-    parity, i.e. lie in one parity sector of the spin space, else
-    :class:`DegenerateInput` is raised; the sector is read once, at the
-    usable cell nearest the EP, and kept in every cell.  Cells within
-    1e-2 of gamma = +-1 are masked as poles.  ``threads`` must be an
-    integer of at least 1 and has no other effect.  Grids longer than
-    L = 8 or with more than ``_GRID_CELL_LIMIT`` = 2^20 cells raise
-    :class:`SizeLimit` before any array is built.
+    sub-stack.  The pair merges at the EP nearest the rectangle's
+    centre.  The EP mode's slots start with its coalescing pair, nearest
+    the EP root first; pattern a fills the first of them, pattern b the
+    second, and no other slot, so the pair's energies exchange across a
+    seam that is one ray ending at the EP; ``parity`` orders the pair by
+    Re energy, and by Im where the real parts tie to rounding.  Both
+    states lie in one parity sector of the spin space; the sector is
+    read once, at the usable cell nearest the EP, and kept in every
+    cell.  Cells within 1e-2 of gamma = +-1 are masked as poles.
+    ``threads`` must be an integer of at least 1 and has no other
+    effect.  Grids longer than L = 8 or with more than
+    ``_GRID_CELL_LIMIT`` = 2^20 cells raise :class:`SizeLimit` before
+    any array is built.
     """
     L, n_re, n_im = check_length(L), as_int(n_re, "n_re"), as_int(n_im, "n_im")
     if L > _GRID_SIZE_LIMIT:
@@ -205,14 +205,7 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     re_vals = np.linspace(re_min, re_max, n_re)
     im_vals = np.linspace(im_min, im_max, n_im)
     center = complex((re_min + re_max) / 2, (im_min + im_max) / 2)
-    if selector is None:
-        ep, pat_a, pat_b = _default_selector(L, center)
-    else:
-        ep, pat_a, pat_b = selector
-    if len(pat_a) != L or len(pat_b) != L:
-        raise DegenerateInput(f"occupation patterns need {L} slots")
-    if sum(pat_a) % 2 != sum(pat_b) % 2:
-        raise DegenerateInput("the pair does not lie in one parity sector")
+    ep, pat_a, pat_b = _default_selector(L, center)
 
     gammas = re_vals[:, None] + 1j * im_vals[None, :]
     pole_mask = ((np.abs(gammas - 1) < POLE_RADIUS)
@@ -432,27 +425,17 @@ class ScalingFit:
     fit_residual: float
 
 
-def branch_scaling_probe(ep: EPRecord, radii: np.ndarray | None = None,
-                         direction: complex = 1.0 + 0.0j) -> ScalingFit:
+def branch_scaling_probe(ep: EPRecord) -> ScalingFit:
     """Measure the splitting exponent of the coalescing pair near an EP.
 
-    Evaluates the two nearest boundary roots at gamma = gamma_EP +
-    r * direction for a decade ladder of radii, all radii in one
+    Evaluates the two nearest boundary roots at gamma = gamma_EP + r for
+    the eight radii r = ``np.geomspace(1e-4, 1e-7, 8)``, all in one
     :func:`xyep.chain.mode_spectra` call, and fits
     log|eps1 - eps2| = alpha log r + const; alpha -> 1/2 at a plain
-    square-root branch point.  ``radii`` must hold at least two distinct,
-    finite, positive values, else :class:`DegenerateInput` is raised.
+    square-root branch point.  ``ScalingFit.radii`` reports the ladder.
     """
-    radii = np.asarray(np.geomspace(1e-4, 1e-7, 8) if radii is None else radii,
-                       dtype=float)
-    if (radii.ndim != 1 or radii.size < 2 or radii.min() == radii.max()
-            or not np.all(np.isfinite(radii) & (radii > 0))):
-        raise DegenerateInput("radii need two distinct finite positive values")
-    direction = complex(as_number(direction, "probe direction"))
-    if direction == 0:
-        raise DegenerateInput("direction must be nonzero")
-    direction /= abs(direction)
-    eps, x = mode_spectra(ep.L, ep.gamma + radii * direction, ep.mode)
+    radii = np.geomspace(1e-4, 1e-7, 8)
+    eps, x = mode_spectra(ep.L, ep.gamma + radii, ep.mode)
     pair = np.take_along_axis(eps, coalescing_order(x, ep)[:, :2], axis=-1)
     splittings = np.abs(pair[:, 0] - pair[:, 1])
     if np.any(splittings == 0):

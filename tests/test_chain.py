@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import xyep.chain as chain_module
-from xyep.basis import assemble_basis, many_body_energies
+from xyep.basis import assemble_basis, column_from_halves, many_body_energies
 from xyep.chain import (
     ChainSpec,
     build_quasi_hamiltonian,
@@ -28,7 +28,7 @@ from xyep.errors import (
 )
 from xyep.oracle import build_spin_hamiltonian, jordan_wigner_modes, parity_sectors
 from xyep.polyalg import _CHUNK_ENTRIES, chebyshev_u
-from xyep.topology import branch_scaling_probe, overlap_grid, track_loop
+from xyep.topology import overlap_grid, track_loop
 
 RNG = np.random.default_rng(20240816)
 
@@ -81,7 +81,8 @@ def test_quasi_hamiltonian_structure():
     spec = ChainSpec(6, 0.4 + 0.3j)
     qh = build_quasi_hamiltonian(spec)
     L = spec.L
-    A, B, M, S = qh.A, qh.B, qh.M, qh.S
+    A, B, M = qh.A, qh.B, qh.M
+    S = quasi_matrix_by_definition(L, spec.gamma)[3]
     np.testing.assert_allclose(M[:L, :L], A)
     np.testing.assert_allclose(M[:L, L:], B)
     np.testing.assert_allclose(M[L:, :L], -B)
@@ -90,6 +91,10 @@ def test_quasi_hamiltonian_structure():
     np.testing.assert_allclose(A, A.T)
     np.testing.assert_allclose(B, -B.T)
     np.testing.assert_allclose(S @ S, np.eye(2 * L), atol=1e-15)
+    # column_from_halves is left-multiplication by S
+    halves = RNG.standard_normal((2 * L, 3)) + 1j * RNG.standard_normal((2 * L, 3))
+    np.testing.assert_allclose(column_from_halves(halves[:L], halves[L:]),
+                               S @ halves, atol=1e-15)
     # nearest-neighbour couplings only
     assert np.max(np.abs(np.triu(A, 2))) == 0
     assert abs(A[0, 1] - 0.5) < 1e-15
@@ -113,10 +118,13 @@ def test_quasi_hamiltonian_is_its_definition():
     for L in range(2, 14, 2):
         for g in (0.4 + 0.3j, -1.2 + 0.7j, 2.5 - 0.3j, 0.9j):
             qh = build_quasi_hamiltonian(ChainSpec(L, g))
-            for got, want in zip((qh.A, qh.B, qh.M, qh.S),
-                                 quasi_matrix_by_definition(L, g)):
+            *matrices, S = quasi_matrix_by_definition(L, g)
+            for got, want in zip((qh.A, qh.B, qh.M), matrices):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
+            # S itself is column_from_halves of the identity's halves
+            top, bottom = np.split(np.eye(2 * L), 2)
+            assert np.array_equal(column_from_halves(top, bottom), S)
 
 
 def test_l2_quasi_energies_closed_form():
@@ -460,7 +468,6 @@ def test_non_integral_sizes_are_refused(call):
     lambda: track_loop(4, 0.2, 0.05 + 0j),
     lambda: overlap_grid(4, "0", 1, 0, 1, 3, 3),
     lambda: overlap_grid(4, 0, 1, 0, 1j, 3, 3),
-    lambda: branch_scaling_probe(locate_eps(4)[0], direction="1"),
 ])
 def test_non_numeric_parameters_are_refused(call):
     # each of these once died in a raw ValueError or TypeError, or took a

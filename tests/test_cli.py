@@ -338,6 +338,19 @@ def test_oracle_compare_refuses_no_samples(capsys):
         assert err == f"error: need at least one sample, got {n}\n"
 
 
+def test_oracle_compare_size_guard_refuses_before_any_work(monkeypatch, capsys):
+    import xyep.cli as cli
+
+    def refuse(spec):
+        raise AssertionError("many-body enumeration ran past the size guard")
+
+    monkeypatch.setattr(cli, "many_body_energies", refuse)
+    for L in ("14", "20"):
+        code, out, err = run_cli(["oracle-compare", "--L", L], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class PoleDraws:
     """A generator stand-in whose every draw is gamma = 1, a pole."""
 

