@@ -2,11 +2,11 @@
 
 The quantities here probe how eigenstates move when the anisotropy is
 varied in the complex plane: the bilinear self-overlap of a many-body
-state (which vanishes at an exceptional point), the permutation of
-quasi-energy labels around closed loops, and the square-root scaling of
-the level splitting near a defective parameter.  Everything is computed
-from the closed-form mode data; the spin space serves only as an oracle
-in the tests.
+state (which vanishes at an exceptional point), the permutation of each
+mode's boundary roots, and so of quasi-energy labels, around closed
+loops, and the square-root scaling of the level splitting near a
+defective parameter.  Everything is computed from the closed-form mode
+data; the spin space serves only as an oracle in the tests.
 """
 
 from __future__ import annotations
@@ -38,17 +38,13 @@ __all__ = [
 POLE_RADIUS = 1e-2
 _GRID_SIZE_LIMIT = 8
 _GRID_CELL_LIMIT = 2 ** 20      # overlap_grid cells, n_re * n_im
-_LOOP_VALUE_LIMIT = 2 ** 21     # track_loop signed values, (steps + 1) * L
+_LOOP_VALUE_LIMIT = 2 ** 21     # track_loop values, loop points * L
 # overlap_grid cells and track_loop steps are stacked in chunks of at
-# most this many matrix entries, 4 L^2 per cell or step
+# most this many entries: 4 L^2 matrix entries per grid cell, 2 (L/2)^2
+# root distances per loop step
 _CHUNK_ENTRIES = 2 ** 18
 # track_loop: levels of bisection allowed within one loop step
 _MAX_REFINEMENTS = 12
-
-
-def _chunk_size(L: int) -> int:
-    """Cells or loop steps per stacked chunk at chain length L."""
-    return max(1, _CHUNK_ENTRIES // (4 * L * L))
 
 
 @dataclass(frozen=True)
@@ -225,7 +221,7 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
     cell_index = np.flatnonzero(usable)
     overlap = np.full((2, n_re * n_im), np.nan)
     energy = np.full((2, n_re * n_im), np.nan, dtype=complex)
-    chunk = _chunk_size(L)
+    chunk = max(1, _CHUNK_ENTRIES // (4 * L * L))
     for lo in range(0, cell_gammas.size, chunk):
         cells = slice(lo, lo + chunk)
         at = cell_index[cells]
@@ -272,6 +268,8 @@ def overlap_grid(L: int, re_min: float, re_max: float, im_min: float,
 class LoopResult:
     """Permutation of quasi-energy labels after one closed parameter loop.
 
+    A label moves only within its mode's block: the modes' roots are
+    continued apart.  ``refinements`` counts the bisection midpoints.
     ``closed`` and ``closure_defect`` are structural, always True and 0.0,
     until a discriminant winding number gives them a check that can fail.
     """
@@ -287,30 +285,27 @@ class LoopResult:
     closure_defect: float
 
 
-def _signed_values(L: int, gammas) -> np.ndarray:
-    """All 2L signed quasi-energies at each of m anisotropies, shape (m, 2L).
-
-    Per row, +eps then -eps per label, labels as
-    :func:`xyep.chain.quasi_energies` numbers them; one root solve for
-    both modes at all m.
-    """
-    eps = mode_spectra(L, gammas, "both")[0]
-    return np.stack([eps, -eps], axis=-1).reshape(eps.shape[0], -1)
+def _mode_roots(L: int, gammas) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`xyep.chain.mode_spectra` of both modes, shaped (m, 2, L/2)."""
+    return tuple(a.reshape(a.shape[0], 2, -1)
+                 for a in mode_spectra(L, gammas, "both"))
 
 
 def _nearest(prev: np.ndarray, cand: np.ndarray):
     """Nearest candidate of every value, and whether that choice is ambiguous.
 
-    ``prev`` and ``cand`` are rows of values, one row per step (a
-    single row counts as one step).  A step is ambiguous when some
-    value's best and second-best candidate distances differ by less than
-    a factor of two, or when two values pick the same candidate.
-    Otherwise every value is strictly nearest to a distinct candidate;
-    that choice is the unique optimal assignment, and it is accepted as
-    it stands.  Returns the picks, shaped like ``prev``, and the flags.
+    ``prev`` and ``cand`` are rows of values over any leading axes.  A
+    row is ambiguous when some value's best and second-best candidate
+    distances differ by less than a factor of two, or when two values
+    pick the same candidate.  Otherwise every value is strictly nearest
+    to a distinct candidate; that choice is the unique optimal
+    assignment, and it is accepted as it stands.  A lone candidate is
+    always clear.  Returns the picks, shaped like ``prev``, and the flags.
     """
     cost = np.abs(prev[..., :, None] - cand[..., None, :])
     pick = np.argmin(cost, axis=-1)
+    if cand.shape[-1] == 1:
+        return pick, np.zeros(cost.shape[:-2], dtype=bool)
     best = np.partition(cost, 1, axis=-1)
     unclear = (best[..., 1] == 0) | (best[..., 0] > 0.5 * best[..., 1])
     taken = np.sort(pick, axis=-1)
@@ -318,53 +313,46 @@ def _nearest(prev: np.ndarray, cand: np.ndarray):
     return pick, unclear.any(axis=-1) | shared.any(axis=-1)
 
 
-def _continue_labels(L: int, prev: np.ndarray, cand: np.ndarray, g0: complex,
-                     g1: complex, depth: int) -> tuple[np.ndarray, int]:
-    """Indices into ``cand``, the values at g1, continuing ``prev`` at g0.
+def _match_steps(eps: np.ndarray, x: np.ndarray, start: np.ndarray):
+    """Picks, sign flips and ambiguity of the steps from ``start``, in chunks.
 
-    An ambiguous step (:func:`_nearest`) is split at its midpoint, the
-    only anisotropy whose values are solved here.  Returns the indices
-    and the number of bisections made.
+    Per step and mode each root x goes to its nearest root at the next
+    point, and its eps to the nearest of that root's +eps, its -eps and
+    zero, where the sign is lost; a pick of zero is ambiguous.
     """
-    pick, ambiguous = _nearest(prev, cand)
-    if not ambiguous:
-        return pick, 0
-    if depth >= _MAX_REFINEMENTS:
-        raise AmbiguousContinuation(
-            f"branch matching stayed ambiguous after {depth} bisections "
-            f"between gamma = {g0:.6g} and {g1:.6g}")
-    mid = (g0 + g1) / 2
-    mid_vals = _signed_values(L, mid)[0]
-    half, n_first = _continue_labels(L, prev, mid_vals, g0, mid, depth + 1)
-    out, n_second = _continue_labels(L, mid_vals[half], cand, mid, g1,
-                                     depth + 1)
-    return out, 1 + n_first + n_second
+    out, chunk = [], max(1, _CHUNK_ENTRIES // (2 * x.shape[-1] ** 2))
+    for lo in range(0, start.size, chunk):
+        at = start[lo: lo + chunk]
+        pick, unclear = _nearest(x[at], x[at + 1])
+        new = np.take_along_axis(eps[at + 1], pick, -1)
+        sign, unsigned = _nearest(eps[at][..., None],
+                                  np.stack([new, -new, 0 * new], -1))
+        unsigned |= sign[..., 0] == 2
+        out.append((pick, sign[..., 0] == 1,
+                    unclear.any(-1) | unsigned.any((-2, -1))))
+    return [np.concatenate(a) for a in zip(*out)]
 
 
 def track_loop(L: int, center: complex, radius: float, steps: int = 256,
                orientation: int = 1) -> LoopResult:
     """Drag all quasi-energy branches around a circle and read the permutation.
 
-    The values at all ``steps + 1`` loop points come from one root
-    solve for both modes; only bisection midpoints are solved on their
-    own.  Each branch is continued to its nearest candidate value.  A step is
-    ambiguous when some branch's best and second-best candidate distances
-    differ by less than a factor of two, or when two branches pick the
-    same candidate.  Every step is checked at once, in stacked chunks of
-    at most ``_CHUNK_ENTRIES`` = 2^18 distances; the picks of clear steps
-    are composed by indexing, and only ambiguous steps are bisected, in
-    loop order.  After ``_MAX_REFINEMENTS`` levels of bisection
-    :class:`AmbiguousContinuation` is raised.  The returned
-    permutation acts on the L positive-branch labels as
-    :func:`xyep.chain.quasi_energies` numbers them at the loop's start
-    point (mode I branches 1..L/2 are labels 0..L/2-1, then mode II);
-    ``sign_flips[k]`` reports a label returning to its partner's
-    negative.  The last loop point is the first, with the same values bit
-    for bit, so both are read off the continued slot indices.
-    ``orientation`` +1 traverses counterclockwise, -1 clockwise;
-    reversing it inverts the permutation.  A loop of more than
-    ``_LOOP_VALUE_LIMIT`` = 2^21 signed values, (steps + 1) * L, raises
-    :class:`SizeLimit` before any array is built.
+    One root solve gives both modes' roots at all ``steps + 1`` loop
+    points.  Each mode's L/2 roots are continued on their own: a root
+    to its nearest root at the next point in x, its eps to the nearest
+    of that root's +eps, -eps and zero, every choice judged by
+    :func:`_nearest`'s factor-of-two rule, all steps at once in chunks
+    of at most ``_CHUNK_ENTRIES`` = 2^18 distances.  Ambiguous steps
+    are bisected one level at a time, a level's midpoints in one root
+    solve; :class:`AmbiguousContinuation` is raised when a step is still
+    ambiguous after ``_MAX_REFINEMENTS`` levels, or a level would pass
+    ``_LOOP_VALUE_LIMIT`` values.  The permutation acts on the L
+    positive-branch labels as :func:`xyep.chain.quasi_energies` numbers
+    them at the start point (mode I's branches are labels 0..L/2-1, then
+    mode II's); ``sign_flips[k]`` reports a label returning to its
+    partner's negative.  ``orientation`` -1 runs clockwise, which
+    inverts the permutation.  A loop of more than ``_LOOP_VALUE_LIMIT``
+    = 2^21 values, (steps + 1) * L, raises :class:`SizeLimit` at once.
     """
     L, steps = check_length(L), as_int(steps, "steps")
     if steps < 8:
@@ -383,29 +371,38 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
         orientation * 2j * np.pi * np.arange(steps) / steps)
     gammas = np.append(gammas, gammas[0])
 
-    values = _signed_values(L, gammas)
-    # slots[i]: where start value i sits in the current row of values.
-    # Each step maps every value at t to one at t + 1 whatever slot it
-    # holds, so a step's picks index the slots.
-    slots = np.arange(2 * L)
+    eps, x = _mode_roots(L, gammas)
+    pick, flip, ambiguous = _match_steps(eps, x, np.arange(steps))
     refinements = 0
-    chunk = _chunk_size(L)
-    for lo in range(0, steps, chunk):
-        hi = min(lo + chunk, steps)
-        picks, ambiguous = _nearest(values[lo:hi], values[lo + 1: hi + 1])
-        for t in range(lo, hi):
-            pick = picks[t - lo]
-            if ambiguous[t - lo]:
-                pick, n = _continue_labels(L, values[t], values[t + 1],
-                                           gammas[t], gammas[t + 1], 0)
-                refinements += n
-            slots = pick[slots]
-    # +eps of label q is slot 2q; it ends on +-eps of label slot // 2
-    plus = slots[0::2]
+    for level in range(_MAX_REFINEMENTS + 1):
+        bad = np.flatnonzero(ambiguous)
+        if not bad.size:
+            break
+        if (level == _MAX_REFINEMENTS
+                or (gammas.size + bad.size) * L > _LOOP_VALUE_LIMIT):
+            raise AmbiguousContinuation(
+                f"branch matching stayed ambiguous after {level} levels of "
+                f"bisection between gamma = {gammas[bad[0]]:.6g} and "
+                f"{gammas[bad[0] + 1]:.6g}")
+        # each ambiguous step becomes two, split at its midpoint
+        mids = (gammas[bad] + gammas[bad + 1]) / 2
+        gammas = np.insert(gammas, bad + 1, mids)
+        eps, x = (np.insert(a, bad + 1, b, axis=0)
+                  for a, b in zip((eps, x), _mode_roots(L, mids)))
+        pick, flip, ambiguous = (np.insert(a, bad + 1, a[bad], axis=0)
+                                 for a in (pick, flip, ambiguous))
+        new = (bad + np.arange(bad.size) + [[0], [1]]).ravel()
+        pick[new], flip[new], ambiguous[new] = _match_steps(eps, x, new)
+        refinements += bad.size
+    # slots[k]: the label start label k has reached; flipped[k]: negated
+    slots, flipped = np.arange(L), np.zeros(L, dtype=bool)
+    for p, f in zip(pick.reshape(-1, L) + np.repeat([0, L // 2], L // 2),
+                    flip.reshape(-1, L)):
+        flipped ^= f[slots]
+        slots = p[slots]
     return LoopResult(L=L, center=center, radius=float(radius), steps=steps,
-                      refinements=refinements,
-                      permutation=(plus // 2).tolist(),
-                      sign_flips=(plus % 2 == 1).tolist(), closed=True,
+                      refinements=refinements, permutation=slots.tolist(),
+                      sign_flips=flipped.tolist(), closed=True,
                       closure_defect=0.0)
 
 

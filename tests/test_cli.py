@@ -282,6 +282,19 @@ def test_ep_table_range_validation(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_loop_at_l_40_needs_no_bisection(tmp_path, capsys):
+    # around the middle upper-half-plane mode-I EP of locate_eps(40, "I")
+    path = tmp_path / "loop.json"
+    code, _, _ = run_cli(["loop", "--L", "40",
+                          "--center=-0.1312831917903998+0.9913449064545221i",
+                          "--radius", "0.042551193432641264",
+                          "--out", str(path)], capsys)
+    assert code == 0
+    doc = json.loads(path.read_text())
+    assert doc["refinements"] == 0
+    assert [k for k, q in enumerate(doc["permutation"]) if q != k] == [9, 19]
+
+
 def test_loop_json_fields(tmp_path, capsys):
     path = tmp_path / "loop.json"
     code, _, _ = run_cli(["loop", "--L", "4", "--center", "0.6+0.8i",

@@ -1,5 +1,6 @@
 """Rigidity maps, branch-cut seams, monodromy loops, splitting exponents."""
 
+import time
 import warnings
 
 import numpy as np
@@ -169,7 +170,7 @@ def test_size_guards_refuse_before_any_work(monkeypatch):
         raise AssertionError("work started past the size guard")
 
     with monkeypatch.context() as m:
-        m.setattr(topology_module, "_signed_values", refuse)
+        m.setattr(topology_module, "mode_spectra", refuse)
         m.setattr(topology_module, "_default_selector", refuse)
         with pytest.raises(SizeLimit, match="steps = 100000000000"):
             track_loop(4, 0.2 + 0.1j, 0.05, steps=10 ** 11)
@@ -327,11 +328,27 @@ def test_loop_and_grid_make_one_root_solve(monkeypatch):
 
 def test_track_loop_solves_only_bisection_midpoints_on_demand(monkeypatch):
     # the through-EP loop bisects until it gives up; apart from the one
-    # solve of the loop points, each solve is one midpoint, both modes
+    # solve of the loop points, each solve holds one level's midpoints,
+    # every one of them between two points already solved, both modes
     calls = count_root_solves(monkeypatch)
-    with pytest.raises(AmbiguousContinuation):
+    solved = []
+    real = topology_module.mode_spectra
+
+    def recording(L, gammas, mode):
+        gammas = np.atleast_1d(gammas)
+        if solved:
+            pairs = (np.add.outer(solved, solved) / 2).ravel()
+            assert all(np.min(abs(pairs - g)) == 0 for g in gammas)
+        solved.extend(gammas)
+        return real(L, gammas, mode)
+
+    monkeypatch.setattr(topology_module, "mode_spectra", recording)
+    with pytest.raises(AmbiguousContinuation, match="after 12 levels"):
         track_loop(4, L4_EP + 0.05, 0.05, steps=64)
-    assert calls[0] == 130 and set(calls[1:]) == {2}
+    assert calls[0] == 130
+    assert len(calls) == 1 + topology_module._MAX_REFINEMENTS
+    assert all(c >= 2 and c % 2 == 0 for c in calls[1:])
+    assert sum(calls) == 2 * len(solved)
 
 
 def test_overlap_grid_is_symmetric_under_conjugate_gamma():
@@ -412,7 +429,7 @@ def test_track_loop_coarse_steps_succeed_by_bisection():
     # fine loop reads without any
     coarse = track_loop(4, L4_EP, 0.3, steps=8)
     fine = track_loop(4, L4_EP, 0.3, steps=256)
-    assert (coarse.refinements, fine.refinements) == (14, 0)
+    assert (coarse.refinements, fine.refinements) == (4, 0)
     for r in (coarse, fine):
         assert r.permutation == [0, 1, 3, 2]
         assert r.sign_flips == [False] * 4
@@ -458,27 +475,36 @@ def test_track_loop_validation():
         track_loop("4", 0.2, 0.05)
 
 
-def gliding_values(a0: complex, b0: complex, sigma: float):
-    """Fake signed values on a loop centred at gamma = 0, one row per gamma.
+def fake_roots(rows):
+    """Stand-in for ``mode_spectra`` on a loop centred at gamma = 0.
 
-    Up to the angle fraction ``sigma`` the values are 0, 1, 10, 20, ...;
-    past it the first two jump to a0 and b0 and then glide back to 0 and
-    1 by the end of the loop, so the loop closes on the identity.
+    ``rows(s)`` gives one point's (2, L/2) roots x, mode I then mode II,
+    at the angle fraction s in [0, 1); each eps is x + 100, far from its
+    own negative, so no sign choice is in doubt.
     """
-    def row(L, g):
-        vals = np.concatenate([[0, 1], 10.0 * np.arange(1, 2 * L - 1)])
-        vals = vals.astype(complex)
-        s = (np.angle(g) / (2 * np.pi)) % 1.0
+    def spectra(L, gammas, mode):
+        s = [np.angle(g) / (2 * np.pi) % 1.0 for g in np.atleast_1d(gammas)]
+        x = np.array([rows(t) for t in s], dtype=complex).reshape(len(s), L)
+        return x + 100, x
+
+    return spectra
+
+
+def gliding_roots(a0: complex, b0: complex, sigma: float):
+    """Fake roots: mode I's 0 and 1 jump to a0 and b0 at the fraction sigma.
+
+    Up to ``sigma`` mode I's roots are 0 and 1 and mode II's 10 and 20;
+    past it mode I's jump to a0 and b0 and then glide back to 0 and 1 by
+    the end of the loop, so the loop closes on the identity.
+    """
+    def rows(s):
+        first = [0, 1]
         if s >= sigma:
             u = (s - sigma) / (1 - sigma)
-            vals[0] = (1 - u) * a0
-            vals[1] = (1 - u) * b0 + u
-        return vals
+            first = [(1 - u) * a0, (1 - u) * b0 + u]
+        return [first, [10, 20]]
 
-    def values(L, gammas):
-        return np.array([row(L, g) for g in np.atleast_1d(gammas)])
-
-    return values
+    return fake_roots(rows)
 
 
 def test_track_loop_bisects_when_two_labels_share_a_nearest_candidate(
@@ -486,36 +512,32 @@ def test_track_loop_bisects_when_two_labels_share_a_nearest_candidate(
     # the jump happens between the first two loop points
     steps = 64
     sigma = 0.9 / steps
-    # a jump of the same size in which each label keeps its own nearest
+    # a jump of the same size in which each root keeps its own nearest
     # candidate is accepted as it stands
-    monkeypatch.setattr(topology_module, "_signed_values",
-                        gliding_values(0.2, 1.2, sigma))
+    monkeypatch.setattr(topology_module, "mode_spectra",
+                        gliding_roots(0.2, 1.2, sigma))
     clean = track_loop(4, 0, 0.5, steps=steps)
     assert clean.permutation == [0, 1, 2, 3] and clean.refinements == 0
     # 0.45 is the clear nearest candidate of both 0 and 1 (0.5+2i is more
-    # than twice as far from each), so the two labels collide; every
+    # than twice as far from each), so the two roots collide; every
     # bisection of that step still straddles the jump, so it stays a
     # collision until the refinement budget runs out
-    monkeypatch.setattr(topology_module, "_signed_values",
-                        gliding_values(0.45, 0.5 + 2j, sigma))
+    monkeypatch.setattr(topology_module, "mode_spectra",
+                        gliding_roots(0.45, 0.5 + 2j, sigma))
     with pytest.raises(AmbiguousContinuation):
         track_loop(4, 0, 0.5, steps=steps)
 
 
 def test_track_loop_follows_values_through_reordered_rows(monkeypatch):
-    # every loop point lists the same closed trajectories in an order of
-    # its own; the continued labels must undo each reordering, step after
-    # step, so the loop closes on the identity
-    def values(L, gammas):
-        rows = []
-        for g in np.atleast_1d(gammas):
-            s = np.angle(g) / (2 * np.pi) % 1.0
-            vals = 10.0 * np.arange(2 * L) + 0.1 * np.exp(2j * np.pi * s)
-            order = np.random.default_rng(round(s * 4096)).permutation(2 * L)
-            rows.append(vals[order])
-        return np.array(rows)
+    # every loop point lists each mode's closed root trajectories in an
+    # order of its own; the continued labels must undo each reordering,
+    # step after step, so the loop closes on the identity
+    def rows(s):
+        x = 10.0 * np.arange(4).reshape(2, 2) + 0.1 * np.exp(2j * np.pi * s)
+        rng = np.random.default_rng(round(s * 4096))
+        return [x[0][rng.permutation(2)], x[1][rng.permutation(2)]]
 
-    monkeypatch.setattr(topology_module, "_signed_values", values)
+    monkeypatch.setattr(topology_module, "mode_spectra", fake_roots(rows))
     r = track_loop(4, 0, 0.5, steps=64)
     assert r.permutation == [0, 1, 2, 3] and not any(r.sign_flips)
     assert r.refinements == 0
@@ -524,8 +546,8 @@ def test_track_loop_follows_values_through_reordered_rows(monkeypatch):
 def test_track_loop_does_not_depend_on_the_chunking(monkeypatch):
     # steps checked in one chunk, one at a time and (at L = 14) in uneven
     # chunks of three give the same labels and bisect the same steps: on
-    # an L = 14 loop, on the coarse loop that bisects 14 times and under
-    # the gliding stub, where the refusal must name the same step
+    # an L = 14 loop, on the coarse loop that bisects four times and under
+    # the gliding fake, where the refusal must name the same step
     ep = next(r for r in locate_eps(14, "I") if r.gamma.imag > 0)
 
     def outcomes():
@@ -534,20 +556,20 @@ def test_track_loop_does_not_depend_on_the_chunking(monkeypatch):
             r = track_loop(*args, steps=steps)
             got.append((r.permutation, r.sign_flips, r.refinements))
         with monkeypatch.context() as m:
-            m.setattr(topology_module, "_signed_values",
-                      gliding_values(0.2, 1.2, 0.9 / 64))
+            m.setattr(topology_module, "mode_spectra",
+                      gliding_roots(0.2, 1.2, 0.9 / 64))
             r = track_loop(4, 0, 0.5, steps=64)
             got.append((r.permutation, r.sign_flips, r.refinements))
-            m.setattr(topology_module, "_signed_values",
-                      gliding_values(0.45, 0.5 + 2j, 0.9 / 64))
+            m.setattr(topology_module, "mode_spectra",
+                      gliding_roots(0.45, 0.5 + 2j, 0.9 / 64))
             with pytest.raises(AmbiguousContinuation) as refusal:
                 track_loop(4, 0, 0.5, steps=64)
             got.append(str(refusal.value))
         return got
 
     whole = outcomes()
-    assert [r[2] for r in whole[:3]] == [0, 14, 0]
-    for entries in (1, 3 * 4 * 14 ** 2):
+    assert [r[2] for r in whole[:3]] == [0, 4, 0]
+    for entries in (1, 3 * 2 * 7 ** 2):
         monkeypatch.setattr(topology_module, "_CHUNK_ENTRIES", entries)
         assert outcomes() == whole
 
@@ -557,6 +579,77 @@ def test_track_loop_through_ep_is_ambiguous():
     # tracked branches genuinely coincide and no bisection can resolve them
     with pytest.raises(AmbiguousContinuation):
         track_loop(4, L4_EP + 0.05, 0.05, steps=64)
+
+
+def test_track_loop_of_one_root_per_mode():
+    # at L = 2 each mode has a single root, the only candidate there is
+    r = track_loop(2, 0.3 + 0.2j, 0.05, steps=16)
+    assert r.permutation == [0, 1] and r.sign_flips == [False, False]
+    assert r.refinements == 0
+
+
+def test_track_loop_refinement_obeys_the_value_limit(monkeypatch):
+    # the coarse L = 4 loop bisects four steps in one level: its 9 + 4
+    # points of 4 values fit a limit of 52 and not one of 51
+    monkeypatch.setattr(topology_module, "_LOOP_VALUE_LIMIT", 52)
+    assert track_loop(4, L4_EP, 0.3, steps=8).refinements == 4
+    monkeypatch.setattr(topology_module, "_LOOP_VALUE_LIMIT", 51)
+    with pytest.raises(AmbiguousContinuation, match="after 0 levels"):
+        track_loop(4, L4_EP, 0.3, steps=8)
+
+
+# Loops with the outcomes and bisection counts of the earlier route,
+# which matched all 2L signed quasi-energies of both modes together:
+# L, centre, radius, steps, the moved labels' images, the labels that
+# return negated, and the bisections that route made.
+FROZEN_LOOPS = [
+    # the middle upper-half-plane EP of locate_eps(L, "I"), radius 0.3
+    # times its distance to the nearest other EP
+    (20, -0.2227715050338246 + 0.9748706870887875j, 0.07751655845616941,
+     256, {4: 9, 9: 4}, {4, 9}, 183),
+    (40, -0.1312831917903998 + 0.9913449064545221j, 0.042551193432641264,
+     256, {9: 19, 19: 9}, {9, 19}, 1520),
+    # an edge-mode loop that encloses no EP
+    (40, 2.5 - 0.3j, 0.1, 256, {}, set(), 7936),
+    # coarse loops past an edge state whose small eps turns fast: its
+    # sign is followed only because zero counts as an eps candidate
+    (12, 0.7213671321845228 + 1.1410958088352472j, 0.9439101781941146,
+     64, {7: 11, 8: 7, 9: 8, 11: 9}, {7, 8, 9, 11}, 1878),
+    (14, 0.22753524279334414 - 0.0374515826060704j, 0.6180972806731246,
+     16, {4: 5, 5: 4}, {4, 5}, 1298),
+]
+
+
+@pytest.mark.parametrize(
+    "L, center, radius, steps, moved, negated, bisections", FROZEN_LOOPS,
+    ids=["L20-bulk", "L40-bulk", "L40-edge", "L12-coarse", "L14-coarse"])
+def test_track_loop_matches_frozen_outcomes(L, center, radius, steps, moved,
+                                            negated, bisections):
+    r = track_loop(L, center, radius, steps=steps)
+    assert r.permutation == [moved.get(k, k) for k in range(L)]
+    assert r.sign_flips == [k in negated for k in range(L)]
+    assert r.refinements <= bisections
+
+
+def test_track_loop_reaches_l_100_without_bisection():
+    # a loop around a bulk EP at L = 100 settles every step directly
+    # and moves exactly that EP's two labels, both in mode I's block
+    L = 100
+    records = locate_eps(L, "both")
+    upper = [r for r in locate_eps(L, "I") if r.gamma.imag > 0]
+    ep = upper[len(upper) // 2]
+    radius = 0.3 * min(abs(r.gamma - ep.gamma) for r in records
+                       if r.gamma != ep.gamma)
+    start = time.perf_counter()
+    r = track_loop(L, ep.gamma, radius)
+    assert time.perf_counter() - start < 30
+    assert r.refinements == 0
+    moved = [k for k, q in enumerate(r.permutation) if q != k]
+    pts = quasi_energies(ChainSpec(L, ep.gamma + radius), warn=False)
+    nearest = sorted((abs(p.x - ep.x), k) for k, p in enumerate(pts)
+                     if p.mode == "I")[:2]
+    assert moved == sorted(k for _, k in nearest)
+    assert max(moved) < L // 2
 
 
 def test_branch_scaling_square_root():
