@@ -38,10 +38,9 @@ __all__ = [
 FAMILIES = ("R", "Rstar", "Lstar", "L")
 
 # many_body_energies returns an L 2^L-byte int8 occupation table and
-# 2^L complex energies, 21 MB and 17 MB at L = 20; filled in blocks of
-# _MANY_BODY_BLOCK rows, the call then peaks about 50 MB above its start
+# 2^L complex energies, 21 MB and 17 MB at L = 20; both are filled in
+# place, so the call peaks at their 38 MB (tracemalloc)
 MANY_BODY_LIMIT = 20
-_MANY_BODY_BLOCK = 2 ** 14
 
 # assemble_basis refuses a basis whose ||V V^T - I|| exceeds this
 _ORTH_TOL = 1e-6
@@ -201,6 +200,24 @@ class ManyBodySpectrum:
     occupations: np.ndarray
 
 
+def sign_pattern_sums(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(1/2) sum_k s_k eps_k over all 2^n sign patterns s, each summed left to
+    right, and the int8 table whose row r holds the bits of r, slot 0 most
+    significant, bit 1 for s_k = +1."""
+    n = len(eps)
+    energies = np.zeros(2 ** n, dtype=complex)
+    for k, e in enumerate(eps):
+        # E <- [E - e/2, E + e/2] interleaved, in place: pattern r of the
+        # first k slots sits at index r 2^(n-k)
+        step, half = 2 ** (n - k), 0.5 * e
+        np.add(energies[::step], half, out=energies[step // 2::step])
+        energies[::step] -= half
+    occupations = np.zeros((2 ** n, n), dtype=np.int8)
+    for k in range(n):  # column k: runs of 2^(n-1-k) zeros, then as many ones
+        occupations.reshape(2 ** k, 2, -1, n)[:, 1, :, k] = 1
+    return energies, occupations
+
+
 def many_body_energies(spec: ChainSpec) -> ManyBodySpectrum:
     """Enumerate E(alpha) = (1/2) sum_k s_k eps_k over all sign patterns.
 
@@ -212,17 +229,6 @@ def many_body_energies(spec: ChainSpec) -> ManyBodySpectrum:
     pts = quasi_energies(spec)
     eps_I = np.array([p.epsilon for p in pts if p.mode == "I"])
     eps_II = np.array([p.epsilon for p in pts if p.mode == "II"])
-    eps = np.concatenate([eps_I, eps_II])
-    L = spec.L
-    shifts = np.arange(L - 1, -1, -1)
-    occupations = np.empty((2 ** L, L), dtype=np.int8)
-    energies = np.empty(2 ** L, dtype=complex)
-    # row blocks bound the int64, float and complex temporaries of the
-    # sign matrix to a few MB; each row's energy is the same dot product
-    for start in range(0, 2 ** L, _MANY_BODY_BLOCK):
-        stop = min(start + _MANY_BODY_BLOCK, 2 ** L)
-        bits = (np.arange(start, stop)[:, None] >> shifts) & 1
-        occupations[start:stop] = bits
-        energies[start:stop] = 0.5 * (2 * bits - 1) @ eps
+    energies, occupations = sign_pattern_sums(np.concatenate([eps_I, eps_II]))
     return ManyBodySpectrum(spec=spec, epsilons_I=eps_I, epsilons_II=eps_II,
                             energies=energies, occupations=occupations)

@@ -75,28 +75,28 @@ def _report(checks, out: str | None, failure: str, summary=()) -> int:
 
 def cmd_spectrum(args) -> int:
     mb = many_body_energies(ChainSpec(args.L, args.gamma))
-    # epsilons_I/II are in branch order, so the labels follow quasi_energies
-    quasi = [(mode, branch, eps)
-             for mode, eps_m in (("I", mb.epsilons_I), ("II", mb.epsilons_II))
-             for branch, eps in enumerate(eps_m, start=1)]
+    # epsilons_I/II are in branch order, so the labels follow quasi_energies;
+    # floats are read in bulk, not as one numpy scalar per row
+    quasi = [(mode, branch, *z) for mode, eps in (("I", mb.epsilons_I),
+                                                  ("II", mb.epsilons_II))
+             for branch, z in enumerate(zip(eps.real.tolist(), eps.imag.tolist()), 1)]
     config = _config(args, L=args.L, gamma=fmt_complex(args.gamma))
     # one "0"/"1" string per state, read straight off the occupation bytes
     labels = (mb.occupations + ord("0")).astype(np.uint8).view(
         f"S{args.L}").ravel().astype(str).tolist()
+    many = zip(labels, mb.energies.real.tolist(), mb.energies.imag.tolist())
     if args.format == "json":
         payload = {
-            "quasi": [{"mode": mode, "branch": branch,
-                       "epsilon": [eps.real, eps.imag]}
-                      for mode, branch, eps in quasi],
-            "many_body": [{"occupation": label, "energy": [e.real, e.imag]}
-                          for label, e in zip(labels, mb.energies)],
+            "quasi": [{"mode": mode, "branch": branch, "epsilon": [re, im]}
+                      for mode, branch, re, im in quasi],
+            "many_body": [{"occupation": label, "energy": [re, im]}
+                          for label, re, im in many],
         }
         _emit(json_text(config, payload), args.out)
     else:
-        rows = [["quasi", f"{mode}:{branch}", eps.real, eps.imag]
-                for mode, branch, eps in quasi]
-        rows += [["many", label, e.real, e.imag]
-                 for label, e in zip(labels, mb.energies)]
+        rows = [["quasi", f"{mode}:{branch}", re, im]
+                for mode, branch, re, im in quasi]
+        rows += [["many", label, re, im] for label, re, im in many]
         _emit(csv_text(config, ["kind", "label", "re", "im"], rows), args.out)
     return 0
 

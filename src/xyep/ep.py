@@ -27,7 +27,8 @@ from .chain import (
     mode_names,
     quasi_energies,
 )
-from .basis import MANY_BODY_LIMIT, column_from_halves, pair_columns
+from .basis import (MANY_BODY_LIMIT, column_from_halves, pair_columns,
+                    sign_pattern_sums)
 from .errors import DefectiveBasis, DegenerateInput, SizeLimit
 from .polyalg import double_roots
 
@@ -392,12 +393,10 @@ def ep_state_catalog(spec: ChainSpec, ep: EPRecord) -> EPStateCatalog:
         raise SizeLimit(f"EP state catalog capped at L = {MANY_BODY_LIMIT}")
     jd = jordan_decomposition(spec, ep)
     slots = [(p.mode, p.epsilon) for p in jd.points[0::2]]
-    n_pairs = len(slots)
+    bases, patterns = sign_pattern_sums(np.array([e for _, e in slots]))
     eps_ep = ep.epsilon
     entries = []
-    for bits in range(2 ** n_pairs):
-        pattern = tuple((bits >> (n_pairs - 1 - k)) & 1 for k in range(n_pairs))
-        base = sum((0.5 if b else -0.5) * e for (_, e), b in zip(slots, pattern))
+    for pattern, base in zip(map(tuple, patterns.tolist()), bases.tolist()):
         for sector, occ_pair, shift, vacuum in (
                 ("plus_plus", (1, 1), eps_ep, "omega1"),
                 ("mixed", (1, 0), 0.0, "both"),

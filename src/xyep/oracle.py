@@ -3,15 +3,13 @@
 Everything here is built straight from spin flips and fermion strings,
 with no input from the closed-form spectral data, so it can arbitrate
 the analytic route.  The spin Hamiltonian is filled bond by bond with
-bit operations in O(L 2^L); every bond flips two spins, so it conserves
-the parity of the number of down spins, and dense eigensolves run on the
-even and odd sectors separately.  The global spin flip, which reverses
-the basis index, commutes with the Hamiltonian too.  For even L it keeps
-each sector, so each sector splits into its flip-even and flip-odd
-halves (four 2^(L-2) blocks); for odd L it swaps the sectors, so the odd
-sector is the even one reversed and one 2^(L-1) solve serves both.
-Dense matrices cap the reachable sizes; the limits are enforced
-explicitly.
+bit operations in O(L 2^L).  Every bond flips two spins, so dense
+eigensolves run on the even and odd parity sectors separately.  The spin
+flip, which reverses the basis index, and the site reflection, which
+reverses its bits, commute with the Hamiltonian too: for even L they
+split each sector into four blocks, eight of about 2^(L-3) in all; for
+odd L the flip maps one sector onto the other, so one solve serves both.
+Dense matrices cap the reachable sizes; the limits are explicit.
 """
 
 from __future__ import annotations
@@ -133,41 +131,32 @@ def parity_sectors(L: int) -> tuple[np.ndarray, np.ndarray]:
     return states[odd == 0], states[odd == 1]
 
 
-def _blocks(H: np.ndarray) -> list[np.ndarray | None]:
-    """Index sets to solve separately: the two parity sectors when no entry
-    couples them, else the whole matrix (``None``)."""
-    N = H.shape[0]
-    if N < 2 or N & (N - 1):
-        return [None]
-    even, odd = parity_sectors(N.bit_length() - 1)
-    if np.any(H[np.ix_(even, odd)]) or np.any(H[np.ix_(odd, even)]):
-        return [None]
-    return [even, odd]
-
-
-def _eig(B: np.ndarray, want_vectors: bool):
-    if want_vectors:
-        return np.linalg.eig(B)
-    return np.linalg.eigvals(B), None
-
-
-def _halved_eig(B: np.ndarray, want_vectors: bool):
-    """Eigenpairs of B; if B equals its own index reversal, from the two
-    half-size blocks of the reversal-even and reversal-odd vectors
-    [v; +-v[::-1]] / sqrt2, else from B whole."""
-    n = B.shape[0]
-    if n % 2 or not np.array_equal(B, B[::-1, ::-1]):
-        return _eig(B, want_vectors)
-    h = n // 2
-    top, cross = B[:h, :h], B[:h, ::-1][:, :h]
-    w_even, v_even = _eig(top + cross, want_vectors)
-    w_odd, v_odd = _eig(top - cross, want_vectors)
-    vals = np.concatenate([w_even, w_odd])
-    if not want_vectors:
-        return vals, None
-    vecs = np.hstack([np.vstack([v_even, v_even[::-1]]),
-                      np.vstack([v_odd, -v_odd[::-1]])]) / np.sqrt(2.0)
-    return vals, vecs
+def _split_eig(B: np.ndarray, levels: list, want_vectors: bool, sign=1.0):
+    """Eigenpairs of B.  If B commutes exactly with the signed index
+    involution e_i -> s_i e_p[i], where (p, s) = ``levels[0](sign)``, they
+    come from its blocks on the eigenspaces of sign +-1, each split by
+    ``levels[1:]``: the space of a sign holds (e_i + sign s_i e_p[i])/sqrt2
+    for each i < p[i] and e_i for each i = p[i] with s_i = sign."""
+    p, s = levels[0](sign) if levels and B.shape[0] > 1 else (None, None)
+    if p is None or not np.array_equal(B[np.ix_(p, p)], B * np.outer(s, s)):
+        return np.linalg.eig(B) if want_vectors else (np.linalg.eigvals(B), None)
+    idx, parts, lifted = np.arange(p.size), [], []
+    for sign in (1.0, -1.0):
+        a = idx[(idx < p) | ((idx == p) & (s == sign))]
+        if not a.size:
+            continue
+        b, c = p[a], sign * s[a]
+        root = np.where(a == b, 1.0, np.sqrt(2.0))
+        # the entries of U^T B U for that orthonormal basis U
+        block = (B[np.ix_(a, a)] + B[np.ix_(a, b)] * (c * (a != b))) \
+            * (root[:, None] / root)
+        vals, v = _split_eig(block, levels[1:], want_vectors, sign)
+        parts.append(vals)
+        if want_vectors:
+            lifted.append(np.zeros((p.size, vals.size), dtype=complex))
+            lifted[-1][b] = v * c[:, None] / root[:, None]
+            lifted[-1][a] = v / root[:, None]
+    return np.concatenate(parts), np.hstack(lifted) if want_vectors else None
 
 
 def ed_eigen(H: np.ndarray, want_vectors: bool = True) -> EDResult:
@@ -175,14 +164,14 @@ def ed_eigen(H: np.ndarray, want_vectors: bool = True) -> EDResult:
 
     A matrix of dimension 2^L whose entries coupling the even and odd
     parity sectors are all exactly zero (any spin Hamiltonian here) is
-    solved sector by sector, and each vector is scattered back to full
-    length with exact zeros in the other sector.  The global spin flip
-    reverses the basis index, and the checks for it are exact too:
-    a sector block equal to its own reversal (even L) is solved as two
-    half-size blocks, and an odd block equal to the even one reversed
-    (odd L) reuses the even block's values, with its vectors reversed.
-    Any other matrix is solved whole.  Vectors are only computed up to
-    2^10; values alone up to 2^12.
+    solved sector by sector, each vector scattered back to full length
+    with exact zeros in the other sector.  A sector equal to its own
+    index reversal, the spin flip (even L), splits in two, and a half
+    commuting with the site reflection, the bit reversal, in two again;
+    the checks are exact, and vectors are lifted back through both
+    levels.  An odd block equal to the even one reversed (odd L) reuses
+    its values, with the vectors reversed; any other block is solved
+    whole.  Vectors are only computed up to 2^10; values alone up to 2^12.
     """
     N = H.shape[0]
     if want_vectors and N > 2 ** VECTOR_LIMIT:
@@ -190,23 +179,29 @@ def ed_eigen(H: np.ndarray, want_vectors: bool = True) -> EDResult:
     if N > 2 ** SPIN_LIMIT:
         raise SizeLimit(f"eigenvalues capped at dimension 2^{SPIN_LIMIT}")
     h_norm = float(np.linalg.norm(H, np.inf))
-    blocks = _blocks(H)
-    if blocks[0] is None:
-        solves = [(slice(None), H, _eig(H, want_vectors))]
-    else:
-        even, odd = blocks
-        b_even, b_odd = H[np.ix_(even, even)], H[np.ix_(odd, odd)]
-        vals, v = _halved_eig(b_even, want_vectors)
-        if np.array_equal(b_odd, b_even[::-1, ::-1]):
-            odd_solved = vals, None if v is None else v[::-1]
-        else:
-            odd_solved = _halved_eig(b_odd, want_vectors)
-        solves = [(even, b_even, (vals, v)), (odd, b_odd, odd_solved)]
-    parts = []
+    L, states = N.bit_length() - 1, np.arange(N)
+    sectors = parity_sectors(L) if N > 1 and not N & (N - 1) else ()
+    if not sectors or np.any(H[np.ix_(*sectors)]) or np.any(H[np.ix_(*sectors[::-1])]):
+        sectors = (states,)
+    mirror = np.zeros_like(states)
+    for bit in range(L):
+        mirror |= ((states >> bit) & 1) << (L - 1 - bit)
     vecs = np.zeros((N, N), dtype=complex) if want_vectors else None
-    resid = 0.0
-    start = 0
-    for rows, block, (vals, v) in solves:
+    parts, resid, start = [], 0.0, 0
+    for rows in sectors:
+        block, n = H[np.ix_(rows, rows)], rows.size
+        # the flip reverses a sector; on its half of a sign, a state whose
+        # mirror is in the second half maps to that mirror's flip partner, signed
+        q = np.searchsorted(rows, mirror[rows[:n // 2]])
+        levels = [lambda sign: (np.arange(n)[::-1], np.ones(n)),
+                  lambda sign: (np.where(q < n // 2, q, n - 1 - q),
+                                np.where(q < n // 2, 1.0, sign))]
+        if parts and np.array_equal(block, first[::-1, ::-1]):
+            vals, v = parts[0], None if v is None else v[::-1]
+        else:
+            first = block
+            vals, v = _split_eig(block, levels if len(sectors) > 1 else [],
+                                 want_vectors)
         parts.append(vals)
         if want_vectors:
             resid = max(resid, float(np.max(np.abs(block @ v - v * vals[None, :]))))

@@ -155,7 +155,8 @@ def test_occupation_energy_consistency():
     for bits, energy in zip(mb.occupations, mb.energies):
         expect = 0.5 * (2 * bits - 1) @ eps
         assert abs(energy - expect) < 1e-12
-    # 2^16 rows span several fill blocks: row s is still the bits of s
+    # at 2^16 rows, each column is many runs of zeros and ones: row s is
+    # still the bits of s
     L = 16
     mb = many_body_energies(ChainSpec(L, -0.45 + 0.75j))
     bits = (np.arange(2 ** L)[:, None] >> np.arange(L - 1, -1, -1)) & 1

@@ -298,8 +298,17 @@ def test_ep_state_catalog_matches_ed_spectrum():
     for L in (4, 6):
         for ep in locate_eps(L):
             spec = quiet_spec(L, ep.gamma)
-            energies = [e.energy for e in ep_state_catalog(spec, ep).entries
+            cat = ep_state_catalog(spec, ep)
+            energies = [e.energy for e in cat.entries
                         for _ in range(e.algebraic)]
+            # each energy is its slots' signed half-epsilons summed left to
+            # right, then the sector's shift, bit for bit
+            shifts = {"plus_plus": cat.epsilon_ep, "mixed": 0.0,
+                      "minus_minus": -cat.epsilon_ep}
+            assert all(e.energy == complex(
+                sum((0.5 if b else -0.5) * eps for (_, eps), b
+                    in zip(cat.slot_epsilons, e.occupation)) + shifts[e.sector])
+                for e in cat.entries)
             ed = ed_eigen(build_spin_hamiltonian(L, ep.gamma), want_vectors=False)
             assert match_spectra(energies, ed.values).max_abs_diff < 1e-6
 

@@ -72,9 +72,21 @@ def test_parity_sectors():
                               np.arange(2 ** L))
 
 
+def bit_reversal(L):
+    """Basis index of each state's mirror image under site j -> L+1-j."""
+    states = np.arange(2 ** L)
+    mirror = np.zeros_like(states)
+    for bit in range(L):
+        mirror |= ((states >> bit) & 1) << (L - 1 - bit)
+    return mirror
+
+
 def test_blocked_ed_eigen_matches_the_full_solve():
     for L in range(2, 10):
         H = build_spin_hamiltonian(L, random_gamma())
+        # the site reflection commutes with H exactly
+        mirror = bit_reversal(L)
+        assert np.array_equal(H[np.ix_(mirror, mirror)], H)
         full = np.linalg.eigvals(H)
         scale = float(np.max(np.abs(full)))
         vals = ed_eigen(H, want_vectors=False).values
@@ -96,6 +108,33 @@ def test_blocked_ed_eigen_matches_the_full_solve():
             assert np.all(np.minimum(
                 np.max(np.abs(flipped - res.vectors), axis=0),
                 np.max(np.abs(flipped + res.vectors), axis=0)) < 1e-15)
+            # and so does the site reflection
+            mirrored = res.vectors[mirror]
+            assert np.all(np.minimum(
+                np.max(np.abs(mirrored - res.vectors), axis=0),
+                np.max(np.abs(mirrored + res.vectors), axis=0)) < 1e-15)
+
+
+def test_ed_eigen_with_spin_flip_but_without_reflection_symmetry():
+    # one in-sector entry and its flip partner change, so each sector still
+    # splits in flip halves but the reflection no longer splits them
+    for L in (4, 6, 8):
+        H = build_spin_hamiltonian(L, random_gamma())
+        N = 2 ** L
+        for idx in parity_sectors(L):
+            i, j = idx[0], idx[1]
+            H[i, j] += 0.25
+            H[N - 1 - i, N - 1 - j] += 0.25
+        mirror = bit_reversal(L)
+        assert not np.array_equal(H[np.ix_(mirror, mirror)], H)
+        full = np.linalg.eigvals(H)
+        scale = float(np.max(np.abs(full)))
+        vals = ed_eigen(H, want_vectors=False).values
+        assert match_spectra(vals, full).max_abs_diff <= 1e-12 * scale
+        res = ed_eigen(H)
+        assert match_spectra(res.values, full).max_abs_diff <= 1e-12 * scale
+        assert np.max(np.abs(H @ res.vectors - res.vectors * res.values)) \
+            < 1e-12 * scale
 
 
 def test_ed_eigen_without_spin_flip_symmetry_solves_each_sector_as_before():
