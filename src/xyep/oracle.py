@@ -131,16 +131,17 @@ def parity_sectors(L: int) -> tuple[np.ndarray, np.ndarray]:
     return states[odd == 0], states[odd == 1]
 
 
-def _split_eig(B: np.ndarray, levels: list, want_vectors: bool, sign=1.0):
-    """Eigenpairs of B.  If B commutes exactly with the signed index
-    involution e_i -> s_i e_p[i], where (p, s) = ``levels[0](sign)``, they
-    come from its blocks on the eigenspaces of sign +-1, each split by
-    ``levels[1:]``: the space of a sign holds (e_i + sign s_i e_p[i])/sqrt2
-    for each i < p[i] and e_i for each i = p[i] with s_i = sign."""
-    p, s = levels[0](sign) if levels and B.shape[0] > 1 else (None, None)
-    if p is None or not np.array_equal(B[np.ix_(p, p)], B * np.outer(s, s)):
+def _split_eig(B: np.ndarray, p, s, want_vectors: bool, inner=None):
+    """Eigenpairs of B.  If B commutes exactly with e_i -> s_i e_p[i], a signed
+    index involution (p[p[i]] = i, s_i s_p[i] = 1), they come from its blocks
+    of sign +1, then -1, each in the basis (e_i + sign s_i e_p[i])/sqrt2 for
+    i < p[i] and e_i for i = p[i] with s_i = sign, in increasing i; ``inner``
+    maps a sign to a further (p, s) that splits its block the same way."""
+    idx, parts, lifted = np.arange(B.shape[0]), [], []
+    if p is None or idx.size < 2 or not (
+            np.array_equal(p[p], idx) and np.all(s * s[p] == 1)
+            and np.array_equal(B[np.ix_(p, p)], B * np.outer(s, s))):
         return np.linalg.eig(B) if want_vectors else (np.linalg.eigvals(B), None)
-    idx, parts, lifted = np.arange(p.size), [], []
     for sign in (1.0, -1.0):
         a = idx[(idx < p) | ((idx == p) & (s == sign))]
         if not a.size:
@@ -150,7 +151,7 @@ def _split_eig(B: np.ndarray, levels: list, want_vectors: bool, sign=1.0):
         # the entries of U^T B U for that orthonormal basis U
         block = (B[np.ix_(a, a)] + B[np.ix_(a, b)] * (c * (a != b))) \
             * (root[:, None] / root)
-        vals, v = _split_eig(block, levels[1:], want_vectors, sign)
+        vals, v = _split_eig(block, *(inner or {}).get(sign, (None, None)), want_vectors)
         parts.append(vals)
         if want_vectors:
             lifted.append(np.zeros((p.size, vals.size), dtype=complex))
@@ -166,12 +167,12 @@ def ed_eigen(H: np.ndarray, want_vectors: bool = True) -> EDResult:
     parity sectors are all exactly zero (any spin Hamiltonian here) is
     solved sector by sector, each vector scattered back to full length
     with exact zeros in the other sector.  A sector equal to its own
-    index reversal, the spin flip (even L), splits in two, and a half
-    commuting with the site reflection, the bit reversal, in two again;
-    the checks are exact, and vectors are lifted back through both
-    levels.  An odd block equal to the even one reversed (odd L) reuses
-    its values, with the vectors reversed; any other block is solved
-    whole.  Vectors are only computed up to 2^10; values alone up to 2^12.
+    index reversal (for even L, the spin flip) splits in two; for even L
+    a half commuting with the site reflection, the bit reversal, splits in
+    two again, eight blocks in all.  The checks are exact, and vectors are
+    lifted back through both levels.  An odd block equal to the even one
+    reversed (odd L) reuses its values, with the vectors reversed; any other
+    matrix is solved whole.  Vectors up to 2^10 only; values up to 2^12.
     """
     N = H.shape[0]
     if want_vectors and N > 2 ** VECTOR_LIMIT:
@@ -183,25 +184,24 @@ def ed_eigen(H: np.ndarray, want_vectors: bool = True) -> EDResult:
     sectors = parity_sectors(L) if N > 1 and not N & (N - 1) else ()
     if not sectors or np.any(H[np.ix_(*sectors)]) or np.any(H[np.ix_(*sectors[::-1])]):
         sectors = (states,)
-    mirror = np.zeros_like(states)
-    for bit in range(L):
-        mirror |= ((states >> bit) & 1) << (L - 1 - bit)
     vecs = np.zeros((N, N), dtype=complex) if want_vectors else None
     parts, resid, start = [], 0.0, 0
     for rows in sectors:
-        block, n = H[np.ix_(rows, rows)], rows.size
-        # the flip reverses a sector; on its half of a sign, a state whose
-        # mirror is in the second half maps to that mirror's flip partner, signed
-        q = np.searchsorted(rows, mirror[rows[:n // 2]])
-        levels = [lambda sign: (np.arange(n)[::-1], np.ones(n)),
-                  lambda sign: (np.where(q < n // 2, q, n - 1 - q),
-                                np.where(q < n // 2, 1.0, sign))]
+        block, n, halves = H[np.ix_(rows, rows)], rows.size, None
+        flip = (np.arange(n)[::-1], np.ones(n)) if len(sectors) > 1 else (None, None)
+        if len(sectors) > 1 and L % 2 == 0:
+            # the spin flip keeps each sector of an even chain, reversed; its half
+            # of a sign holds (e_i + sign e_{n-1-i})/sqrt2, i < n/2, and the mirror
+            # q of state i takes it to that of q, or of n-1-q times sign if q >= n/2
+            q = np.searchsorted(rows, sum(((rows[:n // 2] >> k) & 1) << (L - 1 - k)
+                                          for k in range(L)))
+            halves = {sign: (np.minimum(q, n - 1 - q), np.where(q < n // 2, 1.0, sign))
+                      for sign in (1.0, -1.0)}
         if parts and np.array_equal(block, first[::-1, ::-1]):
             vals, v = parts[0], None if v is None else v[::-1]
         else:
             first = block
-            vals, v = _split_eig(block, levels if len(sectors) > 1 else [],
-                                 want_vectors)
+            vals, v = _split_eig(block, *flip, want_vectors, halves)
         parts.append(vals)
         if want_vectors:
             resid = max(resid, float(np.max(np.abs(block @ v - v * vals[None, :]))))

@@ -82,8 +82,12 @@ def bit_reversal(L):
 
 
 def test_blocked_ed_eigen_matches_the_full_solve():
-    for L in range(2, 10):
-        H = build_spin_hamiltonian(L, random_gamma())
+    # at gamma = 1 only the sx.sx bonds remain, so for odd L the index
+    # reversal within a sector (the flip of every site but one) commutes
+    # with H as well, and its halves must be solved without the reflection
+    cases = [(L, random_gamma()) for L in range(2, 10)] + [(3, 1.0), (4, 1.0), (5, 1.0)]
+    for L, gamma in cases:
+        H = build_spin_hamiltonian(L, gamma)
         # the site reflection commutes with H exactly
         mirror = bit_reversal(L)
         assert np.array_equal(H[np.ix_(mirror, mirror)], H)
