@@ -14,7 +14,7 @@ for many anisotropies and one or both modes in one root solve;
 :func:`quasi_energies` labels its one-anisotropy row of both modes, and
 :func:`mode_arrays` is the one evaluator of mode data: eigenvector
 halves and, at order 1, their eps-derivative, at any number of roots of
-one mode in one call (and, at order 0, any number of anisotropies), so
+one mode and any number of anisotropies in one call, so
 consumers make one call per mode (the two Jordan chains at an
 exceptional point share one; a rigidity grid, one per chunk of cells);
 :func:`mode_vectors` normalizes such a block column by column.
@@ -302,20 +302,19 @@ class ModeVector:
     boundary_residual: float
 
 
-def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0, *,
-                gammas=None):
+def mode_arrays(L: int, gammas, mode: str, eps, x, order: int = 0):
     """Unnormalized (phi, psi) for the +eps branch at k roots of one mode.
 
-    ``eps`` and ``x`` are length-k arrays (a scalar counts as k = 1),
-    evaluated in one recurrence; ``phi`` and ``psi`` have shape
-    ``(order + 1, L, k)`` and the boundary values shape ``(k,)``.  As in
-    :func:`xyep.polyalg.chebyshev_u`, row d is the d-th derivative:
-    ``order = 1`` adds d(phi, psi)/d(eps) along the dispersion x(eps).
-    ``gammas``, m anisotropies of the chain of length ``spec.L``, stacks
-    m order-0 evaluations in place of ``spec.gamma``: ``eps`` and ``x``
-    are then ``(m, k)``, every result gains a leading axis of length m,
-    and slice i is bit for bit the call at ``gammas[i]`` alone.  A stack
-    at ``order = 1`` raises :class:`DegenerateInput`.
+    ``eps`` and ``x`` have shape ``leading + (k,)`` (a scalar counts as
+    k = 1) and are evaluated in one recurrence; ``gammas`` broadcasts
+    against their leading axes, so a scalar serves every root and an
+    array of m anisotropies stacks m evaluations, ``eps`` and ``x`` then
+    ``(m, k)``.  ``phi`` and ``psi`` have shape
+    ``leading + (order + 1, L, k)`` and the boundary values shape
+    ``leading + (k,)``; slice i of a stack is bit for bit the call at
+    ``gammas[i]`` alone.  As in :func:`xyep.polyalg.chebyshev_u`, row d
+    is the d-th derivative: ``order = 1`` adds d(phi, psi)/d(eps) along
+    the dispersion x(eps).
     Even sites carry plain Chebyshev values; odd sites carry the
     eps-dependent combination.  Division by eps makes eps = 0 unusable
     here, so it raises :class:`EpsilonZero`.  det(A +- B) is a nonzero
@@ -323,7 +322,8 @@ def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0, *,
     :func:`eps_of_x` can cancel an edge mode's eps to exactly 0 at large
     L (the README's known limitation on edge-mode quasi-energies).
     """
-    L, n = spec.L, spec.n_pairs
+    L = check_length(L)
+    n = L // 2
     eps = np.atleast_1d(np.asarray(eps, dtype=complex))
     if np.any(eps == 0):
         raise EpsilonZero("mode construction divides by the quasi-energy")
@@ -331,10 +331,8 @@ def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0, *,
         raise DegenerateInput(f"mode must be 'I' or 'II', got {mode!r}")
     if order not in (0, 1):
         raise DegenerateInput(f"order must be 0 or 1, got {order}")
-    if order and gammas is not None:
-        raise DegenerateInput("a stack of anisotropies is evaluated at order 0")
-    # a stack puts one anisotropy on each row of eps and x
-    g = spec.gamma if gammas is None else np.asarray(gammas, complex)[:, None]
+    # one anisotropy for all k roots of its row of eps and x
+    g = np.asarray(gammas, dtype=complex)[..., None]
     u = chebyshev_u(np.atleast_1d(x), n, order)
     ca, cb = (1 + g, 1 - g) if mode == "I" else (1 - g, 1 + g)
     # U_0 .. U_{n-1} on sites 2,4,..,L; the eps-dependent mix on 1,3,..,L-1
@@ -352,9 +350,9 @@ def mode_arrays(spec: ChainSpec, mode: str, eps, x, order: int = 0, *,
     even_half[:, 1::2] = even
     odd_half[:, 0::2] = odd
     boundary = (ca * u[0, n + 1] + cb * u[0, n]) / (2 * eps)
-    if gammas is not None:
-        phi, psi = np.moveaxis(phi, 2, 0), np.moveaxis(psi, 2, 0)
-    return phi, psi, boundary
+    # the leading axes of eps go first: leading + (order + 1, L, k)
+    axes = (*range(2, phi.ndim - 1), 0, 1, -1)
+    return phi.transpose(axes), psi.transpose(axes), boundary
 
 
 def mode_vectors(spec: ChainSpec, mode: str, points: list[SpectralPoint]):
@@ -371,7 +369,8 @@ def mode_vectors(spec: ChainSpec, mode: str, points: list[SpectralPoint]):
     is (-phi, psi), exactly.
     """
     eps = [p.epsilon if p.sign > 0 else -p.epsilon for p in points]
-    phi, psi, boundary = mode_arrays(spec, mode, eps, [p.x for p in points])
+    phi, psi, boundary = mode_arrays(spec.L, spec.gamma, mode, eps,
+                                     [p.x for p in points])
     phi, psi = phi[0], psi[0]
     n2 = np.sum(phi * phi + psi * psi, axis=0)
     if np.any(np.abs(n2) < 1e-300):

@@ -203,7 +203,8 @@ def _jordan_chains(spec: ChainSpec, ep: EPRecord,
     ``M`` is the quasi-Hamiltonian of ``spec``, for the residuals.
     """
     eps_all = [ep.epsilon, -ep.epsilon]
-    phi, psi, _ = mode_arrays(spec, ep.mode, eps_all, [ep.x] * 2, order=1)
+    phi, psi, _ = mode_arrays(spec.L, spec.gamma, ep.mode, eps_all, [ep.x] * 2,
+                              order=1)
     m_norm = float(np.linalg.norm(M))
     eye = np.eye(2 * spec.L)
     chains = []

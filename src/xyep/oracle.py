@@ -8,13 +8,15 @@ eigensolves run on the even and odd parity sectors separately.  The spin
 flip, which reverses the basis index, and the site reflection, which
 reverses its bits, commute with the Hamiltonian too: for even L they
 split each sector into four blocks, eight of about 2^(L-3) in all; for
-odd L the flip maps one sector onto the other, so one solve serves both.
-Dense matrices cap the reachable sizes; the limits are explicit.
+odd L the flip swaps the sectors, so the reflection alone splits each,
+four blocks in all.  Every block is solved; nothing is reused.  Dense
+matrices cap the reachable sizes; the limits are explicit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -99,10 +101,7 @@ def jordan_wigner_modes(L: int) -> list[np.ndarray]:
         raise SizeLimit(f"operator realization capped at L = {REALIZE_LIMIT}")
     modes = []
     for j in range(1, L + 1):
-        factors = [_SZ] * (j - 1) + [_SM] + [_ID] * (L - j)
-        op = factors[0]
-        for f in factors[1:]:
-            op = np.kron(op, f)
+        op = reduce(np.kron, [_SZ] * (j - 1) + [_SM] + [_ID] * (L - j))
         modes.append(((-1) ** j) * op.astype(complex))
     return modes
 
@@ -131,13 +130,15 @@ def parity_sectors(L: int) -> tuple[np.ndarray, np.ndarray]:
     return states[odd == 0], states[odd == 1]
 
 
-def _split_eig(B: np.ndarray, p, s, want_vectors: bool, inner=None):
-    """Eigenpairs of B.  If B commutes exactly with e_i -> s_i e_p[i], a signed
-    index involution (p[p[i]] = i, s_i s_p[i] = 1), they come from its blocks
-    of sign +1, then -1, each in the basis (e_i + sign s_i e_p[i])/sqrt2 for
-    i < p[i] and e_i for i = p[i] with s_i = sign, in increasing i; ``inner``
-    maps a sign to a further (p, s) that splits its block the same way."""
+def _split_eig(B: np.ndarray, maps, want_vectors: bool):
+    """Eigenpairs of B, split by ``maps``: signed index involutions (p, s),
+    e_i -> s_i e_p[i] with p[p[i]] = i and s_i s_p[i] = 1, that commute with
+    one another.  If B commutes exactly with the first, they come from its
+    blocks of sign +1, then -1, each in the basis (e_i + sign s_i e_p[i])/sqrt2
+    for i < p[i] and e_i for i = p[i] with s_i = sign, in increasing i; each
+    later map is carried into each block, which it splits the same way."""
     idx, parts, lifted = np.arange(B.shape[0]), [], []
+    p, s = maps[0] if maps else (None, None)
     if p is None or idx.size < 2 or not (
             np.array_equal(p[p], idx) and np.all(s * s[p] == 1)
             and np.array_equal(B[np.ix_(p, p)], B * np.outer(s, s))):
@@ -151,7 +152,12 @@ def _split_eig(B: np.ndarray, p, s, want_vectors: bool, inner=None):
         # the entries of U^T B U for that orthonormal basis U
         block = (B[np.ix_(a, a)] + B[np.ix_(a, b)] * (c * (a != b))) \
             * (root[:, None] / root)
-        vals, v = _split_eig(block, *(inner or {}).get(sign, (None, None)), want_vectors)
+        # a later map (q, t) takes the basis vector of a to t_a times that of
+        # q[a], or, if q[a] > p[q[a]], to t_a sign s[q[a]] times that of p[q[a]]
+        inner = [(np.searchsorted(a, np.minimum(q[a], p[q[a]])),
+                  t[a] * np.where(q[a] > p[q[a]], sign * s[q[a]], 1.0))
+                 for q, t in maps[1:]]
+        vals, v = _split_eig(block, inner, want_vectors)
         parts.append(vals)
         if want_vectors:
             lifted.append(np.zeros((p.size, vals.size), dtype=complex))
@@ -166,14 +172,15 @@ def ed_eigen(H: np.ndarray, want_vectors: bool = True) -> EDResult:
     A matrix of dimension 2^L whose entries coupling the even and odd
     parity sectors are all exactly zero (any spin Hamiltonian here) is
     solved sector by sector, each vector scattered back to full length
-    with exact zeros in the other sector.  A sector equal to its own
-    index reversal (for even L, the spin flip) splits in two; for even L
-    a half commuting with the site reflection, the bit reversal, splits in
-    two again, eight blocks in all.  The checks are exact, and vectors are
-    lifted back through both levels.  An odd block equal to the even one
-    reversed (odd L) reuses its values, with the vectors reversed; any other
-    matrix is solved whole.  Vectors up to 2^10 only; values up to 2^12.
+    with exact zeros in the other sector.  A sector is split further by
+    the signed permutations it commutes with exactly: for even L the spin
+    flip (the sector reversed), then the site reflection (the bits of each
+    index reversed), four blocks; for odd L the reflection alone, two.
+    Every block is solved, none reused, and its vectors lifted back; any
+    other matrix is solved whole.  Vectors up to 2^10 only; values up to 2^12.
     """
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise DegenerateInput(f"matrix must be square, got shape {H.shape}")
     N = H.shape[0]
     if want_vectors and N > 2 ** VECTOR_LIMIT:
         raise SizeLimit(f"eigenvectors capped at dimension 2^{VECTOR_LIMIT}")
@@ -187,21 +194,13 @@ def ed_eigen(H: np.ndarray, want_vectors: bool = True) -> EDResult:
     vecs = np.zeros((N, N), dtype=complex) if want_vectors else None
     parts, resid, start = [], 0.0, 0
     for rows in sectors:
-        block, n, halves = H[np.ix_(rows, rows)], rows.size, None
-        flip = (np.arange(n)[::-1], np.ones(n)) if len(sectors) > 1 else (None, None)
-        if len(sectors) > 1 and L % 2 == 0:
-            # the spin flip keeps each sector of an even chain, reversed; its half
-            # of a sign holds (e_i + sign e_{n-1-i})/sqrt2, i < n/2, and the mirror
-            # q of state i takes it to that of q, or of n-1-q times sign if q >= n/2
-            q = np.searchsorted(rows, sum(((rows[:n // 2] >> k) & 1) << (L - 1 - k)
-                                          for k in range(L)))
-            halves = {sign: (np.minimum(q, n - 1 - q), np.where(q < n // 2, 1.0, sign))
-                      for sign in (1.0, -1.0)}
-        if parts and np.array_equal(block, first[::-1, ::-1]):
-            vals, v = parts[0], None if v is None else v[::-1]
-        else:
-            first = block
-            vals, v = _split_eig(block, *flip, want_vectors, halves)
+        block, n, maps = H[np.ix_(rows, rows)], rows.size, []
+        if len(sectors) > 1:
+            # the flip (even L) and the reflection as maps on the sector's indices
+            mirror = sum(((rows >> k) & 1) << (L - 1 - k) for k in range(L))
+            maps = [(np.arange(n)[::-1], np.ones(n))] if L % 2 == 0 else []
+            maps.append((np.searchsorted(rows, mirror), np.ones(n)))
+        vals, v = _split_eig(block, maps, want_vectors)
         parts.append(vals)
         if want_vectors:
             resid = max(resid, float(np.max(np.abs(block @ v - v * vals[None, :]))))
@@ -302,6 +301,8 @@ def geometric_multiplicities(H: np.ndarray) -> list[ClusterRecord]:
     multiplicity is the number of singular values of H - mu I below
     ``_RANK_TOL`` times the largest.
     """
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise DegenerateInput(f"matrix must be square, got shape {H.shape}")
     vals = np.linalg.eigvals(H)
     n = vals.size
     parent = list(range(n))
@@ -448,7 +449,8 @@ def build_ep_states(spec, jordan) -> EPStates:
     """Construct all 3 * 2^(L-2) eigenstates at an exceptional point.
 
     ``jordan`` must be a Jordan decomposition of the quasi-Hamiltonian
-    at the EP (see the ep module); its column data supplies the
+    of ``spec`` at the EP (see the ep module); another chain's is
+    refused with :class:`DegenerateInput`.  Its column data supplies the
     coefficient rows for every quasi-particle operator.  Two joint
     vacua are found by explicit null-space computation, each a random
     combination of its null space from a generator seeded with 0, so
@@ -458,6 +460,8 @@ def build_ep_states(spec, jordan) -> EPStates:
     L = spec.L
     if L > EP_STATE_LIMIT:
         raise SizeLimit(f"explicit EP states capped at L = {EP_STATE_LIMIT}")
+    if jordan.spec != spec:
+        raise DegenerateInput("the Jordan decomposition is of another chain")
     H = build_spin_hamiltonian(L, spec.gamma)
     h_norm = float(np.linalg.norm(H, np.inf))
     modes = jordan_wigner_modes(L)
@@ -493,14 +497,11 @@ def build_ep_states(spec, jordan) -> EPStates:
         v = basis @ coef
         return v / np.linalg.norm(v)
 
-    omega1 = pick(omega1_basis)
-    omega2 = pick(omega2_basis)
+    omega1, omega2 = pick(omega1_basis), pick(omega2_basis)
 
     # number projectors of the simple pairs, in column-pair order
-    pair_info = []
-    for i in range(0, p, 2):
-        pair_info.append((jordan.J[i, i], lop(i) @ rop(i),
-                          lop(i + 1) @ rop(i + 1)))
+    pair_info = [(jordan.J[i, i], lop(i) @ rop(i), lop(i + 1) @ rop(i + 1))
+                 for i in range(0, p, 2)]
 
     eps_ep = jordan.J[up, up]
     sectors, occupations, energies, states = [], [], [], []
@@ -508,9 +509,7 @@ def build_ep_states(spec, jordan) -> EPStates:
     n_pairs = len(pair_info)
     for bits in range(2 ** n_pairs):
         pattern = tuple((bits >> (n_pairs - 1 - k)) & 1 for k in range(n_pairs))
-        base = 0j
-        projected1 = omega1
-        projected2 = omega2
+        base, projected1, projected2 = 0j, omega1, omega2
         for k, (eps_k, p_plus, p_minus) in enumerate(pair_info):
             op = p_plus if pattern[k] else p_minus
             base += (0.5 if pattern[k] else -0.5) * eps_k

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import column_from_halves
-from .chain import MODES, ChainSpec, check_length, mode_arrays, mode_spectra
+from .chain import MODES, check_length, mode_arrays, mode_spectra
 from .ep import EPRecord, coalescing_order, locate_eps
 from .errors import (
     AmbiguousContinuation,
@@ -113,7 +113,6 @@ def _slot_columns(L: int, ep: EPRecord, gammas: np.ndarray, eps: np.ndarray,
     column at an exact EP needs no special case.
     """
     n = L // 2
-    spec = ChainSpec(L, ep.gamma)       # its length; gammas stack the cells
     slot_eps, phis, psis = [], [], []
     for k, mode in enumerate(MODES):
         mode_eps, mode_x = eps[:, k * n: (k + 1) * n], x[:, k * n: (k + 1) * n]
@@ -121,7 +120,7 @@ def _slot_columns(L: int, ep: EPRecord, gammas: np.ndarray, eps: np.ndarray,
             order = coalescing_order(mode_x, ep)
             mode_eps = np.take_along_axis(mode_eps, order, -1)
             mode_x = np.take_along_axis(mode_x, order, -1)
-        phi, psi, _ = mode_arrays(spec, mode, mode_eps, mode_x, gammas=gammas)
+        phi, psi, _ = mode_arrays(L, gammas, mode, mode_eps, mode_x)
         slot_eps.append(mode_eps)
         phis.append(phi[:, 0])
         psis.append(psi[:, 0])

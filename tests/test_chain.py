@@ -228,7 +228,7 @@ def test_gamma_maps_give_the_same_bits_for_scalars_and_arrays():
 
 
 def values_along_dispersion(spec, mode, eps):
-    phi, psi, _ = mode_arrays(spec, mode, eps, x_of_eps(spec.gamma, eps))
+    phi, psi, _ = mode_arrays(spec.L, spec.gamma, mode, eps, x_of_eps(spec.gamma, eps))
     return np.concatenate([phi[0], psi[0]])
 
 
@@ -239,12 +239,12 @@ def test_mode_arrays_derivative_follows_the_dispersion():
     for mode, pts in (("I", points[:5]), ("II", points[5:])):
         eps = np.array([p.epsilon for p in pts])
         x = np.array([p.x for p in pts])
-        block = mode_arrays(spec, mode, eps, x, order=1)
+        block = mode_arrays(spec.L, spec.gamma, mode, eps, x, order=1)
         # all roots of the mode in one call, then each root as a scalar (k = 1)
         for j, (e, xx) in enumerate([(eps, x)] + list(zip(eps, x))):
             k = np.size(e)
-            phi, psi, boundary = mode_arrays(spec, mode, e, xx, order=1)
-            phi0, psi0, boundary0 = mode_arrays(spec, mode, e, xx)
+            phi, psi, boundary = mode_arrays(spec.L, spec.gamma, mode, e, xx, order=1)
+            phi0, psi0, boundary0 = mode_arrays(spec.L, spec.gamma, mode, e, xx)
             assert phi.shape == psi.shape == (2, 10, k)
             assert phi0.shape == psi0.shape == (1, 10, k)
             assert boundary.shape == boundary0.shape == (k,)
@@ -264,29 +264,26 @@ def test_mode_arrays_derivative_follows_the_dispersion():
             assert np.all(np.max(np.abs(exact - fd), axis=0)
                           < 1e-7 * np.max(np.abs(exact), axis=0))
     with pytest.raises(DegenerateInput):
-        mode_arrays(spec, mode, eps, x, order=2)
+        mode_arrays(spec.L, spec.gamma, mode, eps, x, order=2)
 
 
 def test_stacked_mode_arrays_match_one_anisotropy_calls():
-    # a stack of m anisotropies is m order-0 evaluations side by side:
-    # slice i is bit for bit the call at gammas[i] alone
+    # a stack of m anisotropies is m evaluations side by side, at either
+    # order: slice i is bit for bit the call at gammas[i] alone
     rng = np.random.default_rng(5)
     gammas = rng.uniform(-2, 2, 9) + 1j * rng.uniform(-2, 2, 9)
     L, n = 10, 5
     eps, x = mode_spectra(L, gammas, "both")
-    for k, mode in enumerate(("I", "II")):
-        cols = slice(k * n, (k + 1) * n)
-        stacked = mode_arrays(ChainSpec(L, 0.5), mode, eps[:, cols],
-                              x[:, cols], gammas=gammas)
-        assert stacked[0].shape == stacked[1].shape == (9, 1, L, n)
-        assert stacked[2].shape == (9, n)
-        for i, g in enumerate(gammas):
-            one = mode_arrays(ChainSpec(L, g), mode, eps[i, cols], x[i, cols])
-            for got, want in zip(stacked, one):
-                assert np.array_equal(got[i], want)
-        with pytest.raises(DegenerateInput, match="order 0"):
-            mode_arrays(ChainSpec(L, 0.5), mode, eps[:, cols], x[:, cols], 1,
-                        gammas=gammas)
+    for order in (0, 1):
+        for k, mode in enumerate(("I", "II")):
+            cols = slice(k * n, (k + 1) * n)
+            stacked = mode_arrays(L, gammas, mode, eps[:, cols], x[:, cols], order)
+            assert stacked[0].shape == stacked[1].shape == (9, order + 1, L, n)
+            assert stacked[2].shape == (9, n)
+            for i, g in enumerate(gammas):
+                one = mode_arrays(L, g, mode, eps[i, cols], x[i, cols], order)
+                for got, want in zip(stacked, one):
+                    assert np.array_equal(got[i], want)
 
 
 def test_every_consumer_makes_one_mode_arrays_call_per_mode(monkeypatch):
@@ -368,8 +365,8 @@ def test_mode_vectors_normalize_each_column_of_one_mode():
     points = quasi_energies(spec, warn=False)
     for mode, pts in (("I", points[:6]), ("II", points[6:])):
         phi, psi, scale, residual = mode_vectors(spec, mode, pts)
-        raw_phi, raw_psi, _ = mode_arrays(spec, mode, [p.epsilon for p in pts],
-                                          [p.x for p in pts])
+        raw_phi, raw_psi, _ = mode_arrays(spec.L, spec.gamma, mode,
+                                          [p.epsilon for p in pts], [p.x for p in pts])
         assert np.array_equal(phi, raw_phi[0] * scale)
         assert np.array_equal(psi, raw_psi[0] * scale)
         assert np.max(np.abs(np.sum(phi * phi + psi * psi, axis=0) - 1)) < 1e-12
@@ -489,7 +486,7 @@ def test_unknown_modes_are_refused():
     points = quasi_energies(spec, warn=False)[:2]
     for mode in ("1", "i", "both"):
         with pytest.raises(DegenerateInput, match="mode must be 'I' or 'II'"):
-            mode_arrays(spec, mode, [p.epsilon for p in points],
+            mode_arrays(spec.L, spec.gamma, mode, [p.epsilon for p in points],
                         [p.x for p in points])
         with pytest.raises(DegenerateInput, match="mode must be 'I' or 'II'"):
             mode_vectors(spec, mode, points)

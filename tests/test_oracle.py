@@ -84,7 +84,7 @@ def bit_reversal(L):
 def test_blocked_ed_eigen_matches_the_full_solve():
     # at gamma = 1 only the sx.sx bonds remain, so for odd L the index
     # reversal within a sector (the flip of every site but one) commutes
-    # with H as well, and its halves must be solved without the reflection
+    # with H as well, and for even L one sector reversed equals the other
     cases = [(L, random_gamma()) for L in range(2, 10)] + [(3, 1.0), (4, 1.0), (5, 1.0)]
     for L, gamma in cases:
         H = build_spin_hamiltonian(L, gamma)
@@ -106,17 +106,17 @@ def test_blocked_ed_eigen_matches_the_full_solve():
         in_odd = ~np.any(res.vectors[even], axis=0)
         assert np.all(in_even ^ in_odd)
         assert in_even.sum() == in_odd.sum() == 2 ** (L - 1)
+        # the site reflection keeps every vector up to a sign
+        mirrored = res.vectors[mirror]
+        assert np.all(np.minimum(
+            np.max(np.abs(mirrored - res.vectors), axis=0),
+            np.max(np.abs(mirrored + res.vectors), axis=0)) < 1e-15)
         if L % 2 == 0:
-            # the spin flip s -> 2^L-1-s keeps every vector up to a sign
+            # and for even L so does the spin flip s -> 2^L-1-s
             flipped = res.vectors[::-1]
             assert np.all(np.minimum(
                 np.max(np.abs(flipped - res.vectors), axis=0),
                 np.max(np.abs(flipped + res.vectors), axis=0)) < 1e-15)
-            # and so does the site reflection
-            mirrored = res.vectors[mirror]
-            assert np.all(np.minimum(
-                np.max(np.abs(mirrored - res.vectors), axis=0),
-                np.max(np.abs(mirrored + res.vectors), axis=0)) < 1e-15)
 
 
 def test_ed_eigen_with_spin_flip_but_without_reflection_symmetry():
@@ -169,19 +169,24 @@ def test_ed_eigen_without_spin_flip_symmetry_solves_each_sector_as_before():
         assert np.array_equal(ed_eigen(H, want_vectors=False).values, only)
 
 
-def test_odd_chain_values_come_in_exactly_equal_spin_flip_pairs():
-    for L in (3, 5, 7, 9):
-        N = 2 ** L
-        H = build_spin_hamiltonian(L, random_gamma())
-        vals = ed_eigen(H, want_vectors=False).values
-        assert np.array_equal(vals[0::2], vals[1::2])
-        res = ed_eigen(H)
-        assert np.array_equal(res.values[0::2], res.values[1::2])
-        # each pair's vectors are one another reversed: s -> 2^L-1-s
-        pairs = res.vectors.reshape(N, N // 2, 2)
-        assert np.all(np.minimum(
-            np.max(np.abs(pairs[::-1, :, 0] - pairs[:, :, 1]), axis=0),
-            np.max(np.abs(pairs[::-1, :, 1] - pairs[:, :, 0]), axis=0)) == 0)
+def test_odd_chain_sectors_are_solved_as_two_reflection_blocks(monkeypatch):
+    # the spin flip of an odd chain swaps the sectors, so each sector splits
+    # only by the site reflection, into its mirror-even and mirror-odd states
+    sizes = []
+    real = np.linalg.eigvals
+
+    def counting(B):
+        sizes.append(B.shape[0])
+        return real(B)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    for L in (3, 5, 7):
+        sizes.clear()
+        ed_eigen(build_spin_hamiltonian(L, random_gamma()), want_vectors=False)
+        # the middle site sets a palindrome's parity: 2^((L-1)/2) per sector
+        fixed = 2 ** ((L - 1) // 2)
+        pair = (2 ** (L - 1) - fixed) // 2
+        assert sizes == [pair + fixed, pair] * 2
 
 
 def test_ed_eigen_solves_other_matrices_whole():
@@ -201,6 +206,14 @@ def test_ed_eigen_solves_other_matrices_whole():
         only = np.linalg.eigvals(H)
         only = only[np.lexsort((only.imag, only.real))]
         assert np.array_equal(ed_eigen(H, want_vectors=False).values, only)
+
+
+def test_non_square_matrices_are_refused():
+    for H in (np.zeros((4, 3)), np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(DegenerateInput, match="matrix must be square"):
+            ed_eigen(H)
+        with pytest.raises(DegenerateInput, match="matrix must be square"):
+            geometric_multiplicities(H)
 
 
 def test_spin_hamiltonian_structure():
@@ -386,6 +399,16 @@ def test_build_ep_states_four_sites():
         cat = ep_state_catalog(spec, ep)
     ground = min((e.energy for e in cat.entries), key=lambda e: e.real)
     assert min(st.energies, key=lambda e: e.real) == pytest.approx(ground)
+
+
+def test_build_ep_states_refuses_another_chains_jordan_decomposition():
+    ep = min(locate_eps(4), key=lambda r: abs(r.gamma - (0.6 + 0.8j)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", XYEPWarning)
+        jd = jordan_decomposition(ChainSpec(4, ep.gamma), ep)
+    for spec in (ChainSpec(4, 0.3 + 0.2j), ChainSpec(6, ep.gamma)):
+        with pytest.raises(DegenerateInput, match="another chain"):
+            build_ep_states(spec, jd)
 
 
 def test_build_ep_states_size_limit():

@@ -270,7 +270,7 @@ def test_overlap_grid_does_not_depend_on_the_chunking(monkeypatch):
     real = topology_module.mode_arrays
 
     def counting(*args, **kwargs):
-        calls.append(np.shape(args[2]))
+        calls.append(np.shape(args[3]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(topology_module, "mode_arrays", counting)
