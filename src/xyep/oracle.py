@@ -2,25 +2,26 @@
 
 Everything here is built straight from spin flips and fermion strings,
 with no input from the closed-form spectral data, so it can arbitrate
-the analytic route.  The spin Hamiltonian is filled bond by bond with
-bit operations in O(L 2^L).  Every bond flips two spins, so dense
-eigensolves run on the even and odd parity sectors separately.  The spin
-flip, which reverses the basis index, and the site reflection, which
-reverses its bits, commute with the Hamiltonian too: for even L they
-split each sector into four blocks, eight of about 2^(L-3) in all; for
-odd L the flip swaps the sectors, so the reflection alone splits each,
-four blocks in all.  Every block is solved; nothing is reused.  Dense
-matrices cap the reachable sizes; the limits are explicit.
+the analytic route.  Every spin-space operator is filled from bit flips
+of the basis index in O(L 2^L): the spin Hamiltonian bond by bond, each
+quasi-particle operator mode by mode with its Jordan-Wigner string as a
+running sign.  Every bond flips two spins, so dense eigensolves run on
+the even and odd parity sectors separately.  The spin flip, which
+reverses the basis index, and the site reflection, which reverses its
+bits, commute with the Hamiltonian too: for even L they split each
+sector into four blocks, eight of about 2^(L-3) in all; for odd L the
+flip swaps the sectors, so the reflection alone splits each, four blocks
+in all.  Every block is solved; nothing is reused.  Dense matrices cap
+the reachable sizes; the limits are explicit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .errors import DegenerateInput, SizeLimit, as_int
+from .errors import DegenerateInput, SizeLimit, as_int, as_number
 
 __all__ = [
     "EDResult",
@@ -29,7 +30,6 @@ __all__ = [
     "ClusterRecord",
     "EPStates",
     "build_spin_hamiltonian",
-    "jordan_wigner_modes",
     "parity_sectors",
     "ed_eigen",
     "l4_closed_form",
@@ -41,7 +41,7 @@ __all__ = [
 
 SPIN_LIMIT = 12        # dense 2^L x 2^L Hamiltonians
 VECTOR_LIMIT = 10      # full eigenvector computation
-REALIZE_LIMIT = 8      # Jordan-Wigner operator realization
+REALIZE_LIMIT = 8      # quasi-particle operator realization
 EP_STATE_LIMIT = 6     # explicit many-body states at an exceptional point
 
 # geometric_multiplicities: defective eigenvalues of a dense solve scatter
@@ -52,9 +52,24 @@ _GAP_FACTOR = 10.0
 # singular values below this fraction of the largest count as null
 _RANK_TOL = 1e-8
 
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
-_SM = np.array([[0.0, 1.0], [0.0, 0.0]])   # annihilates the down state
-_ID = np.eye(2)
+
+def _anisotropy(gamma) -> complex:
+    """gamma as a complex number; DegenerateInput unless it is a finite one."""
+    g = complex(as_number(gamma, "anisotropy"))
+    if not np.isfinite(g):
+        raise DegenerateInput(f"anisotropy must be finite, got gamma = {g:.6g}")
+    return g
+
+
+def _check_matrix(H: np.ndarray, limit: int) -> None:
+    """DegenerateInput unless H is a square, non-empty, finite matrix;
+    SizeLimit if its dimension exceeds 2^limit (checked before any pass)."""
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise DegenerateInput(f"matrix must be square, got shape {H.shape}")
+    if H.shape[0] > 2 ** limit:
+        raise SizeLimit(f"dense solve capped at dimension 2^{limit}")
+    if not H.size or not np.all(np.isfinite(H)):
+        raise DegenerateInput("matrix must be non-empty and finite")
 
 
 def build_spin_hamiltonian(L: int, gamma: complex) -> np.ndarray:
@@ -71,7 +86,7 @@ def build_spin_hamiltonian(L: int, gamma: complex) -> np.ndarray:
         raise SizeLimit(f"need at least two sites, got {L}")
     if L > SPIN_LIMIT:
         raise SizeLimit(f"dense spin Hamiltonian capped at L = {SPIN_LIMIT}")
-    gamma = complex(gamma)
+    gamma = _anisotropy(gamma)
     cxx = 0.25 * (1 + gamma)
     cyy = 0.25 * (1 - gamma)
     states = np.arange(2 ** L)
@@ -86,24 +101,6 @@ def build_spin_hamiltonian(L: int, gamma: complex) -> np.ndarray:
         H[flipped, states] -= cxx
         H[flipped, states] -= cyy * yy
     return H
-
-
-def jordan_wigner_modes(L: int) -> list[np.ndarray]:
-    """Phased fermion annihilators c_j as dense matrices.
-
-    The string construction carries an extra alternating sign
-    (-1)^j which flips every bond term of the induced quadratic form;
-    with it, the spin Hamiltonian equals +(1/2) C^+ M C for the block
-    matrix M used throughout, rather than its negative.
-    """
-    L = as_int(L, "chain length")
-    if L > REALIZE_LIMIT:
-        raise SizeLimit(f"operator realization capped at L = {REALIZE_LIMIT}")
-    modes = []
-    for j in range(1, L + 1):
-        op = reduce(np.kron, [_SZ] * (j - 1) + [_SM] + [_ID] * (L - j))
-        modes.append(((-1) ** j) * op.astype(complex))
-    return modes
 
 
 @dataclass(frozen=True)
@@ -123,6 +120,8 @@ def parity_sectors(L: int) -> tuple[np.ndarray, np.ndarray]:
     index of one sector to an index of the other.
     """
     L = as_int(L, "chain length")
+    if not 1 <= L <= SPIN_LIMIT:
+        raise SizeLimit(f"parity sectors need 1 <= L <= {SPIN_LIMIT}, got {L}")
     states = np.arange(2 ** L)
     odd = np.zeros_like(states)
     for bit in range(L):
@@ -178,14 +177,10 @@ def ed_eigen(H: np.ndarray, want_vectors: bool = True) -> EDResult:
     index reversed), four blocks; for odd L the reflection alone, two.
     Every block is solved, none reused, and its vectors lifted back; any
     other matrix is solved whole.  Vectors up to 2^10 only; values up to 2^12.
+    An empty, non-square or non-finite matrix raises DegenerateInput.
     """
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise DegenerateInput(f"matrix must be square, got shape {H.shape}")
+    _check_matrix(H, VECTOR_LIMIT if want_vectors else SPIN_LIMIT)
     N = H.shape[0]
-    if want_vectors and N > 2 ** VECTOR_LIMIT:
-        raise SizeLimit(f"eigenvectors capped at dimension 2^{VECTOR_LIMIT}")
-    if N > 2 ** SPIN_LIMIT:
-        raise SizeLimit(f"eigenvalues capped at dimension 2^{SPIN_LIMIT}")
     h_norm = float(np.linalg.norm(H, np.inf))
     L, states = N.bit_length() - 1, np.arange(N)
     sectors = parity_sectors(L) if N > 1 and not N & (N - 1) else ()
@@ -230,7 +225,7 @@ def l4_closed_form(gamma: complex) -> L4ClosedForm:
     The displayed denominators vanish at gamma in {0, +1, -1}; those
     parameters need limiting forms and raise :class:`DegenerateInput`.
     """
-    g = complex(gamma)
+    g = _anisotropy(gamma)
     if g in (0, 1, -1) or g * g == 1:
         raise DegenerateInput("closed forms degenerate at gamma in {0, +1, -1}")
     dp = np.sqrt(5 * g * g + 6 * g + 5 + 0j)
@@ -295,35 +290,26 @@ class ClusterRecord:
 def geometric_multiplicities(H: np.ndarray) -> list[ClusterRecord]:
     """Cluster eigenvalues and measure each cluster's eigenspace dimension.
 
-    Eigenvalues within ``_CLUSTER_TOL`` of each other form one cluster;
-    a cluster whose distance to the rest is less than ``_GAP_FACTOR``
-    times that tolerance raises :class:`DegenerateInput`.  Geometric
-    multiplicity is the number of singular values of H - mu I below
-    ``_RANK_TOL`` times the largest.
+    Eigenvalues joined by a chain of steps of at most ``_CLUSTER_TOL``
+    form one cluster (single linkage); a cluster whose distance to the
+    rest is less than ``_GAP_FACTOR`` times that tolerance raises
+    :class:`DegenerateInput`.  Geometric multiplicity is the number of
+    singular values of H - mu I below ``_RANK_TOL`` times the largest.
+    Dimensions up to 2^10 only.
     """
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise DegenerateInput(f"matrix must be square, got shape {H.shape}")
+    _check_matrix(H, VECTOR_LIMIT)
     vals = np.linalg.eigvals(H)
-    n = vals.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= _CLUSTER_TOL:
-                parent[find(j)] = find(i)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    d = vals[:, None] - vals   # hypot rounds as the scalar abs, np.abs may not
+    close = np.hypot(d.real, d.imag) <= _CLUSTER_TOL
+    # each value takes the smallest label it is close to until none changes,
+    # so a label ends as the smallest index of its single-linkage cluster
+    label, prev = np.arange(vals.size), None
+    while not np.array_equal(label, prev):
+        label, prev = np.min(np.where(close, label, vals.size), axis=1), label
 
     records = []
     eye = np.eye(H.shape[0])
-    for members in groups.values():
+    for members in map(np.flatnonzero, label == np.unique(label)[:, None]):
         cluster = vals[members]
         mu = complex(np.mean(cluster))
         spread = float(max(abs(c - mu) for c in cluster))
@@ -342,23 +328,30 @@ def geometric_multiplicities(H: np.ndarray) -> list[ClusterRecord]:
     return records
 
 
-def realize_operator(L: int, row: np.ndarray,
-                     modes: list[np.ndarray] | None = None) -> np.ndarray:
+def realize_operator(L: int, row: np.ndarray) -> np.ndarray:
     """Dense matrix of the operator with coefficient row (a | b).
 
-    X = (1/sqrt2) sum_j [ a_j (c_j + c_j^+) + b_j (c_j - c_j^+) ] over
-    the phased Jordan-Wigner modes.
+    X = (1/sqrt2) sum_j [ a_j (c_j + c_j^+) + b_j (c_j - c_j^+) ] over the
+    phased Jordan-Wigner modes, filled from bit flips in O(L 2^L) like
+    :func:`build_spin_hamiltonian`.  c_j clears the bit of site j and c_j^+
+    sets it, both with the sign (-1)^j prod_{k<j} (1 - 2 b_k).  The extra
+    (-1)^j flips every bond term of the induced quadratic form, so the spin
+    Hamiltonian equals +(1/2) C^+ M C for the block matrix M used throughout.
     """
+    L = as_int(L, "chain length")
+    if L > REALIZE_LIMIT:
+        raise SizeLimit(f"operator realization capped at L = {REALIZE_LIMIT}")
     row = np.asarray(row, dtype=complex)
     if row.size != 2 * L:
         raise DegenerateInput(f"coefficient row must have length {2 * L}")
-    if modes is None:
-        modes = jordan_wigner_modes(L)
+    states = np.arange(2 ** L)
     X = np.zeros((2 ** L, 2 ** L), dtype=complex)
-    for j in range(L):
-        c = modes[j]
-        cd = c.conj().T
-        X += row[j] * (c + cd) + row[L + j] * (c - cd)
+    string = np.ones(2 ** L)
+    for j in range(1, L + 1):
+        bit = (states >> (L - j)) & 1
+        X[states ^ (1 << (L - j)), states] = (-1) ** j * string * np.where(
+            bit, row[j - 1] + row[L + j - 1], row[j - 1] - row[L + j - 1])
+        string *= 1 - 2 * bit
     return X / np.sqrt(2.0)
 
 
@@ -464,17 +457,16 @@ def build_ep_states(spec, jordan) -> EPStates:
         raise DegenerateInput("the Jordan decomposition is of another chain")
     H = build_spin_hamiltonian(L, spec.gamma)
     h_norm = float(np.linalg.norm(H, np.inf))
-    modes = jordan_wigner_modes(L)
 
     def lop(k):
         # annihilator-side operator attached to column k of V
         return realize_operator(
-            L, np.concatenate([jordan.phis[:, k], -jordan.psis[:, k]]), modes)
+            L, np.concatenate([jordan.phis[:, k], -jordan.psis[:, k]]))
 
     def rop(k):
         # V^{-1}-row operator; the row equals the partner column transposed
         return realize_operator(
-            L, np.concatenate([jordan.phis[:, k], jordan.psis[:, k]]), modes)
+            L, np.concatenate([jordan.phis[:, k], jordan.psis[:, k]]))
 
     p = jordan.chain_start
     wp, up, wm, um = p, p + 1, p + 2, p + 3

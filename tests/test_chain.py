@@ -26,7 +26,8 @@ from xyep.errors import (
     NearEPWarning,
     NonConvergence,
 )
-from xyep.oracle import build_spin_hamiltonian, jordan_wigner_modes, parity_sectors
+from xyep.oracle import (build_spin_hamiltonian, l4_closed_form, parity_sectors,
+                         realize_operator)
 from xyep.polyalg import _CHUNK_ENTRIES, chebyshev_u
 from xyep.topology import overlap_grid, track_loop
 
@@ -433,9 +434,12 @@ def test_non_finite_anisotropies_are_refused_by_name():
             mode_spectra(4, [0.3 + 0.2j, np.nan, complex(np.inf, 0)], "I")
         with pytest.raises(DegenerateInput, match=r"got gamma = inf\+0j$"):
             mode_spectra(4, [0.3, np.inf], "II")
-        for g in (np.nan, complex(0.2, np.inf)):
+        for g in (np.nan, np.inf, complex(0.2, np.inf)):
+            for call in (ChainSpec, build_spin_hamiltonian):
+                with pytest.raises(DegenerateInput, match="must be finite"):
+                    call(4, g)
             with pytest.raises(DegenerateInput, match="must be finite"):
-                ChainSpec(4, g)
+                l4_closed_form(g)
 
 
 @pytest.mark.parametrize("call", [
@@ -447,7 +451,7 @@ def test_non_finite_anisotropies_are_refused_by_name():
     lambda: overlap_grid(4, 0.55, 0.65, 0.75, 0.85, n_re=3.0, n_im=3),
     lambda: overlap_grid(4, 0.55, 0.65, 0.75, 0.85, n_re=3, n_im="3"),
     lambda: build_spin_hamiltonian(4.0, 0.3),
-    lambda: jordan_wigner_modes(4.0),
+    lambda: realize_operator(4.0, np.zeros(8)),
     lambda: parity_sectors(4.0),
 ])
 def test_non_integral_sizes_are_refused(call):
@@ -465,6 +469,8 @@ def test_non_integral_sizes_are_refused(call):
     lambda: track_loop(4, 0.2, 0.05 + 0j),
     lambda: overlap_grid(4, "0", 1, 0, 1, 3, 3),
     lambda: overlap_grid(4, 0, 1, 0, 1j, 3, 3),
+    lambda: build_spin_hamiltonian(4, "0.3"),
+    lambda: l4_closed_form("0.3"),
 ])
 def test_non_numeric_parameters_are_refused(call):
     # each of these once died in a raw ValueError or TypeError, or took a

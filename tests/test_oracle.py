@@ -1,6 +1,7 @@
 """Dense-matrix cross-checks: spin Hamiltonian, ED, closed forms, EP states."""
 
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,10 +12,9 @@ from xyep.chain import ChainSpec, build_quasi_hamiltonian
 from xyep.ep import ep_state_catalog, jordan_decomposition, locate_eps
 from xyep.errors import DegenerateInput, SizeLimit, XYEPWarning
 from xyep.oracle import (EP_STATE_LIMIT, REALIZE_LIMIT, SPIN_LIMIT,
-                         build_ep_states, build_spin_hamiltonian, ed_eigen,
-                         geometric_multiplicities, jordan_wigner_modes,
-                         l4_closed_form, match_spectra, parity_sectors,
-                         realize_operator)
+                         VECTOR_LIMIT, build_ep_states, build_spin_hamiltonian,
+                         ed_eigen, geometric_multiplicities, l4_closed_form,
+                         match_spectra, parity_sectors, realize_operator)
 
 RNG = np.random.default_rng(20240817)
 
@@ -40,10 +40,30 @@ def kron_spin_hamiltonian(L, gamma):
     return H
 
 
+def kron_modes(L):
+    """Reference phased annihilators c_j = (-1)^j sz x ... x sz x s- x 1 x
+    ... x 1 as Kronecker products (s- at site j clears its bit)."""
+    sz, sm = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]])
+    modes = []
+    for j in range(1, L + 1):
+        op = reduce(np.kron, [sz] * (j - 1) + [sm] + [np.eye(2)] * (L - j))
+        modes.append((-1) ** j * op.astype(complex))
+    return modes
+
+
+def kron_realize_operator(L, row):
+    """Reference (1/sqrt2) sum_j [a_j (c_j + c_j^+) + b_j (c_j - c_j^+)]
+    summed over the Kronecker modes."""
+    X = np.zeros((2 ** L, 2 ** L), dtype=complex)
+    for j, c in enumerate(kron_modes(L)):
+        X += row[j] * (c + c.conj().T) + row[L + j] * (c - c.conj().T)
+    return X / np.sqrt(2.0)
+
+
 def realize_quadratic_form(L, M):
     """Dense matrix of (1/2) C^+ M C over the phased modes, where C stacks
     the L annihilators followed by the L creators."""
-    modes = jordan_wigner_modes(L)
+    modes = kron_modes(L)
     C = modes + [c.conj().T for c in modes]
     H = np.zeros((2 ** L, 2 ** L), dtype=complex)
     for a in range(2 * L):
@@ -59,6 +79,13 @@ def test_spin_hamiltonian_equals_kron_assembly_bit_for_bit(gamma):
     for L in range(2, 9):
         assert np.array_equal(build_spin_hamiltonian(L, gamma),
                               kron_spin_hamiltonian(L, gamma))
+
+
+def test_realize_operator_equals_kron_assembly_bit_for_bit():
+    for L in range(1, REALIZE_LIMIT + 1):
+        row = RNG.standard_normal(2 * L) + 1j * RNG.standard_normal(2 * L)
+        assert np.array_equal(realize_operator(L, row),
+                              kron_realize_operator(L, row))
 
 
 def test_parity_sectors():
@@ -214,6 +241,14 @@ def test_non_square_matrices_are_refused():
             ed_eigen(H)
         with pytest.raises(DegenerateInput, match="matrix must be square"):
             geometric_multiplicities(H)
+    # empty and non-finite matrices once ended in a raw ValueError or
+    # LinAlgError
+    nan, inf = np.eye(4), build_spin_hamiltonian(4, 0.3)
+    nan[1, 2], inf[0, 3] = np.nan, np.inf
+    for H in (np.zeros((0, 0)), nan, inf):
+        for call in (ed_eigen, geometric_multiplicities):
+            with pytest.raises(DegenerateInput, match="non-empty and finite"):
+                call(H)
 
 
 def test_spin_hamiltonian_structure():
@@ -239,7 +274,7 @@ def test_two_site_spectrum_closed_form():
 
 def test_jordan_wigner_mode_algebra():
     L = 4
-    modes = jordan_wigner_modes(L)
+    modes = kron_modes(L)
     eye = np.eye(2 ** L)
     for i in range(L):
         ci = modes[i]
@@ -281,7 +316,13 @@ def test_ed_eigen_size_limits():
     with pytest.raises(SizeLimit, match="capped at L = 12"):
         build_spin_hamiltonian(SPIN_LIMIT + 1, 0.3 + 0.2j)
     with pytest.raises(SizeLimit, match="capped at L = 8"):
-        jordan_wigner_modes(REALIZE_LIMIT + 1)
+        realize_operator(REALIZE_LIMIT + 1, np.zeros(2 * REALIZE_LIMIT + 2))
+    # refused before any array is built
+    for L in (-1, 0, SPIN_LIMIT + 1, 40):
+        with pytest.raises(SizeLimit, match="parity sectors need"):
+            parity_sectors(L)
+    with pytest.raises(SizeLimit, match="capped at dimension 2\\^10"):
+        geometric_multiplicities(np.zeros((2 ** VECTOR_LIMIT + 1,) * 2))
 
 
 def test_many_body_vs_ed():
@@ -325,6 +366,13 @@ def test_geometric_multiplicities_defective_block():
     assert [(r.algebraic, r.geometric) for r in records] == [(2, 1), (1, 1)]
     assert abs(records[0].value - 1.0) < 1e-7
     assert abs(records[1].value - 2.0) < 1e-12
+
+
+def test_geometric_multiplicities_link_clusters_by_single_steps():
+    # 6e-8 steps join all three values, though the ends are 1.2e-7 apart
+    records = geometric_multiplicities(np.diag([0.0, 6e-8, 1.2e-7, 1.0]))
+    assert [r.algebraic for r in records] == [3, 1]
+    assert abs(records[0].value - 6e-8) < 1e-20
 
 
 def test_geometric_multiplicities_ambiguous_cluster():
