@@ -5,14 +5,12 @@ with no input from the closed-form spectral data, so it can arbitrate
 the analytic route.  Every spin-space operator is filled from bit flips
 of the basis index in O(L 2^L): the spin Hamiltonian bond by bond, each
 quasi-particle operator mode by mode with its Jordan-Wigner string as a
-running sign.  Every bond flips two spins, so dense eigensolves run on
-the even and odd parity sectors separately.  The spin flip, which
-reverses the basis index, and the site reflection, which reverses its
-bits, commute with the Hamiltonian too: for even L they split each
-sector into four blocks, eight of about 2^(L-3) in all; for odd L the
-flip swaps the sectors, so the reflection alone splits each, four blocks
-in all.  Every block is solved; nothing is reused.  Dense matrices cap
-the reachable sizes; the limits are explicit.
+running sign.  The parity, the spin flip (the basis index reversed) and
+the site reflection (its bits reversed) commute with the Hamiltonian; one
+splitter cuts it by them into eight blocks of about 2^(L-3) for even L,
+four for odd L (the flip swaps the parity sectors), and the eigensolve and
+the many-body census both run on every one of these leaf blocks.  Dense
+matrices cap the reachable sizes; the limits are explicit.
 """
 
 from __future__ import annotations
@@ -44,11 +42,9 @@ VECTOR_LIMIT = 10      # full eigenvector computation
 REALIZE_LIMIT = 8      # quasi-particle operator realization
 EP_STATE_LIMIT = 6     # explicit many-body states at an exceptional point
 
-# geometric_multiplicities: defective eigenvalues of a dense solve scatter
-# by roughly the square root of machine precision, so clusters are joined
-# above that scatter and must stand _GAP_FACTOR times further from the rest
-_CLUSTER_TOL = 1e-7
-_GAP_FACTOR = 10.0
+# geometric_multiplicities joins a pair split by at most this ratio of its
+# distance to the rest; a dense solve splits a defective pair by ~sqrt(eps)
+_JOIN_RATIO = 1e-3
 # singular values below this fraction of the largest count as null
 _RANK_TOL = 1e-8
 
@@ -129,19 +125,20 @@ def parity_sectors(L: int) -> tuple[np.ndarray, np.ndarray]:
     return states[odd == 0], states[odd == 1]
 
 
-def _split_eig(B: np.ndarray, maps, want_vectors: bool):
-    """Eigenpairs of B, split by ``maps``: signed index involutions (p, s),
-    e_i -> s_i e_p[i] with p[p[i]] = i and s_i s_p[i] = 1, that commute with
-    one another.  If B commutes exactly with the first, they come from its
-    blocks of sign +1, then -1, each in the basis (e_i + sign s_i e_p[i])/sqrt2
-    for i < p[i] and e_i for i = p[i] with s_i = sign, in increasing i; each
-    later map is carried into each block, which it splits the same way."""
+def _split_maps(B: np.ndarray, maps, solve):
+    """``solve(leaf)`` run on each leaf block of B, split by ``maps``: signed
+    index involutions (p, s), e_i -> s_i e_p[i] with p[p[i]] = i and
+    s_i s_p[i] = 1, that commute with one another.  If B commutes exactly
+    with the first, it splits into its blocks of sign +1, then -1, each in
+    the basis (e_i + sign s_i e_p[i])/sqrt2 for i < p[i] and e_i for i = p[i]
+    with s_i = sign, in increasing i, which each later map splits the same
+    way.  Each solve's output is concatenated, its vectors (or None) lifted."""
     idx, parts, lifted = np.arange(B.shape[0]), [], []
     p, s = maps[0] if maps else (None, None)
     if p is None or idx.size < 2 or not (
             np.array_equal(p[p], idx) and np.all(s * s[p] == 1)
             and np.array_equal(B[np.ix_(p, p)], B * np.outer(s, s))):
-        return np.linalg.eig(B) if want_vectors else (np.linalg.eigvals(B), None)
+        return solve(B)
     for sign in (1.0, -1.0):
         a = idx[(idx < p) | ((idx == p) & (s == sign))]
         if not a.size:
@@ -156,57 +153,63 @@ def _split_eig(B: np.ndarray, maps, want_vectors: bool):
         inner = [(np.searchsorted(a, np.minimum(q[a], p[q[a]])),
                   t[a] * np.where(q[a] > p[q[a]], sign * s[q[a]], 1.0))
                  for q, t in maps[1:]]
-        vals, v = _split_eig(block, inner, want_vectors)
-        parts.append(vals)
-        if want_vectors:
-            lifted.append(np.zeros((p.size, vals.size), dtype=complex))
+        out, v = _split_maps(block, inner, solve)
+        parts.append(out)
+        if v is not None:
+            lifted.append(np.zeros((p.size, v.shape[1]), dtype=complex))
             lifted[-1][b] = v * c[:, None] / root[:, None]
             lifted[-1][a] = v / root[:, None]
-    return np.concatenate(parts), np.hstack(lifted) if want_vectors else None
+    return np.concatenate(parts), np.hstack(lifted) if lifted else None
+
+
+def _split_eig(H: np.ndarray, solve):
+    """``solve`` run on each leaf block of H, as :func:`_split_maps` returns.
+    An H of dimension 2^L with no nonzero entry coupling the even and odd
+    parity sectors is split sector by sector, its vectors with exact zeros in
+    the other, and each sector by the spin flip (even L; the sector reversed)
+    and the site reflection (each index's bits reversed); else H is a leaf."""
+    N, L = H.shape[0], H.shape[0].bit_length() - 1
+    sectors = parity_sectors(L) if N > 1 and not N & (N - 1) else ()
+    if not sectors or np.any(H[np.ix_(*sectors)]) or np.any(H[np.ix_(*sectors[::-1])]):
+        sectors = (np.arange(N),)
+    parts, lifted = [], []
+    for rows in sectors:
+        n, maps = rows.size, []
+        if len(sectors) > 1:
+            mirror = sum(((rows >> k) & 1) << (L - 1 - k) for k in range(L))
+            maps = [(np.arange(n)[::-1], np.ones(n))] if L % 2 == 0 else []
+            maps.append((np.searchsorted(rows, mirror), np.ones(n)))
+        out, v = _split_maps(H[np.ix_(rows, rows)], maps, solve)
+        parts.append(out)
+        if v is not None:
+            lifted.append(np.zeros((N, v.shape[1]), dtype=complex))
+            lifted[-1][rows] = v
+    return np.concatenate(parts), np.hstack(lifted) if lifted else None
 
 
 def ed_eigen(H: np.ndarray, want_vectors: bool = True) -> EDResult:
     """Dense nonsymmetric eigensolve with a backward-error report.
 
-    A matrix of dimension 2^L whose entries coupling the even and odd
-    parity sectors are all exactly zero (any spin Hamiltonian here) is
-    solved sector by sector, each vector scattered back to full length
-    with exact zeros in the other sector.  A sector is split further by
-    the signed permutations it commutes with exactly: for even L the spin
-    flip (the sector reversed), then the site reflection (the bits of each
-    index reversed), four blocks; for odd L the reflection alone, two.
-    Every block is solved, none reused, and its vectors lifted back; any
-    other matrix is solved whole.  Vectors up to 2^10 only; values up to 2^12.
-    An empty, non-square or non-finite matrix raises DegenerateInput.
+    Each leaf block of the symmetry split (module docstring) is solved and
+    its vectors lifted back; a matrix without those symmetries is solved
+    whole.  ``max_residual`` is the largest |leaf v - lambda v| over the
+    leaves.  Vectors up to 2^10 only; values up to 2^12.  An empty,
+    non-square or non-finite matrix raises DegenerateInput.
     """
     _check_matrix(H, VECTOR_LIMIT if want_vectors else SPIN_LIMIT)
-    N = H.shape[0]
-    h_norm = float(np.linalg.norm(H, np.inf))
-    L, states = N.bit_length() - 1, np.arange(N)
-    sectors = parity_sectors(L) if N > 1 and not N & (N - 1) else ()
-    if not sectors or np.any(H[np.ix_(*sectors)]) or np.any(H[np.ix_(*sectors[::-1])]):
-        sectors = (states,)
-    vecs = np.zeros((N, N), dtype=complex) if want_vectors else None
-    parts, resid, start = [], 0.0, 0
-    for rows in sectors:
-        block, n, maps = H[np.ix_(rows, rows)], rows.size, []
-        if len(sectors) > 1:
-            # the flip (even L) and the reflection as maps on the sector's indices
-            mirror = sum(((rows >> k) & 1) << (L - 1 - k) for k in range(L))
-            maps = [(np.arange(n)[::-1], np.ones(n))] if L % 2 == 0 else []
-            maps.append((np.searchsorted(rows, mirror), np.ones(n)))
-        vals, v = _split_eig(block, maps, want_vectors)
-        parts.append(vals)
-        if want_vectors:
-            resid = max(resid, float(np.max(np.abs(block @ v - v * vals[None, :]))))
-            vecs[rows, start:start + vals.size] = v
-        start += vals.size
-    vals = np.concatenate(parts)
+    h_norm, resid = float(np.linalg.norm(H, np.inf)), [0.0]
+
+    def solve(leaf):
+        if not want_vectors:
+            return np.linalg.eigvals(leaf), None
+        vals, v = np.linalg.eig(leaf)
+        resid.append(float(np.max(np.abs(leaf @ v - v * vals[None, :]))))
+        return vals, v
+
+    vals, vecs = _split_eig(H, solve)
     order = np.lexsort((vals.imag, vals.real))
-    if want_vectors:
-        vecs = vecs[:, order]
-    return EDResult(values=vals[order], vectors=vecs,
-                    max_residual=resid, h_norm=h_norm)
+    return EDResult(vals[order], vecs[:, order] if want_vectors else None,
+                    max(resid), h_norm)
 
 
 @dataclass(frozen=True)
@@ -223,11 +226,15 @@ def l4_closed_form(gamma: complex) -> L4ClosedForm:
     """Radical-form spectrum and eigenvectors for L = 4.
 
     The displayed denominators vanish at gamma in {0, +1, -1}; those
-    parameters need limiting forms and raise :class:`DegenerateInput`.
+    parameters need limiting forms and raise :class:`DegenerateInput`, as
+    do parts of gamma above 7e101 or below 2.3e-308, where the forms overflow.
     """
     g = _anisotropy(gamma)
     if g in (0, 1, -1) or g * g == 1:
         raise DegenerateInput("closed forms degenerate at gamma in {0, +1, -1}")
+    # the forms cube energies of order |gamma| and divide by gamma
+    if not 2.3e-308 < max(abs(g.real), abs(g.imag)) < 7e101:
+        raise DegenerateInput(f"closed forms overflow at gamma = {g:.6g}")
     dp = np.sqrt(5 * g * g + 6 * g + 5 + 0j)
     dm = np.sqrt(5 * g * g - 6 * g + 5 + 0j)
 
@@ -287,45 +294,48 @@ class ClusterRecord:
     spread: float
 
 
+def _leaf_census(leaf: np.ndarray):
+    """The ClusterRecords of one leaf block (see geometric_multiplicities)."""
+    vals = np.linalg.eigvals(leaf)
+    d = np.abs(vals[:, None] - vals)
+    np.fill_diagonal(d, np.inf)
+    # each row: the distances to the others, nearest first, then the leaf's
+    # inf-norm; column m - 1 of ``inside``: the m nearest join (none at 1 x 1)
+    dist = np.sort(d, 1)
+    dist[:, -1] = np.linalg.norm(leaf, np.inf)
+    inside = dist[:, :-1] <= _JOIN_RATIO * dist[:, 1:]
+    if np.any(inside[:, 1:]):
+        raise DegenerateInput("three or more eigenvalues cluster at "
+                              f"{vals[np.argmax(np.any(inside[:, 1:], 1))]:.6g}")
+    partner, joined = np.argmin(d, 1), np.any(inside[:, :1], 1)
+    joined &= joined[partner]
+    records = [ClusterRecord(complex(v), 1, 1, 0.0) for v in vals[~joined]]
+    for i in np.flatnonzero(joined & (np.arange(vals.size) < partner)):
+        mu, split = complex(np.mean(vals[[i, partner[i]]])), float(dist[i, 0])
+        sv = np.linalg.svd(leaf - mu * np.eye(vals.size), compute_uv=False)
+        geom = int(np.sum(sv < _RANK_TOL * sv[0]))
+        if not 1 <= geom <= 2:
+            raise DegenerateInput(f"pair at {mu:.6g} has nullity {geom}")
+        records.append(ClusterRecord(mu, 2, geom, split / 2))
+    return records, None
+
+
 def geometric_multiplicities(H: np.ndarray) -> list[ClusterRecord]:
     """Cluster eigenvalues and measure each cluster's eigenspace dimension.
 
-    Eigenvalues joined by a chain of steps of at most ``_CLUSTER_TOL``
-    form one cluster (single linkage); a cluster whose distance to the
-    rest is less than ``_GAP_FACTOR`` times that tolerance raises
-    :class:`DegenerateInput`.  Geometric multiplicity is the number of
-    singular values of H - mu I below ``_RANK_TOL`` times the largest.
-    Dimensions up to 2^10 only.
+    Each leaf block of :func:`ed_eigen` is clustered on its own: a
+    mutual-nearest pair is joined when its split is at most ``_JOIN_RATIO``
+    times its distance to the rest of the leaf (the leaf's inf-norm when it
+    holds nothing else); its geometric multiplicity is the number of
+    singular values of leaf - mu I, mu the pair's mean, below ``_RANK_TOL``
+    times the largest.  A nullity other than 1 or 2 raises
+    :class:`DegenerateInput`, as does a value whose two or more nearest lie
+    that close (a cluster of three or more).  Every other value is simple,
+    with no rank test.  Dimensions up to 2^10 only.
     """
     _check_matrix(H, VECTOR_LIMIT)
-    vals = np.linalg.eigvals(H)
-    d = vals[:, None] - vals   # hypot rounds as the scalar abs, np.abs may not
-    close = np.hypot(d.real, d.imag) <= _CLUSTER_TOL
-    # each value takes the smallest label it is close to until none changes,
-    # so a label ends as the smallest index of its single-linkage cluster
-    label, prev = np.arange(vals.size), None
-    while not np.array_equal(label, prev):
-        label, prev = np.min(np.where(close, label, vals.size), axis=1), label
-
-    records = []
-    eye = np.eye(H.shape[0])
-    for members in map(np.flatnonzero, label == np.unique(label)[:, None]):
-        cluster = vals[members]
-        mu = complex(np.mean(cluster))
-        spread = float(max(abs(c - mu) for c in cluster))
-        outside = np.delete(vals, members)
-        if outside.size:
-            d_out = float(np.min(np.abs(outside - mu)))
-            if d_out < _GAP_FACTOR * _CLUSTER_TOL:
-                raise DegenerateInput(
-                    f"cluster at {mu:.6g} is only {d_out:.3e} away from "
-                    "the rest of the spectrum")
-        sv = np.linalg.svd(H - mu * eye, compute_uv=False)
-        geom = int(np.sum(sv < _RANK_TOL * sv[0]))
-        records.append(ClusterRecord(value=mu, algebraic=len(members),
-                                     geometric=geom, spread=spread))
-    records.sort(key=lambda r: (r.value.real, r.value.imag))
-    return records
+    records, _ = _split_eig(H, _leaf_census)
+    return sorted(records, key=lambda r: (r.value.real, r.value.imag))
 
 
 def realize_operator(L: int, row: np.ndarray) -> np.ndarray:
@@ -405,10 +415,8 @@ def match_spectra(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> MatchResul
 # ---------------------------------------------------------------------------
 
 def _joint_null_space(ops: list[np.ndarray]) -> np.ndarray:
-    stacked = np.vstack(ops)
-    _, sv, vh = np.linalg.svd(stacked)
-    smax = sv[0] if sv.size else 0.0
-    keep = np.sum(sv > _RANK_TOL * smax)
+    _, sv, vh = np.linalg.svd(np.vstack(ops))
+    keep = np.sum(sv > _RANK_TOL * sv[0])
     null = vh[keep:].conj().T
     if null.shape[1] == 0:
         raise DegenerateInput("the requested annihilation conditions admit no state")
@@ -458,42 +466,35 @@ def build_ep_states(spec, jordan) -> EPStates:
     H = build_spin_hamiltonian(L, spec.gamma)
     h_norm = float(np.linalg.norm(H, np.inf))
 
-    def lop(k):
-        # annihilator-side operator attached to column k of V
-        return realize_operator(
-            L, np.concatenate([jordan.phis[:, k], -jordan.psis[:, k]]))
-
-    def rop(k):
-        # V^{-1}-row operator; the row equals the partner column transposed
-        return realize_operator(
-            L, np.concatenate([jordan.phis[:, k], jordan.psis[:, k]]))
-
-    p = jordan.chain_start
-    wp, up, wm, um = p, p + 1, p + 2, p + 3
+    # per column k of V, its annihilator-side operator and its V^{-1}-row
+    # operator (the row equals the partner column transposed)
+    cols = list(zip(jordan.phis.T, jordan.psis.T))
+    lop = [realize_operator(L, np.concatenate([phi, -psi])) for phi, psi in cols]
+    rop = [realize_operator(L, np.concatenate([phi, psi])) for phi, psi in cols]
+    wp, up, wm, um = range(jordan.chain_start, jordan.chain_start + 4)
 
     # sector projectors of the degenerate 2x2 Jordan blocks
-    proj_hat_plus = lop(wp) @ rop(up)
-    proj_tilde_plus = lop(up) @ rop(wp)
-    proj_hat_minus = lop(wm) @ rop(um)
-    proj_tilde_minus = lop(um) @ rop(wm)
+    proj_hat_plus = lop[wp] @ rop[up]
+    proj_tilde_plus = lop[up] @ rop[wp]
+    proj_hat_minus = lop[wm] @ rop[um]
+    proj_tilde_minus = lop[um] @ rop[wm]
 
     # vacuum 1: killed by the +block annihilator and the -block row op
-    omega1_basis = _joint_null_space([lop(wp), rop(wm)])
+    omega1_basis = _joint_null_space([lop[wp], rop[wm]])
     # vacuum 2: the mirrored pair of conditions
-    omega2_basis = _joint_null_space([lop(wm), rop(wp)])
+    omega2_basis = _joint_null_space([lop[wm], rop[wp]])
     rng = np.random.default_rng(0)
 
     def pick(basis):
-        coef = rng.standard_normal(basis.shape[1]) \
-            + 1j * rng.standard_normal(basis.shape[1])
-        v = basis @ coef
+        v = basis @ (rng.standard_normal(basis.shape[1])
+                     + 1j * rng.standard_normal(basis.shape[1]))
         return v / np.linalg.norm(v)
 
     omega1, omega2 = pick(omega1_basis), pick(omega2_basis)
 
     # number projectors of the simple pairs, in column-pair order
-    pair_info = [(jordan.J[i, i], lop(i) @ rop(i), lop(i + 1) @ rop(i + 1))
-                 for i in range(0, p, 2)]
+    pair_info = [(jordan.J[i, i], lop[i] @ rop[i], lop[i + 1] @ rop[i + 1])
+                 for i in range(0, wp, 2)]
 
     eps_ep = jordan.J[up, up]
     sectors, occupations, energies, states = [], [], [], []
@@ -534,9 +535,8 @@ def build_ep_states(spec, jordan) -> EPStates:
     rank = int(np.sum(sv > 1e-8 * sv[0]))
 
     # naive double raising with the defective eigenvector collapses
-    naive = rop(wp) @ rop(wp)
-    naive_sq = float(np.linalg.norm(naive) /
-                     max(np.linalg.norm(rop(wp)) ** 2, 1e-300))
+    naive_sq = float(np.linalg.norm(rop[wp] @ rop[wp]) /
+                     max(np.linalg.norm(rop[wp]) ** 2, 1e-300))
 
     return EPStates(sectors=sectors, occupations=occupations,
                     energies=energies_arr, states=states_mat,

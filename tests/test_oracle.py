@@ -357,6 +357,20 @@ def test_l4_closed_form_limit_required():
             l4_closed_form(g)
 
 
+def test_l4_closed_form_refuses_anisotropies_it_cannot_keep_finite():
+    # 5 gamma^2 or a cubed energy once overflowed into NaN energies with a
+    # RuntimeWarning; just inside the range every entry is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for g in (1e160, 1e200, 1e150 + 1e150j, 1e103, 5e-324):
+            with pytest.raises(DegenerateInput, match="closed forms overflow"):
+                l4_closed_form(g)
+        for g in (6.9e101, 6.9e101j, -6.9e101 + 6.9e101j, 2.4e-308, 1e-300j):
+            cf = l4_closed_form(g)
+            assert np.all(np.isfinite(cf.energies))
+            assert np.all(np.isfinite(cf.vectors))
+
+
 def test_geometric_multiplicities_defective_block():
     H = np.zeros((3, 3), dtype=complex)
     H[0, 0] = H[1, 1] = 1.0
@@ -368,16 +382,52 @@ def test_geometric_multiplicities_defective_block():
     assert abs(records[1].value - 2.0) < 1e-12
 
 
-def test_geometric_multiplicities_link_clusters_by_single_steps():
-    # 6e-8 steps join all three values, though the ends are 1.2e-7 apart
+def test_geometric_multiplicities_refuse_three_values_inside_the_join_radius():
+    # 0, 1e-9 and 3e-9 stand far closer to one another than to 1 and 2
+    with pytest.raises(DegenerateInput, match="three or more eigenvalues cluster"):
+        geometric_multiplicities(np.diag([0.0, 1e-9, 3e-9, 1.0, 2.0]))
+
+
+def test_geometric_multiplicities_never_join_values_of_different_leaves():
+    # the parity splits the spectrum into {0, 1} and {6e-8, 1.2e-7}; within
+    # its leaf each pair is as far apart as the leaf's norm, so all are simple
     records = geometric_multiplicities(np.diag([0.0, 6e-8, 1.2e-7, 1.0]))
-    assert [r.algebraic for r in records] == [3, 1]
-    assert abs(records[0].value - 6e-8) < 1e-20
+    assert [(r.algebraic, r.geometric) for r in records] == [(1, 1)] * 4
+    assert [r.value for r in records] == [0.0, 6e-8, 1.2e-7, 1.0]
 
 
 def test_geometric_multiplicities_ambiguous_cluster():
-    with pytest.raises(DegenerateInput, match="away from the rest"):
+    with pytest.raises(DegenerateInput, match="nullity 0"):
         geometric_multiplicities(np.diag([0.0, 5e-7, 1.0]))
+
+
+@pytest.mark.parametrize("L, n_eps", [(4, None), (6, None), (8, None), (10, 1)])
+def test_geometric_multiplicities_count_the_ep_states(L, n_eps):
+    # at an EP the chain has 3 * 2^(L-2) independent eigenstates, one in
+    # each of its 2^(L-2) defective pairs
+    for ep in locate_eps(L, "both")[:n_eps]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", XYEPWarning)
+            count = ep_state_catalog(ChainSpec(L, ep.gamma), ep).count
+        records = geometric_multiplicities(build_spin_hamiltonian(L, ep.gamma))
+        assert sum(r.geometric for r in records) == count == 3 * 2 ** (L - 2)
+        assert sum((r.algebraic, r.geometric) == (2, 1) for r in records) \
+            == 2 ** (L - 2)
+
+
+def test_geometric_multiplicities_solve_only_leaf_blocks(monkeypatch):
+    # the census runs on the leaf blocks of ed_eigen, the largest of 40 at
+    # L = 8, and runs a rank test for each defective pair only
+    H = build_spin_hamiltonian(8, locate_eps(8, "both")[0].gamma)
+    sizes = {"eigvals": [], "svd": []}
+    for name, log in sizes.items():
+        def counting(B, *args, _real=getattr(np.linalg, name), _log=log, **kw):
+            _log.append(B.shape[0])
+            return _real(B, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, counting)
+    geometric_multiplicities(H)
+    assert max(sizes["eigvals"] + sizes["svd"]) <= 40
+    assert len(sizes["svd"]) == 2 ** (8 - 2)
 
 
 def test_match_spectra_permutation_and_mismatch():
