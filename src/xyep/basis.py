@@ -17,7 +17,6 @@ from .chain import (
     MODES,
     ChainSpec,
     SpectralPoint,
-    build_quasi_hamiltonian,
     mode_vectors,
     quasi_energies,
 )
@@ -29,6 +28,7 @@ __all__ = [
     "ManyBodySpectrum",
     "column_from_halves",
     "pair_columns",
+    "certify_halves",
     "assemble_basis",
     "operator_coefficients",
     "anticommutator",
@@ -96,12 +96,54 @@ def pair_columns(spec: ChainSpec, points: list[SpectralPoint]):
     return phis, psis, labels
 
 
+def certify_halves(gamma, phis, psis, points, chain_eps):
+    """Inverse and eigen residuals of V = S [phis; psis], without forming M.
+
+    Columns: :func:`pair_columns`' layout, labelled by ``points``, then a
+    Jordan chain (w, u) per entry of ``chain_eps``, whose w and u rows of
+    V_inv = V^T are swapped.  S^T M S = [[0, A-B], [A+B, 0]] is a two-term
+    stencil, and over the pairs V V_inv - I = [[F+G-I, F-G], [F-G, F+G-I]]
+    with F = phi phi^T, G = psi psi^T over the +eps halves.  Returns the
+    inverse residual (None unless the columns make up V) and the halves
+    S^T (M V - V J) at each +eps column (the -eps column's has its bottom
+    half negated) and at every chain column.
+    """
+    L, pairs, n = len(phis), len(points), len(points) // 2
+    H = np.vstack([np.hstack([h[:, :pairs:2], h[:, pairs:]])
+                   for h in (phis, psis)])
+    eps = [p.epsilon for p in points[::2]] + [e for e in chain_eps for _ in "wu"]
+    # ((A+B) X)_j = (1+g)/2 X_{j+1} + (1-g)/2 X_{j-1}; A-B swaps the two
+    up, down = (1 + gamma) / 2, (1 - gamma) / 2
+    R = -H * np.array(eps, dtype=complex)
+    R[:L - 1] += down * H[L + 1:]
+    R[1:L] += up * H[L:-1]
+    R[L:-1] += up * H[1:L]
+    R[L + 1:] += down * H[:L - 1]
+    R[:, n + 1::2] -= H[:, n::2]
+    if phis.shape[1] != 2 * L:
+        return None, R
+    E = np.zeros((2, L, L), dtype=complex)  # F + G - I and F - G
+    for p in (0, 1):  # each half of a column lives on one site parity
+        f, g = H[p:L:2, :n], H[L + p::2, :n]
+        f, g = f @ f.T, g @ g.T
+        np.add(f, g, out=E[0, p::2, p::2])
+        np.subtract(f, g, out=E[1, p::2, p::2])
+    E[0].flat[::L + 1] -= 1
+    if chain_eps:  # [[E0, E1], [E1, E0]] plus the chains' w u^T + u w^T
+        chains = column_from_halves(H[:L, n:], H[L:, n:])
+        E = E[[[0, 1], [1, 0]]].transpose(0, 2, 1, 3).reshape(2 * L, 2 * L) \
+            + chains @ chains[:, np.arange(2 * len(chain_eps)) ^ 1].T
+    return float(np.max(np.abs(E))), R
+
+
 def assemble_basis(spec: ChainSpec) -> BiorthogonalBasis:
     """Diagonalize M from the closed-form mode vectors.
 
-    The columns are :func:`pair_columns` of all quasi-energies.  Raises
-    :class:`DefectiveBasis` when ||V V^T - I|| exceeds ``_ORTH_TOL`` or is
-    not a number, which is the numerical signature of an exceptional point.
+    The columns are :func:`pair_columns` of all quasi-energies, and
+    :func:`certify_halves` gives both residuals from their halves.  Raises
+    :class:`DefectiveBasis` when max|V V^T - I| exceeds ``_ORTH_TOL`` or
+    is not a number, which is the numerical signature of an exceptional
+    point; V is built only once that check passes.
     """
     L = spec.L
     plus_points = quasi_energies(spec)
@@ -114,16 +156,14 @@ def assemble_basis(spec: ChainSpec) -> BiorthogonalBasis:
         raise DefectiveBasis("a mode vector is bilinearly null; the "
                              "spectrum is defective here") from exc
     Lambda = np.array([p.epsilon for p in points], dtype=complex)
-    V = column_from_halves(phis, psis)
-    V_inv = V.T
-    orth = float(np.max(np.abs(V @ V_inv - np.eye(2 * L))))
+    orth, residual = certify_halves(spec.gamma, phis, psis, points, [])
     if not orth <= _ORTH_TOL:
         raise DefectiveBasis(
             f"bilinear orthogonality residual {orth:.3e} > {_ORTH_TOL:g}; "
             "the spectrum is (numerically) defective here")
-    M = build_quasi_hamiltonian(spec).M
-    diag = float(np.max(np.abs(M @ V - V * Lambda[None, :])))
-    return BiorthogonalBasis(spec=spec, points=points, V=V, V_inv=V_inv,
+    V = column_from_halves(phis, psis)
+    diag = float(np.max(np.abs(column_from_halves(residual[:L], residual[L:]))))
+    return BiorthogonalBasis(spec=spec, points=points, V=V, V_inv=V.T,
                              Lambda=Lambda, phis=phis, psis=psis,
                              orth_residual=orth, diag_residual=diag)
 

@@ -21,9 +21,9 @@ exceptional point share one; a rigidity grid, one per chunk of cells);
 
 A :class:`ChainSpec` solves its boundary roots once: its first
 :func:`quasi_energies` call keeps the :func:`mode_spectra` row on the
-instance, and every later quasi-energy, basis or many-body call on that
-spec reads it.  Equal but distinct specs do not share the result, so
-build one spec per chain and pass it around.
+instance as labelled points, and every later quasi-energy, basis or
+many-body call on that spec reads them.  Equal but distinct specs do
+not share the result, so build one spec per chain and pass it around.
 """
 
 from __future__ import annotations
@@ -100,15 +100,25 @@ class ChainSpec:
         return self.L // 2
 
     @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(eps, x)`` row of :func:`mode_spectra` for both modes.
+    def _points(self) -> tuple["SpectralPoint", ...]:
+        """Both modes' :func:`mode_spectra` row as labelled points, in the
+        order :func:`quasi_energies` returns; a refusal is not kept."""
+        eps, x = (row[0].tolist()
+                  for row in mode_spectra(self.L, self.gamma, "both"))
+        n = self.n_pairs
+        return tuple(SpectralPoint(mode=MODES[k // n], branch=k % n + 1,
+                                   sign=+1, epsilon=e, x=xx)
+                     for k, (e, xx) in enumerate(zip(eps, x)))
 
-        A refusal is not kept: the next access solves again.
-        """
-        rows = tuple(row[0] for row in mode_spectra(self.L, self.gamma, "both"))
-        for row in rows:
-            row.flags.writeable = False
-        return rows
+    @cached_property
+    def _near_ep_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Index pairs of points whose roots nearly coincide (NEAR_EP_TOL)."""
+        x = np.array([p.x for p in self._points]).reshape(2, -1)  # per mode
+        close = np.abs(x[:, :, None] - x[:, None, :]) \
+            <= NEAR_EP_TOL * (1 + np.abs(x))[:, :, None]
+        mode, i, j = np.nonzero(np.triu(close, 1))
+        start = mode * self.n_pairs
+        return tuple(zip((start + i).tolist(), (start + j).tolist()))
 
 
 def check_length(L) -> int:
@@ -257,28 +267,20 @@ def quasi_energies(spec: ChainSpec, warn: bool = True) -> list[SpectralPoint]:
     Emits :class:`NearEPWarning` when two roots of one boundary
     polynomial nearly coincide (see NEAR_EP_TOL) and
     :class:`ModeCoincidenceWarning` at gamma = 0 where the two modes
-    have identical spectra.  The roots are solved on the first call for
-    ``spec`` and kept on it; later calls build their points and warnings
-    from that row, so they warn again.  Equal specs do not share it.
+    have identical spectra.  The points are made on the first call for
+    ``spec`` and kept on it, the near pairs on the first call that warns;
+    each call returns a new list and warns again.  Equal specs share none.
     """
     if warn and abs(gamma_to_lambda(spec.gamma) + 1) < 1e-14:
         warnings.warn("gamma = 0: both modes share one boundary condition",
                       ModeCoincidenceWarning, stacklevel=2)
-    eps, x = spec._spectrum
-    n = spec.n_pairs
-    points = [SpectralPoint(mode=MODES[k // n], branch=k % n + 1, sign=+1,
-                            epsilon=e, x=xx)
-              for k, (e, xx) in enumerate(zip(eps.tolist(), x.tolist()))]
+    points = list(spec._points)
     if warn:
-        for k, mode in enumerate(MODES):
-            pts, xm = points[k * n: (k + 1) * n], x[k * n: (k + 1) * n]
-            close = np.abs(xm[:, None] - xm[None, :]) \
-                <= NEAR_EP_TOL * (1 + np.abs(xm))[:, None]
-            for i, j in zip(*np.nonzero(np.triu(close, 1))):
-                warnings.warn(
-                    f"mode {mode}: boundary roots {pts[i].x:.6g} and "
-                    f"{pts[j].x:.6g} nearly coincide; an exceptional "
-                    "point may be close", NearEPWarning, stacklevel=2)
+        for i, j in spec._near_ep_pairs:
+            warnings.warn(
+                f"mode {points[i].mode}: boundary roots {points[i].x:.6g} and "
+                f"{points[j].x:.6g} nearly coincide; an exceptional "
+                "point may be close", NearEPWarning, stacklevel=2)
     return points
 
 

@@ -19,7 +19,6 @@ from .chain import (
     ChainSpec,
     MODES,
     SpectralPoint,
-    build_quasi_hamiltonian,
     check_length,
     eps_of_x,
     lambda_to_gamma,
@@ -27,8 +26,8 @@ from .chain import (
     mode_names,
     quasi_energies,
 )
-from .basis import (MANY_BODY_LIMIT, column_from_halves, pair_columns,
-                    sign_pattern_sums)
+from .basis import (MANY_BODY_LIMIT, certify_halves, column_from_halves,
+                    pair_columns, sign_pattern_sums)
 from .errors import DefectiveBasis, DegenerateInput, SizeLimit
 from .polyalg import double_roots
 
@@ -195,20 +194,23 @@ def _check_record(spec: ChainSpec, ep: EPRecord):
         raise DegenerateInput("spec anisotropy does not match the EP record")
 
 
-def _jordan_chains(spec: ChainSpec, ep: EPRecord,
-                   M: np.ndarray) -> list[JordanChain]:
+def _m_norm(spec: ChainSpec) -> float:
+    """Frobenius norm of M: 2(L-1) entries 1/2 and 2(L-1) entries +-gamma/2."""
+    return float(np.sqrt((spec.L - 1) * (1 + abs(spec.gamma) ** 2)))
+
+
+def _jordan_chains(spec: ChainSpec, ep: EPRecord) -> list[JordanChain]:
     """Jordan chains of the +eps_EP and -eps_EP blocks, in that order.
 
-    One order-1 :func:`xyep.chain.mode_arrays` call evaluates both;
-    ``M`` is the quasi-Hamiltonian of ``spec``, for the residuals.
+    One order-1 :func:`xyep.chain.mode_arrays` call evaluates both and
+    one :func:`xyep.basis.certify_halves` call their residuals (S is
+    orthogonal, so its halves give the norms).
     """
     eps_all = [ep.epsilon, -ep.epsilon]
     phi, psi, _ = mode_arrays(spec.L, spec.gamma, ep.mode, eps_all, [ep.x] * 2,
                               order=1)
-    m_norm = float(np.linalg.norm(M))
-    eye = np.eye(2 * spec.L)
-    chains = []
-    for k, (sign, eps) in enumerate(zip((+1, -1), eps_all)):
+    betas, phis, psis = [], [], []  # halves of the columns w+, u+, w-, u-
+    for k in range(2):
         phi_w, phi_u = phi[..., k]
         psi_w, psi_u = psi[..., k]
         cross = phi_u @ phi_w + psi_u @ psi_w
@@ -217,23 +219,25 @@ def _jordan_chains(spec: ChainSpec, ep: EPRecord,
                 "chain cross norm vanishes: higher-order defect")
         u_self = phi_u @ phi_u + psi_u @ psi_u
         beta = -u_self / (2 * cross)
-        phi_u = phi_u + beta * phi_w
-        psi_u = psi_u + beta * psi_w
         scale = 1 / np.sqrt(complex(cross))
-        phi_w, psi_w = scale * phi_w, scale * psi_w
-        phi_u, psi_u = scale * phi_u, scale * psi_u
-
-        sw = column_from_halves(phi_w, psi_w)
-        su = column_from_halves(phi_u, psi_u)
-        chain_res = float(np.linalg.norm((M - eps * eye) @ su - sw)) / m_norm
-        eigen_res = float(np.linalg.norm((M - eps * eye) @ sw)) / m_norm
-        if not chain_res <= 1e-7:
+        betas.append(beta)
+        phis += [scale * phi_w, scale * (phi_u + beta * phi_w)]
+        psis += [scale * psi_w, scale * (psi_u + beta * psi_w)]
+    _, residual = certify_halves(spec.gamma, np.column_stack(phis),
+                                 np.column_stack(psis), [], eps_all)
+    eigen_res, chain_res = (np.linalg.norm(residual, axis=0)
+                            / _m_norm(spec)).reshape(2, 2).T.tolist()
+    chains = []
+    for k, (sign, eps) in enumerate(zip((+1, -1), eps_all)):
+        if not chain_res[k] <= 1e-7:
             raise DefectiveBasis(
-                f"chain identity residual {chain_res:.3e} exceeds 1e-7")
+                f"chain identity residual {chain_res[k]:.3e} exceeds 1e-7")
+        phi_w, phi_u = phis[2 * k: 2 * k + 2]
+        psi_w, psi_u = psis[2 * k: 2 * k + 2]
         chains.append(JordanChain(
             mode=ep.mode, sign=sign, epsilon=eps, x=ep.x,
-            phi_w=phi_w, psi_w=psi_w, phi_u=phi_u, psi_u=psi_u, beta=beta,
-            chain_residual=chain_res, eigen_residual=eigen_res,
+            phi_w=phi_w, psi_w=psi_w, phi_u=phi_u, psi_u=psi_u, beta=betas[k],
+            chain_residual=chain_res[k], eigen_residual=eigen_res[k],
             w_self=complex(phi_w @ phi_w + psi_w @ psi_w),
             u_self=complex(phi_u @ phi_u + psi_u @ psi_u),
             cross=complex(phi_u @ phi_w + psi_u @ psi_w)))
@@ -254,7 +258,7 @@ def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
     _check_record(spec, ep)
     if sign not in (+1, -1):
         raise DegenerateInput("sign must be +1 or -1")
-    chains = _jordan_chains(spec, ep, build_quasi_hamiltonian(spec).M)
+    chains = _jordan_chains(spec, ep)
     return chains[0 if sign > 0 else 1]
 
 
@@ -301,48 +305,52 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
     """Assemble the full 2L x 2L Jordan basis at an exceptional point.
 
     The work is done once per EP: one root solve for both modes, one
-    order-1 :func:`xyep.chain.mode_arrays` call for both chains, one M
-    and one stacked SVD for the rank deficiencies at +-eps_EP.
+    order-1 :func:`xyep.chain.mode_arrays` call for both chains, one
+    :func:`xyep.basis.certify_halves` call and one stacked SVD of L x L
+    blocks for the rank deficiencies at +-eps_EP.
     """
     L = spec.L
-    M = build_quasi_hamiltonian(spec).M
-
     phis, psis, points = pair_columns(spec, _simple_points(spec, ep))
     chain_start = len(points)
-    chains = _jordan_chains(spec, ep, M)
+    chains = _jordan_chains(spec, ep)
     phis = np.column_stack([phis] + [h for c in chains for h in (c.phi_w, c.phi_u)])
     psis = np.column_stack([psis] + [h for c in chains for h in (c.psi_w, c.psi_u)])
 
-    V = column_from_halves(phis, psis)
     J = np.diag(np.array([p.epsilon for p in points]
                          + [chains[0].epsilon] * 2 + [chains[1].epsilon] * 2,
                          dtype=complex))
     J[chain_start, chain_start + 1] = 1.0
     J[chain_start + 2, chain_start + 3] = 1.0
-
-    # V^{-1} rows are the columns transposed, w and u of each chain swapped
-    swap = np.arange(2 * L)
-    swap[chain_start:] = swap[chain_start:][[1, 0, 3, 2]]
-    V_inv = V[:, swap].T
-
-    eye = np.eye(2 * L)
-    inv_res = float(np.max(np.abs(V @ V_inv - eye)))
+    inv_res, residual = certify_halves(spec.gamma, phis, psis, points,
+                                       [c.epsilon for c in chains])
     if not inv_res <= 1e-6:
         raise DefectiveBasis(
             f"structured inverse residual {inv_res:.3e} exceeds 1e-6")
-    m_norm = float(np.linalg.norm(M))
-    jordan_res = float(np.linalg.norm(M @ V - V @ J)) / m_norm
 
-    # M - eps I at eps = +-eps_EP, in one stacked SVD
-    sv = np.linalg.svd(np.stack([M - eps * eye
-                                 for eps in (ep.epsilon, -ep.epsilon)]),
-                       compute_uv=False)
-    plus, minus = np.sum(sv < 1e-8 * sv[:, :1], axis=1).tolist()
-
+    # V^{-1} rows are the columns transposed, w and u of each chain swapped
+    V = column_from_halves(phis, psis)
+    swap = np.arange(2 * L)
+    swap[chain_start:] = swap[chain_start:][[1, 0, 3, 2]]
+    # S is orthogonal, and each pair's -eps column repeats its +eps
+    # column's residual norm
+    jordan_res = np.linalg.norm(np.hstack([residual[:, :chain_start // 2],
+                                           residual]))
+    # nullities of M -+ eps I: S^T (M - eps I) S = [[-eps, (A+B)^T],
+    # [A+B, -eps]] is one L x L block per half support
+    g, n = spec.gamma, spec.n_pairs
+    P = np.diag(np.full(L - 1, (1 + g) / 2), 1) \
+        + np.diag(np.full(L - 1, (1 - g) / 2), -1)
+    blocks = np.zeros((2, 2, L, L), dtype=complex)
+    for k, K in enumerate((P[0::2, 1::2], P[1::2, 0::2])):
+        blocks[:, k, :n, n:], blocks[:, k, n:, :n] = K.T, K
+    blocks[..., range(L), range(L)] = np.array([-1, 1])[:, None, None] * ep.epsilon
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    plus, minus = np.sum(sv < 1e-8 * np.max(sv, axis=(1, 2), keepdims=True),
+                         axis=(1, 2)).tolist()
     return JordanDecomposition(
-        spec=spec, ep=ep, points=points, V=V, V_inv=V_inv, J=J,
+        spec=spec, ep=ep, points=points, V=V, V_inv=V[:, swap].T, J=J,
         phis=phis, psis=psis, chain_start=chain_start, inv_residual=inv_res,
-        jordan_residual=jordan_res,
+        jordan_residual=float(jordan_res) / _m_norm(spec),
         rank_deficiency_plus=plus, rank_deficiency_minus=minus)
 
 

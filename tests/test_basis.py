@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from xyep.basis import (
     column_from_halves,
     many_body_energies,
     operator_coefficients,
+    pair_columns,
 )
 from xyep.chain import (ChainSpec, build_quasi_hamiltonian, mode_vectors,
                         quasi_energies)
-from xyep.errors import DefectiveBasis, DegenerateInput, SizeLimit
+from xyep.errors import DefectiveBasis, DegenerateInput, SizeLimit, XYEPWarning
 
 RNG = np.random.default_rng(77)
 
@@ -63,6 +65,47 @@ def test_nan_columns_raise_defective_basis(monkeypatch):
     monkeypatch.setattr(basis_module, "mode_vectors", nan_vectors)
     with pytest.raises(DefectiveBasis, match="orthogonality residual nan"):
         assemble_basis(ChainSpec(4, 0.3 + 0.2j))
+
+
+def sweep_specs():
+    """Six anisotropies with |gamma| in [0.05, 3] at each L, and L = 400."""
+    rng = np.random.default_rng(27)
+    for L in (8, 20, 60, 120):
+        for r, a in zip(rng.uniform(0.05, 3, 6), rng.uniform(0, 2 * np.pi, 6)):
+            yield ChainSpec(L, complex(r * np.cos(a), r * np.sin(a)))
+    yield ChainSpec(400, 0.4j)
+
+
+def test_certificates_from_halves_match_the_dense_products():
+    # assemble_basis never forms M or V V^T; its residuals are those
+    # dense products up to rounding, and it refuses exactly where the
+    # dense orthogonality residual exceeds the tolerance
+    u = np.finfo(float).eps
+    refused = certified = 0
+    for spec in sweep_specs():
+        L = spec.L
+        phis, psis, labels = pair_columns(spec, quasi_energies(spec, warn=False))
+        V = column_from_halves(phis, psis)
+        Lambda = np.array([p.epsilon for p in labels])
+        orth = np.max(np.abs(V @ V.T - np.eye(2 * L)))
+        M = build_quasi_hamiltonian(spec).M
+        diag = np.max(np.abs(M @ V - V * Lambda))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", XYEPWarning)
+            if orth > 1e-6:
+                with pytest.raises(DefectiveBasis):
+                    assemble_basis(spec)
+                refused += 1
+                continue
+            basis = assemble_basis(spec)
+        certified += 1
+        rows = np.max(np.sum(np.abs(V) ** 2, axis=1))
+        assert abs(basis.orth_residual - orth) <= L * u * rows
+        assert abs(basis.diag_residual - diag) <= 4 * u * np.max(np.abs(V)) \
+            * (1 + abs(spec.gamma) + np.max(np.abs(Lambda)))
+        for got, want in ((basis.V, V), (basis.phis, phis), (basis.psis, psis)):
+            assert got.tobytes() == want.tobytes()
+    assert (refused, certified) == (9, 16)
 
 
 def test_bilinear_halves_split_evenly():

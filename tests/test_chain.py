@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -582,11 +583,25 @@ def test_equal_specs_do_not_share_a_solve(monkeypatch):
 
 def test_the_kept_spectrum_is_read_only():
     spec = ChainSpec(6, 0.3 + 0.2j)
-    quasi_energies(spec)
-    for row in spec._spectrum:
-        assert not row.flags.writeable
-        with pytest.raises(ValueError):
-            row[0] = 0
+    first = quasi_energies(spec)
+    assert isinstance(spec._points, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec._points[0].epsilon = 0
+    # every call hands out a new list of the kept points
+    kept = list(first)
+    first.reverse()
+    first[0] = None
+    second = quasi_energies(spec)
+    assert second is not first and second == kept
+    # a spec near an EP warns on every call that asks for warnings
+    near = ChainSpec(4, 0.6 + 0.8j + 1e-10)
+    for _ in range(3):
+        with pytest.warns(NearEPWarning):
+            quasi_energies(near)
+    # and a spec that is never asked for them never looks for near pairs
+    quiet = ChainSpec(8, 0.6 + 0.8j)
+    quasi_energies(quiet, warn=False)
+    assert "_points" in vars(quiet) and "_near_ep_pairs" not in vars(quiet)
 
 
 def test_a_near_ep_spec_warns_on_every_call():

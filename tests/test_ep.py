@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose
 import xyep.basis as basis_module
 import xyep.chain as chain_module
 import xyep.ep as ep_module
-from xyep.chain import (ChainSpec, gamma_to_lambda, lambda_to_gamma,
-                        quasi_energies)
+from xyep.chain import (ChainSpec, build_quasi_hamiltonian, gamma_to_lambda,
+                        lambda_to_gamma, quasi_energies)
 from xyep.ep import (coalescing_order, ep_state_catalog,
                      generalized_eigenvector, jordan_decomposition,
                      locate_eps, reference_ep_gammas)
@@ -164,9 +164,10 @@ def test_nan_residuals_raise_defective_basis(monkeypatch):
         with pytest.raises(DefectiveBasis, match="inverse residual nan"):
             jordan_decomposition(spec, ep)
     monkeypatch.setattr(ep_module, "mode_arrays", nan_arrays)
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(DefectiveBasis, match="chain identity residual nan"):
-        generalized_eigenvector(spec, ep)
+    for entry in (generalized_eigenvector, jordan_decomposition):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                DefectiveBasis, match="chain identity residual nan"):
+            entry(spec, ep)
 
 
 def test_generalized_eigenvector_gauge_and_support():
@@ -243,6 +244,47 @@ def test_both_bases_take_their_pair_columns_from_pair_columns():
         phis, psis, points = pair_columns(spec, quasi_energies(spec))
         assert points == basis.points
         assert np.array_equal(basis.V, column_from_halves(phis, psis))
+
+
+def dense_rank_deficiency(M, eps):
+    sv = np.linalg.svd(M - eps * np.eye(len(M)), compute_uv=False)
+    # the count below is not borderline: one value at rounding level,
+    # the next well clear of the 1e-8 relative threshold
+    assert sv[-1] < 1e-12 * sv[0] and sv[-2] > 1e-3 * sv[0]
+    return int(np.sum(sv < 1e-8 * sv[0]))
+
+
+def test_jordan_certificates_match_the_dense_formulas_at_every_ep():
+    # the residuals come from the checkerboard halves without M; the
+    # dense products with M give the same numbers up to rounding
+    u = np.finfo(float).eps
+    for L in range(4, 22, 2):
+        for ep in locate_eps(L):
+            spec = quiet_spec(L, ep.gamma)
+            jd = jordan_decomposition(spec, ep)
+            M = build_quasi_hamiltonian(spec).M
+            m_norm = np.linalg.norm(M)
+            assert m_norm == pytest.approx(
+                np.sqrt((L - 1) * (1 + abs(ep.gamma) ** 2)), rel=1e-15)
+            V, N = jd.V, 2 * L
+            rows = np.max(np.sum(np.abs(V) ** 2, axis=1))
+            inv = np.max(np.abs(V @ jd.V_inv - np.eye(N)))
+            assert abs(jd.inv_residual - inv) <= N * u * rows
+            scale = 4 * u * np.linalg.norm(V) \
+                * (1 + np.linalg.norm(jd.J) / m_norm)
+            jordan = np.linalg.norm(M @ V - V @ jd.J) / m_norm
+            assert abs(jd.jordan_residual - jordan) <= scale
+            assert jd.rank_deficiency_plus == dense_rank_deficiency(M, ep.epsilon)
+            assert jd.rank_deficiency_minus == dense_rank_deficiency(M, -ep.epsilon)
+            for sign in (+1, -1):
+                ch = generalized_eigenvector(spec, ep, sign)
+                w = column_from_halves(ch.phi_w, ch.psi_w)
+                shifted = M - ch.epsilon * np.eye(N)
+                chain = np.linalg.norm(shifted @ column_from_halves(
+                    ch.phi_u, ch.psi_u) - w) / m_norm
+                eigen = np.linalg.norm(shifted @ w) / m_norm
+                assert abs(ch.chain_residual - chain) <= scale
+                assert abs(ch.eigen_residual - eigen) <= scale
 
 
 def test_jordan_decomposition_rejects_gamma_mismatch():
@@ -367,6 +409,22 @@ def test_jordan_decomposition_solves_once_and_builds_both_chains_at_once(
     jordan_decomposition(quiet_spec(10, ep.gamma), ep)
     assert roots == [2]                       # both modes, one solve
     assert orders == [(0, 5), (0, 3), (1, 2)]
+
+
+def test_the_rank_test_factors_l_by_l_blocks(monkeypatch):
+    # S^T (M -+ eps I) S splits into two L x L blocks per sign, so no
+    # 2L x 2L matrix is ever factored
+    shapes, real_svd = [], np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    for L in (4, 10):
+        ep = locate_eps(L)[0]
+        jordan_decomposition(quiet_spec(L, ep.gamma), ep)
+    assert shapes == [(2, 2, 4, 4), (2, 2, 10, 10)]
 
 
 def test_ep_search_size_cap_refuses_before_any_work(monkeypatch):

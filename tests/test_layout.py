@@ -4,6 +4,7 @@ have callers, and the runtime needs only numpy."""
 import ast
 import importlib
 import inspect
+import json
 import re
 import shlex
 import subprocess
@@ -151,11 +152,32 @@ def test_only_errors_applies_the_number_rule():
 def test_only_chain_reads_a_specs_kept_spectrum():
     # every other module reaches a spec's roots through quasi_energies
     users = [path.name for path in sorted(SRC.glob("*.py"))
-             if "_spectrum" in names_used(path)]
+             if {"_points", "_near_ep_pairs"} & names_used(path)]
     assert users == ["chain.py"]
 
 
+def test_the_library_never_builds_the_dense_quasi_hamiltonian():
+    # bases are certified from their checkerboard halves; the dense M is
+    # the tests' reference and a public name, re-exported by the package
+    users = [path.name for path in sorted(SRC.glob("*.py"))
+             if "build_quasi_hamiltonian" in names_used(path)]
+    assert users == ["__init__.py"]
+
+
 ROOT = SRC.parents[1]
+
+
+# the keys every committed bench record shares, so records compare
+BENCH_KEYS = {"change", "claimed", "command", "end_to_end", "host", "order",
+              "parent_commit", "seeds", "statistic", "trace"}
+
+
+def test_every_bench_record_parses_and_carries_the_shared_keys():
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert sorted(BENCH_KEYS - set(record)) == [], path.name
 
 
 def error_kinds() -> list[str]:
