@@ -199,17 +199,15 @@ def _m_norm(spec: ChainSpec) -> float:
     return float(np.sqrt((spec.L - 1) * (1 + abs(spec.gamma) ** 2)))
 
 
-def _jordan_chains(spec: ChainSpec, ep: EPRecord) -> list[JordanChain]:
-    """Jordan chains of the +eps_EP and -eps_EP blocks, in that order.
+def _jordan_chains(spec: ChainSpec, ep: EPRecord) -> tuple[list, list, list]:
+    """Checkerboard halves of the chain columns w+, u+, w-, u-, and the betas.
 
-    One order-1 :func:`xyep.chain.mode_arrays` call evaluates both and
-    one :func:`xyep.basis.certify_halves` call their residuals (S is
-    orthogonal, so its halves give the norms).
+    One order-1 :func:`xyep.chain.mode_arrays` call evaluates both
+    chains, each normalized to the :class:`JordanChain` gauge.
     """
-    eps_all = [ep.epsilon, -ep.epsilon]
-    phi, psi, _ = mode_arrays(spec.L, spec.gamma, ep.mode, eps_all, [ep.x] * 2,
-                              order=1)
-    betas, phis, psis = [], [], []  # halves of the columns w+, u+, w-, u-
+    phi, psi, _ = mode_arrays(spec.L, spec.gamma, ep.mode,
+                              [ep.epsilon, -ep.epsilon], [ep.x] * 2, order=1)
+    betas, phis, psis = [], [], []
     for k in range(2):
         phi_w, phi_u = phi[..., k]
         psi_w, psi_u = psi[..., k]
@@ -223,25 +221,18 @@ def _jordan_chains(spec: ChainSpec, ep: EPRecord) -> list[JordanChain]:
         betas.append(beta)
         phis += [scale * phi_w, scale * (phi_u + beta * phi_w)]
         psis += [scale * psi_w, scale * (psi_u + beta * psi_w)]
-    _, residual = certify_halves(spec.gamma, np.column_stack(phis),
-                                 np.column_stack(psis), [], eps_all)
-    eigen_res, chain_res = (np.linalg.norm(residual, axis=0)
+    return phis, psis, betas
+
+
+def _chain_residuals(spec: ChainSpec, residual: np.ndarray) -> tuple[list, list]:
+    """Eigen and chain residuals at +-eps from the last four halves out of
+    :func:`xyep.basis.certify_halves`; refuses a chain above 1e-7."""
+    eigen_res, chain_res = (np.linalg.norm(residual[:, -4:], axis=0)
                             / _m_norm(spec)).reshape(2, 2).T.tolist()
-    chains = []
-    for k, (sign, eps) in enumerate(zip((+1, -1), eps_all)):
-        if not chain_res[k] <= 1e-7:
-            raise DefectiveBasis(
-                f"chain identity residual {chain_res[k]:.3e} exceeds 1e-7")
-        phi_w, phi_u = phis[2 * k: 2 * k + 2]
-        psi_w, psi_u = psis[2 * k: 2 * k + 2]
-        chains.append(JordanChain(
-            mode=ep.mode, sign=sign, epsilon=eps, x=ep.x,
-            phi_w=phi_w, psi_w=psi_w, phi_u=phi_u, psi_u=psi_u, beta=betas[k],
-            chain_residual=chain_res[k], eigen_residual=eigen_res[k],
-            w_self=complex(phi_w @ phi_w + psi_w @ psi_w),
-            u_self=complex(phi_u @ phi_u + psi_u @ psi_u),
-            cross=complex(phi_u @ phi_w + psi_u @ psi_w)))
-    return chains
+    for res in chain_res:
+        if not res <= 1e-7:
+            raise DefectiveBasis(f"chain identity residual {res:.3e} exceeds 1e-7")
+    return eigen_res, chain_res
 
 
 def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
@@ -250,16 +241,28 @@ def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
 
     w is the (defective) eigenvector and u solves (M - eps) S u = S w
     in checkerboard coordinates; u is the parameter derivative of the
-    eps-branch eigenvector, projected to the stated gauge.  Raises
-    :class:`DefectiveBasis` above 1e-7 relative chain residual.  Both
-    chains are evaluated exactly as :func:`jordan_decomposition`
+    eps-branch eigenvector, projected to the stated gauge.  One
+    :func:`xyep.basis.certify_halves` call certifies both chains, and
+    :class:`DefectiveBasis` is raised above 1e-7 relative chain residual.
+    Both chains are evaluated exactly as :func:`jordan_decomposition`
     evaluates them, so the result equals that basis's chain columns.
     """
     _check_record(spec, ep)
     if sign not in (+1, -1):
         raise DegenerateInput("sign must be +1 or -1")
-    chains = _jordan_chains(spec, ep)
-    return chains[0 if sign > 0 else 1]
+    phis, psis, betas = _jordan_chains(spec, ep)
+    _, residual = certify_halves(spec.gamma, np.column_stack(phis),
+                                 np.column_stack(psis), [], [ep.epsilon, -ep.epsilon])
+    eigen_res, chain_res = _chain_residuals(spec, residual)
+    k = 0 if sign > 0 else 1
+    phi_w, phi_u, psi_w, psi_u = phis[2 * k: 2 * k + 2] + psis[2 * k: 2 * k + 2]
+    return JordanChain(
+        mode=ep.mode, sign=sign, epsilon=-ep.epsilon if k else ep.epsilon, x=ep.x,
+        phi_w=phi_w, psi_w=psi_w, phi_u=phi_u, psi_u=psi_u, beta=betas[k],
+        chain_residual=chain_res[k], eigen_residual=eigen_res[k],
+        w_self=complex(phi_w @ phi_w + psi_w @ psi_w),
+        u_self=complex(phi_u @ phi_u + psi_u @ psi_u),
+        cross=complex(phi_u @ phi_w + psi_u @ psi_w))
 
 
 @dataclass(frozen=True)
@@ -306,23 +309,23 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
 
     The work is done once per EP: one root solve for both modes, one
     order-1 :func:`xyep.chain.mode_arrays` call for both chains, one
-    :func:`xyep.basis.certify_halves` call and one stacked SVD of L x L
-    blocks for the rank deficiencies at +-eps_EP.
+    :func:`xyep.basis.certify_halves` call for every residual and one
+    stacked SVD of L x L blocks for the rank deficiencies at +-eps_EP.
     """
     L = spec.L
     phis, psis, points = pair_columns(spec, _simple_points(spec, ep))
     chain_start = len(points)
-    chains = _jordan_chains(spec, ep)
-    phis = np.column_stack([phis] + [h for c in chains for h in (c.phi_w, c.phi_u)])
-    psis = np.column_stack([psis] + [h for c in chains for h in (c.psi_w, c.psi_u)])
+    chain_phis, chain_psis, _ = _jordan_chains(spec, ep)
+    phis = np.column_stack([phis, *chain_phis])
+    psis = np.column_stack([psis, *chain_psis])
 
+    chain_eps = [ep.epsilon, -ep.epsilon]
     J = np.diag(np.array([p.epsilon for p in points]
-                         + [chains[0].epsilon] * 2 + [chains[1].epsilon] * 2,
-                         dtype=complex))
+                         + [e for e in chain_eps for _ in "wu"], dtype=complex))
     J[chain_start, chain_start + 1] = 1.0
     J[chain_start + 2, chain_start + 3] = 1.0
-    inv_res, residual = certify_halves(spec.gamma, phis, psis, points,
-                                       [c.epsilon for c in chains])
+    inv_res, residual = certify_halves(spec.gamma, phis, psis, points, chain_eps)
+    _chain_residuals(spec, residual)
     if not inv_res <= 1e-6:
         raise DefectiveBasis(
             f"structured inverse residual {inv_res:.3e} exceeds 1e-6")

@@ -12,8 +12,8 @@ things that work on P:
   derivatives (the only evaluator of P and its derivatives);
 * :func:`boundary_roots`, the n roots of P as eigenvalues of a
   tridiagonal comrade matrix (Good, "The colleague matrix", 1961),
-  Newton-polished on the recurrence and certified by a backward error,
-  for one lam or for many in one stacked solve;
+  Newton-polished on the value row of the recurrence alone and certified
+  by a backward error, for one lam or for many in one stacked solve;
 * :func:`double_roots`, the exceptional points: the roots of the
   Wronskian W = U_n' U_{n-1} - U_n U_{n-1}', which eliminates lam by
   hand, with lam read off as U_n / U_{n-1}.
@@ -72,16 +72,24 @@ def _backward_error(ud: np.ndarray, lam, x: np.ndarray) -> np.ndarray:
 
 def _newton(f, x: np.ndarray, steps: int) -> np.ndarray:
     """Newton steps on f(x) -> (value, derivative); a step is kept only where it lowers |f|."""
-    val, der = f(x)
-    for _ in range(steps):
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        val, der = f(x)
+        for _ in range(steps):
             x_new = x - val / der
             val_new, der_new = f(x_new)
             better = np.abs(val_new) < np.abs(val)
-        x = np.where(better, x_new, x)
-        val = np.where(better, val_new, val)
-        der = np.where(better, der_new, der)
+            x = np.where(better, x_new, x)
+            val = np.where(better, val_new, val)
+            der = np.where(better, der_new, der)
     return x
+
+
+def _value_and_slope(z: np.ndarray, n: int, lam) -> tuple[np.ndarray, np.ndarray]:
+    """P = U_n - lam U_{n-1} at z and P' from the same value row (0/0 at z = +-1)."""
+    u = chebyshev_u(z, n)[0]
+    slope = ((n + 1) * u[n] - n * z * u[n + 1]
+             - lam * (n * u[n - 1] - (n - 1) * z * u[n])) / (1 - z * z)
+    return u[n + 1] - lam * u[n], slope
 
 
 def _certify(err: np.ndarray, n: int, what: str):
@@ -101,10 +109,12 @@ def boundary_roots(n: int, lam) -> np.ndarray:
     det(2x - T) is the boundary polynomial for the n x n tridiagonal
     T = tridiag(1, 0, 1) with T[n-1, n-1] = lam, so the roots start as
     the eigenvalues of the stacked T, halved.  Each then takes two
-    Newton steps on the recurrence and must meet the backward-error
-    bound 16 n eps, else :class:`NonConvergence` is raised.  The bound
-    holds at a double root as well, where the coalescing pair stays
-    split by about sqrt(eps).  Rows are solved in chunks of at most
+    Newton steps, with P' read off the value row by (1 - x^2) U_k' =
+    (k + 1) U_{k-1} - k x U_k, and must meet the backward-error bound
+    16 n eps on P, else :class:`NonConvergence` is raised.  P' only
+    steers: a step is kept only where |P| falls, and the bound is on P.
+    The bound holds at a double root as well, where the coalescing pair
+    stays split by about sqrt(eps).  Rows are solved in chunks of at most
     ``_CHUNK_ENTRIES`` matrix entries; every step acts on each row
     alone, so a row does not depend on the others or on the chunking.
     """
@@ -127,11 +137,8 @@ def boundary_roots(n: int, lam) -> np.ndarray:
         # the chunk's roots side by side, each with its own lam
         lam_x = np.repeat(part, n)
 
-        def f(z):
-            u = chebyshev_u(z, n, 1)
-            return u[:, n + 1] - lam_x * u[:, n]
-
-        z = _newton(f, np.linalg.eigvals(T).reshape(-1) / 2, _NEWTON_STEPS)
+        z = _newton(lambda z: _value_and_slope(z, n, lam_x),
+                    np.linalg.eigvals(T).reshape(-1) / 2, _NEWTON_STEPS)
         with np.errstate(all="ignore"):
             _certify(_backward_error(chebyshev_u(z, n)[0], lam_x, z), n,
                      "boundary roots")

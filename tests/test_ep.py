@@ -364,8 +364,9 @@ def test_every_residual_check_raises_defective_basis(monkeypatch):
     real = ep_module._jordan_chains
 
     def stretched(*args):
-        return [dataclasses.replace(ch, phi_u=2 * ch.phi_u, psi_u=2 * ch.psi_u)
-                for ch in real(*args)]
+        # doubled chains still meet the chain identity, but not V^-1 = V^T
+        phis, psis, betas = real(*args)
+        return [2 * h for h in phis], [2 * h for h in psis], betas
 
     monkeypatch.setattr(ep_module, "_jordan_chains", stretched)
     with pytest.raises(DefectiveBasis, match="structured inverse residual"):
@@ -409,6 +410,26 @@ def test_jordan_decomposition_solves_once_and_builds_both_chains_at_once(
     jordan_decomposition(quiet_spec(10, ep.gamma), ep)
     assert roots == [2]                       # both modes, one solve
     assert orders == [(0, 5), (0, 3), (1, 2)]
+
+
+def test_each_jordan_chain_is_certified_once(monkeypatch):
+    # jordan_decomposition reads the chain residuals off its whole-basis
+    # certify_halves call; generalized_eigenvector certifies both chains
+    # in one call of its own
+    widths, real = [], ep_module.certify_halves
+
+    def count(gamma, phis, psis, points, chain_eps):
+        widths.append(phis.shape[1])
+        return real(gamma, phis, psis, points, chain_eps)
+
+    monkeypatch.setattr(ep_module, "certify_halves", count)
+    ep = closest_record(locate_eps(10), 0.2806 + 0.7035j)
+    spec = quiet_spec(10, ep.gamma)
+    jordan_decomposition(spec, ep)
+    assert widths == [20]
+    widths.clear()
+    generalized_eigenvector(spec, ep, -1)
+    assert widths == [4]
 
 
 def test_the_rank_test_factors_l_by_l_blocks(monkeypatch):

@@ -1,14 +1,17 @@
 """The boundary-polynomial kernel: recurrence, roots and double roots."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Chebyshev
 
+import xyep.chain as chain_module
 import xyep.polyalg as polyalg_module
-from xyep.chain import gamma_to_lambda
+from xyep.chain import (ChainSpec, gamma_to_lambda, mode_arrays, mode_spectra,
+                        quasi_energies)
 from xyep.errors import DegenerateInput, NonConvergence
 from xyep.polyalg import boundary_roots, chebyshev_u, double_roots
 
@@ -304,3 +307,121 @@ def test_kernel_matches_frozen_high_precision_roots(L, gamma, mode):
     assert xs.size == L // 2
     for want in FROZEN_ROOTS[(L, gamma, mode)]:
         assert np.min(np.abs(xs - want)) <= 1e-12 * abs(want)
+
+
+def order_one_polish(n, lam, start):
+    """The reference polish: Newton with P' from the derivative recurrence.
+
+    The same two steps from the same start as :func:`boundary_roots`, but
+    P' is ``chebyshev_u(z, n, 1)``'s; returns the roots and whether they
+    meet the 16 n eps certificate.
+    """
+    def f(z):
+        u = chebyshev_u(z, n, 1)
+        return u[:, n + 1] - lam * u[:, n]
+
+    z = polyalg_module._newton(f, start, polyalg_module._NEWTON_STEPS)
+    with np.errstate(all="ignore"):
+        err = polyalg_module._backward_error(chebyshev_u(z, n)[0], lam, z)
+    return z, bool(np.max(err) <= 16 * n * EPS)
+
+
+def kernel_and_reference(monkeypatch, n, lam):
+    """boundary_roots(n, lam), or None where it refuses, and the reference
+    polish from the same comrade-matrix start (recorded, not recomputed)."""
+    starts, real = [], np.linalg.eigvals
+
+    def recording(T):
+        starts.append(real(T))
+        return starts[-1]
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    try:
+        x = boundary_roots(n, lam)
+    except NonConvergence:
+        x = None
+    finally:
+        monkeypatch.undo()
+    start = starts[0].reshape(-1) / 2
+    return x, start, order_one_polish(n, lam, start)
+
+
+def test_the_roots_do_not_move_with_the_slope_from_the_value_row(monkeypatch):
+    # a seeded draw over n = 1..200 (log-uniform, so the O(n^3) eigensolve
+    # stays cheap), half with |lam| in [0.05, 4] and half within 1e-3 of
+    # the unit circle, plus two inputs whose recurrence overflows
+    rng = np.random.default_rng(28)
+    ns = np.rint(np.exp(rng.uniform(0, np.log(200), 500))).astype(int)
+    ns[:2] = 1, 200
+    mags = np.where(np.arange(500) % 2, rng.uniform(0.05, 4, 500),
+                    1 + rng.uniform(-1e-3, 1e-3, 500))
+    lams = mags * np.exp(2j * np.pi * rng.random(500))
+    cases = list(zip(ns.tolist(), lams.tolist())) + [(200, 1e6), (120, 1e4)]
+    worst_root = worst_slope = 0.0
+    refused = []
+    for n, lam in cases:
+        x, start, (ref, certified) = kernel_and_reference(monkeypatch, n, lam)
+        assert (x is not None) == certified
+        if x is None:
+            refused.append((n, lam))
+            continue
+        worst_root = max(worst_root, np.max(np.abs(x - ref) / np.abs(ref)))
+        # P' of the identity against the derivative recurrence, away from
+        # x = +-1 where the identity divides by 1 - x^2
+        for z in (start, x):
+            keep = np.abs(1 - z * z) > 1e-2
+            want = chebyshev_u(z, n, 1)[1]
+            want = (want[n + 1] - lam * want[n])[keep]
+            got = polyalg_module._value_and_slope(z, n, lam)[1][keep]
+            worst_slope = max(worst_slope,
+                              np.max(np.abs(got - want) / np.abs(want), initial=0))
+    assert worst_root <= 4.5e-16
+    assert worst_slope <= 1e-10
+    assert refused == [(200, 1e6), (120, 1e4)]
+
+
+def test_a_root_at_plus_minus_one_is_certified_without_warnings(monkeypatch):
+    # lam = +-(n + 1)/n puts a root exactly at x = +-1, where the slope
+    # identity is 0/0; no step is taken there, and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 2, 5, 30):
+            for lam in ((n + 1) / n, -(n + 1) / n):
+                x, _, (ref, certified) = kernel_and_reference(monkeypatch, n, lam)
+                assert certified
+                assert np.array_equal(x, ref)
+                assert np.min(np.abs(x - np.sign(lam))) < 1e-15
+
+
+def test_an_overflowing_recurrence_refuses_without_warnings():
+    # U_200 at x ~ 5e5 overflows: the kernel refuses, and numpy's
+    # overflow and invalid-value warnings stay inside it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence, match="backward error nan"):
+            boundary_roots(200, 1e6)
+        with pytest.raises(NonConvergence):
+            quasi_energies(ChainSpec(400, 1.000001))
+
+
+def test_only_the_value_row_is_evaluated_for_the_roots(monkeypatch):
+    # boundary_roots and mode_spectra run chebyshev_u at order 0 only;
+    # double_roots (W' needs U'') and mode_arrays at order 1 keep theirs
+    orders, real = [], polyalg_module.chebyshev_u
+
+    def recording(x, n, order=0):
+        orders.append(order)
+        return real(x, n, order)
+
+    monkeypatch.setattr(polyalg_module, "chebyshev_u", recording)
+    monkeypatch.setattr(chain_module, "chebyshev_u", recording)
+    boundary_roots(7, [0.3 + 0.4j, 1.7, -2.5j])
+    boundary_roots(40, 0.9j)
+    mode_spectra(12, [0.2 + 0.1j, 1.3], "both")
+    assert orders and set(orders) == {0}
+    orders.clear()
+    double_roots(5)
+    assert 2 in orders
+    orders.clear()
+    mode_arrays(8, 0.4, "I", [0.5 + 0.1j], [0.2], order=1)
+    assert orders == [1]
