@@ -42,8 +42,8 @@ FAMILIES = ("R", "Rstar", "Lstar", "L")
 # place, so the call peaks at their 38 MB (tracemalloc)
 MANY_BODY_LIMIT = 20
 
-# assemble_basis refuses a basis whose ||V V^T - I|| exceeds this
-_ORTH_TOL = 1e-6
+# both bases are refused above this inverse residual max|V V^{-1} - I|
+ORTH_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -96,22 +96,25 @@ def pair_columns(spec: ChainSpec, points: list[SpectralPoint]):
     return phis, psis, labels
 
 
-def certify_halves(gamma, phis, psis, points, chain_eps):
+def certify_halves(gamma, phis, psis, points, chain_eps=None):
     """Inverse and eigen residuals of V = S [phis; psis], without forming M.
 
-    Columns: :func:`pair_columns`' layout, labelled by ``points``, then a
-    Jordan chain (w, u) per entry of ``chain_eps``, whose w and u rows of
-    V_inv = V^T are swapped.  S^T M S = [[0, A-B], [A+B, 0]] is a two-term
-    stencil, and over the pairs V V_inv - I = [[F+G-I, F-G], [F-G, F+G-I]]
-    with F = phi phi^T, G = psi psi^T over the +eps halves.  Returns the
-    inverse residual (None unless the columns make up V) and the halves
-    S^T (M V - V J) at each +eps column (the -eps column's has its bottom
-    half negated) and at every chain column.
+    Columns: :func:`pair_columns`' layout, labelled by ``points``, then,
+    unless ``chain_eps`` is None, a Jordan chain (w, u) at ``chain_eps``
+    and its image (-iPw, iPu) at -``chain_eps``, P: (phi, psi) -> (-phi,
+    psi); V_inv = V^T with each chain's w and u rows swapped.  Only +eps
+    halves are read: S^T M S = [[0, A-B], [A+B, 0]] is a two-term stencil,
+    and V V_inv - I = [[F+G-I, F-G], [F-G, F+G-I]] with F = phi phi^T and
+    G = psi psi^T over the +eps pair halves plus the chain's w u^T + u w^T.
+    Returns the inverse residual (None unless the columns make up V) and
+    the halves S^T (M V - V J) at the +eps columns (each -eps column's
+    has the same norm).
     """
     L, pairs, n = len(phis), len(points), len(points) // 2
-    H = np.vstack([np.hstack([h[:, :pairs:2], h[:, pairs:]])
+    chain = [] if chain_eps is None else [chain_eps] * 2
+    H = np.vstack([np.hstack([h[:, :pairs:2], h[:, pairs:pairs + len(chain)]])
                    for h in (phis, psis)])
-    eps = [p.epsilon for p in points[::2]] + [e for e in chain_eps for _ in "wu"]
+    eps = [p.epsilon for p in points[::2]] + chain
     # ((A+B) X)_j = (1+g)/2 X_{j+1} + (1-g)/2 X_{j-1}; A-B swaps the two
     up, down = (1 + gamma) / 2, (1 - gamma) / 2
     R = -H * np.array(eps, dtype=complex)
@@ -126,13 +129,12 @@ def certify_halves(gamma, phis, psis, points, chain_eps):
     for p in (0, 1):  # each half of a column lives on one site parity
         f, g = H[p:L:2, :n], H[L + p::2, :n]
         f, g = f @ f.T, g @ g.T
+        if chain:  # the chain's w u^T + u w^T joins F and G
+            for half, h in ((f, H[p:L:2, n:]), (g, H[L + p::2, n:])):
+                half += np.outer(h[:, 0], h[:, 1]) + np.outer(h[:, 1], h[:, 0])
         np.add(f, g, out=E[0, p::2, p::2])
         np.subtract(f, g, out=E[1, p::2, p::2])
     E[0].flat[::L + 1] -= 1
-    if chain_eps:  # [[E0, E1], [E1, E0]] plus the chains' w u^T + u w^T
-        chains = column_from_halves(H[:L, n:], H[L:, n:])
-        E = E[[[0, 1], [1, 0]]].transpose(0, 2, 1, 3).reshape(2 * L, 2 * L) \
-            + chains @ chains[:, np.arange(2 * len(chain_eps)) ^ 1].T
     return float(np.max(np.abs(E))), R
 
 
@@ -141,7 +143,7 @@ def assemble_basis(spec: ChainSpec) -> BiorthogonalBasis:
 
     The columns are :func:`pair_columns` of all quasi-energies, and
     :func:`certify_halves` gives both residuals from their halves.  Raises
-    :class:`DefectiveBasis` when max|V V^T - I| exceeds ``_ORTH_TOL`` or
+    :class:`DefectiveBasis` when max|V V^T - I| exceeds ``ORTH_TOL`` or
     is not a number, which is the numerical signature of an exceptional
     point; V is built only once that check passes.
     """
@@ -156,10 +158,10 @@ def assemble_basis(spec: ChainSpec) -> BiorthogonalBasis:
         raise DefectiveBasis("a mode vector is bilinearly null; the "
                              "spectrum is defective here") from exc
     Lambda = np.array([p.epsilon for p in points], dtype=complex)
-    orth, residual = certify_halves(spec.gamma, phis, psis, points, [])
-    if not orth <= _ORTH_TOL:
+    orth, residual = certify_halves(spec.gamma, phis, psis, points)
+    if not orth <= ORTH_TOL:
         raise DefectiveBasis(
-            f"bilinear orthogonality residual {orth:.3e} > {_ORTH_TOL:g}; "
+            f"bilinear orthogonality residual {orth:.3e} > {ORTH_TOL:g}; "
             "the spectrum is (numerically) defective here")
     V = column_from_halves(phis, psis)
     diag = float(np.max(np.abs(column_from_halves(residual[:L], residual[L:]))))

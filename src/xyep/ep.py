@@ -26,8 +26,8 @@ from .chain import (
     mode_names,
     quasi_energies,
 )
-from .basis import (MANY_BODY_LIMIT, certify_halves, column_from_halves,
-                    pair_columns, sign_pattern_sums)
+from .basis import (MANY_BODY_LIMIT, ORTH_TOL, certify_halves,
+                    column_from_halves, pair_columns, sign_pattern_sums)
 from .errors import DefectiveBasis, DegenerateInput, SizeLimit
 from .polyalg import double_roots
 
@@ -164,9 +164,12 @@ class JordanChain:
     """Eigenvector w and generalized partner u of one defective block.
 
     Gauge: u.u = 0 under the bilinear form and u.w = 1, which is the
-    unique normalization making the chain columns participate in an
-    exactly transpose-structured inverse.  (Orthogonality of u against
-    w alone cannot fix the gauge because w.w = 0 at the degeneracy.)
+    normalization, unique up to an overall sign, making the chain
+    columns participate in an exactly transpose-structured inverse.
+    (Orthogonality of u against w alone cannot fix the gauge because
+    w.w = 0 at the degeneracy.)  P: (phi, psi) -> (-phi, psi)
+    anticommutes with S^T M S, so the -eps_EP chain is (-iPw, iPu) of
+    the +eps_EP one, in the same gauge, with -beta and the same residuals.
     """
 
     mode: str
@@ -199,39 +202,34 @@ def _m_norm(spec: ChainSpec) -> float:
     return float(np.sqrt((spec.L - 1) * (1 + abs(spec.gamma) ** 2)))
 
 
-def _jordan_chains(spec: ChainSpec, ep: EPRecord) -> tuple[list, list, list]:
-    """Checkerboard halves of the chain columns w+, u+, w-, u-, and the betas.
+def _jordan_chains(spec: ChainSpec, ep: EPRecord) -> tuple[list, list, complex]:
+    """Checkerboard halves of the chain columns w+, u+, w-, u-, and beta.
 
-    One order-1 :func:`xyep.chain.mode_arrays` call evaluates both
-    chains, each normalized to the :class:`JordanChain` gauge.
+    One order-1 :func:`xyep.chain.mode_arrays` call at the EP root gives
+    the +eps_EP chain, normalized to the :class:`JordanChain` gauge; the
+    -eps_EP chain is its image (-iPw, iPu), exactly.
     """
-    phi, psi, _ = mode_arrays(spec.L, spec.gamma, ep.mode,
-                              [ep.epsilon, -ep.epsilon], [ep.x] * 2, order=1)
-    betas, phis, psis = [], [], []
-    for k in range(2):
-        phi_w, phi_u = phi[..., k]
-        psi_w, psi_u = psi[..., k]
-        cross = phi_u @ phi_w + psi_u @ psi_w
-        if abs(cross) < 1e-14:
-            raise DegenerateInput(
-                "chain cross norm vanishes: higher-order defect")
-        u_self = phi_u @ phi_u + psi_u @ psi_u
-        beta = -u_self / (2 * cross)
-        scale = 1 / np.sqrt(complex(cross))
-        betas.append(beta)
-        phis += [scale * phi_w, scale * (phi_u + beta * phi_w)]
-        psis += [scale * psi_w, scale * (psi_u + beta * psi_w)]
-    return phis, psis, betas
+    phi, psi, _ = mode_arrays(spec.L, spec.gamma, ep.mode, ep.epsilon, ep.x,
+                              order=1)
+    (phi_w, phi_u), (psi_w, psi_u) = phi[..., 0], psi[..., 0]
+    cross = phi_u @ phi_w + psi_u @ psi_w
+    if abs(cross) < 1e-14:
+        raise DegenerateInput("chain cross norm vanishes: higher-order defect")
+    beta = -(phi_u @ phi_u + psi_u @ psi_u) / (2 * cross)
+    scale = 1 / np.sqrt(complex(cross))
+    w = scale * phi_w, scale * psi_w
+    u = scale * (phi_u + beta * phi_w), scale * (psi_u + beta * psi_w)
+    return ([w[0], u[0], 1j * w[0], -1j * u[0]],
+            [w[1], u[1], -1j * w[1], 1j * u[1]], beta)
 
 
-def _chain_residuals(spec: ChainSpec, residual: np.ndarray) -> tuple[list, list]:
-    """Eigen and chain residuals at +-eps from the last four halves out of
-    :func:`xyep.basis.certify_halves`; refuses a chain above 1e-7."""
-    eigen_res, chain_res = (np.linalg.norm(residual[:, -4:], axis=0)
-                            / _m_norm(spec)).reshape(2, 2).T.tolist()
-    for res in chain_res:
-        if not res <= 1e-7:
-            raise DefectiveBasis(f"chain identity residual {res:.3e} exceeds 1e-7")
+def _chain_residuals(spec: ChainSpec, residual: np.ndarray) -> tuple[float, float]:
+    """Eigen and chain residuals of the +eps_EP chain, the last two halves
+    out of :func:`xyep.basis.certify_halves`; refuses above 1e-7."""
+    eigen_res, chain_res = (np.linalg.norm(residual[:, -2:], axis=0)
+                            / _m_norm(spec)).tolist()
+    if not chain_res <= 1e-7:
+        raise DefectiveBasis(f"chain identity residual {chain_res:.3e} exceeds 1e-7")
     return eigen_res, chain_res
 
 
@@ -241,8 +239,9 @@ def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
 
     w is the (defective) eigenvector and u solves (M - eps) S u = S w
     in checkerboard coordinates; u is the parameter derivative of the
-    eps-branch eigenvector, projected to the stated gauge.  One
-    :func:`xyep.basis.certify_halves` call certifies both chains, and
+    eps-branch eigenvector, projected to the stated gauge; the -eps
+    chain is the +eps chain's image (see :class:`JordanChain`).  One
+    :func:`xyep.basis.certify_halves` call certifies the +eps chain, and
     :class:`DefectiveBasis` is raised above 1e-7 relative chain residual.
     Both chains are evaluated exactly as :func:`jordan_decomposition`
     evaluates them, so the result equals that basis's chain columns.
@@ -250,16 +249,16 @@ def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
     _check_record(spec, ep)
     if sign not in (+1, -1):
         raise DegenerateInput("sign must be +1 or -1")
-    phis, psis, betas = _jordan_chains(spec, ep)
+    phis, psis, beta = _jordan_chains(spec, ep)
     _, residual = certify_halves(spec.gamma, np.column_stack(phis),
-                                 np.column_stack(psis), [], [ep.epsilon, -ep.epsilon])
+                                 np.column_stack(psis), [], ep.epsilon)
     eigen_res, chain_res = _chain_residuals(spec, residual)
-    k = 0 if sign > 0 else 1
-    phi_w, phi_u, psi_w, psi_u = phis[2 * k: 2 * k + 2] + psis[2 * k: 2 * k + 2]
+    k = 0 if sign > 0 else 2
+    phi_w, phi_u, psi_w, psi_u = phis[k: k + 2] + psis[k: k + 2]
     return JordanChain(
-        mode=ep.mode, sign=sign, epsilon=-ep.epsilon if k else ep.epsilon, x=ep.x,
-        phi_w=phi_w, psi_w=psi_w, phi_u=phi_u, psi_u=psi_u, beta=betas[k],
-        chain_residual=chain_res[k], eigen_residual=eigen_res[k],
+        mode=ep.mode, sign=sign, epsilon=sign * ep.epsilon, x=ep.x,
+        phi_w=phi_w, psi_w=psi_w, phi_u=phi_u, psi_u=psi_u, beta=sign * beta,
+        chain_residual=chain_res, eigen_residual=eigen_res,
         w_self=complex(phi_w @ phi_w + psi_w @ psi_w),
         u_self=complex(phi_u @ phi_u + psi_u @ psi_u),
         cross=complex(phi_u @ phi_w + psi_u @ psi_w))
@@ -272,8 +271,11 @@ class JordanDecomposition:
     The columns, with checkerboard halves ``phis``/``psis``, are
     :func:`xyep.basis.pair_columns` of the simple points (``points``
     labels them), then the chains (w, u) at +eps_EP and -eps_EP, which
-    make J's two 2x2 upper Jordan blocks.  V^{-1} equals V^T with each
-    chain's w and u rows swapped.
+    make J's two 2x2 upper Jordan blocks; the -eps_EP chain is the
+    +eps_EP chain's image (see :class:`JordanChain`).  V^{-1} equals V^T
+    with each chain's w and u rows swapped.  Gamma = [[0, I], [I, 0]]
+    takes M - eps I to -(M + eps I), so ``rank_deficiency_minus`` equals
+    ``rank_deficiency_plus``.
     """
 
     spec: ChainSpec
@@ -308,9 +310,9 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
     """Assemble the full 2L x 2L Jordan basis at an exceptional point.
 
     The work is done once per EP: one root solve for both modes, one
-    order-1 :func:`xyep.chain.mode_arrays` call for both chains, one
+    order-1 :func:`xyep.chain.mode_arrays` call at the EP root, one
     :func:`xyep.basis.certify_halves` call for every residual and one
-    stacked SVD of L x L blocks for the rank deficiencies at +-eps_EP.
+    stacked SVD of two L x L blocks for the rank deficiency at +-eps_EP.
     """
     L = spec.L
     phis, psis, points = pair_columns(spec, _simple_points(spec, ep))
@@ -319,14 +321,12 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
     phis = np.column_stack([phis, *chain_phis])
     psis = np.column_stack([psis, *chain_psis])
 
-    chain_eps = [ep.epsilon, -ep.epsilon]
-    J = np.diag(np.array([p.epsilon for p in points]
-                         + [e for e in chain_eps for _ in "wu"], dtype=complex))
-    J[chain_start, chain_start + 1] = 1.0
-    J[chain_start + 2, chain_start + 3] = 1.0
-    inv_res, residual = certify_halves(spec.gamma, phis, psis, points, chain_eps)
+    J = np.diag(np.array([p.epsilon for p in points] + [ep.epsilon] * 2
+                         + [-ep.epsilon] * 2, dtype=complex))
+    J[chain_start, chain_start + 1] = J[chain_start + 2, chain_start + 3] = 1.0
+    inv_res, residual = certify_halves(spec.gamma, phis, psis, points, ep.epsilon)
     _chain_residuals(spec, residual)
-    if not inv_res <= 1e-6:
+    if not inv_res <= ORTH_TOL:
         raise DefectiveBasis(
             f"structured inverse residual {inv_res:.3e} exceeds 1e-6")
 
@@ -334,27 +334,25 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
     V = column_from_halves(phis, psis)
     swap = np.arange(2 * L)
     swap[chain_start:] = swap[chain_start:][[1, 0, 3, 2]]
-    # S is orthogonal, and each pair's -eps column repeats its +eps
-    # column's residual norm
-    jordan_res = np.linalg.norm(np.hstack([residual[:, :chain_start // 2],
-                                           residual]))
-    # nullities of M -+ eps I: S^T (M - eps I) S = [[-eps, (A+B)^T],
+    # S is orthogonal, and each -eps column (the -eps_EP chain's too)
+    # repeats its +eps column's residual norm
+    jordan_res = float(np.sqrt(2) * np.linalg.norm(residual)) / _m_norm(spec)
+    # nullity of M - eps I: S^T (M - eps I) S = [[-eps, (A+B)^T],
     # [A+B, -eps]] is one L x L block per half support
     g, n = spec.gamma, spec.n_pairs
-    P = np.diag(np.full(L - 1, (1 + g) / 2), 1) \
+    AB = np.diag(np.full(L - 1, (1 + g) / 2), 1) \
         + np.diag(np.full(L - 1, (1 - g) / 2), -1)
-    blocks = np.zeros((2, 2, L, L), dtype=complex)
-    for k, K in enumerate((P[0::2, 1::2], P[1::2, 0::2])):
-        blocks[:, k, :n, n:], blocks[:, k, n:, :n] = K.T, K
-    blocks[..., range(L), range(L)] = np.array([-1, 1])[:, None, None] * ep.epsilon
+    blocks = np.zeros((2, L, L), dtype=complex)
+    for k, K in enumerate((AB[0::2, 1::2], AB[1::2, 0::2])):
+        blocks[k, :n, n:], blocks[k, n:, :n] = K.T, K
+    blocks[:, range(L), range(L)] = -ep.epsilon
     sv = np.linalg.svd(blocks, compute_uv=False)
-    plus, minus = np.sum(sv < 1e-8 * np.max(sv, axis=(1, 2), keepdims=True),
-                         axis=(1, 2)).tolist()
+    deficiency = int(np.sum(sv < 1e-8 * np.max(sv)))
     return JordanDecomposition(
         spec=spec, ep=ep, points=points, V=V, V_inv=V[:, swap].T, J=J,
         phis=phis, psis=psis, chain_start=chain_start, inv_residual=inv_res,
-        jordan_residual=float(jordan_res) / _m_norm(spec),
-        rank_deficiency_plus=plus, rank_deficiency_minus=minus)
+        jordan_residual=jordan_res, rank_deficiency_plus=deficiency,
+        rank_deficiency_minus=deficiency)
 
 
 @dataclass(frozen=True)

@@ -303,8 +303,9 @@ def test_every_consumer_makes_one_mode_arrays_call_per_mode(monkeypatch):
     shapes.clear()
     ep = next(r for r in locate_eps(20) if r.mode == "II")
     jordan_decomposition(ChainSpec(20, ep.gamma), ep)
-    # mode I whole, mode II without the coalescing pair, then both chains
-    assert shapes == [(10,), (8,), (2,)]
+    # mode I whole, mode II without the coalescing pair, then the
+    # +eps_EP chain, whose image is the -eps_EP chain
+    assert shapes == [(10,), (8,), (1,)]
     shapes.clear()
     # the cell nearest the EP, read once for the sector, then all 2 x 2
     # cells in one stacked chunk

@@ -390,6 +390,25 @@ def test_jordan_chain_columns_are_the_generalized_eigenvectors():
                     assert np.array_equal(got, want)
 
 
+def test_the_minus_chain_is_the_chiral_image_of_the_plus_chain():
+    # P: (phi, psi) -> (-phi, psi) anticommutes with S^T M S, so
+    # (w', u') = (-iPw, iPu) is the -eps_EP chain in the same gauge
+    for L in range(4, 22, 2):
+        for ep in locate_eps(L):
+            spec = quiet_spec(L, ep.gamma)
+            plus = generalized_eigenvector(spec, ep, +1)
+            minus = generalized_eigenvector(spec, ep, -1)
+            for got, want in ((minus.phi_w, 1j * plus.phi_w),
+                              (minus.psi_w, -1j * plus.psi_w),
+                              (minus.phi_u, -1j * plus.phi_u),
+                              (minus.psi_u, 1j * plus.psi_u)):
+                assert np.array_equal(got, want)
+            assert minus.epsilon == -plus.epsilon
+            assert minus.beta == -plus.beta
+            assert minus.chain_residual == plus.chain_residual
+            assert minus.eigen_residual == plus.eigen_residual
+
+
 def test_jordan_decomposition_solves_once_and_builds_both_chains_at_once(
         monkeypatch):
     # chain.chebyshev_u runs once per mode_arrays call, at its order
@@ -409,13 +428,13 @@ def test_jordan_decomposition_solves_once_and_builds_both_chains_at_once(
     ep = closest_record(locate_eps(10), 0.2806 + 0.7035j)
     jordan_decomposition(quiet_spec(10, ep.gamma), ep)
     assert roots == [2]                       # both modes, one solve
-    assert orders == [(0, 5), (0, 3), (1, 2)]
+    assert orders == [(0, 5), (0, 3), (1, 1)]  # the +eps_EP chain only
 
 
 def test_each_jordan_chain_is_certified_once(monkeypatch):
     # jordan_decomposition reads the chain residuals off its whole-basis
-    # certify_halves call; generalized_eigenvector certifies both chains
-    # in one call of its own
+    # certify_halves call; generalized_eigenvector certifies its four
+    # chain columns (the +eps_EP chain and its image) in one call of its own
     widths, real = [], ep_module.certify_halves
 
     def count(gamma, phis, psis, points, chain_eps):
@@ -433,8 +452,8 @@ def test_each_jordan_chain_is_certified_once(monkeypatch):
 
 
 def test_the_rank_test_factors_l_by_l_blocks(monkeypatch):
-    # S^T (M -+ eps I) S splits into two L x L blocks per sign, so no
-    # 2L x 2L matrix is ever factored
+    # S^T (M - eps I) S splits into two L x L blocks, shared by -eps, so
+    # no 2L x 2L matrix is ever factored
     shapes, real_svd = [], np.linalg.svd
 
     def svd(a, *args, **kwargs):
@@ -445,7 +464,7 @@ def test_the_rank_test_factors_l_by_l_blocks(monkeypatch):
     for L in (4, 10):
         ep = locate_eps(L)[0]
         jordan_decomposition(quiet_spec(L, ep.gamma), ep)
-    assert shapes == [(2, 2, 4, 4), (2, 2, 10, 10)]
+    assert shapes == [(2, 4, 4), (2, 10, 10)]
 
 
 def test_ep_search_size_cap_refuses_before_any_work(monkeypatch):

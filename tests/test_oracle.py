@@ -499,6 +499,28 @@ def test_build_ep_states_four_sites():
     assert min(st.energies, key=lambda e: e.real) == pytest.approx(ground)
 
 
+@pytest.mark.parametrize("L, k", [(L, k) for L in (4, EP_STATE_LIMIT)
+                                  for k in range(2 * (L - 2))])
+def test_build_ep_states_at_every_ep_up_to_its_size_limit(L, k):
+    ep = locate_eps(L)[k]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", XYEPWarning)
+        spec = ChainSpec(L, ep.gamma)
+        jd = jordan_decomposition(spec, ep)
+        st = build_ep_states(spec, jd)
+        cat = ep_state_catalog(spec, ep)
+    count = 3 * 2 ** (L - 2)
+    assert st.states.shape == (2 ** L, count)
+    assert st.rank == count
+    assert st.max_eigen_residual < 1e-8 * st.h_norm
+    assert st.mixed_overlap_min > 1 - 1e-8
+    assert st.vacuum_dims == (2 ** (L - 1), 2 ** (L - 1))
+    # the explicit states follow the catalog entry by entry
+    assert st.occupations == [e.occupation for e in cat.entries]
+    assert_allclose(st.energies, [e.energy for e in cat.entries], rtol=0,
+                    atol=1e-12)
+
+
 def test_build_ep_states_refuses_another_chains_jordan_decomposition():
     ep = min(locate_eps(4), key=lambda r: abs(r.gamma - (0.6 + 0.8j)))
     with warnings.catch_warnings():
