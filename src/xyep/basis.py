@@ -143,20 +143,12 @@ def assemble_basis(spec: ChainSpec) -> BiorthogonalBasis:
 
     The columns are :func:`pair_columns` of all quasi-energies, and
     :func:`certify_halves` gives both residuals from their halves.  Raises
-    :class:`DefectiveBasis` when max|V V^T - I| exceeds ``ORTH_TOL`` or
-    is not a number, which is the numerical signature of an exceptional
-    point; V is built only once that check passes.
+    :class:`DefectiveBasis` at a bilinearly null mode vector or when
+    max|V V^T - I| exceeds ``ORTH_TOL`` or is not a number, the numerical
+    signatures of an exceptional point; V is built only once they pass.
     """
     L = spec.L
-    plus_points = quasi_energies(spec)
-    try:
-        phis, psis, points = pair_columns(spec, plus_points)
-    except DegenerateInput as exc:
-        # at an exact EP a mode vector is bilinearly null and cannot be
-        # normalized; report that as a defective basis, which is the
-        # signal callers are told to expect near exceptional couplings
-        raise DefectiveBasis("a mode vector is bilinearly null; the "
-                             "spectrum is defective here") from exc
+    phis, psis, points = pair_columns(spec, quasi_energies(spec))
     Lambda = np.array([p.epsilon for p in points], dtype=complex)
     orth, residual = certify_halves(spec.gamma, phis, psis, points)
     if not orth <= ORTH_TOL:

@@ -10,7 +10,8 @@ an explicitly known eigenvector with checkerboard support.
 
 :func:`mode_spectra` is the one place where roots (from
 :func:`xyep.polyalg.boundary_roots`) become branch-ordered quasi-energies,
-for many anisotropies and one or both modes in one root solve;
+for many anisotropies and one or both modes in one root solve, laid out
+``(m, k, L/2)``: anisotropy, mode (mode I first), branch;
 :func:`quasi_energies` labels its one-anisotropy row of both modes, and
 :func:`mode_arrays` is the one evaluator of mode data: eigenvector
 halves and, at order 1, their eps-derivative, at any number of roots of
@@ -28,6 +29,7 @@ not share the result, so build one spec per chain and pass it around.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,6 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DefectiveBasis,
     DegenerateInput,
     EpsilonZero,
     LambdaSingular,
@@ -105,20 +108,20 @@ class ChainSpec:
         order :func:`quasi_energies` returns; a refusal is not kept."""
         eps, x = (row[0].tolist()
                   for row in mode_spectra(self.L, self.gamma, "both"))
-        n = self.n_pairs
-        return tuple(SpectralPoint(mode=MODES[k // n], branch=k % n + 1,
-                                   sign=+1, epsilon=e, x=xx)
-                     for k, (e, xx) in enumerate(zip(eps, x)))
+        return tuple(SpectralPoint(mode=mode, branch=b + 1, sign=+1,
+                                   epsilon=e, x=xx)
+                     for mode, es, xs in zip(MODES, eps, x)
+                     for b, (e, xx) in enumerate(zip(es, xs)))
 
     @cached_property
-    def _near_ep_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Index pairs of points whose roots nearly coincide (NEAR_EP_TOL)."""
-        x = np.array([p.x for p in self._points]).reshape(2, -1)  # per mode
+    def _near_ep_pairs(self) -> tuple[tuple[str, complex, complex], ...]:
+        """(mode, x, x') of each pair of one mode's roots that nearly
+        coincide (NEAR_EP_TOL), in row-major order."""
+        x = np.array([[p.x for p in self._points if p.mode == m] for m in MODES])
         close = np.abs(x[:, :, None] - x[:, None, :]) \
             <= NEAR_EP_TOL * (1 + np.abs(x))[:, :, None]
         mode, i, j = np.nonzero(np.triu(close, 1))
-        start = mode * self.n_pairs
-        return tuple(zip((start + i).tolist(), (start + j).tolist()))
+        return tuple((MODES[k], x[k, a], x[k, b]) for k, a, b in zip(mode, i, j))
 
 
 def check_length(L) -> int:
@@ -143,15 +146,6 @@ def _check_finite(gammas):
     if bad.any():
         raise DegenerateInput(
             f"anisotropy must be finite, got gamma = {gammas[bad][0]:.6g}")
-
-
-def _mode_lambdas(gamma, mode: str):
-    """Boundary parameters of one mode (``"I"`` or ``"II"``) at anisotropies."""
-    gamma = np.asarray(gamma, dtype=complex)
-    if ((gamma == 1) | (gamma == -1)).any():
-        raise LambdaSingular("boundary polynomial undefined at gamma = +-1")
-    lam = np.asarray(gamma_to_lambda(gamma))
-    return lam if mode == "I" else 1 / lam
 
 
 def _result(value: np.ndarray):
@@ -233,20 +227,23 @@ def mode_spectra(L: int, gammas, mode: str) -> tuple[np.ndarray, np.ndarray]:
 
     ``gammas`` holds m anisotropies (a scalar counts as m = 1) and
     ``mode`` is ``"I"``, ``"II"`` or ``"both"``; returns ``(eps, x)`` of
-    shape ``(m, L/2)``, or ``(m, L)`` for both modes, from one
-    :func:`xyep.polyalg.boundary_roots` call.  Row i holds the branches
-    at ``gammas[i]`` in branch order, decreasing (Re eps, Im eps), mode I
-    branches before mode II ones, so it is the same whatever else is in
+    shape ``(m, k, L/2)``, k = 1 for one mode and k = 2 for both (mode I
+    first), from one :func:`xyep.polyalg.boundary_roots` call.  Row
+    ``[i, j]`` holds mode j's branches at ``gammas[i]`` in branch order,
+    decreasing (Re eps, Im eps), so it is the same whatever else is in
     the batch.  Raises :class:`LambdaSingular` at gamma = +-1 and
     :class:`DegenerateInput` when some gamma or eps is not finite
     (gamma^2 overflows above |gamma| ~ 1e154).
     """
-    L = check_length(L)
+    L, modes = check_length(L), mode_names(mode)
     gammas = np.atleast_1d(np.asarray(gammas, dtype=complex))
     _check_finite(gammas)
-    # each anisotropy's boundary parameters side by side, one per mode
-    lams = np.stack([_mode_lambdas(gammas, m) for m in mode_names(mode)], -1)
-    x = boundary_roots(L // 2, lams.ravel()).reshape(lams.shape + (-1,))
+    if ((gammas == 1) | (gammas == -1)).any():
+        raise LambdaSingular("boundary polynomial undefined at gamma = +-1")
+    lam = gamma_to_lambda(gammas)
+    # (m, k): each anisotropy's boundary parameters, lam for mode I, 1/lam for II
+    lams = np.stack([lam if m == "I" else 1 / lam for m in modes], -1)
+    x = boundary_roots(L // 2, lams)
     with np.errstate(over="ignore", invalid="ignore"):
         eps = eps_of_x(gammas[:, None, None], x)
     bad = ~np.all(np.isfinite(eps), axis=(1, 2))
@@ -254,8 +251,15 @@ def mode_spectra(L: int, gammas, mode: str) -> tuple[np.ndarray, np.ndarray]:
         raise DegenerateInput(
             f"quasi-energies are not finite at gamma = {gammas[bad][0]:.6g}")
     order = np.lexsort((-eps.imag, -eps.real), axis=-1)
-    return (np.take_along_axis(eps, order, -1).reshape(gammas.size, -1),
-            np.take_along_axis(x, order, -1).reshape(gammas.size, -1))
+    return np.take_along_axis(eps, order, -1), np.take_along_axis(x, order, -1)
+
+
+def _outside_stacklevel() -> int:
+    """``stacklevel`` that makes the caller's warning name the first frame outside xyep."""
+    frame, level = sys._getframe(1), 1
+    while frame and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def quasi_energies(spec: ChainSpec, warn: bool = True) -> list[SpectralPoint]:
@@ -267,21 +271,21 @@ def quasi_energies(spec: ChainSpec, warn: bool = True) -> list[SpectralPoint]:
     Emits :class:`NearEPWarning` when two roots of one boundary
     polynomial nearly coincide (see NEAR_EP_TOL) and
     :class:`ModeCoincidenceWarning` at gamma = 0 where the two modes
-    have identical spectra.  The points are made on the first call for
-    ``spec`` and kept on it, the near pairs on the first call that warns;
-    each call returns a new list and warns again.  Equal specs share none.
+    have identical spectra; both name the first caller outside this
+    package.  The points are made on the first call for ``spec`` and
+    kept on it, the near pairs on the first call that warns; each call
+    returns a new list and warns again.  Equal specs share none.
     """
-    if warn and abs(gamma_to_lambda(spec.gamma) + 1) < 1e-14:
-        warnings.warn("gamma = 0: both modes share one boundary condition",
-                      ModeCoincidenceWarning, stacklevel=2)
-    points = list(spec._points)
     if warn:
-        for i, j in spec._near_ep_pairs:
+        if abs(gamma_to_lambda(spec.gamma) + 1) < 1e-14:
+            warnings.warn("gamma = 0: both modes share one boundary condition",
+                          ModeCoincidenceWarning, stacklevel=_outside_stacklevel())
+        for mode, x, x2 in spec._near_ep_pairs:
             warnings.warn(
-                f"mode {points[i].mode}: boundary roots {points[i].x:.6g} and "
-                f"{points[j].x:.6g} nearly coincide; an exceptional "
-                "point may be close", NearEPWarning, stacklevel=2)
-    return points
+                f"mode {mode}: boundary roots {x:.6g} and {x2:.6g} nearly "
+                "coincide; an exceptional point may be close", NearEPWarning,
+                stacklevel=_outside_stacklevel())
+    return list(spec._points)
 
 
 @dataclass(frozen=True)
@@ -368,7 +372,7 @@ def mode_vectors(spec: ChainSpec, mode: str, points: list[SpectralPoint]):
     ``(phi, psi, scale, boundary_residual)``: the halves, the k scales
     applied to the :func:`mode_arrays` values, and |scale * boundary|,
     which vanishes on a quantized root.  The -eps partner of a column
-    is (-phi, psi), exactly.
+    is (-phi, psi), exactly; a null column raises :class:`DefectiveBasis`.
     """
     eps = [p.epsilon if p.sign > 0 else -p.epsilon for p in points]
     phi, psi, boundary = mode_arrays(spec.L, spec.gamma, mode, eps,
@@ -376,7 +380,8 @@ def mode_vectors(spec: ChainSpec, mode: str, points: list[SpectralPoint]):
     phi, psi = phi[0], psi[0]
     n2 = np.sum(phi * phi + psi * psi, axis=0)
     if np.any(np.abs(n2) < 1e-300):
-        raise DegenerateInput("mode vector is bilinearly null; cannot normalize")
+        raise DefectiveBasis("a mode vector is bilinearly null; the "
+                             "spectrum is defective here")
     s = 1.0 / np.sqrt(n2)
     lead = (phi[0] + psi[0]) * s
     s = np.where((lead.real < 0) | ((lead.real == 0) & (lead.imag < 0)), -s, s)

@@ -38,7 +38,7 @@ class DegenerateInput(XYEPError):
 
 
 class DefectiveBasis(XYEPError):
-    """An assembled eigenbasis, Jordan chain or Jordan basis failed its residual check."""
+    """A bilinearly null mode vector, or a basis or Jordan chain failing its residual check."""
 
 
 class SizeLimit(XYEPError):

@@ -101,7 +101,7 @@ def _slot_columns(L: int, ep: EPRecord, gammas: np.ndarray, eps: np.ndarray,
                   x: np.ndarray):
     """Quasi-energies and +eps / -eps columns of V for all L slots, per cell.
 
-    ``eps`` and ``x`` are the (m, L) rows of
+    ``eps`` and ``x`` are the (m, 2, L/2) rows of
     :func:`xyep.chain.mode_spectra` for both modes at the m anisotropies
     ``gammas``: each mode's branches in branch order, mode I first.
     Slots of the EP's mode start with its coalescing pair
@@ -112,10 +112,9 @@ def _slot_columns(L: int, ep: EPRecord, gammas: np.ndarray, eps: np.ndarray,
     unnormalized: only their span is used, so the bilinearly null
     column at an exact EP needs no special case.
     """
-    n = L // 2
     slot_eps, phis, psis = [], [], []
     for k, mode in enumerate(MODES):
-        mode_eps, mode_x = eps[:, k * n: (k + 1) * n], x[:, k * n: (k + 1) * n]
+        mode_eps, mode_x = eps[:, k], x[:, k]
         if mode == ep.mode:
             order = coalescing_order(mode_x, ep)
             mode_eps = np.take_along_axis(mode_eps, order, -1)
@@ -284,12 +283,6 @@ class LoopResult:
     closure_defect: float
 
 
-def _mode_roots(L: int, gammas) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`xyep.chain.mode_spectra` of both modes, shaped (m, 2, L/2)."""
-    return tuple(a.reshape(a.shape[0], 2, -1)
-                 for a in mode_spectra(L, gammas, "both"))
-
-
 def _nearest(prev: np.ndarray, cand: np.ndarray):
     """Nearest candidate of every value, and whether that choice is ambiguous.
 
@@ -370,7 +363,7 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
         orientation * 2j * np.pi * np.arange(steps) / steps)
     gammas = np.append(gammas, gammas[0])
 
-    eps, x = _mode_roots(L, gammas)
+    eps, x = mode_spectra(L, gammas, "both")
     pick, flip, ambiguous = _match_steps(eps, x, np.arange(steps))
     refinements = 0
     for level in range(_MAX_REFINEMENTS + 1):
@@ -387,7 +380,7 @@ def track_loop(L: int, center: complex, radius: float, steps: int = 256,
         mids = (gammas[bad] + gammas[bad + 1]) / 2
         gammas = np.insert(gammas, bad + 1, mids)
         eps, x = (np.insert(a, bad + 1, b, axis=0)
-                  for a, b in zip((eps, x), _mode_roots(L, mids)))
+                  for a, b in zip((eps, x), mode_spectra(L, mids, "both")))
         pick, flip, ambiguous = (np.insert(a, bad + 1, a[bad], axis=0)
                                  for a in (pick, flip, ambiguous))
         new = (bad + np.arange(bad.size) + [[0], [1]]).ravel()
@@ -431,7 +424,7 @@ def branch_scaling_probe(ep: EPRecord) -> ScalingFit:
     square-root branch point.  ``ScalingFit.radii`` reports the ladder.
     """
     radii = np.geomspace(1e-4, 1e-7, 8)
-    eps, x = mode_spectra(ep.L, ep.gamma + radii, ep.mode)
+    eps, x = (a[:, 0] for a in mode_spectra(ep.L, ep.gamma + radii, ep.mode))
     pair = np.take_along_axis(eps, coalescing_order(x, ep)[:, :2], axis=-1)
     splittings = np.abs(pair[:, 0] - pair[:, 1])
     if np.any(splittings == 0):

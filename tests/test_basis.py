@@ -15,8 +15,8 @@ from xyep.basis import (
     operator_coefficients,
     pair_columns,
 )
-from xyep.chain import (ChainSpec, build_quasi_hamiltonian, mode_vectors,
-                        quasi_energies)
+from xyep.chain import (ChainSpec, SpectralPoint, build_quasi_hamiltonian,
+                        mode_vector_poly, mode_vectors, quasi_energies)
 from xyep.errors import DefectiveBasis, DegenerateInput, SizeLimit, XYEPWarning
 
 RNG = np.random.default_rng(77)
@@ -65,6 +65,23 @@ def test_nan_columns_raise_defective_basis(monkeypatch):
     monkeypatch.setattr(basis_module, "mode_vectors", nan_vectors)
     with pytest.raises(DefectiveBasis, match="orthogonality residual nan"):
         assemble_basis(ChainSpec(4, 0.3 + 0.2j))
+
+
+def test_a_bilinearly_null_mode_vector_is_a_defective_basis(monkeypatch):
+    # at this point phi.phi + psi.psi = 1 + (-1j)^2 = 0 exactly; every
+    # entry point refuses it with the one kind, DefectiveBasis
+    spec = ChainSpec(2, 0.5)
+    point = SpectralPoint("I", 1, 1, 0.75j, 0.3)
+    null = "a mode vector is bilinearly null; the spectrum is defective here"
+    with pytest.raises(DefectiveBasis, match=null):
+        mode_vectors(spec, "I", [point])
+    with pytest.raises(DefectiveBasis, match=null):
+        mode_vector_poly(spec, point)
+    mode_ii = quasi_energies(spec, warn=False)[1:]
+    monkeypatch.setattr(basis_module, "quasi_energies",
+                        lambda spec: [point] + mode_ii)
+    with pytest.raises(DefectiveBasis, match=null):
+        assemble_basis(spec)
 
 
 def sweep_specs():

@@ -20,6 +20,7 @@ from xyep.chain import (
 )
 from xyep.ep import jordan_decomposition, locate_eps
 from xyep.errors import (
+    DefectiveBasis,
     DegenerateInput,
     EpsilonZero,
     LambdaSingular,
@@ -181,8 +182,8 @@ def test_mode_spectra_rows_are_the_quasi_energies():
     gammas = np.array(random_gammas(7) + [0.0, 2.5 - 0.3j, -0.9])
     for k, mode in enumerate(("I", "II")):
         eps, x = mode_spectra(10, gammas, mode)
-        assert eps.shape == x.shape == (gammas.size, 5)
-        for g, e_row, x_row in zip(gammas, eps, x):
+        assert eps.shape == x.shape == (gammas.size, 1, 5)
+        for g, e_row, x_row in zip(gammas, eps[:, 0], x[:, 0]):
             pts = quasi_energies(ChainSpec(10, g), warn=False)
             pts = pts[5 * k: 5 * k + 5]
             assert np.array_equal(e_row, [p.epsilon for p in pts])
@@ -208,13 +209,14 @@ def test_both_modes_are_the_one_mode_rows_side_by_side():
         both = mode_spectra(L, gammas, "both")
         for got, one, two in zip(both, mode_spectra(L, gammas, "I"),
                                  mode_spectra(L, gammas, "II")):
-            assert got.shape == (len(gammas), L)
+            assert got.shape == (len(gammas), 2, L // 2)
             assert np.array_equal(got, np.hstack([one, two]))
     spec = ChainSpec(10, gammas[0])
     eps, x = mode_spectra(10, spec.gamma, "both")
     pts = quasi_energies(spec, warn=False)
-    assert np.array_equal(eps[0], [p.epsilon for p in pts])
-    assert np.array_equal(x[0], [p.x for p in pts])
+    assert np.array_equal(eps[0], [[p.epsilon for p in pts[:5]],
+                                   [p.epsilon for p in pts[5:]]])
+    assert np.array_equal(x[0], [[p.x for p in pts[:5]], [p.x for p in pts[5:]]])
 
 
 def test_gamma_maps_give_the_same_bits_for_scalars_and_arrays():
@@ -278,12 +280,11 @@ def test_stacked_mode_arrays_match_one_anisotropy_calls():
     eps, x = mode_spectra(L, gammas, "both")
     for order in (0, 1):
         for k, mode in enumerate(("I", "II")):
-            cols = slice(k * n, (k + 1) * n)
-            stacked = mode_arrays(L, gammas, mode, eps[:, cols], x[:, cols], order)
+            stacked = mode_arrays(L, gammas, mode, eps[:, k], x[:, k], order)
             assert stacked[0].shape == stacked[1].shape == (9, order + 1, L, n)
             assert stacked[2].shape == (9, n)
             for i, g in enumerate(gammas):
-                one = mode_arrays(L, g, mode, eps[i, cols], x[i, cols], order)
+                one = mode_arrays(L, g, mode, eps[i, k], x[i, k], order)
                 for got, want in zip(stacked, one):
                     assert np.array_equal(got[i], want)
 
@@ -531,7 +532,7 @@ def test_near_ep_warnings_list_close_pairs_in_row_major_order(monkeypatch):
     def fake_spectra(L, gammas, mode):
         # an L = 8 row, four roots per mode; eps is not read by the check
         assert (L, mode) == (8, "both")
-        row = np.array([xs + xs])
+        row = np.array([[xs, xs]])
         return row, row
 
     monkeypatch.setattr(chain_module, "mode_spectra", fake_spectra)
@@ -540,6 +541,33 @@ def test_near_ep_warnings_list_close_pairs_in_row_major_order(monkeypatch):
     assert got == [f"mode {mode}: boundary roots {xs[i]:.6g} and {xs[k]:.6g} "
                    "nearly coincide; an exceptional point may be close"
                    for mode in ("I", "II") for i, k in pairs]
+
+
+def test_warnings_name_the_line_that_called_the_package():
+    # both warnings are issued inside xyep.chain, but each names this
+    # file, so the default filter shows a repeated one per call site
+    for spec, kind in ((ChainSpec(4, 0.0), ModeCoincidenceWarning),
+                       (ChainSpec(4, 0.6 + 0.8j + 1e-10), NearEPWarning)):
+        for call in (quasi_energies, assemble_basis, many_body_energies):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    call(spec)
+                except DefectiveBasis:
+                    pass
+            assert [(w.category, w.filename) for w in caught] == [(kind, __file__)]
+
+
+@pytest.mark.xfail(strict=True, reason="eps_of_x cancels the edge quasi-energy "
+                   "to noise; ROADMAP item 2 (per-mode product identity) mends it")
+def test_the_edge_quasi_energy_matches_high_precision():
+    # frozen from an 80-digit mpmath run (mpmath 1.3.0): polyroots of
+    # U_10 - lam U_9 in the power basis with mode II's lam = 1/lambda, eps
+    # evaluated in mpmath on the principal branch; |eps| = 2.70855197358549e-9
+    ref = complex(2.5665232519614675e-09, -8.6557044239911730e-10)
+    edge = quasi_energies(ChainSpec(20, 1.3 + 0.1j), warn=False)[-1]
+    assert (edge.mode, edge.branch) == ("II", 10)
+    assert abs(edge.epsilon - ref) <= 1e-12 * abs(ref)
 
 
 def test_real_gamma_spectra_real():

@@ -484,7 +484,7 @@ def fake_roots(rows):
     """
     def spectra(L, gammas, mode):
         s = [np.angle(g) / (2 * np.pi) % 1.0 for g in np.atleast_1d(gammas)]
-        x = np.array([rows(t) for t in s], dtype=complex).reshape(len(s), L)
+        x = np.array([rows(t) for t in s], dtype=complex)
         return x + 100, x
 
     return spectra
@@ -676,6 +676,6 @@ def test_branch_scaling_probe_solves_only_the_ep_mode(monkeypatch):
     fit = branch_scaling_probe(ep)
     assert len(calls) == 1
     lams = calls[0]
-    assert lams.size == fit.radii.size
-    # mode II's 1/lambda, divided as chain._mode_lambdas divides arrays
-    assert np.array_equal(lams, 1 / gamma_to_lambda(ep.gamma + fit.radii))
+    assert lams.shape == (fit.radii.size, 1)
+    # mode II's 1/lambda, divided as chain.mode_spectra divides arrays
+    assert np.array_equal(lams[:, 0], 1 / gamma_to_lambda(ep.gamma + fit.radii))
