@@ -335,8 +335,6 @@ def mode_arrays(L: int, gammas, mode: str, eps, x, order: int = 0):
         raise EpsilonZero("mode construction divides by the quasi-energy")
     if mode not in MODES:
         raise DegenerateInput(f"mode must be 'I' or 'II', got {mode!r}")
-    if order not in (0, 1):
-        raise DegenerateInput(f"order must be 0 or 1, got {order}")
     # one anisotropy for all k roots of its row of eps and x
     g = np.asarray(gammas, dtype=complex)[..., None]
     u = chebyshev_u(np.atleast_1d(x), n, order)
@@ -372,13 +370,17 @@ def mode_vectors(spec: ChainSpec, mode: str, points: list[SpectralPoint]):
     ``(phi, psi, scale, boundary_residual)``: the halves, the k scales
     applied to the :func:`mode_arrays` values, and |scale * boundary|,
     which vanishes on a quantized root.  The -eps partner of a column
-    is (-phi, psi), exactly; a null column raises :class:`DefectiveBasis`.
+    is (-phi, psi), exactly; a null column, or one whose norm overflows,
+    raises :class:`DefectiveBasis`.
     """
     eps = [p.epsilon if p.sign > 0 else -p.epsilon for p in points]
     phi, psi, boundary = mode_arrays(spec.L, spec.gamma, mode, eps,
                                      [p.x for p in points])
     phi, psi = phi[0], psi[0]
-    n2 = np.sum(phi * phi + psi * psi, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n2 = np.sum(phi * phi + psi * psi, axis=0)
+    if not np.isfinite(n2).all():
+        raise DefectiveBasis("a mode vector's bilinear norm is not finite")
     if np.any(np.abs(n2) < 1e-300):
         raise DefectiveBasis("a mode vector is bilinearly null; the "
                              "spectrum is defective here")

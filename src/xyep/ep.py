@@ -3,8 +3,9 @@
 A degeneracy of one mode requires its boundary polynomial
 U_n(x) - lam U_{n-1}(x) to have a double root in x.  Eliminating lam
 from the polynomial and its x-derivative leaves the Wronskian
-U_n' U_{n-1} - U_n U_{n-1}', a polynomial in x alone whose roots are the
-double roots themselves (:func:`xyep.polyalg.double_roots`); lam is then
+U_n' U_{n-1} - U_n U_{n-1}' = 2 sum_{k<n} U_k^2, a polynomial in x alone
+whose roots are the double roots themselves: the x != +-1 with
+U_L(x) = L + 1 (:func:`xyep.polyalg.double_roots`); lam is then
 U_n / U_{n-1} at each of them.
 """
 
@@ -45,9 +46,8 @@ __all__ = [
     "ep_state_catalog",
 ]
 
-# locate_eps refuses longer chains: double_roots(L/2) samples the
-# Wronskian into 3 (n + 2)(2n - 1) complex entries, about 100 MB at
-# L = 2048, besides a (2n - 2)^2 companion matrix
+# locate_eps refuses longer chains: double_roots(L/2) peaks at 84 MB
+# (tracemalloc) at L = 2048, the order-1 recurrence over 2n - 2 roots
 _EP_SEARCH_LIMIT = 2048
 
 
@@ -95,22 +95,16 @@ def locate_eps(L: int, mode: str = "both") -> list[EPRecord]:
         return []
 
     xs, lams, b_res = double_roots(L // 2)
-    # per mode: lam, gamma and eps at every double root, in one pass each
-    per_mode = {}
+    x_row, res_row = xs.tolist(), b_res.tolist()
+    m_row = [_momentum_ep_residual(L, x) for x in x_row]
+    records = []
+    # per mode: lam, gamma and eps at every double root, in one pass
     for mlabel in wanted:
         lam_mode = lams if mlabel == "I" else 1 / lams
         g = lambda_to_gamma(lam_mode)
-        per_mode[mlabel] = (lam_mode, g, eps_of_x(g, xs))
-    records = []
-    for k, (x, res) in enumerate(zip(xs, b_res)):
-        x = complex(x)
-        m_res = _momentum_ep_residual(L, x)
-        for mlabel in wanted:
-            lam_mode, g, eps = per_mode[mlabel]
-            records.append(EPRecord(
-                L=L, mode=mlabel, lam=complex(lam_mode[k]), gamma=complex(g[k]),
-                x=x, epsilon=complex(eps[k]),
-                boundary_residual=float(res), momentum_residual=m_res))
+        records += [EPRecord(L, mlabel, *fields) for fields in zip(
+            lam_mode.tolist(), g.tolist(), x_row, eps_of_x(g, xs).tolist(),
+            res_row, m_row)]
     records.sort(key=lambda r: (r.mode, -round(abs(r.gamma), 10),
                                 -r.gamma.imag))
     return records

@@ -38,7 +38,7 @@ class DegenerateInput(XYEPError):
 
 
 class DefectiveBasis(XYEPError):
-    """A bilinearly null mode vector, or a basis or Jordan chain failing its residual check."""
+    """A bilinearly null or overflowing mode vector, or a basis or Jordan chain failing its check."""
 
 
 class SizeLimit(XYEPError):

@@ -8,21 +8,21 @@ with U_k the Chebyshev polynomials of the second kind, and an
 exceptional point is a double root of P.  This module holds the three
 things that work on P:
 
-* :func:`chebyshev_u`, the three-term recurrence for U_k and its
-  derivatives (the only evaluator of P and its derivatives);
+* :func:`chebyshev_u`, the three-term recurrence for U_k and its first
+  derivative (the only evaluator of P and P');
 * :func:`boundary_roots`, the n roots of P as eigenvalues of a
   tridiagonal comrade matrix (Good, "The colleague matrix", 1961),
   Newton-polished on the value row of the recurrence alone and certified
   by a backward error, for one lam or for many in one stacked solve;
 * :func:`double_roots`, the exceptional points: the roots of the
-  Wronskian W = U_n' U_{n-1} - U_n U_{n-1}', which eliminates lam by
-  hand, with lam read off as U_n / U_{n-1}.
+  Wronskian W = U_n' U_{n-1} - U_n U_{n-1}' = 2 sum_{k<n} U_k^2, which
+  eliminates lam by hand (Mason and Handscomb, "Chebyshev Polynomials",
+  2003), from a comrade matrix too, with lam read off as U_n / U_{n-1}.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import chebyshev as C
 
 from .errors import DegenerateInput, NonConvergence
 
@@ -35,14 +35,15 @@ _CHUNK_ENTRIES = 2 ** 18
 
 
 def chebyshev_u(x, n: int, order: int = 0) -> np.ndarray:
-    """U_{-1}, U_0, ..., U_n at x, with their first ``order`` derivatives.
+    """U_{-1}, U_0, ..., U_n at x, and at ``order = 1`` their derivatives.
 
-    Entry ``[d, k + 1]`` of the result is the d-th derivative of U_k at
-    x, so the shape is ``(order + 1, n + 2) + shape(x)``.  Each
-    derivative follows from differentiating U_{k+1} = 2x U_k - U_{k-1}.
-    The value row is computed on its own, so it is the same for every
-    ``order``.
+    Entry ``[d, k + 1]`` is the d-th derivative of U_k at x, so the shape
+    is ``(order + 1, n + 2) + shape(x)``; the derivative row differentiates
+    U_{k+1} = 2x U_k - U_{k-1}, and the value row is the same at either
+    order.  Other orders raise :class:`DegenerateInput`.
     """
+    if order not in (0, 1):
+        raise DegenerateInput(f"order must be 0 or 1, got {order}")
     x = np.asarray(x, dtype=complex)
     u = np.zeros((order + 1, n + 2) + x.shape, dtype=complex)
     u[0, 1] = 1.0
@@ -51,10 +52,9 @@ def chebyshev_u(x, n: int, order: int = 0) -> np.ndarray:
     for k in range(1, n + 1):
         val[k + 1] = two_x * val[k] - val[k - 1]
     if order:
-        two_d = 2.0 * np.arange(1, order + 1).reshape((order,) + (1,) * x.ndim)
-        der, low = u[1:], u[:-1]
+        der = u[1]
         for k in range(1, n + 1):
-            der[:, k + 1] = two_x * der[:, k] - der[:, k - 1] + two_d * low[:, k]
+            der[k + 1] = two_x * der[k] - der[k - 1] + 2.0 * val[k]
     return u
 
 
@@ -149,30 +149,32 @@ def boundary_roots(n: int, lam) -> np.ndarray:
 def double_roots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (x, lam) at which U_n - lam U_{n-1} has a double root in x.
 
-    The double roots are the 2n - 2 roots of the Wronskian, a polynomial
-    of exact degree 2n - 2 (leading coefficient 2^(2n-1)).  It is sampled
-    at 2n - 1 Chebyshev points, rooted in the Chebyshev basis
-    (``chebroots``), and each root is Newton-polished on the recurrence
-    with W' = U_n'' U_{n-1} - U_n U_{n-1}''.  Returns x, lam = U_n /
-    U_{n-1} and the larger of the backward errors of P and P' at (x,
-    lam); both must meet 16 n eps, else :class:`NonConvergence` is
-    raised.
+    These are the 2n - 2 roots of the Wronskian W = 2 sum_{j<n} (n - j)
+    U_{2j}; W / 2 = det(2x - T) for T = tridiag(1, 0, 1) with n - j
+    subtracted at column 2j of its last row (the comrade matrix), so they
+    start as the eigenvalues of T, halved, and take two Newton steps on
+    W = 2 sum_{k<n} U_k^2 and W' = 4 sum_{k<n} U_k U_k' (one order-1 row,
+    no U'').  Returns x, lam = U_n / U_{n-1} and the larger of the backward
+    errors of P and P' at (x, lam); both must meet 16 n eps, else
+    :class:`NonConvergence` is raised.
     """
     if n < 2:
         raise DegenerateInput(f"a double root needs degree >= 2, got {n}")
+    T = np.eye(2 * n - 2, k=1)
+    T += T.T
+    T[-1, ::2] -= np.arange(n, 1, -1)
+    start = np.linalg.eigvals(T) / 2
+    del T  # the order-1 rows below are the peak memory; T need not add to it
 
     def f(z):
-        u = chebyshev_u(z, n, 2)
-        w = u[1, n + 1] * u[0, n] - u[0, n + 1] * u[1, n]
-        dw = u[2, n + 1] * u[0, n] - u[0, n + 1] * u[2, n]
-        return w, dw
+        u = chebyshev_u(z, n, 1)[:, 1: n + 1]
+        return (2 * np.einsum("k...,k...->...", u[0], u[0]),
+                4 * np.einsum("k...,k...->...", u[0], u[1]))
 
-    coeffs = C.chebinterpolate(lambda z: f(z)[0].real, 2 * n - 2)
-    x = _newton(f, C.chebroots(coeffs).astype(complex), _NEWTON_STEPS)
+    x = _newton(f, start, _NEWTON_STEPS)
     u = chebyshev_u(x, n, 1)
     lam = u[0, n + 1] / u[0, n]
     with np.errstate(all="ignore"):
-        err = np.maximum(_backward_error(u[0], lam, x),
-                         _backward_error(u[1], lam, x))
+        err = np.maximum(*(_backward_error(ud, lam, x) for ud in u))
     _certify(err, n, "double roots")
     return x, lam, err

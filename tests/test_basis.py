@@ -84,6 +84,17 @@ def test_a_bilinearly_null_mode_vector_is_a_defective_basis(monkeypatch):
         assemble_basis(spec)
 
 
+def test_an_overflowing_mode_vector_is_a_defective_basis():
+    # U_199(10) ~ 1e258: the halves are finite, their squares are not;
+    # the norm is refused by name, with no numpy warning
+    spec = ChainSpec(400, 0.5)
+    point = SpectralPoint("I", 1, 1, 1.0, 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DefectiveBasis, match="bilinear norm is not finite"):
+            mode_vector_poly(spec, point)
+
+
 def sweep_specs():
     """Six anisotropies with |gamma| in [0.05, 3] at each L, and L = 400."""
     rng = np.random.default_rng(27)

@@ -87,6 +87,24 @@ def test_locate_eps_l100_matches_frozen_reference():
     assert abs(ep.x - L100_EP_X) <= 1e-10
 
 
+# mpmath reference (60 digits, Newton on the Wronskian's definition
+# U_n' U_{n-1} - U_n U_{n-1}'; Newton on U_400(x) = 401 gives the same 22
+# digits): the mode I EP of largest |gamma| at L = 400
+L400_EP_X = 0.999849036189058555831 + 0.0001290874912078304694692j
+L400_EP_GAMMA = -43.61345551804286300078 + 85.58558040381135229919j
+
+
+def test_locate_eps_l400_matches_frozen_reference():
+    records = locate_eps(400, "both")
+    assert len(records) == 2 * 398
+    ep = records[0]
+    assert (ep.mode, ep.L) == ("I", 400)
+    assert abs(ep.x - L400_EP_X) <= 1e-12 * abs(L400_EP_X)
+    assert abs(ep.gamma - L400_EP_GAMMA) <= 1e-12 * abs(L400_EP_GAMMA)
+    # the momentum-space stationarity condition holds at every root
+    assert max(r.momentum_residual for r in records) <= 4e-14
+
+
 def test_locate_eps_input_validation():
     for bad_L in (0, 3, 7, -4):
         with pytest.raises(DegenerateInput):

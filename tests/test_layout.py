@@ -64,6 +64,23 @@ def test_package_imports_only_numpy_and_stdlib():
     assert found == []
 
 
+def test_no_module_imports_numpy_polynomial():
+    # every polynomial root is a comrade eigensolve in polyalg; nothing
+    # is fitted or rooted through numpy's polynomial classes
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} imports {name}"
+                      for name in names if name.startswith("numpy.polynomial")]
+    assert found == []
+
+
 def test_import_loads_no_scipy():
     code = ("import sys, xyep, xyep.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

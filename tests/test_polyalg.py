@@ -28,16 +28,14 @@ def boundary_cheb(n, lam):
 def test_chebyshev_integer_coefficients_frozen():
     # U_5(x) = 32x^5 - 32x^3 + 6x, U'_5(x) = 160x^4 - 96x^2 + 6
     x = np.array([0.0, 0.3, -1.1, 0.4 - 0.7j])
-    u = chebyshev_u(x, 5, 2)
-    assert u.shape == (3, 7, 4)
+    u = chebyshev_u(x, 5, 1)
+    assert u.shape == (2, 7, 4)
     np.testing.assert_array_equal(u[0, 0], 0)          # U_{-1}
     np.testing.assert_array_equal(u[0, 1], 1)          # U_0
     np.testing.assert_array_equal(u[0, 2], 2 * x)      # U_1
     np.testing.assert_allclose(u[0, 6], 32 * x**5 - 32 * x**3 + 6 * x,
                                rtol=1e-14, atol=1e-14)
     np.testing.assert_allclose(u[1, 6], 160 * x**4 - 96 * x**2 + 6,
-                               rtol=1e-14, atol=1e-13)
-    np.testing.assert_allclose(u[2, 6], 640 * x**3 - 192 * x,
                                rtol=1e-14, atol=1e-13)
 
 
@@ -58,16 +56,19 @@ def test_chebyshev_sine_identity(m, theta):
 
 
 def test_poly_derivative():
-    # first and second derivatives against numpy's Chebyshev-series algebra
+    # values and first derivatives against numpy's Chebyshev-series
+    # algebra; no caller needs a higher derivative, so none is offered
     rng = np.random.default_rng(5)
     x = rng.uniform(-1.2, 1.2, 6) + 1j * rng.uniform(-0.5, 0.5, 6)
     n = 9
-    u = chebyshev_u(x, n, 2)
+    u = chebyshev_u(x, n, 1)
     for k in range(n + 1):
         uk = Chebyshev.basis(k + 1).deriv() / (k + 1)
-        for d in range(3):
+        for d in range(2):
             want = uk.deriv(d)(x) if d else uk(x)
             np.testing.assert_allclose(u[d, k + 1], want, rtol=1e-12, atol=1e-12)
+    with pytest.raises(DegenerateInput, match="order must be 0 or 1, got 2"):
+        chebyshev_u(x, n, 2)
 
 
 def test_kernel_rejects_degenerate_input():
@@ -224,6 +225,37 @@ def test_roots_reconstruct_monic_product(n, lam):
     assert xs.size == n
     product = Chebyshev.fromroots(xs) * 2.0 ** n
     want = boundary_cheb(n, lam)
+    scale = np.abs(want.coef).max()
+    assert np.abs(product.coef - want.coef).max() < 1e-10 * scale
+
+
+def test_wronskian_closed_forms_agree_with_the_recurrence():
+    # W = U_n' U_{n-1} - U_n U_{n-1}' from the order-1 rows equals
+    # 2 sum_{k<n} U_k^2, 2 sum_{j<n} (n - j) U_{2j} and
+    # (U_{2n} - 2n - 1) / (2 (x^2 - 1)) to rounding
+    rng = np.random.default_rng(31)
+    x = rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(-0.6, 0.6, 40)
+    for n in range(2, 41):
+        u = chebyshev_u(x, 2 * n, 1)
+        w = u[1, n + 1] * u[0, n] - u[0, n + 1] * u[1, n]
+        squares = 2 * np.sum(u[0, 1: n + 1] ** 2, axis=0)
+        even = 2 * sum((n - j) * u[0, 2 * j + 1] for j in range(n))
+        closed = (u[0, 2 * n + 1] - 2 * n - 1) / (2 * (x * x - 1))
+        # the size of the terms each form adds up
+        scale = 2 * np.sum(np.abs(u[0, 1: n + 1]) ** 2, axis=0)
+        for other in (squares, even, closed):
+            assert np.all(np.abs(other - w) <= 16 * n * EPS * scale)
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_double_roots_reconstruct_the_wronskian(n):
+    # completeness: 2^(2n-1) prod (x - x_i) over the 2n - 2 double roots
+    # is W itself, coefficient by coefficient in the Chebyshev basis
+    x, _, _ = double_roots(n)
+    assert x.size == 2 * n - 2
+    product = Chebyshev.fromroots(x) * 2.0 ** (2 * n - 1)
+    want = 2 * sum((n - j) * Chebyshev.basis(2 * j + 1).deriv() / (2 * j + 1)
+                   for j in range(n))
     scale = np.abs(want.coef).max()
     assert np.abs(product.coef - want.coef).max() < 1e-10 * scale
 
@@ -406,7 +438,7 @@ def test_an_overflowing_recurrence_refuses_without_warnings():
 
 def test_only_the_value_row_is_evaluated_for_the_roots(monkeypatch):
     # boundary_roots and mode_spectra run chebyshev_u at order 0 only;
-    # double_roots (W' needs U'') and mode_arrays at order 1 keep theirs
+    # double_roots (W' = 4 sum U_k U_k') and mode_arrays at order 1
     orders, real = [], polyalg_module.chebyshev_u
 
     def recording(x, n, order=0):
@@ -421,7 +453,7 @@ def test_only_the_value_row_is_evaluated_for_the_roots(monkeypatch):
     assert orders and set(orders) == {0}
     orders.clear()
     double_roots(5)
-    assert 2 in orders
+    assert orders and set(orders) == {1}
     orders.clear()
     mode_arrays(8, 0.4, "I", [0.5 + 0.1j], [0.2], order=1)
     assert orders == [1]
