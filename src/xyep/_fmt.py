@@ -49,11 +49,36 @@ def csv_text(config: dict, columns: list[str], rows: list[list]) -> str:
 
 
 def json_text(config: dict, payload: dict) -> str:
-    """One line of compact JSON, the resolved configuration under 'config'.
-
-    Without ``indent`` the encoder runs in C, about three times faster on
-    a many-body spectrum than the pure-Python indenting one.
-    """
+    """One line of compact JSON, the resolved configuration under 'config'."""
     doc = {"artifact_version": ARTIFACT_VERSION, "config": config}
     doc.update(payload)
     return json.dumps(doc) + "\n"
+
+
+def json_frame(config: dict, payload: dict, key: str) -> tuple[str, str]:
+    """:func:`json_text` of ``payload`` and a last, empty list ``key``, split
+    inside that list: the text up to its ``[`` and from its ``]``.
+
+    Items joined by ``", "`` between the two make the text json_text would
+    write with the items in the list.
+    """
+    head, _, tail = json_text(config, {**payload, key: []}).rpartition("[]")
+    return head + "[", "]" + tail
+
+
+# one many-body row of a spectrum artifact: %r is the float repr json.dumps
+# writes for a finite number, %.12g is fmt_real
+JSON_MANY_ROW = '{"occupation": "%s", "energy": [%r, %r]}'
+CSV_MANY_ROW = "many,%s,%.12g,%.12g"
+
+
+def template_rows(template: str, sep: str, labels: list[str],
+                  real: list[float], imag: list[float]) -> str:
+    """``template % (label, real, imag)`` per state, joined by ``sep``.
+
+    The joined templates take all values in one ``%``, which is faster
+    than one ``%`` per row and builds no per-row tuple.
+    """
+    values = [None] * (3 * len(labels))
+    values[0::3], values[1::3], values[2::3] = labels, real, imag
+    return sep.join([template] * len(labels)) % tuple(values)

@@ -28,7 +28,8 @@ __all__ = [
     "ManyBodySpectrum",
     "column_from_halves",
     "pair_columns",
-    "certify_halves",
+    "stencil_residual",
+    "inverse_residual",
     "assemble_basis",
     "operator_coefficients",
     "anticommutator",
@@ -96,24 +97,26 @@ def pair_columns(spec: ChainSpec, points: list[SpectralPoint]):
     return phis, psis, labels
 
 
-def certify_halves(gamma, phis, psis, points, chain_eps=None):
-    """Inverse and eigen residuals of V = S [phis; psis], without forming M.
+def _plus_halves(phis, psis, pairs, chain):
+    """The halves of each pair's +eps column, then of the first ``chain``
+    columns after the pairs, phi rows over psi rows."""
+    cols = [*range(0, pairs, 2), *range(pairs, pairs + chain)]
+    return np.vstack([phis.take(cols, axis=1), psis.take(cols, axis=1)])
+
+
+def stencil_residual(gamma, phis, psis, points, chain_eps=None):
+    """The halves S^T (M V - V J) at the +eps columns of V = S [phis; psis].
 
     Columns: :func:`pair_columns`' layout, labelled by ``points``, then,
     unless ``chain_eps`` is None, a Jordan chain (w, u) at ``chain_eps``
     and its image (-iPw, iPu) at -``chain_eps``, P: (phi, psi) -> (-phi,
-    psi); V_inv = V^T with each chain's w and u rows swapped.  Only +eps
-    halves are read: S^T M S = [[0, A-B], [A+B, 0]] is a two-term stencil,
-    and V V_inv - I = [[F+G-I, F-G], [F-G, F+G-I]] with F = phi phi^T and
-    G = psi psi^T over the +eps pair halves plus the chain's w u^T + u w^T.
-    Returns the inverse residual (None unless the columns make up V) and
-    the halves S^T (M V - V J) at the +eps columns (each -eps column's
-    has the same norm).
+    psi).  Only +eps halves are read, M is never formed: S^T M S = [[0,
+    A-B], [A+B, 0]] is a two-term stencil.  Each -eps column's residual
+    has the norm of its +eps column's.
     """
-    L, pairs, n = len(phis), len(points), len(points) // 2
+    L, n = len(phis), len(points) // 2
     chain = [] if chain_eps is None else [chain_eps] * 2
-    H = np.vstack([np.hstack([h[:, :pairs:2], h[:, pairs:pairs + len(chain)]])
-                   for h in (phis, psis)])
+    H = _plus_halves(phis, psis, len(points), len(chain))
     eps = [p.epsilon for p in points[::2]] + chain
     # ((A+B) X)_j = (1+g)/2 X_{j+1} + (1-g)/2 X_{j-1}; A-B swaps the two
     up, down = (1 + gamma) / 2, (1 - gamma) / 2
@@ -123,8 +126,25 @@ def certify_halves(gamma, phis, psis, points, chain_eps=None):
     R[L:-1] += up * H[1:L]
     R[L + 1:] += down * H[:L - 1]
     R[:, n + 1::2] -= H[:, n::2]
-    if phis.shape[1] != 2 * L:
-        return None, R
+    return R
+
+
+def inverse_residual(phis, psis, points) -> float:
+    """max|V V_inv - I| of V = S [phis; psis], from the +eps halves.
+
+    The columns make up all of V: :func:`pair_columns`' layout, labelled
+    by ``points``, then possibly a Jordan chain and its image as
+    :func:`stencil_residual` reads them; V_inv = V^T with each chain's w
+    and u rows swapped.  V V_inv - I = [[F+G-I, F-G], [F-G, F+G-I]] with
+    F = phi phi^T and G = psi psi^T over the +eps pair halves plus the
+    chain's w u^T + u w^T.
+    """
+    L, n = len(phis), len(points) // 2
+    chain = phis.shape[1] - len(points)  # columns (w, u) and their image
+    if phis.shape[1] != 2 * L or chain not in (0, 4):
+        raise DegenerateInput(f"{len(points)} pair and {chain} chain columns "
+                              f"do not make up V of a length-{L} chain")
+    H = _plus_halves(phis, psis, len(points), chain // 2)
     E = np.zeros((2, L, L), dtype=complex)  # F + G - I and F - G
     for p in (0, 1):  # each half of a column lives on one site parity
         f, g = H[p:L:2, :n], H[L + p::2, :n]
@@ -135,27 +155,28 @@ def certify_halves(gamma, phis, psis, points, chain_eps=None):
         np.add(f, g, out=E[0, p::2, p::2])
         np.subtract(f, g, out=E[1, p::2, p::2])
     E[0].flat[::L + 1] -= 1
-    return float(np.max(np.abs(E))), R
+    return float(np.max(np.abs(E)))
 
 
 def assemble_basis(spec: ChainSpec) -> BiorthogonalBasis:
     """Diagonalize M from the closed-form mode vectors.
 
-    The columns are :func:`pair_columns` of all quasi-energies, and
-    :func:`certify_halves` gives both residuals from their halves.  Raises
+    The columns are :func:`pair_columns` of all quasi-energies.  Raises
     :class:`DefectiveBasis` at a bilinearly null mode vector or when
-    max|V V^T - I| exceeds ``ORTH_TOL`` or is not a number, the numerical
-    signatures of an exceptional point; V is built only once they pass.
+    :func:`inverse_residual` max|V V^T - I| exceeds ``ORTH_TOL`` or is
+    not a number, the numerical signatures of an exceptional point; V
+    and the :func:`stencil_residual` are computed only once it passes.
     """
     L = spec.L
     phis, psis, points = pair_columns(spec, quasi_energies(spec))
     Lambda = np.array([p.epsilon for p in points], dtype=complex)
-    orth, residual = certify_halves(spec.gamma, phis, psis, points)
+    orth = inverse_residual(phis, psis, points)
     if not orth <= ORTH_TOL:
         raise DefectiveBasis(
             f"bilinear orthogonality residual {orth:.3e} > {ORTH_TOL:g}; "
             "the spectrum is (numerically) defective here")
     V = column_from_halves(phis, psis)
+    residual = stencil_residual(spec.gamma, phis, psis, points)
     diag = float(np.max(np.abs(column_from_halves(residual[:L], residual[L:]))))
     return BiorthogonalBasis(spec=spec, points=points, V=V, V_inv=V.T,
                              Lambda=Lambda, phis=phis, psis=psis,

@@ -18,7 +18,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from ._fmt import csv_text, fmt_complex, fmt_exact, json_text, parse_complex
+from ._fmt import (CSV_MANY_ROW, JSON_MANY_ROW, csv_text, fmt_complex,
+                   fmt_exact, json_frame, json_text, parse_complex,
+                   template_rows)
 from .basis import many_body_energies
 from .chain import MODES, ChainSpec
 from .ep import jordan_decomposition, locate_eps, reference_ep_gammas
@@ -39,16 +41,23 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _emit(text: str, out: str | None):
+# many-body states per chunk of `spectrum` rows: each chunk is formatted and
+# written before the next, so the text in memory stays about 1 MB at any L
+SPECTRUM_CHUNK = 2 ** 14
+
+
+def _emit(chunks, out: str | None):
+    """Write ``chunks``, an iterable of str, to ``out``, or to stdout
+    without it; one text is passed as ``[text]``."""
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise DegenerateInput(
                 f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _config(args, **fields) -> dict:
@@ -66,38 +75,49 @@ def _report(checks, out: str | None, failure: str, summary=()) -> int:
     for passed, text in checks:
         ok = ok and passed
         lines.append(f"{'PASS' if passed else 'FAIL'} {text}")
-    _emit("\n".join([*lines, *summary]) + "\n", out)
+    _emit(["\n".join([*lines, *summary]) + "\n"], out)
     if ok:
         return 0
     print(f"FAIL: {failure}", file=sys.stderr)
     return 1
 
 
+def _spectrum_chunks(mb, head: str, template: str, sep: str, tail: str):
+    """``head``, the many-body rows joined by ``sep``, then ``tail``, the
+    rows formatted ``SPECTRUM_CHUNK`` states at a time."""
+    yield head
+    for start in range(0, len(mb.energies), SPECTRUM_CHUNK):
+        part = slice(start, start + SPECTRUM_CHUNK)
+        # one "0"/"1" string per state, read straight off the occupation
+        # bytes; floats are read in bulk, not as one numpy scalar per row
+        labels = (mb.occupations[part] + ord("0")).astype(np.uint8).view(
+            f"S{mb.spec.L}").ravel().astype(str).tolist()
+        energies = mb.energies[part]
+        if start:
+            yield sep
+        yield template_rows(template, sep, labels, energies.real.tolist(),
+                            energies.imag.tolist())
+    yield tail
+
+
 def cmd_spectrum(args) -> int:
     mb = many_body_energies(ChainSpec(args.L, args.gamma))
-    # epsilons_I/II are in branch order, so the labels follow quasi_energies;
-    # floats are read in bulk, not as one numpy scalar per row
+    # epsilons_I/II are in branch order, so the labels follow quasi_energies
     quasi = [(mode, branch, *z) for mode, eps in (("I", mb.epsilons_I),
                                                   ("II", mb.epsilons_II))
              for branch, z in enumerate(zip(eps.real.tolist(), eps.imag.tolist()), 1)]
     config = _config(args, L=args.L, gamma=fmt_complex(args.gamma))
-    # one "0"/"1" string per state, read straight off the occupation bytes
-    labels = (mb.occupations + ord("0")).astype(np.uint8).view(
-        f"S{args.L}").ravel().astype(str).tolist()
-    many = zip(labels, mb.energies.real.tolist(), mb.energies.imag.tolist())
     if args.format == "json":
-        payload = {
-            "quasi": [{"mode": mode, "branch": branch, "epsilon": [re, im]}
-                      for mode, branch, re, im in quasi],
-            "many_body": [{"occupation": label, "energy": [re, im]}
-                          for label, re, im in many],
-        }
-        _emit(json_text(config, payload), args.out)
+        quasi_rows = [{"mode": mode, "branch": branch, "epsilon": [re, im]}
+                      for mode, branch, re, im in quasi]
+        head, tail = json_frame(config, {"quasi": quasi_rows}, "many_body")
+        template, sep = JSON_MANY_ROW, ", "
     else:
-        rows = [["quasi", f"{mode}:{branch}", re, im]
-                for mode, branch, re, im in quasi]
-        rows += [["many", label, re, im] for label, re, im in many]
-        _emit(csv_text(config, ["kind", "label", "re", "im"], rows), args.out)
+        head = csv_text(config, ["kind", "label", "re", "im"],
+                        [["quasi", f"{mode}:{branch}", re, im]
+                         for mode, branch, re, im in quasi])
+        template, sep, tail = CSV_MANY_ROW, "\n", "\n"
+    _emit(_spectrum_chunks(mb, head, template, sep, tail), args.out)
     return 0
 
 
@@ -114,7 +134,7 @@ def cmd_ep_table(args) -> int:
     rows = [[r.L, r.mode, r.gamma.real, r.gamma.imag,
              r.epsilon.real, r.epsilon.imag, r.boundary_residual]
             for records in reversed(tables) for r in records]
-    _emit(csv_text(config, cols, rows), args.out)
+    _emit([csv_text(config, cols, rows)], args.out)
     return 0
 
 
@@ -132,7 +152,7 @@ def cmd_overlap_map(args) -> int:
             for i, re in enumerate(grid.re_vals)
             for j, im in enumerate(grid.im_vals)]
     cols = ["re_gamma", "im_gamma", "abs_overlap"]
-    _emit(csv_text(config, cols, rows), args.out)
+    _emit([csv_text(config, cols, rows)], args.out)
     return 0
 
 
@@ -144,7 +164,7 @@ def cmd_loop(args) -> int:
     doc = asdict(result)
     del doc["closure_defect"]
     doc["center"] = [result.center.real, result.center.imag]
-    _emit(json_text(config, doc), args.out)
+    _emit([json_text(config, doc)], args.out)
     return 0
 
 

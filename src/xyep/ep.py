@@ -27,8 +27,9 @@ from .chain import (
     mode_names,
     quasi_energies,
 )
-from .basis import (MANY_BODY_LIMIT, ORTH_TOL, certify_halves,
-                    column_from_halves, pair_columns, sign_pattern_sums)
+from .basis import (MANY_BODY_LIMIT, ORTH_TOL, column_from_halves,
+                    inverse_residual, pair_columns, sign_pattern_sums,
+                    stencil_residual)
 from .errors import DefectiveBasis, DegenerateInput, SizeLimit
 from .polyalg import double_roots
 
@@ -219,7 +220,7 @@ def _jordan_chains(spec: ChainSpec, ep: EPRecord) -> tuple[list, list, complex]:
 
 def _chain_residuals(spec: ChainSpec, residual: np.ndarray) -> tuple[float, float]:
     """Eigen and chain residuals of the +eps_EP chain, the last two halves
-    out of :func:`xyep.basis.certify_halves`; refuses above 1e-7."""
+    out of :func:`xyep.basis.stencil_residual`; refuses above 1e-7."""
     eigen_res, chain_res = (np.linalg.norm(residual[:, -2:], axis=0)
                             / _m_norm(spec)).tolist()
     if not chain_res <= 1e-7:
@@ -235,7 +236,7 @@ def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
     in checkerboard coordinates; u is the parameter derivative of the
     eps-branch eigenvector, projected to the stated gauge; the -eps
     chain is the +eps chain's image (see :class:`JordanChain`).  One
-    :func:`xyep.basis.certify_halves` call certifies the +eps chain, and
+    :func:`xyep.basis.stencil_residual` call certifies the +eps chain, and
     :class:`DefectiveBasis` is raised above 1e-7 relative chain residual.
     Both chains are evaluated exactly as :func:`jordan_decomposition`
     evaluates them, so the result equals that basis's chain columns.
@@ -244,8 +245,8 @@ def generalized_eigenvector(spec: ChainSpec, ep: EPRecord,
     if sign not in (+1, -1):
         raise DegenerateInput("sign must be +1 or -1")
     phis, psis, beta = _jordan_chains(spec, ep)
-    _, residual = certify_halves(spec.gamma, np.column_stack(phis),
-                                 np.column_stack(psis), [], ep.epsilon)
+    residual = stencil_residual(spec.gamma, np.column_stack(phis),
+                                np.column_stack(psis), [], ep.epsilon)
     eigen_res, chain_res = _chain_residuals(spec, residual)
     k = 0 if sign > 0 else 2
     phi_w, phi_u, psi_w, psi_u = phis[k: k + 2] + psis[k: k + 2]
@@ -305,7 +306,8 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
 
     The work is done once per EP: one root solve for both modes, one
     order-1 :func:`xyep.chain.mode_arrays` call at the EP root, one
-    :func:`xyep.basis.certify_halves` call for every residual and one
+    :func:`xyep.basis.stencil_residual` call for the chain and Jordan
+    residuals, one :func:`xyep.basis.inverse_residual` call and one
     stacked SVD of two L x L blocks for the rank deficiency at +-eps_EP.
     """
     L = spec.L
@@ -318,8 +320,9 @@ def jordan_decomposition(spec: ChainSpec, ep: EPRecord) -> JordanDecomposition:
     J = np.diag(np.array([p.epsilon for p in points] + [ep.epsilon] * 2
                          + [-ep.epsilon] * 2, dtype=complex))
     J[chain_start, chain_start + 1] = J[chain_start + 2, chain_start + 3] = 1.0
-    inv_res, residual = certify_halves(spec.gamma, phis, psis, points, ep.epsilon)
+    residual = stencil_residual(spec.gamma, phis, psis, points, ep.epsilon)
     _chain_residuals(spec, residual)
+    inv_res = inverse_residual(phis, psis, points)
     if not inv_res <= ORTH_TOL:
         raise DefectiveBasis(
             f"structured inverse residual {inv_res:.3e} exceeds 1e-6")

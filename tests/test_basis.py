@@ -11,6 +11,7 @@ from xyep.basis import (
     anticommutator,
     assemble_basis,
     column_from_halves,
+    inverse_residual,
     many_body_energies,
     operator_coefficients,
     pair_columns,
@@ -134,6 +135,29 @@ def test_certificates_from_halves_match_the_dense_products():
         for got, want in ((basis.V, V), (basis.phis, phis), (basis.psis, psis)):
             assert got.tobytes() == want.tobytes()
     assert (refused, certified) == (9, 16)
+
+
+def test_a_refused_basis_pays_only_for_its_gate(monkeypatch):
+    # the inverse residual gates first; V and the stencil residual are
+    # computed only for a basis that passes
+    calls = []
+    for name in ("stencil_residual", "column_from_halves"):
+        monkeypatch.setattr(basis_module, name,
+                            lambda *args, name=name: calls.append(name))
+    defective = (r"bilinear orthogonality residual \S+ > 1e-06; "
+                 r"the spectrum is \(numerically\) defective here")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", XYEPWarning)
+        with pytest.raises(DefectiveBasis, match=f"^{defective}$"):
+            assemble_basis(ChainSpec(14, 1.3 + 0.1j))
+    assert calls == []
+
+
+def test_the_inverse_residual_needs_all_of_v():
+    spec = ChainSpec(6, 0.3 - 0.7j)
+    phis, psis, points = pair_columns(spec, quasi_energies(spec)[:2])
+    with pytest.raises(DegenerateInput, match="4 pair and 0 chain columns"):
+        inverse_residual(phis, psis, points)
 
 
 def test_bilinear_halves_split_evenly():

@@ -128,6 +128,64 @@ def test_spectrum_beyond_many_body_limit_exit_code_2(capsys):
     assert "capped at L = 20" in err
 
 
+def reference_spectrum_text(L, gamma, fmt):
+    """A spectrum artifact the way the CLI wrote it before rows were
+    streamed: one dict or list per level, then json_text or csv_text."""
+    from xyep import __version__
+    from xyep._fmt import csv_text, fmt_complex, json_text
+    from xyep.basis import many_body_energies
+    from xyep.chain import ChainSpec
+
+    mb = many_body_energies(ChainSpec(L, gamma))
+    quasi = [(mode, branch, z.real, z.imag)
+             for mode, eps in (("I", mb.epsilons_I), ("II", mb.epsilons_II))
+             for branch, z in enumerate(eps.tolist(), 1)]
+    labels = ["".join(str(int(b)) for b in row) for row in mb.occupations]
+    many = list(zip(labels, mb.energies.real.tolist(), mb.energies.imag.tolist()))
+    config = {"command": "spectrum", "version": __version__, "L": L,
+              "gamma": fmt_complex(gamma)}
+    if fmt == "json":
+        return json_text(config, {
+            "quasi": [{"mode": m, "branch": b, "epsilon": [re, im]}
+                      for m, b, re, im in quasi],
+            "many_body": [{"occupation": o, "energy": [re, im]}
+                          for o, re, im in many]})
+    rows = [["quasi", f"{m}:{b}", re, im] for m, b, re, im in quasi]
+    rows += [["many", o, re, im] for o, re, im in many]
+    return csv_text(config, ["kind", "label", "re", "im"], rows)
+
+
+@pytest.mark.parametrize("gamma", [
+    "0.3",                                          # real
+    "0.3-0.55i",                                    # Im < 0
+    "0.93025417280194811+0.37530009211185017i",     # as the bench writes it
+])
+def test_streamed_spectrum_matches_the_reference_bytes(gamma, tmp_path, capsys):
+    # L = 16 is four chunks of 2^14 states, so the separators between
+    # chunks are checked as well as the rows
+    from xyep._fmt import parse_complex
+
+    g = parse_complex(gamma)
+    for L in (2, 4, 8, 16):
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"{L}.{fmt}"
+            code, out, err = run_cli(["spectrum", "--L", str(L),
+                                      f"--gamma={gamma}", "--format", fmt,
+                                      "--out", str(path)], capsys)
+            assert (code, out, err) == (0, "", "")
+            assert path.read_bytes() == \
+                reference_spectrum_text(L, g, fmt).encode(), (L, fmt)
+
+
+def test_refused_spectrum_writes_no_file(tmp_path, capsys):
+    path = tmp_path / "f"
+    code, out, err = run_cli(["spectrum", "--L", "22", "--gamma", "0.3",
+                              "--out", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "capped at L = 20" in err
+    assert not path.exists()
+
+
 def test_spectrum_quasi_rows_follow_quasi_energies(capsys):
     from xyep._fmt import fmt_real
     from xyep.chain import ChainSpec, quasi_energies

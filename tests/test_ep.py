@@ -451,22 +451,28 @@ def test_jordan_decomposition_solves_once_and_builds_both_chains_at_once(
 
 def test_each_jordan_chain_is_certified_once(monkeypatch):
     # jordan_decomposition reads the chain residuals off its whole-basis
-    # certify_halves call; generalized_eigenvector certifies its four
+    # stencil_residual call; generalized_eigenvector certifies its four
     # chain columns (the +eps_EP chain and its image) in one call of its own
-    widths, real = [], ep_module.certify_halves
+    calls = []
+    stencil, inverse = ep_module.stencil_residual, ep_module.inverse_residual
 
-    def count(gamma, phis, psis, points, chain_eps):
-        widths.append(phis.shape[1])
-        return real(gamma, phis, psis, points, chain_eps)
+    def count_stencil(gamma, phis, *args):
+        calls.append(("stencil", phis.shape[1]))
+        return stencil(gamma, phis, *args)
 
-    monkeypatch.setattr(ep_module, "certify_halves", count)
+    def count_inverse(phis, *args):
+        calls.append(("inverse", phis.shape[1]))
+        return inverse(phis, *args)
+
+    monkeypatch.setattr(ep_module, "stencil_residual", count_stencil)
+    monkeypatch.setattr(ep_module, "inverse_residual", count_inverse)
     ep = closest_record(locate_eps(10), 0.2806 + 0.7035j)
     spec = quiet_spec(10, ep.gamma)
     jordan_decomposition(spec, ep)
-    assert widths == [20]
-    widths.clear()
+    assert calls == [("stencil", 20), ("inverse", 20)]
+    calls.clear()
     generalized_eigenvector(spec, ep, -1)
-    assert widths == [4]
+    assert calls == [("stencil", 4)]
 
 
 def test_the_rank_test_factors_l_by_l_blocks(monkeypatch):

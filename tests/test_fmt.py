@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from xyep._fmt import csv_text, fmt_complex, fmt_real, json_text, parse_complex
+from xyep._fmt import (CSV_MANY_ROW, JSON_MANY_ROW, csv_text, fmt_complex,
+                       fmt_real, json_frame, json_text, parse_complex,
+                       template_rows)
 
 ACCEPT = [
     ("0.6+0.8i", 0.6 + 0.8j),
@@ -82,3 +84,22 @@ def test_json_text_is_one_line():
     text = json_text({"L": 6, "gamma": "0.3-0.55i"},
                      {"rows": [{"a": [1.5, -2.0]}, {"b": "x\ny"}]})
     assert text.endswith("\n") and text.count("\n") == 1
+
+
+def test_json_frame_splits_the_last_list():
+    # a "[]" earlier in the document does not split it
+    config, items = {"L": 6, "note": "[]"}, [{"a": [1.5, -2.0]}, {"b": "x"}]
+    head, tail = json_frame(config, {"rows": [1]}, "items")
+    assert head + ", ".join(json.dumps(item) for item in items) + tail == \
+        json_text(config, {"rows": [1], "items": items})
+
+
+def test_template_rows_write_what_json_and_fmt_real_write():
+    labels = ["0011", "0101", "1001", "1100"]
+    real = [0.1 + 0.2, -1e-300, 1e16, 123456789012.5]
+    imag = [2.0 ** 60, -0.0, 5e-324, -1 / 3]
+    rows = list(zip(labels, real, imag))
+    assert template_rows(JSON_MANY_ROW, ", ", labels, real, imag) == ", ".join(
+        json.dumps({"occupation": o, "energy": [re, im]}) for o, re, im in rows)
+    assert template_rows(CSV_MANY_ROW, "\n", labels, real, imag) == "\n".join(
+        f"many,{o},{fmt_real(re)},{fmt_real(im)}" for o, re, im in rows)
