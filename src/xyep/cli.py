@@ -6,12 +6,14 @@ self-check suite.  All artifacts are deterministic for a fixed
 configuration and seed, and every file carries its resolved
 configuration in a comment header (CSV) or config block (JSON).
 Exit codes, tabulated in the README: 1 from a failed PASS/FAIL report
-(:func:`_report`), 3 and 4 from ``_EXIT_CODES``, 2 for any other refusal.
+(:func:`_report`), 3 and 4 from ``_EXIT_CODES``, 2 for any other refusal,
+141 (128 + SIGPIPE) when the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict
 
@@ -346,6 +348,11 @@ def main(argv=None) -> int:
     except XYEPError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), 2)
+    except BrokenPipeError:
+        # the reader left early (``| head``); stdout now points at the null
+        # device, so the interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

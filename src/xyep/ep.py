@@ -402,20 +402,16 @@ def ep_state_catalog(spec: ChainSpec, ep: EPRecord) -> EPStateCatalog:
     slots = [(p.mode, p.epsilon) for p in jd.points[0::2]]
     bases, patterns = sign_pattern_sums(np.array([e for _, e in slots]))
     eps_ep = ep.epsilon
-    entries = []
-    for pattern, base in zip(map(tuple, patterns.tolist()), bases.tolist()):
-        for sector, occ_pair, shift, vacuum in (
-                ("plus_plus", (1, 1), eps_ep, "omega1"),
-                ("mixed", (1, 0), 0.0, "both"),
-                ("minus_minus", (0, 0), -eps_ep, "omega2"),
-        ):
-            entries.append(EPStateEntry(
-                sector=sector,
-                occupation=pattern + occ_pair,
-                energy=complex(base + shift),
-                algebraic=2 if sector == "mixed" else 1,
-                geometric=1,
-                vacuum=vacuum,
-                vanishes_naively=(sector == "plus_plus")))
+    # per sector: its name, the two degenerate slots' occupation, the energy
+    # shift, the algebraic weight, the vacuum, and whether naive raising
+    # with the defective eigenvector gives zero
+    sectors = (("plus_plus", (1, 1), eps_ep, 1, "omega1", True),
+               ("mixed", (1, 0), 0.0, 2, "both", False),
+               ("minus_minus", (0, 0), -eps_ep, 1, "omega2", False))
+    entries = [EPStateEntry(sector, pattern + pair, complex(base + shift),
+                            algebraic, 1, vacuum, naive)
+               for pattern, base in zip(map(tuple, patterns.tolist()),
+                                        bases.tolist())
+               for sector, pair, shift, algebraic, vacuum, naive in sectors]
     return EPStateCatalog(spec=spec, ep=ep, epsilon_ep=eps_ep,
                           slot_epsilons=slots, entries=entries)

@@ -6,11 +6,14 @@ the analytic route.  Every spin-space operator is filled from bit flips
 of the basis index in O(L 2^L): the spin Hamiltonian bond by bond, each
 quasi-particle operator mode by mode with its Jordan-Wigner string as a
 running sign.  The parity, the spin flip (the basis index reversed) and
-the site reflection (its bits reversed) commute with the Hamiltonian; one
-splitter cuts it by them into eight blocks of about 2^(L-3) for even L,
-four for odd L (the flip swaps the parity sectors), and the eigensolve and
-the many-body census both run on every one of these leaf blocks.  Dense
-matrices cap the reachable sizes; the limits are explicit.
+the site reflection (its bits reversed) commute with the Hamiltonian.  In
+each parity sector the flip and the reflection generate a group of index
+maps, and the splitter projects the sector onto each of its characters,
+one character sum per leaf block: up to eight leaves of about 2^(L-3) for
+even L (seven at L = 4, where one character has no orbit), four for odd L
+(the flip swaps the parity sectors).  The eigensolve and the many-body
+census both run on every leaf.  Dense matrices cap the reachable sizes;
+the limits are explicit.
 """
 
 from __future__ import annotations
@@ -125,65 +128,53 @@ def parity_sectors(L: int) -> tuple[np.ndarray, np.ndarray]:
     return states[odd == 0], states[odd == 1]
 
 
-def _split_maps(B: np.ndarray, maps, solve):
-    """``solve(leaf)`` run on each leaf block of B, split by ``maps``: signed
-    index involutions (p, s), e_i -> s_i e_p[i] with p[p[i]] = i and
-    s_i s_p[i] = 1, that commute with one another.  If B commutes exactly
-    with the first, it splits into its blocks of sign +1, then -1, each in
-    the basis (e_i + sign s_i e_p[i])/sqrt2 for i < p[i] and e_i for i = p[i]
-    with s_i = sign, in increasing i, which each later map splits the same
-    way.  Each solve's output is concatenated, its vectors (or None) lifted."""
-    idx, parts, lifted = np.arange(B.shape[0]), [], []
-    p, s = maps[0] if maps else (None, None)
-    if p is None or idx.size < 2 or not (
-            np.array_equal(p[p], idx) and np.all(s * s[p] == 1)
-            and np.array_equal(B[np.ix_(p, p)], B * np.outer(s, s))):
-        return solve(B)
-    for sign in (1.0, -1.0):
-        a = idx[(idx < p) | ((idx == p) & (s == sign))]
-        if not a.size:
-            continue
-        b, c = p[a], sign * s[a]
-        root = np.where(a == b, 1.0, np.sqrt(2.0))
-        # the entries of U^T B U for that orthonormal basis U
-        block = (B[np.ix_(a, a)] + B[np.ix_(a, b)] * (c * (a != b))) \
-            * (root[:, None] / root)
-        # a later map (q, t) takes the basis vector of a to t_a times that of
-        # q[a], or, if q[a] > p[q[a]], to t_a sign s[q[a]] times that of p[q[a]]
-        inner = [(np.searchsorted(a, np.minimum(q[a], p[q[a]])),
-                  t[a] * np.where(q[a] > p[q[a]], sign * s[q[a]], 1.0))
-                 for q, t in maps[1:]]
-        out, v = _split_maps(block, inner, solve)
-        parts.append(out)
-        if v is not None:
-            lifted.append(np.zeros((p.size, v.shape[1]), dtype=complex))
-            lifted[-1][b] = v * c[:, None] / root[:, None]
-            lifted[-1][a] = v / root[:, None]
-    return np.concatenate(parts), np.hstack(lifted) if lifted else None
-
-
 def _split_eig(H: np.ndarray, solve):
-    """``solve`` run on each leaf block of H, as :func:`_split_maps` returns.
+    """``solve(leaf)`` run on each leaf block of H, its outputs concatenated
+    and its vectors (or None) lifted back to H's basis.
+
     An H of dimension 2^L with no nonzero entry coupling the even and odd
     parity sectors is split sector by sector, its vectors with exact zeros in
-    the other, and each sector by the spin flip (even L; the sector reversed)
-    and the site reflection (each index's bits reversed); else H is a leaf."""
+    the other; else H is one leaf.  In a sector B, the spin flip (even L; the
+    sector reversed) and the site reflection (each index's bits reversed)
+    that B commutes with exactly generate an abelian group G of index maps.
+    For each character chi of G (the flip's sign before the reflection's,
+    + before -), the leaf holds the orbit minima r on whose stabiliser G_r
+    chi is 1, in increasing order: leaf[r, s] = sum_g chi(g) B[r, g(s)] /
+    sqrt(|G_r| |G_s|), lifted as x[g(r)] = chi(g) w_r sqrt(|G_r| / |G|).
+    """
     N, L = H.shape[0], H.shape[0].bit_length() - 1
     sectors = parity_sectors(L) if N > 1 and not N & (N - 1) else ()
     if not sectors or np.any(H[np.ix_(*sectors)]) or np.any(H[np.ix_(*sectors[::-1])]):
         sectors = (np.arange(N),)
     parts, lifted = [], []
     for rows in sectors:
-        n, maps = rows.size, []
+        B, n = H[np.ix_(rows, rows)], rows.size
+        # the group's elements as index maps, each character's values on them
+        group, chars = [np.arange(n)], [np.ones(1)]
         if len(sectors) > 1:
             mirror = sum(((rows >> k) & 1) << (L - 1 - k) for k in range(L))
-            maps = [(np.arange(n)[::-1], np.ones(n))] if L % 2 == 0 else []
-            maps.append((np.searchsorted(rows, mirror), np.ones(n)))
-        out, v = _split_maps(H[np.ix_(rows, rows)], maps, solve)
-        parts.append(out)
-        if v is not None:
-            lifted.append(np.zeros((N, v.shape[1]), dtype=complex))
-            lifted[-1][rows] = v
+            flip = [np.arange(n)[::-1]] if L % 2 == 0 else []
+            for p in flip + [np.searchsorted(rows, mirror)]:
+                if np.array_equal(B[np.ix_(p, p)], B):
+                    group += [p[g] for g in group]
+                    chars = [np.concatenate([c, sign * c]) for c in chars
+                             for sign in (1.0, -1.0)]
+        group = np.array(group)
+        reps = np.flatnonzero(group.min(0) == np.arange(n))
+        stab = group[:, reps] == reps
+        for chi in chars:
+            keep = np.all(stab <= (chi[:, None] == 1), 0)
+            r, size = reps[keep], stab[:, keep].sum(0)
+            if not r.size:
+                continue
+            leaf = sum(c * B[np.ix_(r, g[r])] for c, g in zip(chi, group))
+            out, w = solve(leaf / np.sqrt(np.outer(size, size)))
+            parts.append(out)
+            if w is not None:
+                lifted.append(np.zeros((N, w.shape[1]), dtype=complex))
+                w = w * np.sqrt(size / len(group))[:, None]
+                for c, g in zip(chi, group):
+                    lifted[-1][rows[g[r]]] = c * w
     return np.concatenate(parts), np.hstack(lifted) if lifted else None
 
 

@@ -495,3 +495,16 @@ def test_module_entry_point_subprocess():
                            capture_output=True, text=True, timeout=120)
     assert proc2.returncode == 0
     assert proc2.stdout.startswith("xyep ")
+
+
+def test_a_reader_that_leaves_early_ends_the_command_quietly():
+    # about 2.6 MB of rows, far beyond a pipe buffer, so a write meets EPIPE
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "xyep.cli", "spectrum", "--L", "16",
+         "--gamma", "0.3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"#")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

@@ -196,24 +196,45 @@ def test_ed_eigen_without_spin_flip_symmetry_solves_each_sector_as_before():
         assert np.array_equal(ed_eigen(H, want_vectors=False).values, only)
 
 
-def test_odd_chain_sectors_are_solved_as_two_reflection_blocks(monkeypatch):
-    # the spin flip of an odd chain swaps the sectors, so each sector splits
-    # only by the site reflection, into its mirror-even and mirror-odd states
-    sizes = []
+@pytest.mark.parametrize("L, mirrored, sizes", [
+    # odd L: the spin flip swaps the sectors, so each sector splits only by
+    # the site reflection, into its 2^(L-2) + 2^((L-3)/2) mirror-even and
+    # 2^(L-2) - 2^((L-3)/2) mirror-odd states (the middle site sets a
+    # palindrome's parity)
+    (3, False, [3, 1, 3, 1]),
+    (5, False, [10, 6, 10, 6]),
+    (7, False, [36, 28, 36, 28]),
+    # even L: the flip, then the reflection, split each sector in four; at
+    # L = 4 one character of the even sector has no state
+    (4, False, [4, 2, 2, 2, 2, 2, 2]),
+    (6, False, [10, 6, 10, 6, 10, 6, 6, 10]),
+    (8, False, [40, 24, 32, 32, 32, 32, 32, 32]),
+    (10, False, [136, 120, 136, 120, 136, 120, 120, 136]),
+    # an entry of the even sector and its mirror image change, so that
+    # sector keeps the reflection but not the flip: its 8 palindromes and
+    # 12 pairs make the mirror-even leaf of 20 and the mirror-odd one of 12
+    (6, True, [20, 12, 10, 6, 6, 10]),
+])
+def test_sectors_are_solved_as_their_symmetry_leaves(monkeypatch, L, mirrored,
+                                                     sizes):
+    H = build_spin_hamiltonian(L, random_gamma())
+    if mirrored:
+        mirror = bit_reversal(L)
+        H[0, 3] += 0.25
+        H[mirror[0], mirror[3]] += 0.25
+    full = np.linalg.eigvals(H)
+    solved = []
     real = np.linalg.eigvals
 
     def counting(B):
-        sizes.append(B.shape[0])
+        solved.append(B.shape[0])
         return real(B)
 
     monkeypatch.setattr(np.linalg, "eigvals", counting)
-    for L in (3, 5, 7):
-        sizes.clear()
-        ed_eigen(build_spin_hamiltonian(L, random_gamma()), want_vectors=False)
-        # the middle site sets a palindrome's parity: 2^((L-1)/2) per sector
-        fixed = 2 ** ((L - 1) // 2)
-        pair = (2 ** (L - 1) - fixed) // 2
-        assert sizes == [pair + fixed, pair] * 2
+    vals = ed_eigen(H, want_vectors=False).values
+    assert solved == sizes
+    scale = float(np.max(np.abs(full)))
+    assert match_spectra(vals, full).max_abs_diff <= 1e-12 * scale
 
 
 def test_ed_eigen_solves_other_matrices_whole():
