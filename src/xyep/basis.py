@@ -255,22 +255,59 @@ class ManyBodySpectrum:
     occupations: np.ndarray
 
 
-def sign_pattern_sums(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(1/2) sum_k s_k eps_k over all 2^n sign patterns s, each summed left to
-    right, and the int8 table whose row r holds the bits of r, slot 0 most
-    significant, bit 1 for s_k = +1."""
+def _pattern_energies(start, eps: np.ndarray) -> np.ndarray:
+    """start + (1/2) sum_k s_k eps_k over all 2^n sign patterns s, each summed
+    left to right from ``start``; pattern r at index r, slot 0 most significant."""
     n = len(eps)
-    energies = np.zeros(2 ** n, dtype=complex)
+    energies = np.full(2 ** n, start, dtype=complex)
     for k, e in enumerate(eps):
         # E <- [E - e/2, E + e/2] interleaved, in place: pattern r of the
         # first k slots sits at index r 2^(n-k)
         step, half = 2 ** (n - k), 0.5 * e
         np.add(energies[::step], half, out=energies[step // 2::step])
         energies[::step] -= half
-    occupations = np.zeros((2 ** n, n), dtype=np.int8)
+    return energies
+
+
+def _pattern_bits(n: int) -> np.ndarray:
+    """The int8 table whose row r holds the n bits of r, slot 0 most significant."""
+    bits = np.zeros((2 ** n, n), dtype=np.int8)
     for k in range(n):  # column k: runs of 2^(n-1-k) zeros, then as many ones
-        occupations.reshape(2 ** k, 2, -1, n)[:, 1, :, k] = 1
-    return energies, occupations
+        bits.reshape(2 ** k, 2, -1, n)[:, 1, :, k] = 1
+    return bits
+
+
+def sign_pattern_sums(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(1/2) sum_k s_k eps_k over all 2^n sign patterns s, each summed left to
+    right, and the int8 table whose row r holds the bits of r, slot 0 most
+    significant, bit 1 for s_k = +1."""
+    return _pattern_energies(0.0, eps), _pattern_bits(len(eps))
+
+
+def sign_pattern_chunks(eps: np.ndarray, size: int):
+    """:func:`sign_pattern_sums` ``size`` (a power of two) patterns at a
+    time, bit for bit and in the same order, without its 2^n tables: each
+    chunk starts from one sum over the leading slots and adds the last
+    log2(size) slots as it does."""
+    n = len(eps)
+    lead = max(0, n - (size.bit_length() - 1))
+    tail_bits = _pattern_bits(n - lead)
+    for start, head_bits in zip(_pattern_energies(0.0, eps[:lead]),
+                                _pattern_bits(lead)):
+        bits = np.empty((len(tail_bits), n), dtype=np.int8)
+        bits[:, :lead], bits[:, lead:] = head_bits, tail_bits
+        yield _pattern_energies(start, eps[lead:]), bits
+
+
+def many_body_epsilons(spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Mode I's and mode II's quasi-energies in branch order, for a chain
+    whose 2^L patterns may be enumerated: chains longer than
+    ``MANY_BODY_LIMIT`` raise :class:`SizeLimit` before any work is done."""
+    if spec.L > MANY_BODY_LIMIT:
+        raise SizeLimit(f"many-body enumeration capped at L = {MANY_BODY_LIMIT}")
+    pts = quasi_energies(spec)
+    return tuple(np.array([p.epsilon for p in pts if p.mode == mode])
+                 for mode in MODES)
 
 
 def many_body_energies(spec: ChainSpec) -> ManyBodySpectrum:
@@ -279,11 +316,7 @@ def many_body_energies(spec: ChainSpec) -> ManyBodySpectrum:
     All 2^L patterns are held in memory, so chains longer than
     ``MANY_BODY_LIMIT`` raise :class:`SizeLimit` before any work is done.
     """
-    if spec.L > MANY_BODY_LIMIT:
-        raise SizeLimit(f"many-body enumeration capped at L = {MANY_BODY_LIMIT}")
-    pts = quasi_energies(spec)
-    eps_I = np.array([p.epsilon for p in pts if p.mode == "I"])
-    eps_II = np.array([p.epsilon for p in pts if p.mode == "II"])
+    eps_I, eps_II = many_body_epsilons(spec)
     energies, occupations = sign_pattern_sums(np.concatenate([eps_I, eps_II]))
     return ManyBodySpectrum(spec=spec, epsilons_I=eps_I, epsilons_II=eps_II,
                             energies=energies, occupations=occupations)

@@ -23,7 +23,8 @@ from . import __version__
 from ._fmt import (CSV_MANY_ROW, JSON_MANY_ROW, csv_text, fmt_complex,
                    fmt_exact, json_frame, json_text, parse_complex,
                    template_rows)
-from .basis import many_body_energies
+from .basis import (many_body_energies, many_body_epsilons,
+                    sign_pattern_chunks)
 from .chain import MODES, ChainSpec
 from .ep import jordan_decomposition, locate_eps, reference_ep_gammas
 from .errors import (AmbiguousContinuation, DegenerateInput, LambdaSingular,
@@ -84,18 +85,18 @@ def _report(checks, out: str | None, failure: str, summary=()) -> int:
     return 1
 
 
-def _spectrum_chunks(mb, head: str, template: str, sep: str, tail: str):
-    """``head``, the many-body rows joined by ``sep``, then ``tail``, the
-    rows formatted ``SPECTRUM_CHUNK`` states at a time."""
+def _spectrum_chunks(eps, head: str, template: str, sep: str, tail: str):
+    """``head``, the 2^L many-body rows of ``eps`` joined by ``sep``, then
+    ``tail``, the rows formatted ``SPECTRUM_CHUNK`` states at a time; no
+    2^L table is made."""
     yield head
-    for start in range(0, len(mb.energies), SPECTRUM_CHUNK):
-        part = slice(start, start + SPECTRUM_CHUNK)
+    chunks = sign_pattern_chunks(eps, SPECTRUM_CHUNK)
+    for i, (energies, occupations) in enumerate(chunks):
         # one "0"/"1" string per state, read straight off the occupation
         # bytes; floats are read in bulk, not as one numpy scalar per row
-        labels = (mb.occupations[part] + ord("0")).astype(np.uint8).view(
-            f"S{mb.spec.L}").ravel().astype(str).tolist()
-        energies = mb.energies[part]
-        if start:
+        labels = (occupations + ord("0")).astype(np.uint8).view(
+            f"S{len(eps)}").ravel().astype(str).tolist()
+        if i:
             yield sep
         yield template_rows(template, sep, labels, energies.real.tolist(),
                             energies.imag.tolist())
@@ -103,10 +104,9 @@ def _spectrum_chunks(mb, head: str, template: str, sep: str, tail: str):
 
 
 def cmd_spectrum(args) -> int:
-    mb = many_body_energies(ChainSpec(args.L, args.gamma))
-    # epsilons_I/II are in branch order, so the labels follow quasi_energies
-    quasi = [(mode, branch, *z) for mode, eps in (("I", mb.epsilons_I),
-                                                  ("II", mb.epsilons_II))
+    eps_I, eps_II = many_body_epsilons(ChainSpec(args.L, args.gamma))
+    # eps_I/II are in branch order, so the labels follow quasi_energies
+    quasi = [(mode, branch, *z) for mode, eps in (("I", eps_I), ("II", eps_II))
              for branch, z in enumerate(zip(eps.real.tolist(), eps.imag.tolist()), 1)]
     config = _config(args, L=args.L, gamma=fmt_complex(args.gamma))
     if args.format == "json":
@@ -119,7 +119,8 @@ def cmd_spectrum(args) -> int:
                         [["quasi", f"{mode}:{branch}", re, im]
                          for mode, branch, re, im in quasi])
         template, sep, tail = CSV_MANY_ROW, "\n", "\n"
-    _emit(_spectrum_chunks(mb, head, template, sep, tail), args.out)
+    _emit(_spectrum_chunks(np.concatenate([eps_I, eps_II]), head, template,
+                           sep, tail), args.out)
     return 0
 
 

@@ -10,10 +10,17 @@ things that work on P:
 
 * :func:`chebyshev_u`, the three-term recurrence for U_k and its first
   derivative (the only evaluator of P and P');
-* :func:`boundary_roots`, the n roots of P as eigenvalues of a
-  tridiagonal comrade matrix (Good, "The colleague matrix", 1961),
-  Newton-polished on the value row of the recurrence alone and certified
-  by a backward error, for one lam or for many in one stacked solve;
+* :func:`boundary_roots`, the n roots of P for one lam or for many in
+  one stacked solve.  Below a crossover degree they start as the
+  eigenvalues of a tridiagonal comrade matrix (Good, "The colleague
+  matrix", 1961), an O(n^3) solve; from it on, from the open-chain
+  quantization x = cos(theta), z^{2n+1} = (1 - lam z) / (z - lam) with
+  z = e^{i theta} (Lieb, Schultz and Mattis, 1961), and Aberth-Ehrlich
+  steps, O(n^2) each.  Either start is Newton-polished on the value row
+  of the recurrence alone and certified by a backward error; a row from
+  the quantization must also have pairwise disjoint Weierstrass
+  inclusion discs, which proves it holds all n roots, and a row that
+  fails is solved again from the comrade matrix;
 * :func:`double_roots`, the exceptional points: the roots of the
   Wronskian W = U_n' U_{n-1} - U_n U_{n-1}' = 2 sum_{k<n} U_k^2, which
   eliminates lam by hand (Mason and Handscomb, "Chebyshev Polynomials",
@@ -29,8 +36,14 @@ from .errors import DegenerateInput, NonConvergence
 __all__ = ["chebyshev_u", "boundary_roots", "double_roots"]
 
 _NEWTON_STEPS = 2
-# boundary_roots solves at most this many comrade-matrix entries (m n^2)
-# at once, which bounds its memory for many parameters at large degree
+# boundary_roots starts from the open-chain quantization from this degree
+# on, and from the comrade matrix below it (the measured crossover)
+_QUANTIZED_DEGREE = 26
+# at most this many Aberth steps per row; 6 sufficed for every n <= 1000
+_ABERTH_STEPS = 10
+# boundary_roots holds at most this many comrade-matrix or root-difference
+# entries (m n^2) at once, which bounds its memory for many parameters at
+# large degree
 _CHUNK_ENTRIES = 2 ** 18
 
 
@@ -92,12 +105,110 @@ def _value_and_slope(z: np.ndarray, n: int, lam) -> tuple[np.ndarray, np.ndarray
     return u[n + 1] - lam * u[n], slope
 
 
+def _tolerance(n: int) -> float:
+    return 16 * n * np.finfo(float).eps
+
+
 def _certify(err: np.ndarray, n: int, what: str):
-    tol = 16 * n * np.finfo(float).eps
+    tol = _tolerance(n)
     worst = float(np.max(err, initial=0.0))
     if not worst <= tol:
         raise NonConvergence(
             f"{what}: backward error {worst:.3e} exceeds {tol:.3e} (n = {n})")
+
+
+def _quantized_start(n: int, lams: np.ndarray) -> np.ndarray:
+    """cos(theta_k), k = 1..n, for each lam, from the open-chain quantization.
+
+    With x = cos(theta) and z = e^{i theta}, P = 0 reads z^{2n+1} = R(z),
+    R(z) = (1 - lam z) / (z - lam) (Lieb, Schultz and Mattis, Ann. Phys.
+    16, 407 (1961)); two sweeps of theta <- (2 pi k - i Log R) / (2n + 1)
+    from theta = pi k / (n + 1), exact at lam = 0 and at lam = -1.
+    """
+    k = np.arange(1, n + 1)
+    lam = lams[:, None]
+    theta = np.pi * k / (n + 1)
+    for _ in range(2):
+        z = np.exp(1j * theta)
+        theta = (2 * np.pi * k - 1j * np.log((1 - lam * z) / (z - lam))) / (2 * n + 1)
+    return np.cos(theta)
+
+
+def _aberth(n: int, lam: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Aberth-Ehrlich steps on the rows of x, each row with its own lam.
+
+    A row stops once every step is below 1e-15 (1 + |x|), or after
+    ``_ABERTH_STEPS`` steps; a step that is not finite is not taken.
+    """
+    rows, idx = np.arange(x.shape[0]), np.arange(n)
+    for _ in range(_ABERTH_STEPS):
+        z = x[rows]
+        val, slope = _value_and_slope(z, n, lam[rows])
+        d = z[:, :, None] - z[:, None, :]
+        d[:, idx, idx] = np.inf
+        ratio = val / slope
+        step = ratio / (1 - ratio * (1 / d).sum(-1))
+        step[~np.isfinite(step)] = 0
+        x[rows] = z - step
+        rows = rows[(np.abs(step) > 1e-15 * (1 + np.abs(z))).any(-1)]
+        if not rows.size:
+            break
+    return x
+
+
+def _isolated(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Whether each row's Weierstrass discs are pairwise disjoint.
+
+    The disc about x_i has radius r_i = n |P(x_i)| / (2^n prod_{j != i}
+    |x_i - x_j|), 2^n being the leading coefficient of P; disjoint discs
+    each hold exactly one root (Braess and Hadeler, 1973), so the row
+    holds all n roots, up to the rounding of the computed |P(x_i)|, which
+    the backward-error bound limits.  The product is summed as logs,
+    which neither overflows nor underflows at large n.
+    """
+    n = x.shape[-1]
+    d = np.abs(x[:, :, None] - x[:, None, :])
+    idx = np.arange(n)
+    d[:, idx, idx] = 0.5  # log(2 d_ii) = 0 leaves j = i out of the product
+    r = np.exp(np.log(n * np.abs(p) / 2) - np.log(2 * d).sum(-1))
+    d[:, idx, idx] = np.inf
+    return (d > r[:, :, None] + r[:, None, :]).all(axis=(1, 2))
+
+
+def _quantized(n: int, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of each row from :func:`_quantized_start`, and which rows are kept.
+
+    Aberth steps, then the two Newton steps of the comrade path; a row is
+    kept if it meets the backward-error bound and its discs are disjoint.
+    """
+    lam = lams[:, None]
+    with np.errstate(all="ignore"):
+        x = _aberth(n, lam, _quantized_start(n, lams))
+        z = _newton(lambda z: _value_and_slope(z, n, lam), x, _NEWTON_STEPS)
+        u = chebyshev_u(z, n)[0]
+        kept = (_backward_error(u, lam, z).max(-1) <= _tolerance(n)) \
+            & _isolated(u[n + 1] - lam * u[n], z)
+    return z, kept
+
+
+def _comrade(n: int, lams: np.ndarray) -> np.ndarray:
+    """Roots of each row from the comrade-matrix start, certified, shape (m, n).
+
+    det(2x - T) is P for the n x n tridiagonal T = tridiag(1, 0, 1) with
+    T[n-1, n-1] = lam, so the roots start as the eigenvalues of T, halved.
+    """
+    idx = np.arange(n - 1)
+    T = np.zeros((lams.size, n, n), dtype=complex)
+    T[:, idx, idx + 1] = T[:, idx + 1, idx] = 1.0
+    T[:, n - 1, n - 1] = lams
+    # the rows' roots side by side, each with its own lam
+    lam_x = np.repeat(lams, n)
+    z = _newton(lambda z: _value_and_slope(z, n, lam_x),
+                np.linalg.eigvals(T).reshape(-1) / 2, _NEWTON_STEPS)
+    with np.errstate(all="ignore"):
+        _certify(_backward_error(chebyshev_u(z, n)[0], lam_x, z), n,
+                 "boundary roots")
+    return z.reshape(lams.size, n)
 
 
 def boundary_roots(n: int, lam) -> np.ndarray:
@@ -106,15 +217,22 @@ def boundary_roots(n: int, lam) -> np.ndarray:
     ``lam`` is one boundary parameter or an array of them; the roots
     have shape ``shape(lam) + (n,)``, so a scalar gives ``(n,)`` and m
     parameters ``(m, n)``, row i holding the roots for ``lam[i]``.
-    det(2x - T) is the boundary polynomial for the n x n tridiagonal
-    T = tridiag(1, 0, 1) with T[n-1, n-1] = lam, so the roots start as
-    the eigenvalues of the stacked T, halved.  Each then takes two
-    Newton steps, with P' read off the value row by (1 - x^2) U_k' =
-    (k + 1) U_{k-1} - k x U_k, and must meet the backward-error bound
-    16 n eps on P, else :class:`NonConvergence` is raised.  P' only
-    steers: a step is kept only where |P| falls, and the bound is on P.
-    The bound holds at a double root as well, where the coalescing pair
-    stays split by about sqrt(eps).  Rows are solved in chunks of at most
+
+    Below degree ``_QUANTIZED_DEGREE`` the roots start as the eigenvalues
+    of the comrade matrix (:func:`_comrade`), which costs O(n^3) per
+    parameter.  From that degree on they start from the open-chain
+    quantization (:func:`_quantized_start`) and take Aberth-Ehrlich steps
+    (Bini, Numer. Algorithms 13, 179 (1996)), O(n^2) each.  Either way
+    each root then takes two Newton steps, with P' read off the value row
+    by (1 - x^2) U_k' = (k + 1) U_{k-1} - k x U_k; P' only steers, as a
+    step is kept only where |P| falls.  Every row must meet the
+    backward-error bound 16 n eps on P.  A quantized row must also have
+    pairwise disjoint Weierstrass discs, which proves it holds all n
+    roots; a row that fails either is solved again from the comrade
+    start, and :class:`NonConvergence` is raised if that row fails the
+    bound.  The bound holds at a double root as well, where the
+    coalescing pair stays split by about sqrt(eps) (its discs meet, so
+    it takes the comrade path).  Rows are solved in chunks of at most
     ``_CHUNK_ENTRIES`` matrix entries; every step acts on each row
     alone, so a row does not depend on the others or on the chunking.
     """
@@ -126,23 +244,17 @@ def boundary_roots(n: int, lam) -> np.ndarray:
         raise DegenerateInput(
             f"boundary parameter must be finite, got {lam[bad][0]:.6g}")
     lams = lam.reshape(-1)
-    x = np.empty(lams.size * n, dtype=complex)
+    x = np.empty((lams.size, n), dtype=complex)
     rows = max(1, _CHUNK_ENTRIES // (n * n))
-    idx = np.arange(n - 1)
     for start in range(0, lams.size, rows):
         part = lams[start: start + rows]
-        T = np.zeros((part.size, n, n), dtype=complex)
-        T[:, idx, idx + 1] = T[:, idx + 1, idx] = 1.0
-        T[:, n - 1, n - 1] = part
-        # the chunk's roots side by side, each with its own lam
-        lam_x = np.repeat(part, n)
-
-        z = _newton(lambda z: _value_and_slope(z, n, lam_x),
-                    np.linalg.eigvals(T).reshape(-1) / 2, _NEWTON_STEPS)
-        with np.errstate(all="ignore"):
-            _certify(_backward_error(chebyshev_u(z, n)[0], lam_x, z), n,
-                     "boundary roots")
-        x[start * n: start * n + z.size] = z
+        if n < _QUANTIZED_DEGREE:
+            x[start: start + rows] = _comrade(n, part)
+            continue
+        z, kept = _quantized(n, part)
+        if not kept.all():
+            z[~kept] = _comrade(n, part[~kept])
+        x[start: start + rows] = z
     return x.reshape(lam.shape + (n,))
 
 

@@ -134,7 +134,7 @@ def test_certificates_from_halves_match_the_dense_products():
             * (1 + abs(spec.gamma) + np.max(np.abs(Lambda)))
         for got, want in ((basis.V, V), (basis.phis, phis), (basis.psis, psis)):
             assert got.tobytes() == want.tobytes()
-    assert (refused, certified) == (9, 16)
+    assert (refused, certified) == (10, 15)
 
 
 def test_a_refused_basis_pays_only_for_its_gate(monkeypatch):

@@ -177,6 +177,28 @@ def test_streamed_spectrum_matches_the_reference_bytes(gamma, tmp_path, capsys):
                 reference_spectrum_text(L, g, fmt).encode(), (L, fmt)
 
 
+def test_the_largest_spectrum_holds_no_table_of_all_levels(tmp_path):
+    # at L = 20 an L x 2^L occupation table and 2^L energies took 38 MB,
+    # and the run's peak resident size rose 36 MB over an L = 14 run; the
+    # rows are summed and labelled a chunk at a time, so it rises by far
+    # less (peak resident sizes are in KiB on Linux)
+    pytest.importorskip("resource")
+    script = (
+        "import resource, sys\n"
+        "from xyep.cli import main\n"
+        "argv = ['spectrum', '--gamma', '0.3', '--out', sys.argv[1], '--L']\n"
+        "main(argv + ['14'])\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "code = main(argv + ['20'])\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(code, (after - before) / 1024)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "s.csv")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    code, rise_mb = proc.stdout.split()
+    assert code == "0" and float(rise_mb) < 8
+
+
 def test_refused_spectrum_writes_no_file(tmp_path, capsys):
     path = tmp_path / "f"
     code, out, err = run_cli(["spectrum", "--L", "22", "--gamma", "0.3",

@@ -195,6 +195,84 @@ def test_many_parameters_at_large_degree_stay_in_bounded_memory():
     assert peak < 32 * 2 ** 20
 
 
+def comrade_roots(monkeypatch, n, lams):
+    """boundary_roots with every row solved from the comrade start."""
+    monkeypatch.setattr(polyalg_module, "_QUANTIZED_DEGREE", n + 1)
+    try:
+        return boundary_roots(n, lams)
+    finally:
+        monkeypatch.undo()
+
+
+def count_comrade_rows(monkeypatch):
+    """A list that collects the number of rows of every _comrade call."""
+    rows, real = [], polyalg_module._comrade
+
+    def counting(n, lams):
+        rows.append(lams.size)
+        return real(n, lams)
+
+    monkeypatch.setattr(polyalg_module, "_comrade", counting)
+    return rows
+
+
+def test_quantized_rows_are_certified_and_match_the_comrade_rows(monkeypatch):
+    # a seeded draw of both modes at n from the crossover to 400
+    # (log-uniform, so the comrade reference stays cheap), |gamma| < 3 and
+    # at least 0.05 from the poles: no row falls back, and every root is
+    # the comrade path's to within 1e-15 of the row's largest root (a root
+    # of modulus 0.01 sits up to 1e-15 of its own size from the mpmath
+    # root on either path, so the two are not compared root by root)
+    rng = np.random.default_rng(34)
+    n0 = polyalg_module._QUANTIZED_DEGREE
+    ns = np.rint(np.exp(rng.uniform(np.log(n0), np.log(400), 8))).astype(int)
+    ns[:2] = n0, 400
+    gammas = rng.uniform(0, 3, 20) * np.exp(2j * np.pi * rng.random(20))
+    gammas = gammas[(np.abs(gammas - 1) > 0.05) & (np.abs(gammas + 1) > 0.05)]
+    for n, gamma in zip(ns.tolist(), gammas.tolist()):
+        lam = gamma_to_lambda(gamma)
+        lams = np.array([lam, 1 / lam])
+        fallbacks = count_comrade_rows(monkeypatch)
+        x = boundary_roots(n, lams)
+        monkeypatch.undo()
+        assert fallbacks == []
+        for row, want in zip(x, comrade_roots(monkeypatch, n, lams)):
+            dist = np.abs(row[:, None] - want[None, :])
+            nearest = dist.argmin(axis=1)
+            assert np.array_equal(np.sort(nearest), np.arange(n))
+            assert dist.min(axis=1).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_a_row_that_fails_from_the_quantized_start_is_the_comrade_row(monkeypatch):
+    # all x_k equal: the Aberth steps cannot separate them and their
+    # discs meet, so every row falls back and is bit for bit the row the
+    # comrade path gives
+    rng = np.random.default_rng(35)
+    lams = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    for n in (polyalg_module._QUANTIZED_DEGREE, 40, 100):
+        want = comrade_roots(monkeypatch, n, lams)
+        monkeypatch.setattr(polyalg_module, "_quantized_start",
+                            lambda n, lams: np.full((lams.size, n), 0.3 + 0j))
+        fallbacks = count_comrade_rows(monkeypatch)
+        got = boundary_roots(n, lams)
+        monkeypatch.undo()
+        assert sum(fallbacks) == lams.size
+        assert np.array_equal(got, want)
+
+
+def test_overlapping_discs_are_not_isolated():
+    # 4x^2 - 2 lam x - 1: its two roots have disjoint discs of radius
+    # ~0; two approximations of one root have discs that meet, since
+    # together the discs must hold both roots
+    lam = 0.3 - 0.2j
+    s = np.sqrt(lam * lam + 4)
+    exact = np.array([(lam + s) / 4, (lam - s) / 4])
+    x = np.array([exact, [exact[0], exact[0] + 1e-3]])
+    u = chebyshev_u(x, 2)[0]
+    isolated = polyalg_module._isolated(u[3] - lam * u[2], x)
+    assert isolated.tolist() == [True, False]
+
+
 def test_double_root_splits_within_backward_error():
     # the L = 4 EP gamma = 0.6 + 0.8i puts mode II at lam = -2i, where
     # 4x^2 - 2 lam x - 1 has the double root x = -i/2; rounding splits it
@@ -360,21 +438,23 @@ def order_one_polish(n, lam, start):
 
 def kernel_and_reference(monkeypatch, n, lam):
     """boundary_roots(n, lam), or None where it refuses, and the reference
-    polish from the same comrade-matrix start (recorded, not recomputed)."""
-    starts, real = [], np.linalg.eigvals
+    polish from the start of the Newton steps whose roots are returned:
+    the comrade matrix's eigenvalues, or the quantized start after its
+    Aberth steps (recorded, not recomputed)."""
+    starts, real = [], polyalg_module._newton
 
-    def recording(T):
-        starts.append(real(T))
-        return starts[-1]
+    def recording(f, x, steps):
+        starts.append(x.copy())
+        return real(f, x, steps)
 
-    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    monkeypatch.setattr(polyalg_module, "_newton", recording)
     try:
         x = boundary_roots(n, lam)
     except NonConvergence:
         x = None
     finally:
         monkeypatch.undo()
-    start = starts[0].reshape(-1) / 2
+    start = starts[-1].reshape(-1)
     return x, start, order_one_polish(n, lam, start)
 
 
@@ -414,14 +494,19 @@ def test_the_roots_do_not_move_with_the_slope_from_the_value_row(monkeypatch):
 
 def test_a_root_at_plus_minus_one_is_certified_without_warnings(monkeypatch):
     # lam = +-(n + 1)/n puts a root exactly at x = +-1, where the slope
-    # identity is 0/0; no step is taken there, and nothing warns
+    # identity is 0/0; no step is taken there, and nothing warns.  From
+    # the quantized start (n = 30) the two polishes differ only by an
+    # imaginary part below 1e-90 on the real roots near x = -+0.025
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in (1, 2, 5, 30):
             for lam in ((n + 1) / n, -(n + 1) / n):
                 x, _, (ref, certified) = kernel_and_reference(monkeypatch, n, lam)
                 assert certified
-                assert np.array_equal(x, ref)
+                if n < polyalg_module._QUANTIZED_DEGREE:
+                    assert np.array_equal(x, ref)
+                else:
+                    assert np.all(np.abs(x - ref) <= np.spacing(np.abs(ref)))
                 assert np.min(np.abs(x - np.sign(lam))) < 1e-15
 
 
